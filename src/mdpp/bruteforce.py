@@ -2,8 +2,9 @@
 
 Everything here recomputes results the slow, obviously-correct way:
 determinant sums over the full power set, exhaustive MAP, exhaustive
-segmentations, and exhaustive knapsacks. The `check` CLI subcommand drives
-these against the production implementations.
+segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
+formulas that the dual-form fast path in ``dpp`` must reproduce. The `check`
+CLI subcommand drives these against the production implementations.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import dpp
 from .dpp import DppKernel
+from .errors import NumericError
 
 
 def all_subsets(n: int):
@@ -33,6 +35,64 @@ def powerset_det_sum(kernel: DppKernel) -> float:
     """Sum of det(L_y) over every subset y; equals det(L + I)."""
     mat = kernel.matrix()
     return sum(subset_det(mat, s) for s in all_subsets(kernel.ground_size))
+
+
+def normalizer_logdet(kernel: DppKernel) -> float:
+    """logdet(L + I) of the N x N primal kernel, the log partition function."""
+    mat = kernel.matrix()
+    mat[np.diag_indices_from(mat)] += 1.0
+    return float(np.linalg.slogdet(mat)[1])
+
+
+def primal_log_prob(kernel: DppKernel, subset) -> float:
+    """log P(y) = logdet(L_y) - logdet(L + I) from the N x N kernel; -inf
+    when det(L_y) is not positive."""
+    idx = _sorted_subset(subset)
+    sign, sub_logdet = np.linalg.slogdet(kernel.matrix()[np.ix_(idx, idx)])
+    if sign <= 0.0:
+        return float("-inf")
+    return float(sub_logdet) - normalizer_logdet(kernel)
+
+
+def logprob_grad_L(kernel: DppKernel, subset) -> np.ndarray:
+    """Gradient of log P(y) with respect to the kernel matrix L.
+
+    Equals (L_y)^{-1} scattered into the subset's rows/columns, minus
+    (L + I)^{-1}; symmetric by construction.
+    """
+    idx = _sorted_subset(subset)
+    mat = kernel.matrix()
+    n = kernel.ground_size
+    grad = np.zeros((n, n))
+    if idx.size:
+        sub = mat[np.ix_(idx, idx)]
+        try:
+            sub_inv = np.linalg.inv(sub)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"L_y is singular for subset {idx.tolist()}") from exc
+        if not np.isfinite(sub_inv).all():
+            raise NumericError(f"L_y is numerically singular for subset {idx.tolist()}")
+        grad[np.ix_(idx, idx)] = sub_inv
+    mat[np.diag_indices_from(mat)] += 1.0
+    grad -= np.linalg.inv(mat)
+    return 0.5 * (grad + grad.T)
+
+
+def kernel_grads_from_L(kernel: DppKernel, grad_L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain a symmetric dLoss/dL back to (dLoss/dphi, dLoss/dq).
+
+    Uses L = A^T A with A = phi diag(q): dLoss/dA = 2 A G, then splits A
+    into its phi and q factors.
+    """
+    scaled = kernel.phi * kernel.q
+    grad_a = 2.0 * scaled @ grad_L
+    grad_phi = grad_a * kernel.q
+    grad_q = np.einsum("dn,dn->n", kernel.phi, grad_a)
+    return grad_phi, grad_q
+
+
+def _sorted_subset(subset) -> np.ndarray:
+    return np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
 
 
 def exhaustive_map(kernel):
@@ -95,31 +155,59 @@ def random_kernel(rng: np.random.Generator, n: int, dim: int | None = None) -> D
 
 
 def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9):
-    """Brute-force verification of normalization, probabilities and MAP.
+    """Brute-force verification of normalization, probabilities, the dual
+    likelihood path and MAP.
 
     Returns a list of (name, passed, detail) rows.
     """
     rng = np.random.default_rng(seed)
     worst_norm = 0.0
     worst_sum = 0.0
+    worst_dual = 0.0
     greedy_ok = True
     for _ in range(trials):
         kernel = random_kernel(rng, n)
         brute = powerset_det_sum(kernel)
-        fast = math.exp(dpp.normalizer_logdet(kernel))
+        fast = math.exp(-dpp.log_prob(kernel, []))
         worst_norm = max(worst_norm, abs(fast - brute) / brute)
         total = sum(
             math.exp(dpp.log_prob(kernel, s)) for s in all_subsets(kernel.ground_size)
         )
         worst_sum = max(worst_sum, abs(total - 1.0))
+        # one low-rank kernel (D' < N) and one with D' >= N; subsets have fewer
+        # than D' items, since at a low-rank kernel's full rank L_y's
+        # conditioning, not the method, sets the agreement
+        for dim in (int(rng.integers(1, max(2, n))), int(rng.integers(n, 2 * n + 1))):
+            worst_dual = max(worst_dual, _dual_vs_primal(rng, random_kernel(rng, n, dim)))
         diag = DppKernel(phi=np.eye(n), q=rng.uniform(dpp.QUALITY_FLOOR, 1.0, size=n))
         if sorted(dpp.greedy_map(diag)) != exhaustive_map(diag):
             greedy_ok = False
     return [
         ("normalizer vs powerset det sum", worst_norm <= rel_tol, f"max rel err {worst_norm:.3e}"),
         ("subset probabilities sum to 1", worst_sum <= rel_tol, f"max abs err {worst_sum:.3e}"),
+        (
+            "dual log-prob and (phi, q) gradients vs primal N x N formulas",
+            worst_dual <= 1e-10,
+            f"max rel err {worst_dual:.3e}",
+        ),
         ("greedy MAP = exhaustive MAP on diagonal kernels", greedy_ok, f"{trials} trials"),
     ]
+
+
+def _dual_vs_primal(rng: np.random.Generator, kernel: DppKernel) -> float:
+    """Worst relative disagreement between the dual fast path and the primal
+    oracle on one random subset of fewer than D' items."""
+    dim, n = kernel.phi.shape
+    size = int(rng.integers(0, min(dim - 1, n) + 1))
+    subset = sorted(rng.choice(n, size=size, replace=False).tolist())
+    logp, grad_phi, grad_q = dpp.log_prob_and_grad(kernel, subset)
+    ref_logp = primal_log_prob(kernel, subset)
+    ref_phi, ref_q = kernel_grads_from_L(kernel, logprob_grad_L(kernel, subset))
+    pairs = [(logp, ref_logp), (dpp.log_prob(kernel, subset), ref_logp)]
+    pairs += [(grad_phi, ref_phi), (grad_q, ref_q)]
+    return max(
+        float(np.max(np.abs(np.subtract(fast, ref))) / np.max(np.abs(ref))) for fast, ref in pairs
+    )
 
 
 def check_knapsack(trials: int = 50, max_shots: int = 12, seed: int = 0):

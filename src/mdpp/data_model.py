@@ -6,6 +6,7 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -156,7 +157,6 @@ class ShotList:
     """
 
     boundaries: tuple[int, ...]
-    scores: tuple[float, ...] | None = None
 
     def __post_init__(self):
         bounds = tuple(int(b) for b in self.boundaries)
@@ -168,13 +168,6 @@ class ShotList:
                 raise ValidationError(f"boundaries must be strictly increasing from 0, got {bounds}")
             prev = b
         object.__setattr__(self, "boundaries", bounds)
-        if self.scores is not None:
-            scores = tuple(float(s) for s in self.scores)
-            if len(scores) != len(bounds):
-                raise ValidationError(
-                    f"{len(scores)} scores for {len(bounds)} shots"
-                )
-            object.__setattr__(self, "scores", scores)
 
     @property
     def num_steps(self) -> int:
@@ -197,13 +190,7 @@ class ShotList:
         """Index of the shot containing time-step ``t``."""
         if not (0 <= t < self.num_steps):
             raise ValidationError(f"t={t} outside [0, {self.num_steps})")
-        for i, end in enumerate(self.boundaries):
-            if t < end:
-                return i
-        raise AssertionError("unreachable")
-
-    def with_scores(self, scores) -> "ShotList":
-        return ShotList(self.boundaries, tuple(float(s) for s in scores))
+        return bisect.bisect_right(self.boundaries, t)
 
 
 @dataclass(frozen=True)

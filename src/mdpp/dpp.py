@@ -1,9 +1,15 @@
 """Single-ground-set DPP over the quality/feature decomposition.
 
-The kernel is L = diag(q) (Phi^T Phi) diag(q) where Phi has unit-norm
-columns (one feature vector per item) and q holds per-item quality scores.
-P(y) = det(L_y) / det(L + I), so a subset's log-probability is
-logdet(L_y) - logdet(L + I).
+The kernel is L = B^T B with B = Phi diag(q), where Phi (D' x N) has
+unit-norm columns (one feature vector per item) and q holds per-item quality
+scores. P(y) = det(L_y) / det(L + I).
+
+Likelihoods use the dual representation (Kulesza & Taskar, "Determinantal
+Point Processes for Machine Learning", 2012, sec. 3.3): det(L + I) equals
+det(I + B B^T), a D' x D' matrix, so log P(y) and its gradient cost
+O(N D'^2 + k^3) for a size-k subset (D' <= N) and never build the N x N
+kernel. Only greedy MAP inference materializes L; the primal N x N formulas
+live in ``bruteforce`` as the reference.
 """
 
 from __future__ import annotations
@@ -63,78 +69,77 @@ class DppKernel:
         return scaled.T @ scaled
 
 
-def _logdet_psd(mat: np.ndarray) -> float | None:
-    """logdet via Cholesky; None when the matrix is numerically singular."""
-    if mat.shape[0] == 0:
-        return 0.0
+def _cholesky(mat: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor; None when the matrix is numerically singular."""
     try:
-        chol = np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return None
+
+
+def _chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
-def normalizer_logdet(kernel: DppKernel) -> float:
-    """logdet(L + I), the log partition function of the DPP."""
-    mat = kernel.matrix()
-    mat[np.diag_indices_from(mat)] += 1.0
-    value = _logdet_psd(mat)
-    if value is None:
-        raise NumericError("factorization of L + I failed; kernel is corrupted")
-    return value
+def _chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """(chol chol^T)^{-1} from the lower factor."""
+    inv = np.linalg.inv(chol)
+    return inv.T @ inv
+
+
+def _dual_factors(kernel: DppKernel, idx: np.ndarray):
+    """Factor the two small matrices every likelihood quantity needs.
+
+    Returns (B, chol, sub_chol): B = phi diag(q), the Cholesky factor of the
+    D' x D' dual matrix I + B B^T, and that of L_y = B_y^T B_y (None when L_y
+    is numerically singular).
+    """
+    scaled = kernel.phi * kernel.q
+    dual = scaled @ scaled.T
+    dual[np.diag_indices_from(dual)] += 1.0
+    chol = _cholesky(dual)
+    if chol is None:
+        raise NumericError("factorization of I + B B^T failed; kernel is corrupted")
+    sub = scaled[:, idx]
+    return scaled, chol, _cholesky(sub.T @ sub)
 
 
 def log_prob(kernel: DppKernel, subset) -> float:
-    """Exact log P(y) = logdet(L_y) - logdet(L + I).
+    """Exact log P(y) = logdet(L_y) - logdet(I + B B^T).
 
     The empty subset contributes logdet 1 = 0. A numerically singular L_y is
     a legitimately zero-probability subset and yields -inf rather than an
     exception.
     """
     idx = _check_subset(kernel, subset)
-    mat = kernel.matrix()
-    sub_logdet = _logdet_psd(mat[np.ix_(idx, idx)])
-    if sub_logdet is None:
+    _, chol, sub_chol = _dual_factors(kernel, idx)
+    if sub_chol is None:
         return float("-inf")
-    return sub_logdet - normalizer_logdet(kernel)
+    return _chol_logdet(sub_chol) - _chol_logdet(chol)
 
 
-def logprob_grad_L(kernel: DppKernel, subset) -> np.ndarray:
-    """Gradient of log P(y) with respect to the kernel matrix L.
+def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.ndarray]:
+    """log P(y) with its gradients with respect to phi (D', N) and q (N,).
 
-    Equals (L_y)^{-1} scattered into the subset's rows/columns, minus
-    (L + I)^{-1}; symmetric by construction.
+    With B = phi diag(q), dlogP/dB is 2 B_y L_y^{-1} on the subset's columns
+    minus 2 (I + B B^T)^{-1} B everywhere; it is then split into its phi and q
+    factors. The caller owns any gradient through the column normalization
+    of phi. A numerically singular L_y (where log_prob gives -inf) has no
+    gradient and raises NumericError.
     """
     idx = _check_subset(kernel, subset)
-    mat = kernel.matrix()
-    n = kernel.ground_size
-    grad = np.zeros((n, n))
+    scaled, chol, sub_chol = _dual_factors(kernel, idx)
+    if sub_chol is None:
+        raise NumericError(f"L_y is numerically singular for subset {idx.tolist()}")
+    grad_b = -2.0 * _chol_inverse(chol) @ scaled
     if idx.size:
-        sub = mat[np.ix_(idx, idx)]
-        try:
-            sub_inv = np.linalg.inv(sub)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"L_y is singular for subset {sorted(idx)}") from exc
+        sub_inv = _chol_inverse(sub_chol)
         if not np.isfinite(sub_inv).all():
-            raise NumericError(f"L_y is numerically singular for subset {sorted(idx)}")
-        grad[np.ix_(idx, idx)] = sub_inv
-    mat[np.diag_indices_from(mat)] += 1.0
-    grad -= np.linalg.inv(mat)
-    return 0.5 * (grad + grad.T)
-
-
-def kernel_grads_from_L(kernel: DppKernel, grad_L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chain a symmetric dLoss/dL back to (dLoss/dphi, dLoss/dq).
-
-    Uses L = A^T A with A = phi diag(q): dLoss/dA = 2 A G, then splits A
-    into its phi and q factors. The caller owns any gradient through the
-    column normalization of phi.
-    """
-    scaled = kernel.phi * kernel.q
-    grad_a = 2.0 * scaled @ grad_L
-    grad_phi = grad_a * kernel.q
-    grad_q = np.einsum("dn,dn->n", kernel.phi, grad_a)
-    return grad_phi, grad_q
+            raise NumericError(f"L_y is numerically singular for subset {idx.tolist()}")
+        grad_b[:, idx] += 2.0 * scaled[:, idx] @ sub_inv
+    grad_phi = grad_b * kernel.q
+    grad_q = np.einsum("dn,dn->n", kernel.phi, grad_b)
+    return _chol_logdet(sub_chol) - _chol_logdet(chol), grad_phi, grad_q
 
 
 def greedy_map(kernel, max_size: int | None = None, mode: str = "chol", fill: bool = False):
@@ -209,8 +214,8 @@ def greedy_map(kernel, max_size: int | None = None, mode: str = "chol", fill: bo
         best_item = -1
         for j in remaining:
             trial = selected + [j]
-            trial_logdet = _logdet_psd(mat[np.ix_(trial, trial)])
-            gain = -np.inf if trial_logdet is None else trial_logdet - current
+            trial_chol = _cholesky(mat[np.ix_(trial, trial)])
+            gain = -np.inf if trial_chol is None else _chol_logdet(trial_chol) - current
             if gain > best_gain + _GAIN_TIE_TOL:
                 best_gain, best_item = gain, j
         if best_gain == -np.inf or (best_gain < 0.0 and not fill):

@@ -354,8 +354,9 @@ def loss_and_grad(
     dpp_nll = 0.0
     if lam != 0.0:
         bundle = multi_dpp.build_joint_kernel(trace.streams)
-        log_p = dpp.log_prob(bundle.kernel, steps)
-        if not np.isfinite(log_p):
+        try:
+            log_p, grad_phi, grad_q = dpp.log_prob_and_grad(bundle.kernel, steps)
+        except NumericError as exc:
             hint = (
                 f" ({len(steps)} target steps exceed output_dim={dp}; the joint "
                 f"kernel has rank at most output_dim, so such subsets have "
@@ -366,12 +367,10 @@ def loss_and_grad(
             raise NumericError(
                 f"target subset of size {len(steps)} has zero probability under "
                 f"the joint kernel{hint}"
-            )
+            ) from exc
         dpp_nll = -log_p
-        grad_l = -lam * dpp.logprob_grad_L(bundle.kernel, steps)
-        grad_phi, grad_q = dpp.kernel_grads_from_L(bundle.kernel, grad_l)
         grad_features, grad_stream_q = multi_dpp.backprop_streams(
-            bundle, trace.streams, grad_phi, grad_q
+            bundle, trace.streams, -lam * grad_phi, -lam * grad_q
         )
         # per-view clamp: logistic outputs below the floor carry no gradient
         passthrough = trace.quality_raw > dpp.QUALITY_FLOOR

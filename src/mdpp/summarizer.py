@@ -75,6 +75,23 @@ def _view_shot_list(view_features: np.ndarray, max_segments: int | None, penalty
     return kts(view_features, cap, penalty_coeff).shot_list(n)
 
 
+def _quality_shots(
+    view: int,
+    view_features: np.ndarray,
+    quality: np.ndarray,
+    max_segments: int | None,
+    penalty_coeff: float,
+):
+    """KTS shots of one view, each scored by its mean frame quality, as
+    (view, start, end, score)."""
+    shot_list = _view_shot_list(view_features, max_segments, penalty_coeff)
+    shots = []
+    for i in range(shot_list.num_shots):
+        a, b = shot_list.shot_span(i)
+        shots.append((view, a, b, float(quality[a:b].mean())))
+    return shots
+
+
 def _pick_shots(shots: list[tuple[int, int, int, float]], budget_frames: int):
     """shots are (view, start, end, score); returns the chosen sub-list."""
     chosen = knapsack_shots(
@@ -100,16 +117,11 @@ def summarize_supervised(
     penalty_coeff: float = 1.0,
 ) -> Summary:
     """Quality-head scores + per-view KTS shots + global knapsack."""
-    trace = forward(params, sequence)
-    quality = trace.quality_raw
-    n = sequence.num_steps
+    quality = forward(params, sequence).quality_raw
     shots = []
     for m in range(sequence.num_views):
-        shot_list = _view_shot_list(sequence.view(m), max_segments, penalty_coeff)
-        for i in range(shot_list.num_shots):
-            a, b = shot_list.shot_span(i)
-            shots.append((m, a, b, float(quality[m, a:b].mean())))
-    chosen = _pick_shots(shots, budget.frame_budget(n))
+        shots += _quality_shots(m, sequence.view(m), quality[m], max_segments, penalty_coeff)
+    chosen = _pick_shots(shots, budget.frame_budget(sequence.num_steps))
     return _shots_to_summary(chosen, budget.fraction)
 
 
@@ -164,13 +176,8 @@ def single_view_supervised(params: ModelParams, penalty_coeff: float = 1.0, max_
 
     def summarizer(features: np.ndarray, frame_budget: int) -> list[Shot]:
         seq = MultiViewSequence(sequence_id="single", features=features[None, ...])
-        trace = forward(params, seq)
-        quality = trace.quality_raw[0]
-        shot_list = _view_shot_list(np.asarray(features, dtype=np.float64), max_segments, penalty_coeff)
-        shots = []
-        for i in range(shot_list.num_shots):
-            a, b = shot_list.shot_span(i)
-            shots.append((0, a, b, float(quality[a:b].mean())))
+        quality = forward(params, seq).quality_raw[0]
+        shots = _quality_shots(0, features, quality, max_segments, penalty_coeff)
         return [(a, b, score) for _, a, b, score in _pick_shots(shots, frame_budget)]
 
     return summarizer

@@ -91,13 +91,6 @@ def test_shot_list_rejects_bad_boundaries():
         ShotList(boundaries=())
 
 
-def test_shot_list_scores():
-    shots = ShotList(boundaries=(2, 4)).with_scores([0.5, 0.25])
-    assert shots.scores == (0.5, 0.25)
-    with pytest.raises(ValidationError):
-        ShotList(boundaries=(2, 4)).with_scores([0.5])
-
-
 def test_budget_frame_count():
     assert SummaryBudget().frame_budget(300) == 45
     assert SummaryBudget().frame_budget(7) == 2  # ceil(1.05)

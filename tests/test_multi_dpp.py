@@ -82,8 +82,7 @@ def test_backprop_streams_matches_finite_differences():
     subset = [1, 3]
 
     bundle = multi_dpp.build_joint_kernel(streams)
-    grad_l = dpp.logprob_grad_L(bundle.kernel, subset)
-    gphi, gq = dpp.kernel_grads_from_L(bundle.kernel, grad_l)
+    _, gphi, gq = dpp.log_prob_and_grad(bundle.kernel, subset)
     gfeat, gqual = multi_dpp.backprop_streams(bundle, streams, gphi, gq)
 
     def log_p(features, quality):
@@ -116,7 +115,6 @@ def test_backprop_gates_clamped_quality_product():
         quality=np.full((2, 4), 5e-4),  # product 2.5e-7 < floor everywhere
     )
     bundle = multi_dpp.build_joint_kernel(streams)
-    grad_l = dpp.logprob_grad_L(bundle.kernel, [0, 2])
-    gphi, gq = dpp.kernel_grads_from_L(bundle.kernel, grad_l)
+    _, gphi, gq = dpp.log_prob_and_grad(bundle.kernel, [0, 2])
     _, gqual = multi_dpp.backprop_streams(bundle, streams, gphi, gq)
     assert (gqual == 0.0).all()
