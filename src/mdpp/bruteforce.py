@@ -3,8 +3,10 @@
 Everything here recomputes results the slow, obviously-correct way:
 determinant sums over the full power set, exhaustive MAP, exhaustive
 segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
-formulas that the dual-form fast path in ``dpp`` must reproduce. The `check`
-CLI subcommand drives these against the production implementations.
+formulas that the dual-form fast path in ``dpp`` must reproduce and the
+per-(k, end) KTS loop that the end-major DP in ``kts`` must reproduce
+bitwise. The `check` CLI subcommand drives these against the production
+implementations.
 """
 
 from __future__ import annotations
@@ -144,6 +146,24 @@ def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
     return best_cps, best_cost
 
 
+def reference_dp_tables(table, max_parts: int):
+    """The KTS tables of ``kts._dp_tables`` filled one (k, end) cell at a
+    time, each from the scatter of every segment [start, end) with
+    start >= k - 1."""
+    n = table.n
+    dp = np.full((max_parts + 1, n + 1), np.inf)
+    bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
+    dp[0][0] = 0.0
+    for k in range(1, max_parts + 1):
+        for end in range(k, n + 1):
+            starts = np.arange(k - 1, end)
+            totals = dp[k - 1][starts] + table.costs_ending_at(end, starts)
+            j = int(np.argmin(totals))
+            dp[k][end] = totals[j]
+            bp[k][end] = starts[j]
+    return dp, bp
+
+
 def random_kernel(rng: np.random.Generator, n: int, dim: int | None = None) -> DppKernel:
     dim = dim or max(2, n)
     phi = rng.normal(size=(dim, n))
@@ -227,7 +247,7 @@ def check_knapsack(trials: int = 50, max_shots: int = 12, seed: int = 0):
 
 
 def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
-    from .kts import kts_fixed_m
+    from .kts import _dp_tables, _ScatterTable, kts_fixed_m
 
     rng = np.random.default_rng(seed)
     ok = True
@@ -239,4 +259,28 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
             _, brute_cost = exhaustive_segmentation(feats, m)
             if abs(cost - brute_cost) > 1e-9 * max(1.0, abs(brute_cost)):
                 ok = False
-    return [("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials")]
+    tables_ok = True
+    for feats in _kts_table_inputs(rng, trials):
+        table = _ScatterTable(feats)
+        max_parts = int(rng.integers(1, feats.shape[0] + 1))
+        dp, bp = _dp_tables(table, max_parts)
+        ref_dp, ref_bp = reference_dp_tables(table, max_parts)
+        if not (np.array_equal(dp, ref_dp) and np.array_equal(bp, ref_bp)):
+            tables_ok = False
+    return [
+        ("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials"),
+        ("KTS tables vs reference loop", tables_ok, f"{3 * trials} inputs, bitwise dp and bp"),
+    ]
+
+
+def _kts_table_inputs(rng: np.random.Generator, trials: int):
+    """Random features with N <= 60, plus tie-heavy ones: all-zero frames
+    and runs of repeated constant blocks."""
+    for _ in range(trials):
+        n = int(rng.integers(1, 61))
+        d = int(rng.integers(1, 6))
+        yield rng.normal(size=(n, d))
+        yield np.zeros((n, d))
+        blocks = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(float)
+        lengths = rng.integers(1, 13, size=blocks.shape[0])
+        yield np.repeat(blocks, lengths, axis=0)

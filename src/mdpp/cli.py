@@ -86,8 +86,7 @@ def _budget(args) -> SummaryBudget:
 
 def _per_view_shots(sequence, max_segments, penalty_coeff):
     return [
-        kts(sequence.view(m), max_segments or summarizer.default_max_segments(sequence.num_steps),
-            penalty_coeff).shot_list(sequence.num_steps)
+        summarizer._view_shot_list(sequence.view(m), max_segments, penalty_coeff)
         for m in range(sequence.num_views)
     ]
 

@@ -4,9 +4,17 @@ programming over within-segment scatter.
 With a linear kernel the within-segment cost reduces to the scatter
 sum ||x_i - mean||^2, which cumulative sums over the frame features make
 O(D) per (start, end) query. The DP fills minimum-cost tables for every
-segment count up to a cap, then picks the number of change points m that
+segment count up to a cap K, then picks the number of change points m that
 minimizes cost + penalty_coeff * m * (log(N / m) + 1), comparing against
 the single-segment (m = 0) alternative.
+
+The DP runs in end-major order: for each end frame it computes the scatter
+of every segment ending there once and relaxes all segment counts against
+it. That is N vectorized steps, O(N^2 (D + K)) time in all, and O(K N)
+extra memory (one K x N block of candidate totals beside the K x N tables);
+no N x N cost table is ever built.
+``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop it replaced,
+and ``mdpp check kts`` requires the two to agree bitwise.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -43,12 +51,6 @@ class _ScatterTable:
         self.sums = np.zeros((n + 1, d))
         self.sums[1:] = np.cumsum(x, axis=0)
 
-    def cost(self, a: int, b: int) -> float:
-        lengths = b - a
-        total = self.sq[b] - self.sq[a]
-        mean_part = float(np.dot(self.sums[b] - self.sums[a], self.sums[b] - self.sums[a]))
-        return max(total - mean_part / lengths, 0.0)
-
     def costs_ending_at(self, b: int, starts: np.ndarray) -> np.ndarray:
         """Scatter of [start, b) for every start in ``starts`` at once."""
         diff = self.sums[b] - self.sums[starts]
@@ -61,23 +63,25 @@ def segment_cost(features, a: int, b: int) -> float:
     x = _as_features(features)
     if not (0 <= a < b <= x.shape[0]):
         raise ValidationError(f"segment [{a}, {b}) is empty or out of range for N={x.shape[0]}")
-    return _ScatterTable(x).cost(a, b)
+    return float(_ScatterTable(x).costs_ending_at(b, np.array([a]))[0])
 
 
 def _dp_tables(table: _ScatterTable, max_parts: int):
     """dp[k][n] = minimum scatter splitting the first n frames into k
-    segments; bp holds the matching last-segment start."""
+    segments; bp holds the matching last-segment start (the earliest on
+    ties)."""
     n = table.n
     dp = np.full((max_parts + 1, n + 1), np.inf)
     bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
     dp[0][0] = 0.0
-    for k in range(1, max_parts + 1):
-        for end in range(k, n + 1):
-            starts = np.arange(k - 1, end)
-            totals = dp[k - 1][starts] + table.costs_ending_at(end, starts)
-            j = int(np.argmin(totals))
-            dp[k][end] = totals[j]
-            bp[k][end] = starts[j]
+    for end in range(1, n + 1):
+        # every dp[k - 1][a] with a < end is final by now; entries with
+        # a < k - 1 are inf, so they never win the argmin
+        rows = min(max_parts, end)
+        totals = dp[:rows, :end] + table.costs_ending_at(end, np.arange(end))
+        best = np.argmin(totals, axis=1)
+        bp[1 : rows + 1, end] = best
+        dp[1 : rows + 1, end] = totals[np.arange(rows), best]
     return dp, bp
 
 

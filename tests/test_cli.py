@@ -71,6 +71,15 @@ def test_oracle_then_eval(tmp_path, capsys):
     assert plot.startswith("tau\tf1\n")
 
 
+def test_oracle_rejects_zero_max_segments(tmp_path, capsys):
+    features, annotations = _synth(tmp_path, "a", seed=2)
+    summary = tmp_path / "oracle.summary.json"
+    assert run(["oracle", "--features", str(features), "--annotations", str(annotations),
+                "--max-segments", "0", "--out", str(summary)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not summary.exists()
+
+
 def test_summarize_unsupervised(tmp_path):
     features, _ = _synth(tmp_path, "a", seed=3)
     out = tmp_path / "u.summary.json"

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from mdpp import bruteforce
+from mdpp import bruteforce, synth
 from mdpp.errors import ConfigError, DataError, ValidationError
-from mdpp.kts import SegmentationResult, kts, kts_fixed_m, segment_cost
+from mdpp.kts import SegmentationResult, _dp_tables, _ScatterTable, kts, kts_fixed_m, segment_cost
+from mdpp.summarizer import default_max_segments
 
 
 def _scatter(x):
@@ -62,6 +65,69 @@ def test_fixed_m_validation():
         kts_fixed_m(np.zeros((3, 2)), 3)
     with pytest.raises(ValidationError):
         kts_fixed_m(np.zeros((0, 2)), 0)
+
+
+def _assert_tables_match_reference(x, max_parts):
+    table = _ScatterTable(x)
+    dp, bp = _dp_tables(table, max_parts)
+    ref_dp, ref_bp = bruteforce.reference_dp_tables(table, max_parts)
+    assert np.array_equal(dp, ref_dp)
+    assert np.array_equal(bp, ref_bp)
+
+
+def test_dp_tables_match_reference_loop_bitwise_on_synth_view():
+    config = synth.SynthConfig(
+        num_views=3, num_steps=300, feature_dim=16, num_events=5,
+        event_length_min=6, event_length_max=9, seed=7,
+    )
+    sequence, _ = synth.generate(config)
+    _assert_tables_match_reference(sequence.view(0), default_max_segments(300))
+
+
+def test_dp_tables_match_reference_loop_bitwise_on_ties():
+    _assert_tables_match_reference(np.zeros((40, 3)), 12)
+    blocks = np.repeat([[1.0, -2.0], [1.0, -2.0], [3.0, 0.0], [-1.0, 1.0]], [5, 7, 1, 9], axis=0)
+    _assert_tables_match_reference(blocks, 10)
+    _assert_tables_match_reference(np.ones((25, 1)), 25)
+
+
+def test_single_frame_and_cap_above_num_frames():
+    result = kts(np.array([[2.0, -1.0]]), max_segments=5)
+    assert (result.change_points, result.num_segments, result.objective) == ((), 1, 0.0)
+    assert kts_fixed_m(np.array([[2.0, -1.0]]), 0) == ([], 0.0)
+
+    x = np.array([[0.0], [3.0], [7.0], [12.0]])
+    capped = kts(x, max_segments=4, penalty_coeff=0.0)
+    assert kts(x, max_segments=100, penalty_coeff=0.0) == capped
+    assert capped.change_points == (1, 2, 3)
+
+
+def _brute_penalized_choice(x, max_segments, penalty_coeff):
+    """The change-point count minimizing exhaustive cost + penalty (ties
+    within round-off go to fewer change points), and its unpenalized cost."""
+    n = x.shape[0]
+    costs = [bruteforce.exhaustive_segmentation(x, m)[1] for m in range(min(max_segments, n))]
+    values = [costs[0]] + [
+        c + penalty_coeff * m * (math.log(n / m) + 1.0) for m, c in enumerate(costs) if m
+    ]
+    best = min(values)
+    m = next(m for m, v in enumerate(values) if v <= best + 1e-9 * max(1.0, abs(best)))
+    return m, costs[m]
+
+
+def test_penalized_choice_matches_enumeration():
+    rng = np.random.default_rng(4)
+    inputs = [rng.normal(size=(int(rng.integers(1, 11)), 2)) for _ in range(25)]
+    # tie-heavy: every split of all-zero frames costs 0; constant blocks
+    # reach cost 0 at two change points and stay there
+    inputs += [np.zeros((8, 2)), np.repeat([[0.0], [4.0], [4.0], [-2.0]], [3, 2, 2, 3], axis=0)]
+    for x in inputs:
+        for max_segments in (1, 3, 12):
+            for penalty_coeff in (0.0, 0.05, 1.0):
+                result = kts(x, max_segments, penalty_coeff)
+                brute_m, brute_cost = _brute_penalized_choice(x, max_segments, penalty_coeff)
+                assert result.num_segments - 1 == brute_m
+                assert result.objective == pytest.approx(brute_cost, rel=1e-9, abs=1e-9)
 
 
 def test_penalized_selection_finds_planted_boundaries():
