@@ -3,10 +3,11 @@
 Everything here recomputes results the slow, obviously-correct way:
 determinant sums over the full power set, exhaustive MAP, exhaustive
 segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
-formulas that the dual-form fast path in ``dpp`` must reproduce and the
-per-(k, end) KTS loop that the end-major DP in ``kts`` must reproduce
-bitwise. The `check` CLI subcommand drives these against the production
-implementations.
+formulas that the dual-form fast path in ``dpp`` must reproduce, the
+from-scratch greedy MAP that its incremental Cholesky must match pick for
+pick, and the per-(k, end) KTS loop that the end-major DP in ``kts`` must
+reproduce bitwise. The `check` CLI subcommand drives these against the
+production implementations.
 """
 
 from __future__ import annotations
@@ -110,6 +111,33 @@ def exhaustive_map(kernel):
     return list(best)
 
 
+def reference_greedy_map(kernel, max_size: int | None = None, fill: bool = False):
+    """``dpp.greedy_map`` with every trial subset's determinant recomputed
+    from scratch: the gain of item j is logdet(L_{y+j}) - logdet(L_y), item
+    j is singular when det(L_{y+j}) / det(L_y) <= 1e-10 L_jj, and ties
+    within 1e-12 go to the smallest index."""
+    mat = kernel.matrix() if isinstance(kernel, DppKernel) else np.asarray(kernel, dtype=float)
+    n = mat.shape[0]
+    max_size = n if max_size is None else max_size
+    selected: list[int] = []
+    current = 0.0
+    while len(selected) < max_size:
+        logdets = np.full(n, -np.inf)
+        for j in set(range(n)) - set(selected):
+            trial = selected + [j]
+            sign, logdet = np.linalg.slogdet(mat[np.ix_(trial, trial)])
+            if sign * math.exp(logdet - current) > dpp._SINGULAR_TOL * mat[j, j]:
+                logdets[j] = logdet
+        gains = logdets - current
+        best = gains.max()
+        if best == -np.inf or (best < 0.0 and not fill):
+            break
+        j = int(np.flatnonzero(gains >= best - dpp._GAIN_TIE_TOL)[0])
+        selected.append(j)
+        current = logdets[j]
+    return selected
+
+
 def exhaustive_knapsack(lengths, scores, budget: int):
     """Max-score shot set with total length <= budget.
 
@@ -176,7 +204,7 @@ def random_kernel(rng: np.random.Generator, n: int, dim: int | None = None) -> D
 
 def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9):
     """Brute-force verification of normalization, probabilities, the dual
-    likelihood path and MAP.
+    likelihood path, MAP and greedy MAP.
 
     Returns a list of (name, passed, detail) rows.
     """
@@ -184,7 +212,7 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
     worst_norm = 0.0
     worst_sum = 0.0
     worst_dual = 0.0
-    greedy_ok = True
+    greedy_ok = reference_ok = rank_ok = True
     for _ in range(trials):
         kernel = random_kernel(rng, n)
         brute = powerset_det_sum(kernel)
@@ -202,6 +230,16 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
         diag = DppKernel(phi=np.eye(n), q=rng.uniform(dpp.QUALITY_FLOOR, 1.0, size=n))
         if sorted(dpp.greedy_map(diag)) != exhaustive_map(diag):
             greedy_ok = False
+        # L = B^T B with D' < N and D' >= N, column scales that make gains of
+        # both signs, and a copy with repeated items, whose gains tie exactly
+        for dim in (int(rng.integers(1, max(2, n))), int(rng.integers(n, 2 * n + 1))):
+            scaled = rng.normal(size=(dim, n)) * rng.uniform(0.2, 1.5, size=n)
+            repeated = scaled[:, np.sort(rng.integers(0, n, size=n))]
+            for factor, fill in itertools.product((scaled, repeated), (False, True)):
+                mat = factor.T @ factor
+                picks = dpp.greedy_map(mat, fill=fill)
+                reference_ok &= picks == reference_greedy_map(mat, fill=fill)
+                rank_ok &= not fill or len(picks) == np.linalg.matrix_rank(factor)
     return [
         ("normalizer vs powerset det sum", worst_norm <= rel_tol, f"max rel err {worst_norm:.3e}"),
         ("subset probabilities sum to 1", worst_sum <= rel_tol, f"max abs err {worst_sum:.3e}"),
@@ -211,6 +249,12 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
             f"max rel err {worst_dual:.3e}",
         ),
         ("greedy MAP = exhaustive MAP on diagonal kernels", greedy_ok, f"{trials} trials"),
+        (
+            "greedy MAP = reference greedy on low- and full-rank kernels, fill on and off",
+            reference_ok,
+            f"{8 * trials} runs, half with tied items",
+        ),
+        ("fill-mode greedy stops at the kernel rank", rank_ok, f"{4 * trials} kernels"),
     ]
 
 

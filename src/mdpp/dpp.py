@@ -10,6 +10,10 @@ det(I + B B^T), a D' x D' matrix, so log P(y) and its gradient cost
 O(N D'^2 + k^3) for a size-k subset (D' <= N) and never build the N x N
 kernel. Only greedy MAP inference materializes L; the primal N x N formulas
 live in ``bruteforce`` as the reference.
+
+Greedy MAP grows an incremental Cholesky factor (Chen, Zhang & Zhou, NeurIPS
+2018) at O(N k) per pick after k picks, stops at the kernel's numerical rank
+and breaks ties on the smallest index; ``bruteforce`` recomputes it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import DataError, NumericError, ValidationError
 QUALITY_FLOOR = 1e-6  # keeps log-likelihoods finite when a target item scores ~0
 _UNIT_TOL = 1e-6
 _GAIN_TIE_TOL = 1e-12  # greedy gains closer than this count as tied
+_SINGULAR_TOL = 1e-10  # greedy residual at most this times L_jj: item j is singular
 
 
 @dataclass(frozen=True)
@@ -142,23 +147,26 @@ def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.
     return _chol_logdet(sub_chol) - _chol_logdet(chol), grad_phi, grad_q
 
 
-def greedy_map(kernel, max_size: int | None = None, mode: str = "chol", fill: bool = False):
+def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
     """Greedy MAP: repeatedly add the item with the largest logdet gain.
 
-    ``kernel`` is a DppKernel or any symmetric PSD matrix. Items are added
-    while the best gain is non-negative (a strictly negative gain means
-    every remaining item shrinks det(L_y)); note that a decomposed kernel
-    with all q < 1 therefore selects nothing, which matches the exhaustive
-    optimum. Gains within _GAIN_TIE_TOL count as tied and ties break on the
-    smallest index, which keeps the two evaluation strategies' float noise
-    from flipping the pick. ``mode`` selects incremental Cholesky updates
-    ("chol") or from-scratch recomputation ("recompute"); both give
-    identical selections.
+    ``kernel`` is a DppKernel or any symmetric PSD matrix. The gain of item j
+    is log d2_j, where d2_j = det(L_{y+j}) / det(L_y) is j's Cholesky
+    residual given the selection y. Each pick appends one row of the
+    incremental Cholesky factor for all N candidates at once and downdates
+    every residual, so after k picks the next one costs O(N k).
 
-    With ``fill=True`` the negative-gain stop is disabled: selection keeps
-    taking the least-redundant item until ``max_size`` (or until every
-    remaining item would make the subset singular). Budgeted diversity
-    pickers want this mode; MAP inference does not.
+    Items are added while the best gain is non-negative (a strictly negative
+    gain means every remaining item shrinks det(L_y)); a decomposed kernel
+    with all q < 1 therefore selects nothing, which matches the exhaustive
+    optimum. With ``fill=True`` the negative-gain stop is disabled and
+    selection keeps taking the least-redundant item up to ``max_size``;
+    budgeted diversity pickers want this mode, MAP inference does not.
+
+    An item whose residual is at most _SINGULAR_TOL * L_jj would make L_y
+    singular and is never picked, so selection stops at the kernel's
+    numerical rank and no pick rests on a round-off residual. The pick is
+    the smallest index whose gain is within _GAIN_TIE_TOL of the best.
 
     Returns the selected indices in selection order.
     """
@@ -175,54 +183,26 @@ def greedy_map(kernel, max_size: int | None = None, mode: str = "chol", fill: bo
         max_size = n
     if not (0 <= max_size <= n):
         raise ValidationError(f"max_size must lie in [0, {n}], got {max_size}")
-    if mode not in ("chol", "recompute"):
-        raise ValidationError(f"unknown greedy mode {mode!r}")
+    diag = np.diag(mat)
+    residual = diag.copy()
+    rows = np.zeros((max_size, n))  # rows[i] is the i-th pick's Cholesky row
+    live = np.ones(n, dtype=bool)  # neither picked nor singular
     selected: list[int] = []
-    if mode == "chol":
-        chol = np.zeros((0, 0))
-        remaining = list(range(n))
-        while len(selected) < max_size and remaining:
-            best_gain = -np.inf
-            best_item = -1
-            best_col = None
-            for j in remaining:
-                if selected:
-                    c = np.linalg.solve(chol, mat[selected, j])
-                    residual = mat[j, j] - c @ c
-                else:
-                    c = np.zeros(0)
-                    residual = mat[j, j]
-                gain = np.log(residual) if residual > 0.0 else -np.inf
-                if gain > best_gain + _GAIN_TIE_TOL:
-                    best_gain, best_item, best_col = gain, j, c
-            if best_gain == -np.inf or (best_gain < 0.0 and not fill):
-                break
-            k = len(selected)
-            grown = np.zeros((k + 1, k + 1))
-            grown[:k, :k] = chol
-            grown[k, :k] = best_col
-            grown[k, k] = np.sqrt(mat[best_item, best_item] - best_col @ best_col)
-            chol = grown
-            selected.append(best_item)
-            remaining.remove(best_item)
-        return selected
-    # recompute mode: evaluate each candidate's logdet from scratch
-    current = 0.0
-    remaining = list(range(n))
-    while len(selected) < max_size and remaining:
-        best_gain = -np.inf
-        best_item = -1
-        for j in remaining:
-            trial = selected + [j]
-            trial_chol = _cholesky(mat[np.ix_(trial, trial)])
-            gain = -np.inf if trial_chol is None else _chol_logdet(trial_chol) - current
-            if gain > best_gain + _GAIN_TIE_TOL:
-                best_gain, best_item = gain, j
-        if best_gain == -np.inf or (best_gain < 0.0 and not fill):
+    while len(selected) < max_size:
+        live &= residual > _SINGULAR_TOL * diag
+        if not live.any():
             break
-        selected.append(best_item)
-        remaining.remove(best_item)
-        current += best_gain
+        gains = np.full(n, -np.inf)
+        gains[live] = np.log(residual[live])
+        best = gains.max()
+        if best < 0.0 and not fill:
+            break
+        j = int(np.argmax(gains >= best - _GAIN_TIE_TOL))
+        k = len(selected)
+        rows[k] = (mat[j] - rows[:k, j] @ rows[:k]) / np.sqrt(residual[j])
+        residual -= rows[k] ** 2
+        live[j] = False
+        selected.append(j)
     return selected
 
 

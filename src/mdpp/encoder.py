@@ -300,18 +300,10 @@ def _check_targets(sequence, target_views, target_steps):
     return y.astype(np.float64), sorted(steps)
 
 
-def _bce_terms(y, quality_raw, num_views, full_form, normalize_steps):
+def _bce_terms(y, quality_raw, num_views):
     scale = 1.0 / num_views
-    if normalize_steps:
-        scale /= y.shape[1]
-    if full_form:
-        loss = -scale * float(
-            (y * np.log(quality_raw) + (1.0 - y) * np.log1p(-quality_raw)).sum()
-        )
-        dlogits = scale * (quality_raw - y)
-    else:
-        loss = -scale * float((y * np.log(quality_raw)).sum())
-        dlogits = -scale * y * (1.0 - quality_raw)
+    loss = -scale * float((y * np.log(quality_raw) + (1.0 - y) * np.log1p(-quality_raw)).sum())
+    dlogits = scale * (quality_raw - y)
     return loss, dlogits
 
 
@@ -321,13 +313,11 @@ def evaluate_loss(
     target_views,
     target_steps,
     lam: float = 1.0,
-    bce_full_form: bool = True,
-    bce_normalize_steps: bool = False,
 ) -> LossParts:
     """Forward-only loss, for validation passes."""
     y, steps = _check_targets(sequence, target_views, target_steps)
     trace = forward(params, sequence)
-    bce, _ = _bce_terms(y, trace.quality_raw, sequence.num_views, bce_full_form, bce_normalize_steps)
+    bce, _ = _bce_terms(y, trace.quality_raw, sequence.num_views)
     dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
     return LossParts(total=bce + lam * dpp_nll, bce=bce, dpp_nll=dpp_nll)
 
@@ -338,8 +328,6 @@ def loss_and_grad(
     target_views,
     target_steps,
     lam: float = 1.0,
-    bce_full_form: bool = True,
-    bce_normalize_steps: bool = False,
 ) -> tuple[float, ModelParams]:
     """Joint loss (binary cross-entropy + lam * joint-DPP negative
     log-likelihood) and its exact gradient in a ModelParams-shaped bundle."""
@@ -348,7 +336,7 @@ def loss_and_grad(
     m, n = sequence.num_views, sequence.num_steps
     d, h, dp = params.input_dim, params.hidden_size, params.output_dim
 
-    bce, dlogits = _bce_terms(y, trace.quality_raw, m, bce_full_form, bce_normalize_steps)
+    bce, dlogits = _bce_terms(y, trace.quality_raw, m)
 
     grad_features = np.zeros((m, n, dp))
     dpp_nll = 0.0

@@ -65,18 +65,6 @@ class JointKernelBundle:
     raw_quality: np.ndarray    # (N,) quality product before the clamp
 
 
-def joint_features(streams: ViewStreams) -> np.ndarray:
-    """(D', N) matrix of max-pooled, renormalized joint features."""
-    pooled, _, _ = _pool_features(streams)
-    return pooled
-
-
-def joint_quality(streams: ViewStreams) -> np.ndarray:
-    """Length-N product of per-view qualities, re-clamped to [floor, 1]."""
-    raw = streams.quality.prod(axis=0)
-    return np.clip(raw, dpp.QUALITY_FLOOR, 1.0)
-
-
 def build_joint_kernel(streams: ViewStreams) -> JointKernelBundle:
     pooled, argmax_views, norms = _pool_features(streams)
     raw = streams.quality.prod(axis=0)

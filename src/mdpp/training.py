@@ -29,8 +29,6 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     lam: float = 1.0
-    bce_full_form: bool = True
-    bce_normalize_steps: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -155,9 +153,7 @@ def _batch_loss_and_grad(params, examples, config):
     total_grad = None
     for ex in examples:
         loss, grad = loss_and_grad(
-            params, ex.sequence, ex.target_views, ex.target_steps,
-            lam=config.lam, bce_full_form=config.bce_full_form,
-            bce_normalize_steps=config.bce_normalize_steps,
+            params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam
         )
         gvec = to_vector(grad)
         total_loss += loss
@@ -171,9 +167,7 @@ def _mean_val_loss(params, examples, config):
         np.mean(
             [
                 evaluate_loss(
-                    params, ex.sequence, ex.target_views, ex.target_steps,
-                    lam=config.lam, bce_full_form=config.bce_full_form,
-                    bce_normalize_steps=config.bce_normalize_steps,
+                    params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam
                 ).total
                 for ex in examples
             ]

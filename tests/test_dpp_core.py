@@ -142,13 +142,22 @@ def test_kernel_grads_match_finite_differences():
         assert abs(fd - analytic) < 1e-4 * max(1.0, abs(fd))
 
 
-def test_greedy_modes_agree():
+def test_greedy_matches_reference():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(2, 9))
         base = rng.normal(size=(n, n))
         mat = base @ base.T  # eigenvalues above 1 are possible, so picks happen
-        assert dpp.greedy_map(mat, mode="chol") == dpp.greedy_map(mat, mode="recompute")
+        assert dpp.greedy_map(mat) == bruteforce.reference_greedy_map(mat)
+
+
+def test_greedy_fill_stops_at_kernel_rank():
+    # rank-4 kernel: past four picks every residual is round-off
+    rng = np.random.default_rng(11)
+    kernel = DppKernel(phi=rng.normal(size=(4, 12)), q=np.ones(12))
+    picks = dpp.greedy_map(kernel, max_size=8, fill=True)
+    assert len(picks) == 4
+    assert picks == bruteforce.reference_greedy_map(kernel, max_size=8, fill=True)
 
 
 def test_greedy_on_raw_diagonal_matrix():
@@ -184,7 +193,7 @@ def test_greedy_fill_mode_runs_to_max_size():
     assert len(dpp.greedy_map(kernel, max_size=4)) == 1
     filled = dpp.greedy_map(kernel, max_size=4, fill=True)
     assert len(filled) == 4
-    assert dpp.greedy_map(kernel, max_size=4, mode="recompute", fill=True) == filled
+    assert bruteforce.reference_greedy_map(kernel, max_size=4, fill=True) == filled
 
 
 def test_greedy_rejects_bad_arguments():
@@ -194,8 +203,6 @@ def test_greedy_rejects_bad_arguments():
         dpp.greedy_map(np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(ValidationError):
         dpp.greedy_map(np.eye(2), max_size=3)
-    with pytest.raises(ValidationError):
-        dpp.greedy_map(np.eye(2), mode="fast")
 
 
 def test_logprob_grad_rejects_singular_subset():

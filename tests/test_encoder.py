@@ -185,7 +185,6 @@ def test_gradients_match_finite_differences():
     y = _targets(rng, 2, 6, (1, 4))
     assert _max_rel_err(params, seq, y, (1, 4), lam=1.0) < 1e-4
     assert _max_rel_err(params, seq, y, (1, 4), lam=0.0) < 1e-4
-    assert _max_rel_err(params, seq, y, (1, 4), lam=1.0, bce_full_form=False) < 1e-4
 
 
 def test_lstm_backward_matches_finite_differences():

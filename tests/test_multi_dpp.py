@@ -28,7 +28,7 @@ def test_joint_features_max_pool_fixture():
         features=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
         quality=np.full((2, 1), 0.5),
     )
-    joint = multi_dpp.joint_features(streams)
+    joint = multi_dpp.build_joint_kernel(streams).kernel.phi
     np.testing.assert_allclose(joint[:, 0], np.array([1.0, 1.0]) / np.sqrt(2))
 
 
@@ -37,7 +37,7 @@ def test_joint_quality_product_and_clamp():
         features=np.ones((2, 2, 3)),
         quality=np.array([[0.5, 5e-4], [0.5, 5e-4]]),
     )
-    q = multi_dpp.joint_quality(streams)
+    q = multi_dpp.build_joint_kernel(streams).kernel.q
     assert q[0] == 0.25
     assert q[1] == dpp.QUALITY_FLOOR  # 2.5e-7 product clamps back up
 
