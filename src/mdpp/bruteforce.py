@@ -17,9 +17,10 @@ import math
 
 import numpy as np
 
-from . import dpp
+from . import dpp, encoder
 from .dpp import DppKernel
-from .errors import NumericError
+from .errors import NumericError, ValidationError
+from .kts import _as_features, _ScatterTable
 
 
 def all_subsets(n: int):
@@ -159,11 +160,17 @@ def exhaustive_knapsack(lengths, scores, budget: int):
     return list(best_tuple) if best_tuple is not None else []
 
 
+def segment_cost(features, a: int, b: int) -> float:
+    """Within-segment scatter of frames [a, b) under a linear kernel."""
+    x = _as_features(features)
+    if not (0 <= a < b <= x.shape[0]):
+        raise ValidationError(f"segment [{a}, {b}) is empty or out of range for N={x.shape[0]}")
+    return float(_ScatterTable(x).costs_ending_at(b, np.array([a]))[0])
+
+
 def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
     """Minimum total within-segment scatter over all placements of exactly
     ``num_change_points`` interior boundaries."""
-    from .kts import segment_cost
-
     n = features.shape[0]
     best_cost, best_cps = math.inf, None
     for cps in itertools.combinations(range(1, n), num_change_points):
@@ -190,6 +197,70 @@ def reference_dp_tables(table, max_parts: int):
             dp[k][end] = totals[j]
             bp[k][end] = starts[j]
     return dp, bp
+
+
+def reference_lstm_forward(x, wx, wh, b):
+    """``encoder._lstm_forward`` one step at a time: two GEMMs, three
+    exp-form sigmoids and a concatenate per step, batch-major caches."""
+    m, n, _ = x.shape
+    h_size = wh.shape[1]
+    gates = np.empty((m, n, 4 * h_size))
+    cells = np.empty((m, n, h_size))
+    hidden = np.empty((m, n, h_size))
+    h_prev = np.zeros((m, h_size))
+    c_prev = np.zeros((m, h_size))
+    for t in range(n):
+        z = x[:, t] @ wx.T + h_prev @ wh.T + b
+        i = encoder._sigmoid(z[:, :h_size])
+        f = encoder._sigmoid(z[:, h_size : 2 * h_size])
+        g = np.tanh(z[:, 2 * h_size : 3 * h_size])
+        o = encoder._sigmoid(z[:, 3 * h_size :])
+        c_prev = f * c_prev + i * g
+        h_prev = o * np.tanh(c_prev)
+        gates[:, t] = np.concatenate([i, f, g, o], axis=1)
+        cells[:, t] = c_prev
+        hidden[:, t] = h_prev
+    return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
+
+
+def reference_lstm_backward(cache, wx, wh, grad_hidden):
+    """``encoder._lstm_backward`` with the weight gradients accumulated one
+    step at a time; leaves ``cache`` intact. Returns (dwx, dwh, db)."""
+    x, gates, cells = cache["x"], cache["gates"], cache["cells"]
+    m, n, _ = x.shape
+    h_size = wh.shape[1]
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * h_size)
+    dh_next = np.zeros((m, h_size))
+    dc_next = np.zeros((m, h_size))
+    for t in range(n - 1, -1, -1):
+        i = gates[:, t, :h_size]
+        f = gates[:, t, h_size : 2 * h_size]
+        g = gates[:, t, 2 * h_size : 3 * h_size]
+        o = gates[:, t, 3 * h_size :]
+        c = cells[:, t]
+        c_prev = cells[:, t - 1] if t > 0 else np.zeros((m, h_size))
+        h_prev = cache["hidden"][:, t - 1] if t > 0 else np.zeros((m, h_size))
+        tanh_c = np.tanh(c)
+        dh = grad_hidden[:, t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        dz = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        dwx += dz.T @ x[:, t]
+        dwh += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dh_next = dz @ wh
+        dc_next = dc * f
+    return dwx, dwh, db
 
 
 def random_kernel(rng: np.random.Generator, n: int, dim: int | None = None) -> DppKernel:
@@ -269,9 +340,14 @@ def _dual_vs_primal(rng: np.random.Generator, kernel: DppKernel) -> float:
     ref_phi, ref_q = kernel_grads_from_L(kernel, logprob_grad_L(kernel, subset))
     pairs = [(logp, ref_logp), (dpp.log_prob(kernel, subset), ref_logp)]
     pairs += [(grad_phi, ref_phi), (grad_q, ref_q)]
-    return max(
-        float(np.max(np.abs(np.subtract(fast, ref))) / np.max(np.abs(ref))) for fast, ref in pairs
-    )
+    return max(_max_rel_err(fast, ref) for fast, ref in pairs)
+
+
+def _max_rel_err(fast, ref) -> float:
+    """max |fast - ref| over the scale max |ref| of the whole array (0 when
+    both are all zero)."""
+    scale = max(float(np.max(np.abs(ref))), np.finfo(float).tiny)
+    return float(np.max(np.abs(np.subtract(fast, ref)))) / scale
 
 
 def check_knapsack(trials: int = 50, max_shots: int = 12, seed: int = 0):
@@ -291,7 +367,7 @@ def check_knapsack(trials: int = 50, max_shots: int = 12, seed: int = 0):
 
 
 def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
-    from .kts import _dp_tables, _ScatterTable, kts_fixed_m
+    from .kts import _dp_tables, kts_fixed_m
 
     rng = np.random.default_rng(seed)
     ok = True
@@ -328,3 +404,52 @@ def _kts_table_inputs(rng: np.random.Generator, trials: int):
         blocks = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(float)
         lengths = rng.integers(1, 13, size=blocks.shape[0])
         yield np.repeat(blocks, lengths, axis=0)
+
+
+def check_encoder(trials: int = 50, seed: int = 0):
+    """The fused LSTM loops of ``encoder`` against the per-step reference
+    loops, each output compared at the scale of its whole array."""
+    rng = np.random.default_rng(seed)
+    worst_fwd = worst_bwd = 0.0
+    for x, wx, wh, b in _lstm_inputs(rng, trials):
+        fused = encoder._lstm_forward(x, wx, wh, b)
+        ref = reference_lstm_forward(x, wx, wh, b)
+        for key in ("gates", "cells", "hidden"):
+            worst_fwd = max(worst_fwd, _max_rel_err(fused[key], ref[key]))
+        grad_hidden = rng.normal(size=ref["hidden"].shape)
+        grads = encoder._lstm_backward(fused, wx, wh, grad_hidden)
+        ref_grads = reference_lstm_backward(ref, wx, wh, grad_hidden)
+        for fast, slow in zip(grads, ref_grads):
+            worst_bwd = max(worst_bwd, _max_rel_err(fast, slow))
+    return [
+        (
+            "fused LSTM forward vs per-step reference (gates, cells, hidden)",
+            worst_fwd <= 1e-14,
+            f"{trials} inputs, max rel err {worst_fwd:.3e}",
+        ),
+        (
+            "fused LSTM backward vs per-step reference (dWx, dWh, db)",
+            worst_bwd <= 1e-12,
+            f"{trials} inputs, max rel err {worst_bwd:.3e}",
+        ),
+    ]
+
+
+def _lstm_inputs(rng: np.random.Generator, trials: int):
+    """(x, wx, wh, b) for one LSTM direction with M <= 3, N <= 12, D <= 5
+    and H <= 5, the first with M = N = 1. Every other input gives about half
+    of the gate units a bias of magnitude 45-60, so their pre-activations
+    pass |z| = 40, where tanh(z / 2) is exactly +-1 and the exp-form sigmoid
+    is not exactly 0 or 1. Hidden unit 0 keeps moderate gates, so no output
+    array shrinks to round-off scale."""
+    for trial in range(trials):
+        m, n = (1, 1) if trial == 0 else (int(rng.integers(1, 4)), int(rng.integers(1, 13)))
+        d, h = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        x = rng.normal(size=(m, n, d))
+        wx = 0.5 * rng.normal(size=(4 * h, d))
+        wh = 0.5 * rng.normal(size=(4 * h, h))
+        b = 0.5 * rng.normal(size=4 * h)
+        if trial % 2:
+            units = np.flatnonzero((np.arange(4 * h) % h != 0) & (rng.random(4 * h) < 0.5))
+            b[units] = rng.choice((-1.0, 1.0), size=units.size) * rng.uniform(45, 60, units.size)
+        yield x, wx, wh, b

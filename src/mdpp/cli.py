@@ -171,8 +171,12 @@ def _cmd_train(args):
                  "test": plan.test_collection},
     })
     history_out = args.history_out or str(args.out) + ".history.tsv"
-    lines = ["epoch\ttrain_loss\tval_loss"]
-    lines += [f"{e.epoch}\t{e.train_loss:.6f}\t{e.val_loss:.6f}" for e in result.history]
+    losses = ("train_loss", "val_loss", "train_bce", "train_dpp_nll", "val_bce", "val_dpp_nll")
+    lines = ["\t".join(("epoch", *losses, "grad_norm"))]
+    lines += [
+        "\t".join([str(e.epoch), *(f"{getattr(e, c):.6f}" for c in losses), f"{e.grad_norm:.6g}"])
+        for e in result.history
+    ]
     io.atomic_write_text(history_out, "\n".join(lines) + "\n")
 
     n_train = len(plan.train_collections)
@@ -320,6 +324,8 @@ def _cmd_check(args):
         rows += bruteforce.check_knapsack(trials=args.trials, seed=args.seed)
     if args.suite in ("kts", "all"):
         rows += bruteforce.check_kts(trials=args.trials, seed=args.seed)
+    if args.suite in ("encoder", "all"):
+        rows += bruteforce.check_encoder(trials=args.trials, seed=args.seed)
     failed = False
     for name, passed, detail in rows:
         print(f"{'ok' if passed else 'FAIL'}  {name} ({detail})")
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("check", help="run brute-force verification suites")
-    p.add_argument("suite", choices=("dpp", "knapsack", "kts", "all"))
+    p.add_argument("suite", choices=("dpp", "knapsack", "kts", "encoder", "all"))
     p.add_argument("--n", type=int, default=8, help="ground-set size for the dpp suite")
     p.add_argument("--trials", type=int, default=50)
     _add_common(p, out_required=None)

@@ -134,9 +134,6 @@ class Summary:
     def selection_set(self) -> set[Selection]:
         return set(self.selections)
 
-    def distinct_steps(self) -> set[int]:
-        return {t for _, t in self.selections}
-
     def frame_mask(self, num_views: int, num_steps: int) -> np.ndarray:
         """Binary (M, N) mask of the selected frames."""
         mask = np.zeros((num_views, num_steps), dtype=bool)
@@ -181,10 +178,6 @@ class ShotList:
         """Half-open [start, end) of shot ``i``."""
         start = self.boundaries[i - 1] if i > 0 else 0
         return start, self.boundaries[i]
-
-    def shot_length(self, i: int) -> int:
-        start, end = self.shot_span(i)
-        return end - start
 
     def shot_of(self, t: int) -> int:
         """Index of the shot containing time-step ``t``."""

@@ -11,10 +11,26 @@ the classification output and as the kernel quality.
 Because all weights are shared across views and the joint kernel pools over
 views, the trainable parameter count depends only on (D, H, D') - never on
 the number of views or time-steps.
+
+The LSTM time loops are fused so each Python step does little numpy work.
+Forward: X Wx^T + b for all steps is one GEMM straight into the gate cache;
+a step adds h_{t-1} Wh^T in place and takes one tanh over the 4H block, the
+i, f and o rows having been pre-scaled by 1/2 so that sigmoid(z) =
+0.5 (1 + tanh(z / 2)). Backward: the dh-independent factors of dz are
+computed for all steps at once over the gate cache, the loop turns each
+step's row into dz in place, and the weight gradients are single products
+after the loop. The backward pass consumes its forward cache. One sequence
+runs at a time; its M views share each step's products. The per-step loops
+they replaced are ``bruteforce.reference_lstm_forward`` / ``_backward``, and
+``mdpp check encoder`` compares the two.
+
+``evaluate_loss`` is the no-gradient branch of the one loss path that
+``loss_and_grad`` takes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,74 +171,124 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_forward(x, wx, wh, b):
-    """Run one direction over (M, N, D) inputs; views ride the batch axis."""
-    m, n, _ = x.shape
+    """Run one direction over (M, N, D) inputs; views ride the batch axis.
+
+    X Wx^T + b for every step is one GEMM, written straight into the gate
+    cache. The i, f and o rows of Wx, Wh and b are pre-scaled by 1/2 (exact
+    in floating point), so each step adds h_{t-1} Wh^T in place and applies
+    one in-place tanh over the whole 4H block; an in-place affine map then
+    turns the i, f and o columns into sigmoids, 0.5 (1 + tanh(z / 2)). The
+    caches are stored time-major, so every step and the backward pass's
+    weight-gradient products read contiguous blocks; the returned arrays
+    are (M, N, ...) views of them.
+    """
+    m, n, d = x.shape
     h_size = wh.shape[1]
-    gates = np.empty((m, n, 4 * h_size))
-    cells = np.empty((m, n, h_size))
-    hidden = np.empty((m, n, h_size))
-    h_prev = np.zeros((m, h_size))
+    scale = np.full(4 * h_size, 0.5)  # sigmoid(z) = 0.5 (1 + tanh(z / 2)) on i, f, o
+    scale[2 * h_size : 3 * h_size] = 1.0  # g is tanh(z)
+    offset = 1.0 - scale
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+    gates = xt.reshape(n * m, d) @ (wx * scale[:, None]).T
+    gates += b * scale
+    gates = gates.reshape(n, m, 4 * h_size)
+    wh_t = (wh * scale[:, None]).T
+    cells = np.empty((n, m, h_size))
+    hidden = np.empty((n, m, h_size))
     c_prev = np.zeros((m, h_size))
     for t in range(n):
-        z = x[:, t] @ wx.T + h_prev @ wh.T + b
-        i = _sigmoid(z[:, :h_size])
-        f = _sigmoid(z[:, h_size : 2 * h_size])
-        g = np.tanh(z[:, 2 * h_size : 3 * h_size])
-        o = _sigmoid(z[:, 3 * h_size :])
-        c_prev = f * c_prev + i * g
-        h_prev = o * np.tanh(c_prev)
-        gates[:, t] = np.concatenate([i, f, g, o], axis=1)
-        cells[:, t] = c_prev
-        hidden[:, t] = h_prev
-    return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
+        z = gates[t]
+        if t:
+            z += hidden[t - 1] @ wh_t
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c = cells[t]
+        np.multiply(z[:, h_size : 2 * h_size], c_prev, out=c)
+        c += z[:, :h_size] * z[:, 2 * h_size : 3 * h_size]
+        np.tanh(c, out=hidden[t])
+        hidden[t] *= z[:, 3 * h_size :]
+        c_prev = c
+    return {
+        name: arr.swapaxes(0, 1)
+        for name, arr in (("x", xt), ("gates", gates), ("cells", cells), ("hidden", hidden))
+    }
 
 
 def _lstm_backward(cache, wx, wh, grad_hidden):
-    """Backprop one direction; returns (dwx, dwh, db)."""
-    x, gates, cells = cache["x"], cache["gates"], cache["cells"]
-    m, n, _ = x.shape
+    """Backprop one direction; returns (dwx, dwh, db). Consumes ``cache``.
+
+    With dz = dLoss/d(pre-activation), every factor of dz that does not
+    depend on the incoming gradient is computed for all steps at once and
+    written over the gate cache:
+
+        dz = [dc, dc, dc, dh] * [g i(1-i), c_{t-1} f(1-f), i(1-g^2), tanh(c) o(1-o)]
+
+    with dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
+    overwrites the cell cache. The time loop then only scales each step's
+    gate row into dz in place and carries dh and dc back. After the loop
+    the gate cache holds dz for every step, so dWx is one (4H x MN)(MN x D)
+    product, dWh one product against the hidden states shifted by a step,
+    and db one sum. The gate and cell caches are overwritten.
+    """
+    xt, gates, cells, hidden = (cache[k].swapaxes(0, 1) for k in ("x", "gates", "cells", "hidden"))
+    n, m, _ = gates.shape
     h_size = wh.shape[1]
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * h_size)
+    i, f, g, o = (gates[:, :, k * h_size : (k + 1) * h_size] for k in range(4))
+    forget = f.copy()
+    scratch = np.empty_like(forget)
+    # f block: c_{t-1} f (1 - f), with c_{-1} = 0
+    np.subtract(1.0, f, out=scratch)
+    f *= scratch
+    f[1:] *= cells[:-1]
+    f[0] = 0.0
+    # o block: tanh(c) o (1 - o); cell cache: o (1 - tanh(c)^2)
+    np.subtract(1.0, o, out=scratch)
+    scratch *= o
+    np.tanh(cells, out=cells)
+    scratch *= cells
+    cells *= cells
+    np.subtract(1.0, cells, out=cells)
+    cells *= o
+    o[...] = scratch
+    # g block: i (1 - g^2); i block: g i (1 - i)
+    np.multiply(g, g, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    scratch *= i
+    g *= i
+    np.subtract(1.0, i, out=i)
+    i *= g
+    g[...] = scratch
+    del scratch
+
+    dz_blocks = gates.reshape(n, m, 4, h_size)
+    dh_seq = grad_hidden.swapaxes(0, 1)
     dh_next = np.zeros((m, h_size))
-    dc_next = np.zeros((m, h_size))
+    dc = np.zeros((m, h_size))
     for t in range(n - 1, -1, -1):
-        i = gates[:, t, :h_size]
-        f = gates[:, t, h_size : 2 * h_size]
-        g = gates[:, t, 2 * h_size : 3 * h_size]
-        o = gates[:, t, 3 * h_size :]
-        c = cells[:, t]
-        c_prev = cells[:, t - 1] if t > 0 else np.zeros((m, h_size))
-        h_prev = cache["hidden"][:, t - 1] if t > 0 else np.zeros((m, h_size))
-        tanh_c = np.tanh(c)
-        dh = grad_hidden[:, t] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
-        dz = np.concatenate(
-            [
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dwx += dz.T @ x[:, t]
-        dwh += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dh_next = dz @ wh
-        dc_next = dc * f
-    return dwx, dwh, db
+        dh = dh_seq[t] + dh_next
+        dc += dh * cells[t]
+        dz = dz_blocks[t]
+        dz[:, :3] *= dc[:, None]
+        dz[:, 3] *= dh
+        dh_next = gates[t] @ wh
+        dc *= forget[t]
+
+    dz_all = gates.reshape(n * m, 4 * h_size)
+    dwx = dz_all.T @ xt.reshape(n * m, -1)
+    dwh = gates[1:].reshape(-1, 4 * h_size).T @ hidden[:-1].reshape(-1, h_size)
+    return dwx, dwh, dz_all.sum(axis=0)
 
 
 @dataclass
 class ForwardTrace:
     """Cached activations from one forward pass, enough for backprop.
 
-    ``spatiotemporal`` is (M, N, D + 2H); ``quality_raw`` holds the logistic
-    outputs in the open interval (0, 1) before the kernel clamp; ``streams``
-    is the clamped view of the same outputs plus the unit feature vectors.
+    ``fwd`` and ``bwd`` are the two directions' LSTM caches (``bwd`` in
+    reversed time); backprop overwrites them, so a trace serves one backward
+    pass. ``spatiotemporal`` is (M, N, D + 2H); ``quality_raw`` holds the
+    logistic outputs in the open interval (0, 1) before the kernel clamp;
+    ``streams`` is the clamped view of the same outputs plus the unit
+    feature vectors.
     """
 
     params: ModelParams
@@ -314,12 +380,11 @@ def evaluate_loss(
     target_steps,
     lam: float = 1.0,
 ) -> LossParts:
-    """Forward-only loss, for validation passes."""
-    y, steps = _check_targets(sequence, target_views, target_steps)
-    trace = forward(params, sequence)
-    bce, _ = _bce_terms(y, trace.quality_raw, sequence.num_views)
-    dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
-    return LossParts(total=bce + lam * dpp_nll, bce=bce, dpp_nll=dpp_nll)
+    """Forward-only loss, for validation passes: the no-gradient branch of
+    the path ``loss_and_grad`` takes. The DPP term is evaluated even at
+    lam = 0; a target subset the joint kernel cannot produce gives
+    ``dpp_nll = +inf``."""
+    return _loss(params, sequence, target_views, target_steps, lam, with_grad=False)[0]
 
 
 def loss_and_grad(
@@ -328,9 +393,17 @@ def loss_and_grad(
     target_views,
     target_steps,
     lam: float = 1.0,
-) -> tuple[float, ModelParams]:
+) -> tuple[LossParts, ModelParams]:
     """Joint loss (binary cross-entropy + lam * joint-DPP negative
-    log-likelihood) and its exact gradient in a ModelParams-shaped bundle."""
+    log-likelihood), split into its parts, and its exact gradient in a
+    ModelParams-shaped bundle. At lam = 0 the joint kernel is never built
+    and ``dpp_nll`` is nan; a target subset of zero probability raises
+    NumericError."""
+    return _loss(params, sequence, target_views, target_steps, lam, with_grad=True)
+
+
+def _loss(params, sequence, target_views, target_steps, lam, with_grad):
+    """The one loss path: (LossParts, gradient or None)."""
     y, steps = _check_targets(sequence, target_views, target_steps)
     trace = forward(params, sequence)
     m, n = sequence.num_views, sequence.num_steps
@@ -339,8 +412,10 @@ def loss_and_grad(
     bce, dlogits = _bce_terms(y, trace.quality_raw, m)
 
     grad_features = np.zeros((m, n, dp))
-    dpp_nll = 0.0
-    if lam != 0.0:
+    dpp_nll = math.nan
+    if not with_grad:
+        dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
+    elif lam != 0.0:
         bundle = multi_dpp.build_joint_kernel(trace.streams)
         try:
             log_p, grad_phi, grad_q = dpp.log_prob_and_grad(bundle.kernel, steps)
@@ -367,6 +442,9 @@ def loss_and_grad(
             grad_stream_q * trace.quality_raw * (1.0 - trace.quality_raw),
             0.0,
         )
+    parts = LossParts(total=bce if lam == 0.0 else bce + lam * dpp_nll, bce=bce, dpp_nll=dpp_nll)
+    if not with_grad:
+        return parts, None
 
     flat = trace.spatiotemporal.reshape(m * n, d + 2 * h)
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
@@ -401,8 +479,7 @@ def loss_and_grad(
         trace.bwd, params.wx_b, params.wh_b, dh_bwd[:, ::-1]
     )
 
-    loss = bce + lam * dpp_nll
     grad_params = ModelParams(
         input_dim=d, hidden_size=h, output_dim=dp, seed=params.seed, **grads
     )
-    return loss, grad_params
+    return parts, grad_params

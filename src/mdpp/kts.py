@@ -58,14 +58,6 @@ class _ScatterTable:
         return np.maximum(self.sq[b] - self.sq[starts] - mean_part, 0.0)
 
 
-def segment_cost(features, a: int, b: int) -> float:
-    """Within-segment scatter of frames [a, b) under a linear kernel."""
-    x = _as_features(features)
-    if not (0 <= a < b <= x.shape[0]):
-        raise ValidationError(f"segment [{a}, {b}) is empty or out of range for N={x.shape[0]}")
-    return float(_ScatterTable(x).costs_ending_at(b, np.array([a]))[0])
-
-
 def _dp_tables(table: _ScatterTable, max_parts: int):
     """dp[k][n] = minimum scatter splitting the first n frames into k
     segments; bp holds the matching last-segment start (the earliest on

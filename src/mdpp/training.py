@@ -16,7 +16,9 @@ import numpy as np
 
 from . import io
 from .data_model import MultiViewSequence, Summary
-from .encoder import ModelParams, evaluate_loss, from_vector, loss_and_grad, to_vector
+from .encoder import (
+    LossParts, ModelParams, evaluate_loss, from_vector, loss_and_grad, to_vector,
+)
 from .errors import ConfigError, NumericError, ValidationError
 
 
@@ -135,9 +137,19 @@ def round_robin_splits(collection_ids: Sequence[str]) -> list[SplitPlan]:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's losses and their parts: train values are means over the
+    epoch's batches, val values means over the validation sequences.
+    ``train_dpp_nll`` is nan at lam = 0, where training never builds the
+    joint kernel; ``grad_norm`` is the mean 2-norm of the batch gradients."""
+
     epoch: int
     train_loss: float
     val_loss: float
+    train_bce: float
+    train_dpp_nll: float
+    val_bce: float
+    val_dpp_nll: float
+    grad_norm: float
 
 
 @dataclass(frozen=True)
@@ -148,30 +160,33 @@ class TrainResult:
     history: tuple[EpochStats, ...]
 
 
+def _mean_parts(parts: Sequence[LossParts]) -> LossParts:
+    return LossParts(
+        total=float(np.mean([p.total for p in parts])),
+        bce=float(np.mean([p.bce for p in parts])),
+        dpp_nll=float(np.mean([p.dpp_nll for p in parts])),
+    )
+
+
 def _batch_loss_and_grad(params, examples, config):
-    total_loss = 0.0
+    parts = []
     total_grad = None
     for ex in examples:
         loss, grad = loss_and_grad(
             params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam
         )
         gvec = to_vector(grad)
-        total_loss += loss
+        parts.append(loss)
         total_grad = gvec if total_grad is None else total_grad + gvec
-    count = len(examples)
-    return total_loss / count, total_grad / count
+    return _mean_parts(parts), total_grad / len(examples)
 
 
-def _mean_val_loss(params, examples, config):
-    return float(
-        np.mean(
-            [
-                evaluate_loss(
-                    params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam
-                ).total
-                for ex in examples
-            ]
-        )
+def _val_loss(params, examples, config):
+    return _mean_parts(
+        [
+            evaluate_loss(params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam)
+            for ex in examples
+        ]
     )
 
 
@@ -206,20 +221,26 @@ def train(
 
     for epoch in range(1, config.iterations + 1):
         order = rng.permutation(len(train_examples))
-        epoch_losses = []
+        batch_losses, grad_norms = [], []
         for start in range(0, len(order), config.batch_size):
             batch = [train_examples[j] for j in order[start : start + config.batch_size]]
             params = from_vector(initial, vec)
             loss, grad = _batch_loss_and_grad(params, batch, config)
-            epoch_losses.append(loss)
+            batch_losses.append(loss)
+            grad_norms.append(float(np.linalg.norm(grad)))
             vec = adam_step(state, vec, grad, config)
-        params = from_vector(initial, vec)
-        val_loss = _mean_val_loss(params, val_examples, config)
+        train_loss = _mean_parts(batch_losses)
+        val = _val_loss(from_vector(initial, vec), val_examples, config)
         history.append(
-            EpochStats(epoch=epoch, train_loss=float(np.mean(epoch_losses)), val_loss=val_loss)
+            EpochStats(
+                epoch=epoch, train_loss=train_loss.total, val_loss=val.total,
+                train_bce=train_loss.bce, train_dpp_nll=train_loss.dpp_nll,
+                val_bce=val.bce, val_dpp_nll=val.dpp_nll,
+                grad_norm=float(np.mean(grad_norms)),
+            )
         )
-        if val_loss < best_val:
-            best_val = val_loss
+        if val.total < best_val:
+            best_val = val.total
             best_vec = vec.copy()
             best_epoch = epoch
 

@@ -149,7 +149,9 @@ def test_train_summarize_eval_pipeline(tmp_path, capsys):
     ]) == 0
     assert "best epoch" in capsys.readouterr().out
     history = (tmp_path / "model.ckpt.history.tsv").read_text().splitlines()
-    assert history[0] == "epoch\ttrain_loss\tval_loss"
+    assert history[0] == (
+        "epoch\ttrain_loss\tval_loss\ttrain_bce\ttrain_dpp_nll\tval_bce\tval_dpp_nll\tgrad_norm"
+    )
     assert len(history) == 3
 
     manifest = json.loads((tmp_path / "model.ckpt.manifest.json").read_text())
@@ -166,6 +168,28 @@ def test_train_summarize_eval_pipeline(tmp_path, capsys):
     assert run(["eval", "--summary", str(out),
                 "--annotations", str(root / "c2" / "s0.annotations.json"),
                 "--features", str(test_features)]) == 0
+
+
+def test_train_history_columns_parse_as_floats(tmp_path):
+    root = _training_dir(tmp_path)
+    for lam in ("1.0", "0"):
+        ckpt = tmp_path / f"model-{lam}.ckpt"
+        assert run([
+            "train", "--features-dir", str(root), "--hidden", "4", "--output-dim", "8",
+            "--iterations", "2", "--batch-size", "4", "--lam", lam, "--out", str(ckpt),
+        ]) == 0
+        header, *rows = (tmp_path / f"model-{lam}.ckpt.history.tsv").read_text().splitlines()
+        names = header.split("\t")
+        assert len(rows) == 2
+        for epoch, row in enumerate(rows, start=1):
+            values = dict(zip(names, row.split("\t")))
+            assert int(values.pop("epoch")) == epoch
+            cols = {k: float(v) for k, v in values.items()}
+            assert np.isfinite([cols[k] for k in cols if k != "train_dpp_nll"]).all()
+            assert cols["grad_norm"] > 0.0
+            assert np.isfinite(cols["val_dpp_nll"])
+            # lam = 0 never builds the kernel in training, so its part is nan
+            assert np.isnan(cols["train_dpp_nll"]) == (lam == "0")
 
 
 def test_baseline_summarize_modes(tmp_path):

@@ -65,7 +65,6 @@ def test_annotations_validate_shape():
 def test_summary_dedups_and_sorts():
     s = Summary(selections=((1, 3), (0, 3), (1, 3), (0, 1)))
     assert s.selections == ((0, 1), (0, 3), (1, 3))
-    assert s.distinct_steps() == {1, 3}
     mask = s.frame_mask(2, 4)
     assert mask.sum() == 3 and mask[1, 3] == 1
 
@@ -81,7 +80,6 @@ def test_shot_list_spans_and_lookup():
     assert shots.num_steps == 10
     assert shots.shot_span(1) == (3, 7)
     assert [shots.shot_of(t) for t in (0, 2, 3, 9)] == [0, 0, 1, 2]
-    assert shots.shot_length(2) == 3
 
 
 def test_shot_list_rejects_bad_boundaries():

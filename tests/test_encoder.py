@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdpp import encoder
+from mdpp import bruteforce, encoder
 from mdpp.data_model import MultiViewSequence
 from mdpp.encoder import (
     ModelParams,
@@ -149,7 +149,7 @@ def test_loss_matches_evaluate_loss():
     for lam in (0.0, 1.0, 0.5):
         loss, _ = loss_and_grad(params, seq, y, (0, 4), lam=lam)
         parts = evaluate_loss(params, seq, y, (0, 4), lam=lam)
-        assert loss == pytest.approx(parts.total, rel=1e-12)
+        assert loss.total == pytest.approx(parts.total, rel=1e-12)
         assert parts.total == pytest.approx(parts.bce + lam * parts.dpp_nll, rel=1e-12)
 
 
@@ -214,3 +214,87 @@ def test_lstm_backward_matches_finite_differences():
             flat[i] = keep
             fd = (lp - lm) / (2 * step)
             assert abs(fd - gflat[i]) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_lstm_matches_reference_loops(seed):
+    rows = bruteforce.check_encoder(trials=40, seed=seed)
+    assert [passed for _, passed, _ in rows] == [True, True], rows
+
+
+def test_fused_lstm_single_step_has_zero_recurrent_gradient():
+    # N = 1: the dWh product over the hidden states shifted by a step is empty
+    rng = np.random.default_rng(8)
+    d, h = 3, 4
+    x = rng.normal(size=(1, 1, d))
+    wx, wh, b = rng.normal(size=(4 * h, d)), rng.normal(size=(4 * h, h)), rng.normal(size=4 * h)
+    grad_hidden = rng.normal(size=(1, 1, h))
+    ref = bruteforce.reference_lstm_forward(x, wx, wh, b)
+    dwx, dwh, db = encoder._lstm_backward(encoder._lstm_forward(x, wx, wh, b), wx, wh, grad_hidden)
+    ref_dwx, ref_dwh, ref_db = bruteforce.reference_lstm_backward(ref, wx, wh, grad_hidden)
+    assert np.array_equal(dwh, np.zeros_like(wh)) and np.array_equal(ref_dwh, dwh)
+    assert bruteforce._max_rel_err(dwx, ref_dwx) <= 1e-12
+    assert bruteforce._max_rel_err(db, ref_db) <= 1e-12
+
+
+def test_fused_lstm_saturated_gates_are_exact():
+    # |z| > 40 on half the gate units: tanh(z / 2) gives exactly 0 or 1, the
+    # exp-form sigmoid of the reference does not, and both agree in scale
+    rng = np.random.default_rng(9)
+    m, n, d, h = 2, 6, 3, 4
+    x = rng.normal(size=(m, n, d))
+    wx = 0.5 * rng.normal(size=(4 * h, d))
+    wh = 0.5 * rng.normal(size=(4 * h, h))
+    b = 0.5 * rng.normal(size=4 * h)
+    b[h // 2 : h] = -50.0  # input gates of half the units: 0
+    b[3 * h + h // 2 :] = 50.0  # output gates of the same units: 1
+    fused = encoder._lstm_forward(x, wx, wh, b)
+    ref = bruteforce.reference_lstm_forward(x, wx, wh, b)
+    assert (fused["gates"][:, :, h // 2 : h] == 0.0).all()
+    assert (fused["gates"][:, :, 3 * h + h // 2 :] == 1.0).all()
+    assert (ref["gates"][:, :, h // 2 : h] > 0.0).all()
+    for key in ("gates", "cells", "hidden"):
+        assert bruteforce._max_rel_err(fused[key], ref[key]) <= 1e-14
+    grad_hidden = rng.normal(size=(m, n, h))
+    grads = encoder._lstm_backward(fused, wx, wh, grad_hidden)
+    for fast, slow in zip(grads, bruteforce.reference_lstm_backward(ref, wx, wh, grad_hidden)):
+        assert bruteforce._max_rel_err(fast, slow) <= 1e-12
+
+
+def test_encoder_check_fails_on_wrong_gate_order(monkeypatch):
+    fused_forward = encoder._lstm_forward
+
+    def swapped_forward(x, wx, wh, b):  # input and forget gate blocks exchanged
+        h = wh.shape[1]
+        perm = np.r_[h : 2 * h, 0:h, 2 * h : 4 * h]
+        return fused_forward(x, wx[perm], wh[perm], b[perm])
+
+    monkeypatch.setattr(encoder, "_lstm_forward", swapped_forward)
+    rows = bruteforce.check_encoder(trials=10, seed=0)
+    assert [passed for _, passed, _ in rows] == [False, False], rows
+
+
+def test_loss_parts_at_lam_zero():
+    # training never builds the kernel at lam = 0; validation still reports it
+    rng = np.random.default_rng(10)
+    params = init_params(3, hidden_size=4, output_dim=4, seed=3)
+    seq = _sequence(rng, 2, 6, 3)
+    y = _targets(rng, 2, 6, (1, 4))
+    parts, _ = loss_and_grad(params, seq, y, (1, 4), lam=0.0)
+    assert np.isnan(parts.dpp_nll) and parts.total == parts.bce
+    val = evaluate_loss(params, seq, y, (1, 4), lam=0.0)
+    assert np.isfinite(val.dpp_nll) and val.total == val.bce == parts.bce
+    joint, _ = loss_and_grad(params, seq, y, (1, 4), lam=1.0)
+    assert joint.dpp_nll == pytest.approx(val.dpp_nll, rel=1e-12)
+
+
+def test_evaluate_loss_gives_inf_for_zero_probability_target():
+    rng = np.random.default_rng(5)
+    params = init_params(3, hidden_size=4, output_dim=2, seed=0)
+    seq = _sequence(rng, 1, 6, 3)
+    y = np.ones((1, 6), dtype=int)  # 6 target steps, rank at most output_dim=2
+    parts = evaluate_loss(params, seq, y, tuple(range(6)))
+    assert parts.dpp_nll == np.inf and parts.total == np.inf
+    with pytest.raises(NumericError, match="output_dim=2"):
+        loss_and_grad(params, seq, y, tuple(range(6)))
+

@@ -5,7 +5,8 @@ import pytest
 
 from mdpp import bruteforce, synth
 from mdpp.errors import ConfigError, DataError, ValidationError
-from mdpp.kts import SegmentationResult, _dp_tables, _ScatterTable, kts, kts_fixed_m, segment_cost
+from mdpp.bruteforce import segment_cost
+from mdpp.kts import SegmentationResult, _dp_tables, _ScatterTable, kts, kts_fixed_m
 from mdpp.summarizer import default_max_segments
 
 

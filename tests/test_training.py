@@ -135,6 +135,21 @@ def test_train_runs_and_is_deterministic():
     assert [e.val_loss for e in rerun.history] == [e.val_loss for e in result.history]
 
 
+def test_train_history_records_loss_parts():
+    collections = _collections()
+    plan = round_robin_splits(sorted(collections))[0]
+    initial = init_params(4, hidden_size=3, output_dim=4, seed=5)
+    for lam in (0.5, 0.0):
+        result = train(initial, collections, plan, TrainConfig(iterations=2, lam=lam, seed=5))
+        for e in result.history:
+            assert e.val_loss == pytest.approx(e.val_bce + lam * e.val_dpp_nll, rel=1e-12)
+            assert np.isfinite(e.val_dpp_nll) and e.grad_norm > 0.0
+            if lam:
+                assert e.train_loss == pytest.approx(e.train_bce + lam * e.train_dpp_nll, rel=1e-12)
+            else:
+                assert np.isnan(e.train_dpp_nll) and e.train_loss == e.train_bce
+
+
 def test_train_rejects_bad_plans():
     collections = _collections()
     config = TrainConfig(iterations=1)
