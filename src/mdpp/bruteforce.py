@@ -200,8 +200,9 @@ def reference_dp_tables(table, max_parts: int):
 
 
 def reference_lstm_forward(x, wx, wh, b):
-    """``encoder._lstm_forward`` one step at a time: two GEMMs, three
-    exp-form sigmoids and a concatenate per step, batch-major caches."""
+    """One direction of ``encoder._lstm_forward``, one step at a time: two
+    GEMMs, three exp-form sigmoids and a concatenate per step, batch-major
+    (M, N, ...) caches."""
     m, n, _ = x.shape
     h_size = wh.shape[1]
     gates = np.empty((m, n, 4 * h_size))
@@ -224,8 +225,9 @@ def reference_lstm_forward(x, wx, wh, b):
 
 
 def reference_lstm_backward(cache, wx, wh, grad_hidden):
-    """``encoder._lstm_backward`` with the weight gradients accumulated one
-    step at a time; leaves ``cache`` intact. Returns (dwx, dwh, db)."""
+    """One direction of ``encoder._lstm_backward``, with the weight
+    gradients accumulated one step at a time; leaves ``cache`` intact.
+    Returns (dwx, dwh, db)."""
     x, gates, cells = cache["x"], cache["gates"], cache["cells"]
     m, n, _ = x.shape
     h_size = wh.shape[1]
@@ -407,28 +409,37 @@ def _kts_table_inputs(rng: np.random.Generator, trials: int):
 
 
 def check_encoder(trials: int = 50, seed: int = 0):
-    """The fused LSTM loops of ``encoder`` against the per-step reference
-    loops, each output compared at the scale of its whole array."""
+    """The stacked two-direction LSTM loops of ``encoder`` against two
+    per-direction reference calls, the reverse one on the time-reversed
+    input. Each direction's outputs are compared at the scale of that
+    direction's whole array."""
     rng = np.random.default_rng(seed)
     worst_fwd = worst_bwd = 0.0
     for x, wx, wh, b in _lstm_inputs(rng, trials):
         fused = encoder._lstm_forward(x, wx, wh, b)
-        ref = reference_lstm_forward(x, wx, wh, b)
-        for key in ("gates", "cells", "hidden"):
-            worst_fwd = max(worst_fwd, _max_rel_err(fused[key], ref[key]))
-        grad_hidden = rng.normal(size=ref["hidden"].shape)
-        grads = encoder._lstm_backward(fused, wx, wh, grad_hidden)
-        ref_grads = reference_lstm_backward(ref, wx, wh, grad_hidden)
-        for fast, slow in zip(grads, ref_grads):
-            worst_bwd = max(worst_bwd, _max_rel_err(fast, slow))
+        refs = [
+            reference_lstm_forward(x, wx[0], wh[0], b[0]),
+            reference_lstm_forward(x[:, ::-1], wx[1], wh[1], b[1]),
+        ]
+        for k, ref in enumerate(refs):
+            for key in ("gates", "cells", "hidden"):
+                worst_fwd = max(worst_fwd, _max_rel_err(fused[key][:, k], ref[key].swapaxes(0, 1)))
+        grad_hidden = rng.normal(size=fused["hidden"].shape)
+        grads = encoder._lstm_backward(fused, wh, grad_hidden)
+        for k, ref in enumerate(refs):
+            ref_grads = reference_lstm_backward(
+                ref, wx[k], wh[k], grad_hidden[:, k].swapaxes(0, 1)
+            )
+            for fast, slow in zip(grads, ref_grads):
+                worst_bwd = max(worst_bwd, _max_rel_err(fast[k], slow))
     return [
         (
-            "fused LSTM forward vs per-step reference (gates, cells, hidden)",
+            "stacked LSTM forward vs per-direction reference (gates, cells, hidden)",
             worst_fwd <= 1e-14,
             f"{trials} inputs, max rel err {worst_fwd:.3e}",
         ),
         (
-            "fused LSTM backward vs per-step reference (dWx, dWh, db)",
+            "stacked LSTM backward vs per-direction reference (dWx, dWh, db)",
             worst_bwd <= 1e-12,
             f"{trials} inputs, max rel err {worst_bwd:.3e}",
         ),
@@ -436,20 +447,22 @@ def check_encoder(trials: int = 50, seed: int = 0):
 
 
 def _lstm_inputs(rng: np.random.Generator, trials: int):
-    """(x, wx, wh, b) for one LSTM direction with M <= 3, N <= 12, D <= 5
-    and H <= 5, the first with M = N = 1. Every other input gives about half
-    of the gate units a bias of magnitude 45-60, so their pre-activations
-    pass |z| = 40, where tanh(z / 2) is exactly +-1 and the exp-form sigmoid
-    is not exactly 0 or 1. Hidden unit 0 keeps moderate gates, so no output
-    array shrinks to round-off scale."""
+    """(x, wx, wh, b) for the two stacked directions, each direction with
+    its own weights, with M <= 3, N <= 12, D <= 5 and H <= 5, the first with
+    M = N = 1. Every other input gives about half of each direction's gate
+    units a bias of magnitude 45-60, so their pre-activations pass |z| = 40,
+    where tanh(z / 2) is exactly +-1 and the exp-form sigmoid is not exactly
+    0 or 1. Hidden unit 0 keeps moderate gates, so no output array shrinks
+    to round-off scale."""
     for trial in range(trials):
         m, n = (1, 1) if trial == 0 else (int(rng.integers(1, 4)), int(rng.integers(1, 13)))
         d, h = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         x = rng.normal(size=(m, n, d))
-        wx = 0.5 * rng.normal(size=(4 * h, d))
-        wh = 0.5 * rng.normal(size=(4 * h, h))
-        b = 0.5 * rng.normal(size=4 * h)
+        wx = 0.5 * rng.normal(size=(2, 4 * h, d))
+        wh = 0.5 * rng.normal(size=(2, 4 * h, h))
+        b = 0.5 * rng.normal(size=(2, 4 * h))
         if trial % 2:
-            units = np.flatnonzero((np.arange(4 * h) % h != 0) & (rng.random(4 * h) < 0.5))
-            b[units] = rng.choice((-1.0, 1.0), size=units.size) * rng.uniform(45, 60, units.size)
+            units = (np.arange(4 * h) % h != 0) & (rng.random((2, 4 * h)) < 0.5)
+            count = int(units.sum())
+            b[units] = rng.choice((-1.0, 1.0), size=count) * rng.uniform(45, 60, count)
         yield x, wx, wh, b

@@ -8,12 +8,14 @@ Likelihoods use the dual representation (Kulesza & Taskar, "Determinantal
 Point Processes for Machine Learning", 2012, sec. 3.3): det(L + I) equals
 det(I + B B^T), a D' x D' matrix, so log P(y) and its gradient cost
 O(N D'^2 + k^3) for a size-k subset (D' <= N) and never build the N x N
-kernel. Only greedy MAP inference materializes L; the primal N x N formulas
-live in ``bruteforce`` as the reference.
+kernel; the primal N x N formulas live in ``bruteforce`` as the reference.
 
 Greedy MAP grows an incremental Cholesky factor (Chen, Zhang & Zhou, NeurIPS
 2018) at O(N k) per pick after k picks, stops at the kernel's numerical rank
-and breaks ties on the smallest index; ``bruteforce`` recomputes it.
+and breaks ties on the smallest index; ``bruteforce`` recomputes it. On a
+DppKernel it reads L only through B = Phi diag(q): the diagonal as squared
+column norms and a picked item's row as B[:, j]^T B, so it never builds the
+N x N kernel either.
 """
 
 from __future__ import annotations
@@ -150,9 +152,11 @@ def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.
 def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
     """Greedy MAP: repeatedly add the item with the largest logdet gain.
 
-    ``kernel`` is a DppKernel or any symmetric PSD matrix. The gain of item j
-    is log d2_j, where d2_j = det(L_{y+j}) / det(L_y) is j's Cholesky
-    residual given the selection y. Each pick appends one row of the
+    ``kernel`` is a DppKernel or any symmetric PSD matrix. A DppKernel's
+    L = B^T B, B = phi diag(q), is never built: its diagonal is the squared
+    column norms of B and a picked item's row is B[:, j]^T B, O(N D') per
+    pick. The gain of item j is log d2_j, where d2_j = det(L_{y+j}) /
+    det(L_y) is j's Cholesky residual given the selection y. Each pick appends one row of the
     incremental Cholesky factor for all N candidates at once and downdates
     every residual, so after k picks the next one costs O(N k).
 
@@ -171,19 +175,25 @@ def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
     Returns the selected indices in selection order.
     """
     if isinstance(kernel, DppKernel):
-        mat = kernel.matrix()
+        factor = kernel.phi * kernel.q  # L = factor^T factor, never built
+        diag = np.einsum("dn,dn->n", factor, factor)
+
+        def kernel_row(j):
+            return factor[:, j] @ factor
+
     else:
         mat = np.asarray(kernel, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"kernel matrix must be square, got shape {mat.shape}")
         if not np.allclose(mat, mat.T, atol=1e-9):
             raise ValidationError("kernel matrix must be symmetric")
-    n = mat.shape[0]
+        diag = np.diag(mat)
+        kernel_row = mat.__getitem__
+    n = diag.shape[0]
     if max_size is None:
         max_size = n
     if not (0 <= max_size <= n):
         raise ValidationError(f"max_size must lie in [0, {n}], got {max_size}")
-    diag = np.diag(mat)
     residual = diag.copy()
     rows = np.zeros((max_size, n))  # rows[i] is the i-th pick's Cholesky row
     live = np.ones(n, dtype=bool)  # neither picked nor singular
@@ -199,7 +209,7 @@ def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
             break
         j = int(np.argmax(gains >= best - _GAIN_TIE_TOL))
         k = len(selected)
-        rows[k] = (mat[j] - rows[:k, j] @ rows[:k]) / np.sqrt(residual[j])
+        rows[k] = (kernel_row(j) - rows[:k, j] @ rows[:k]) / np.sqrt(residual[j])
         residual -= rows[k] ** 2
         live[j] = False
         selected.append(j)

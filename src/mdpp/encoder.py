@@ -12,17 +12,21 @@ Because all weights are shared across views and the joint kernel pools over
 views, the trainable parameter count depends only on (D, H, D') - never on
 the number of views or time-steps.
 
-The LSTM time loops are fused so each Python step does little numpy work.
-Forward: X Wx^T + b for all steps is one GEMM straight into the gate cache;
-a step adds h_{t-1} Wh^T in place and takes one tanh over the 4H block, the
-i, f and o rows having been pre-scaled by 1/2 so that sigmoid(z) =
-0.5 (1 + tanh(z / 2)). Backward: the dh-independent factors of dz are
-computed for all steps at once over the gate cache, the loop turns each
-step's row into dz in place, and the weight gradients are single products
-after the loop. The backward pass consumes its forward cache. One sequence
-runs at a time; its M views share each step's products. The per-step loops
-they replaced are ``bruteforce.reference_lstm_forward`` / ``_backward``, and
-``mdpp check encoder`` compares the two.
+The two LSTM directions run in one stacked time loop, so each Python step
+does little numpy work for both: loop step t is time t for the forward
+direction and time N - 1 - t for the reverse one, and their weights are
+stacked on a leading axis of 2. Forward: X Wx^T + b for all steps and both
+directions is one batched product straight into the gate cache; a step adds
+h_{t-1} Wh^T for both directions in one batched product and takes one tanh
+over the (2, M, 4H) block, the i, f and o rows having been pre-scaled by 1/2
+so that sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent
+factors of dz are computed for all steps at once over the gate cache, one
+loop turns each step's block into dz in place for both directions, and the
+weight gradients are per-direction products after the loop. The backward
+pass consumes its forward cache. One sequence runs at a time; its M views
+share each step's products. ``bruteforce.reference_lstm_forward`` /
+``_backward`` are per-direction, per-step loops, and ``mdpp check encoder``
+compares the stacked loops with one reference call per direction.
 
 ``evaluate_loss`` is the no-gradient branch of the one loss path that
 ``loss_and_grad`` takes.
@@ -171,69 +175,76 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_forward(x, wx, wh, b):
-    """Run one direction over (M, N, D) inputs; views ride the batch axis.
+    """Run both directions over (M, N, D) inputs in one time loop.
 
-    X Wx^T + b for every step is one GEMM, written straight into the gate
-    cache. The i, f and o rows of Wx, Wh and b are pre-scaled by 1/2 (exact
-    in floating point), so each step adds h_{t-1} Wh^T in place and applies
-    one in-place tanh over the whole 4H block; an in-place affine map then
-    turns the i, f and o columns into sigmoids, 0.5 (1 + tanh(z / 2)). The
-    caches are stored time-major, so every step and the backward pass's
-    weight-gradient products read contiguous blocks; the returned arrays
-    are (M, N, ...) views of them.
+    ``wx``, ``wh`` and ``b`` stack the two directions' weights: (2, 4H, D),
+    (2, 4H, H) and (2, 4H). Direction 1 reads the input in reversed time,
+    so loop step t is time t for direction 0 and time N - 1 - t for
+    direction 1; the views ride the batch axis. The i, f and o rows of Wx,
+    Wh and b are pre-scaled by 1/2 (exact in floating point), so a step is
+    one in-place add of h_{t-1} Wh^T, one in-place tanh over the (2, M, 4H)
+    block and an in-place affine map to the sigmoids 0.5 (1 + tanh(z / 2)).
+    The caches ``x``, ``gates``, ``cells`` and ``hidden`` are (N, 2, M, ...)
+    in loop time, so every step reads contiguous blocks.
     """
     m, n, d = x.shape
-    h_size = wh.shape[1]
+    h_size = wh.shape[2]
     scale = np.full(4 * h_size, 0.5)  # sigmoid(z) = 0.5 (1 + tanh(z / 2)) on i, f, o
     scale[2 * h_size : 3 * h_size] = 1.0  # g is tanh(z)
     offset = 1.0 - scale
-    xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-    gates = xt.reshape(n * m, d) @ (wx * scale[:, None]).T
-    gates += b * scale
-    gates = gates.reshape(n, m, 4 * h_size)
-    wh_t = (wh * scale[:, None]).T
-    cells = np.empty((n, m, h_size))
-    hidden = np.empty((n, m, h_size))
-    c_prev = np.zeros((m, h_size))
+    xt = np.empty((n, 2, m, d))
+    xt[:, 0] = x.swapaxes(0, 1)
+    xt[:, 1] = xt[::-1, 0]
+    gates = np.empty((n, 2, m, 4 * h_size))
+    # one (N x D)(D x 4H) product per direction and view, into the cache
+    np.matmul(
+        xt.transpose(1, 2, 0, 3), (wx * scale[:, None]).transpose(0, 2, 1)[:, None],
+        out=gates.transpose(1, 2, 0, 3),
+    )
+    gates += (b * scale)[:, None]
+    wh_t = (wh * scale[:, None]).transpose(0, 2, 1)
+    cells = np.empty((n, 2, m, h_size))
+    hidden = np.empty((n, 2, m, h_size))
+    c_prev = np.zeros((2, m, h_size))
     for t in range(n):
         z = gates[t]
         if t:
-            z += hidden[t - 1] @ wh_t
+            z += np.matmul(hidden[t - 1], wh_t)
         np.tanh(z, out=z)
         z *= scale
         z += offset
         c = cells[t]
-        np.multiply(z[:, h_size : 2 * h_size], c_prev, out=c)
-        c += z[:, :h_size] * z[:, 2 * h_size : 3 * h_size]
+        np.multiply(z[..., h_size : 2 * h_size], c_prev, out=c)
+        c += z[..., :h_size] * z[..., 2 * h_size : 3 * h_size]
         np.tanh(c, out=hidden[t])
-        hidden[t] *= z[:, 3 * h_size :]
+        hidden[t] *= z[..., 3 * h_size :]
         c_prev = c
-    return {
-        name: arr.swapaxes(0, 1)
-        for name, arr in (("x", xt), ("gates", gates), ("cells", cells), ("hidden", hidden))
-    }
+    return {"x": xt, "gates": gates, "cells": cells, "hidden": hidden}
 
 
-def _lstm_backward(cache, wx, wh, grad_hidden):
-    """Backprop one direction; returns (dwx, dwh, db). Consumes ``cache``.
+def _lstm_backward(cache, wh, grad_hidden):
+    """Backprop both directions in one time loop; returns the stacked
+    (dwx, dwh, db), shaped like the weights. Consumes ``cache``.
 
-    With dz = dLoss/d(pre-activation), every factor of dz that does not
-    depend on the incoming gradient is computed for all steps at once and
-    written over the gate cache:
+    ``grad_hidden`` is dLoss/dh in the cache's (N, 2, M, H) loop-time
+    layout. With dz = dLoss/d(pre-activation), every factor of dz that does
+    not depend on the incoming gradient is computed for all steps at once
+    and written over the gate cache:
 
         dz = [dc, dc, dc, dh] * [g i(1-i), c_{t-1} f(1-f), i(1-g^2), tanh(c) o(1-o)]
 
     with dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
     overwrites the cell cache. The time loop then only scales each step's
-    gate row into dz in place and carries dh and dc back. After the loop
-    the gate cache holds dz for every step, so dWx is one (4H x MN)(MN x D)
-    product, dWh one product against the hidden states shifted by a step,
-    and db one sum. The gate and cell caches are overwritten.
+    (2, M, 4H) gate block into dz in place and carries dh and dc back for
+    both directions. After the loop the gate cache holds dz for every step,
+    so dWx and dWh are one batched product per direction and view against
+    the inputs and the hidden states shifted by a step, and db one sum. The
+    gate and cell caches are overwritten.
     """
-    xt, gates, cells, hidden = (cache[k].swapaxes(0, 1) for k in ("x", "gates", "cells", "hidden"))
-    n, m, _ = gates.shape
-    h_size = wh.shape[1]
-    i, f, g, o = (gates[:, :, k * h_size : (k + 1) * h_size] for k in range(4))
+    xt, gates, cells, hidden = (cache[k] for k in ("x", "gates", "cells", "hidden"))
+    n, _, m, _ = gates.shape
+    h_size = wh.shape[2]
+    i, f, g, o = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
     forget = f.copy()
     scratch = np.empty_like(forget)
     # f block: c_{t-1} f (1 - f), with c_{-1} = 0
@@ -260,40 +271,39 @@ def _lstm_backward(cache, wx, wh, grad_hidden):
     g[...] = scratch
     del scratch
 
-    dz_blocks = gates.reshape(n, m, 4, h_size)
-    dh_seq = grad_hidden.swapaxes(0, 1)
-    dh_next = np.zeros((m, h_size))
-    dc = np.zeros((m, h_size))
+    dz_blocks = gates.reshape(n, 2, m, 4, h_size)
+    dh_next = np.zeros((2, m, h_size))
+    dc = np.zeros((2, m, h_size))
     for t in range(n - 1, -1, -1):
-        dh = dh_seq[t] + dh_next
+        dh = grad_hidden[t] + dh_next
         dc += dh * cells[t]
         dz = dz_blocks[t]
-        dz[:, :3] *= dc[:, None]
-        dz[:, 3] *= dh
-        dh_next = gates[t] @ wh
+        dz[..., :3, :] *= dc[..., None, :]
+        dz[..., 3, :] *= dh
+        dh_next = np.matmul(gates[t], wh)
         dc *= forget[t]
 
-    dz_all = gates.reshape(n * m, 4 * h_size)
-    dwx = dz_all.T @ xt.reshape(n * m, -1)
-    dwh = gates[1:].reshape(-1, 4 * h_size).T @ hidden[:-1].reshape(-1, h_size)
-    return dwx, dwh, dz_all.sum(axis=0)
+    # (4H x N)(N x .) per direction and view, summed over the views
+    dz_t = gates.transpose(1, 2, 3, 0)
+    dwx = np.matmul(dz_t, xt.transpose(1, 2, 0, 3)).sum(axis=1)
+    dwh = np.matmul(dz_t[..., 1:], hidden[:-1].transpose(1, 2, 0, 3)).sum(axis=1)
+    return dwx, dwh, gates.sum(axis=(0, 2))
 
 
 @dataclass
 class ForwardTrace:
     """Cached activations from one forward pass, enough for backprop.
 
-    ``fwd`` and ``bwd`` are the two directions' LSTM caches (``bwd`` in
-    reversed time); backprop overwrites them, so a trace serves one backward
-    pass. ``spatiotemporal`` is (M, N, D + 2H); ``quality_raw`` holds the
+    ``lstm`` is the two-direction LSTM cache, in loop time (direction 1
+    reversed); backprop overwrites it, so a trace serves one backward pass.
+    ``spatiotemporal`` is (M, N, D + 2H); ``quality_raw`` holds the
     logistic outputs in the open interval (0, 1) before the kernel clamp;
     ``streams`` is the clamped view of the same outputs plus the unit
     feature vectors.
     """
 
     params: ModelParams
-    fwd: dict
-    bwd: dict
+    lstm: dict
     spatiotemporal: np.ndarray
     feat_hidden: np.ndarray
     feat_raw: np.ndarray
@@ -314,9 +324,16 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
     m, n, d = x.shape
     h = params.hidden_size
 
-    fwd = _lstm_forward(x, params.wx_f, params.wh_f, params.b_f)
-    bwd_rev = _lstm_forward(x[:, ::-1], params.wx_b, params.wh_b, params.b_b)
-    spatio = np.concatenate([x, fwd["hidden"], bwd_rev["hidden"][:, ::-1]], axis=2)
+    lstm = _lstm_forward(
+        x,
+        np.stack((params.wx_f, params.wx_b)),
+        np.stack((params.wh_f, params.wh_b)),
+        np.stack((params.b_f, params.b_b)),
+    )
+    hidden = lstm["hidden"]
+    spatio = np.concatenate(
+        [x, hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)], axis=2
+    )
 
     flat = spatio.reshape(m * n, d + 2 * h)
     feat_hidden = np.tanh(flat @ params.feat_w1.T + params.feat_b1)
@@ -334,7 +351,7 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
         features=features, quality=np.clip(quality_raw, dpp.QUALITY_FLOOR, 1.0)
     )
     return ForwardTrace(
-        params=params, fwd=fwd, bwd=bwd_rev, spatiotemporal=spatio,
+        params=params, lstm=lstm, spatiotemporal=spatio,
         feat_hidden=feat_hidden, feat_raw=feat_raw, feat_norms=norms,
         qual_hidden=qual_hidden, logits=logits, quality_raw=quality_raw,
         streams=streams,
@@ -469,15 +486,18 @@ def _loss(params, sequence, target_views, target_steps, lam, with_grad):
     grads["feat_b1"] = df_hidden.sum(axis=0)
     dflat = dflat + df_hidden @ params.feat_w1
 
+    # dLoss/dh in the LSTM cache's loop-time layout: direction 1 reversed
     dspatio = dflat.reshape(m, n, d + 2 * h)
-    dh_fwd = dspatio[:, :, d : d + h]
-    dh_bwd = dspatio[:, :, d + h :]
-    grads["wx_f"], grads["wh_f"], grads["b_f"] = _lstm_backward(
-        trace.fwd, params.wx_f, params.wh_f, dh_fwd
+    grad_hidden = np.empty((n, 2, m, h))
+    grad_hidden[:, 0] = dspatio[:, :, d : d + h].swapaxes(0, 1)
+    grad_hidden[:, 1] = dspatio[:, ::-1, d + h :].swapaxes(0, 1)
+    del dflat, dspatio, graw, unit  # free the head arrays before the LSTM backward
+    dwx, dwh, db = _lstm_backward(
+        trace.lstm, np.stack((params.wh_f, params.wh_b)), grad_hidden
     )
-    grads["wx_b"], grads["wh_b"], grads["b_b"] = _lstm_backward(
-        trace.bwd, params.wx_b, params.wh_b, dh_bwd[:, ::-1]
-    )
+    grads["wx_f"], grads["wx_b"] = dwx
+    grads["wh_f"], grads["wh_b"] = dwh
+    grads["b_f"], grads["b_b"] = db
 
     grad_params = ModelParams(
         input_dim=d, hidden_size=h, output_dim=dp, seed=params.seed, **grads

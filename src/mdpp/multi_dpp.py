@@ -109,8 +109,15 @@ def backprop_streams(
 
 
 def _pool_features(streams: ViewStreams):
-    pooled = streams.features.max(axis=0).T           # (D', N)
-    argmax_views = streams.features.argmax(axis=0)    # (N, D')
+    """Max-pool the views per (step, dimension) and record the winning view;
+    the strict ``>`` hands a tie to the first view, as ``argmax`` does."""
+    features = streams.features
+    pooled = features[0].copy()
+    argmax_views = np.zeros(pooled.shape, dtype=np.intp)  # (N, D')
+    for view in range(1, features.shape[0]):
+        np.copyto(argmax_views, view, where=features[view] > pooled)
+        np.maximum(pooled, features[view], out=pooled)
+    pooled = pooled.T  # (D', N)
     norms = np.linalg.norm(pooled, axis=0)
     if (norms == 0.0).any():
         bad = int(np.flatnonzero(norms == 0.0)[0])

@@ -160,6 +160,19 @@ def test_greedy_fill_stops_at_kernel_rank():
     assert picks == bruteforce.reference_greedy_map(kernel, max_size=8, fill=True)
 
 
+def test_greedy_factor_rows_match_kernel_matrix():
+    # rows computed from B = phi diag(q) on demand pick what the built N x N
+    # kernel picks, on low-rank (D' < N) and full-rank kernels
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        for dim in (int(rng.integers(1, n)), int(rng.integers(n, 2 * n + 1))):
+            kernel = DppKernel(phi=rng.normal(size=(dim, n)), q=rng.uniform(0.05, 1.0, size=n))
+            for max_size, fill in ((None, False), (n, True), (int(rng.integers(0, n + 1)), True)):
+                picks = dpp.greedy_map(kernel, max_size=max_size, fill=fill)
+                assert picks == dpp.greedy_map(kernel.matrix(), max_size=max_size, fill=fill)
+
+
 def test_greedy_on_raw_diagonal_matrix():
     assert dpp.greedy_map(np.diag([2.0, 0.5])) == [0]
 

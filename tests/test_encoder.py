@@ -187,21 +187,27 @@ def test_gradients_match_finite_differences():
     assert _max_rel_err(params, seq, y, (1, 4), lam=0.0) < 1e-4
 
 
+def _stacked_weights(rng, d, h, scale):
+    return (
+        scale * rng.normal(size=(2, 4 * h, d)),
+        scale * rng.normal(size=(2, 4 * h, h)),
+        scale * rng.normal(size=(2, 4 * h)),
+    )
+
+
 def test_lstm_backward_matches_finite_differences():
-    # isolates one recurrent direction: loss = sum of hidden states
+    # isolates the recurrent layer: loss = weighted sum of both directions' hidden states
     rng = np.random.default_rng(7)
     d, h, m, n = 3, 4, 2, 5
     x = rng.normal(size=(m, n, d))
-    wx = rng.normal(size=(4 * h, d)) * 0.4
-    wh = rng.normal(size=(4 * h, h)) * 0.4
-    b = rng.normal(size=4 * h) * 0.4
-    weights = rng.normal(size=(m, n, h))
+    wx, wh, b = _stacked_weights(rng, d, h, 0.4)
+    weights = rng.normal(size=(n, 2, m, h))
 
     def total(wx_, wh_, b_):
         return float((encoder._lstm_forward(x, wx_, wh_, b_)["hidden"] * weights).sum())
 
     cache = encoder._lstm_forward(x, wx, wh, b)
-    dwx, dwh, db = encoder._lstm_backward(cache, wx, wh, weights)
+    dwx, dwh, db = encoder._lstm_backward(cache, wh, weights)
     step = 1e-6
     for arr, grad in ((wx, dwx), (wh, dwh), (b, db)):
         flat, gflat = arr.ravel(), grad.ravel()
@@ -216,6 +222,24 @@ def test_lstm_backward_matches_finite_differences():
             assert abs(fd - gflat[i]) < 1e-5 * max(1.0, abs(fd))
 
 
+def _per_direction_reference(x, wx, wh, b, grad_hidden):
+    """Two reference calls, the reverse one on the time-reversed input, with
+    outputs stacked into the encoder's (N, 2, M, ...) loop-time layout."""
+    refs = [
+        bruteforce.reference_lstm_forward(x, wx[0], wh[0], b[0]),
+        bruteforce.reference_lstm_forward(x[:, ::-1], wx[1], wh[1], b[1]),
+    ]
+    stacked = {
+        key: np.stack([ref[key].swapaxes(0, 1) for ref in refs], axis=1)
+        for key in ("gates", "cells", "hidden")
+    }
+    grads = [
+        bruteforce.reference_lstm_backward(ref, wx[k], wh[k], grad_hidden[:, k].swapaxes(0, 1))
+        for k, ref in enumerate(refs)
+    ]
+    return stacked, [np.stack(pair) for pair in zip(*grads)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_lstm_matches_reference_loops(seed):
     rows = bruteforce.check_encoder(trials=40, seed=seed)
@@ -227,14 +251,14 @@ def test_fused_lstm_single_step_has_zero_recurrent_gradient():
     rng = np.random.default_rng(8)
     d, h = 3, 4
     x = rng.normal(size=(1, 1, d))
-    wx, wh, b = rng.normal(size=(4 * h, d)), rng.normal(size=(4 * h, h)), rng.normal(size=4 * h)
-    grad_hidden = rng.normal(size=(1, 1, h))
-    ref = bruteforce.reference_lstm_forward(x, wx, wh, b)
-    dwx, dwh, db = encoder._lstm_backward(encoder._lstm_forward(x, wx, wh, b), wx, wh, grad_hidden)
-    ref_dwx, ref_dwh, ref_db = bruteforce.reference_lstm_backward(ref, wx, wh, grad_hidden)
+    wx, wh, b = _stacked_weights(rng, d, h, 1.0)
+    grad_hidden = rng.normal(size=(1, 2, 1, h))
+    _, (ref_dwx, ref_dwh, ref_db) = _per_direction_reference(x, wx, wh, b, grad_hidden)
+    dwx, dwh, db = encoder._lstm_backward(encoder._lstm_forward(x, wx, wh, b), wh, grad_hidden)
     assert np.array_equal(dwh, np.zeros_like(wh)) and np.array_equal(ref_dwh, dwh)
-    assert bruteforce._max_rel_err(dwx, ref_dwx) <= 1e-12
-    assert bruteforce._max_rel_err(db, ref_db) <= 1e-12
+    for k in (0, 1):
+        assert bruteforce._max_rel_err(dwx[k], ref_dwx[k]) <= 1e-12
+        assert bruteforce._max_rel_err(db[k], ref_db[k]) <= 1e-12
 
 
 def test_fused_lstm_saturated_gates_are_exact():
@@ -243,33 +267,58 @@ def test_fused_lstm_saturated_gates_are_exact():
     rng = np.random.default_rng(9)
     m, n, d, h = 2, 6, 3, 4
     x = rng.normal(size=(m, n, d))
-    wx = 0.5 * rng.normal(size=(4 * h, d))
-    wh = 0.5 * rng.normal(size=(4 * h, h))
-    b = 0.5 * rng.normal(size=4 * h)
-    b[h // 2 : h] = -50.0  # input gates of half the units: 0
-    b[3 * h + h // 2 :] = 50.0  # output gates of the same units: 1
+    wx, wh, b = _stacked_weights(rng, d, h, 0.5)
+    b[:, h // 2 : h] = -50.0  # input gates of half the units: 0
+    b[:, 3 * h + h // 2 :] = 50.0  # output gates of the same units: 1
+    grad_hidden = rng.normal(size=(n, 2, m, h))
     fused = encoder._lstm_forward(x, wx, wh, b)
-    ref = bruteforce.reference_lstm_forward(x, wx, wh, b)
-    assert (fused["gates"][:, :, h // 2 : h] == 0.0).all()
-    assert (fused["gates"][:, :, 3 * h + h // 2 :] == 1.0).all()
-    assert (ref["gates"][:, :, h // 2 : h] > 0.0).all()
-    for key in ("gates", "cells", "hidden"):
-        assert bruteforce._max_rel_err(fused[key], ref[key]) <= 1e-14
-    grad_hidden = rng.normal(size=(m, n, h))
-    grads = encoder._lstm_backward(fused, wx, wh, grad_hidden)
-    for fast, slow in zip(grads, bruteforce.reference_lstm_backward(ref, wx, wh, grad_hidden)):
-        assert bruteforce._max_rel_err(fast, slow) <= 1e-12
+    ref, ref_grads = _per_direction_reference(x, wx, wh, b, grad_hidden)
+    assert (fused["gates"][..., h // 2 : h] == 0.0).all()
+    assert (fused["gates"][..., 3 * h + h // 2 :] == 1.0).all()
+    assert (ref["gates"][..., h // 2 : h] > 0.0).all()
+    for k in (0, 1):
+        for key in ("gates", "cells", "hidden"):
+            assert bruteforce._max_rel_err(fused[key][:, k], ref[key][:, k]) <= 1e-14
+    grads = encoder._lstm_backward(fused, wh, grad_hidden)
+    for fast, slow in zip(grads, ref_grads):
+        for k in (0, 1):
+            assert bruteforce._max_rel_err(fast[k], slow[k]) <= 1e-12
 
 
 def test_encoder_check_fails_on_wrong_gate_order(monkeypatch):
     fused_forward = encoder._lstm_forward
 
     def swapped_forward(x, wx, wh, b):  # input and forget gate blocks exchanged
-        h = wh.shape[1]
+        h = wh.shape[2]
         perm = np.r_[h : 2 * h, 0:h, 2 * h : 4 * h]
-        return fused_forward(x, wx[perm], wh[perm], b[perm])
+        return fused_forward(x, wx[:, perm], wh[:, perm], b[:, perm])
 
     monkeypatch.setattr(encoder, "_lstm_forward", swapped_forward)
+    rows = bruteforce.check_encoder(trials=10, seed=0)
+    assert [passed for _, passed, _ in rows] == [False, False], rows
+
+
+def _without_time_reversal(fused_forward):
+    def forward(x, wx, wh, b):  # direction 1 reads the input in forward time
+        cache = fused_forward(x, wx, wh, b)
+        unreversed = fused_forward(x[:, ::-1], wx, wh, b)
+        for key, arr in cache.items():
+            arr[:, 1] = unreversed[key][:, 1]
+        return cache
+
+    return forward
+
+
+def _forward_weights_only(fused_forward):
+    def forward(x, wx, wh, b):  # both directions run on the forward weights
+        return fused_forward(x, wx[[0, 0]], wh[[0, 0]], b[[0, 0]])
+
+    return forward
+
+
+@pytest.mark.parametrize("mutant", [_without_time_reversal, _forward_weights_only])
+def test_encoder_check_fails_on_direction_mixups(monkeypatch, mutant):
+    monkeypatch.setattr(encoder, "_lstm_forward", mutant(encoder._lstm_forward))
     rows = bruteforce.check_encoder(trials=10, seed=0)
     assert [passed for _, passed, _ in rows] == [False, False], rows
 

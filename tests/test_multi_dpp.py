@@ -118,3 +118,19 @@ def test_backprop_gates_clamped_quality_product():
     _, gphi, gq = dpp.log_prob_and_grad(bundle.kernel, [0, 2])
     _, gqual = multi_dpp.backprop_streams(bundle, streams, gphi, gq)
     assert (gqual == 0.0).all()
+
+
+def test_pool_features_matches_max_and_argmax():
+    # small integer features tie across views everywhere; a tie must go to
+    # the first view, as argmax does
+    rng = np.random.default_rng(12)
+    for m, n, dprime in ((1, 4, 3), (2, 7, 5), (3, 40, 8), (5, 9, 4)):
+        untied = rng.normal(size=(m, n, dprime))
+        tied = rng.integers(1, 4, size=(m, n, dprime)).astype(float)
+        for feats in (untied, tied):
+            streams = ViewStreams(features=feats, quality=np.full((m, n), 0.5))
+            pooled, argmax_views, norms = multi_dpp._pool_features(streams)
+            expected = feats.max(axis=0).T
+            assert np.array_equal(argmax_views, feats.argmax(axis=0))
+            assert np.array_equal(norms, np.linalg.norm(expected, axis=0))
+            assert np.array_equal(pooled, expected / norms)
