@@ -5,7 +5,7 @@ determinant sums over the full power set, exhaustive MAP, exhaustive
 segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
 formulas that the dual-form fast path in ``dpp`` must reproduce, the
 from-scratch greedy MAP that its incremental Cholesky must match pick for
-pick, and the per-(k, end) KTS loop that the end-major DP in ``kts`` must
+pick, and the per-(k, end) KTS loop that the blocked DP in ``kts`` must
 reproduce bitwise. The `check` CLI subcommand drives these against the
 production implementations.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from . import dpp, encoder
 from .dpp import DppKernel
 from .errors import NumericError, ValidationError
-from .kts import _as_features, _ScatterTable
+from .kts import _BLOCK, _as_features, _ScatterTable
 
 
 def all_subsets(n: int):
@@ -165,7 +165,7 @@ def segment_cost(features, a: int, b: int) -> float:
     x = _as_features(features)
     if not (0 <= a < b <= x.shape[0]):
         raise ValidationError(f"segment [{a}, {b}) is empty or out of range for N={x.shape[0]}")
-    return float(_ScatterTable(x).costs_ending_at(b, np.array([a]))[0])
+    return float(_ScatterTable(x).block_costs(b, b + 1)[0, a])
 
 
 def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
@@ -184,15 +184,17 @@ def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
 def reference_dp_tables(table, max_parts: int):
     """The KTS tables of ``kts._dp_tables`` filled one (k, end) cell at a
     time, each from the scatter of every segment [start, end) with
-    start >= k - 1."""
+    start >= k - 1. Costs come from one-end blocks of the same
+    ``block_costs`` the fast path reads."""
     n = table.n
     dp = np.full((max_parts + 1, n + 1), np.inf)
     bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
     dp[0][0] = 0.0
+    costs = [None] + [table.block_costs(end, end + 1)[0] for end in range(1, n + 1)]
     for k in range(1, max_parts + 1):
         for end in range(k, n + 1):
             starts = np.arange(k - 1, end)
-            totals = dp[k - 1][starts] + table.costs_ending_at(end, starts)
+            totals = dp[k - 1][starts] + costs[end][starts]
             j = int(np.argmin(totals))
             dp[k][end] = totals[j]
             bp[k][end] = starts[j]
@@ -382,30 +384,42 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
             if abs(cost - brute_cost) > 1e-9 * max(1.0, abs(brute_cost)):
                 ok = False
     tables_ok = True
-    for feats in _kts_table_inputs(rng, trials):
+    inputs = list(_kts_table_inputs(rng, trials))
+    for feats, max_parts in inputs:
         table = _ScatterTable(feats)
-        max_parts = int(rng.integers(1, feats.shape[0] + 1))
         dp, bp = _dp_tables(table, max_parts)
         ref_dp, ref_bp = reference_dp_tables(table, max_parts)
         if not (np.array_equal(dp, ref_dp) and np.array_equal(bp, ref_bp)):
             tables_ok = False
     return [
         ("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials"),
-        ("KTS tables vs reference loop", tables_ok, f"{3 * trials} inputs, bitwise dp and bp"),
+        ("KTS tables vs reference loop", tables_ok,
+         f"{len(inputs)} inputs, N <= {max(f.shape[0] for f, _ in inputs)}, bitwise dp and bp"),
     ]
 
 
 def _kts_table_inputs(rng: np.random.Generator, trials: int):
-    """Random features with N <= 60, plus tie-heavy ones: all-zero frames
-    and runs of repeated constant blocks."""
-    for _ in range(trials):
-        n = int(rng.integers(1, 61))
-        d = int(rng.integers(1, 6))
+    """(features, max_parts) pairs. Random features with N <= 60 and
+    max_parts <= N, plus tie-heavy ones: all-zero frames and runs of
+    repeated constant blocks. Then the same three kinds at sizes that cross
+    DP blocks (b - 1, b, b + 1, 2b + 1 and one random size in (b, 3b] for
+    block size b), each with max_parts below N and above N."""
+    def kinds(n, d):
         yield rng.normal(size=(n, d))
         yield np.zeros((n, d))
         blocks = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(float)
-        lengths = rng.integers(1, 13, size=blocks.shape[0])
-        yield np.repeat(blocks, lengths, axis=0)
+        lengths = rng.integers(1, max(2, n // 4), size=blocks.shape[0])
+        yield np.resize(np.repeat(blocks, lengths, axis=0), (n, d))
+
+    for _ in range(trials):
+        n = int(rng.integers(1, 61))
+        for feats in kinds(n, int(rng.integers(1, 6))):
+            yield feats, int(rng.integers(1, n + 1))
+    b = _BLOCK
+    for n in (b - 1, b, b + 1, 2 * b + 1, int(rng.integers(b + 1, 3 * b + 1))):
+        for feats in kinds(n, int(rng.integers(1, 6))):
+            yield feats, int(rng.integers(1, n))
+            yield feats, n + int(rng.integers(1, 4))
 
 
 def check_encoder(trials: int = 50, seed: int = 0):

@@ -31,7 +31,6 @@ from . import bruteforce, evaluation, io, summarizer, synth, training
 from .data_model import Summary, SummaryBudget
 from .encoder import init_params
 from .errors import ConfigError, MdppError, NumericError, ValidationError
-from .kts import kts
 from .training import TrainConfig, round_robin_splits, targets_from_summary
 
 
@@ -250,7 +249,7 @@ def _cmd_segment(args):
     sequence = io.read_feature_file(args.features)
     lines = []
     for m in range(sequence.num_views):
-        result = kts(sequence.view(m), args.max_segments, args.penalty)
+        result = summarizer._view_segmentation(sequence.view(m), args.max_segments, args.penalty)
         cps = ",".join(str(c) for c in result.change_points)
         lines.append(f"view {m}: segments={result.num_segments} "
                      f"objective={result.objective:.6f} change_points=[{cps}]")
@@ -417,10 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_help="summary JSON path")
     p.set_defaults(func=_cmd_oracle)
 
-    p = subs.add_parser("segment", help="report per-view KTS change points")
+    p = subs.add_parser("segment", help="report per-view KTS change points",
+                        description="Per-view KTS shots, with the same defaults as "
+                                    "summarize and oracle.")
     p.add_argument("--features", required=True)
-    p.add_argument("--max-segments", type=int, default=10)
-    p.add_argument("--penalty", type=float, default=1.0)
+    _add_kts_flags(p)
     _add_common(p, out_required=False, out_help="optional text output path")
     p.set_defaults(func=_cmd_segment)
 

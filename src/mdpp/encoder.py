@@ -306,7 +306,6 @@ class ForwardTrace:
     lstm: dict
     spatiotemporal: np.ndarray
     feat_hidden: np.ndarray
-    feat_raw: np.ndarray
     feat_norms: np.ndarray
     qual_hidden: np.ndarray
     logits: np.ndarray
@@ -352,7 +351,7 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
     )
     return ForwardTrace(
         params=params, lstm=lstm, spatiotemporal=spatio,
-        feat_hidden=feat_hidden, feat_raw=feat_raw, feat_norms=norms,
+        feat_hidden=feat_hidden, feat_norms=norms,
         qual_hidden=qual_hidden, logits=logits, quality_raw=quality_raw,
         streams=streams,
     )
@@ -477,7 +476,7 @@ def _loss(params, sequence, target_views, target_steps, lam, with_grad):
 
     # feature head (through the row normalization)
     gphi = grad_features.reshape(m * n, dp)
-    unit = trace.feat_raw / trace.feat_norms[:, None]
+    unit = trace.streams.features.reshape(m * n, dp)
     graw = (gphi - unit * np.einsum("rd,rd->r", unit, gphi)[:, None]) / trace.feat_norms[:, None]
     grads["feat_w2"] = graw.T @ trace.feat_hidden
     grads["feat_b2"] = graw.sum(axis=0)
@@ -491,7 +490,7 @@ def _loss(params, sequence, target_views, target_steps, lam, with_grad):
     grad_hidden = np.empty((n, 2, m, h))
     grad_hidden[:, 0] = dspatio[:, :, d : d + h].swapaxes(0, 1)
     grad_hidden[:, 1] = dspatio[:, ::-1, d + h :].swapaxes(0, 1)
-    del dflat, dspatio, graw, unit  # free the head arrays before the LSTM backward
+    del dflat, dspatio, graw  # free the head arrays before the LSTM backward
     dwx, dwh, db = _lstm_backward(
         trace.lstm, np.stack((params.wh_f, params.wh_b)), grad_hidden
     )

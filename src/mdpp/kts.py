@@ -8,12 +8,15 @@ segment count up to a cap K, then picks the number of change points m that
 minimizes cost + penalty_coeff * m * (log(N / m) + 1), comparing against
 the single-segment (m = 0) alternative.
 
-The DP runs in end-major order: for each end frame it computes the scatter
-of every segment ending there once and relaxes all segment counts against
-it. That is N vectorized steps, O(N^2 (D + K)) time in all, and O(K N)
-extra memory (one K x N block of candidate totals beside the K x N tables);
-no N x N cost table is ever built.
-``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop it replaced,
+The DP runs over blocks of ``_BLOCK`` end frames. Each block computes
+the scatter of every segment ending in it as one (block x starts) array in
+a vectorized pass, then relaxes the segment counts level by level: level
+k - 1 of the block is final before level k reads it. Time stays
+O(N^2 (D + K)); extra memory is O(K N + _BLOCK N) (the K x N tables plus
+one block of costs and one of candidate totals) and a difference temp of
+at most ``_TEMP_FLOATS`` floats; no N x N cost table is ever built.
+``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop, reading
+its costs from one-end blocks of the same ``_ScatterTable.block_costs``,
 and ``mdpp check kts`` requires the two to agree bitwise.
 
 Segmentation for evaluation always runs on raw input features so shot
@@ -29,6 +32,9 @@ import numpy as np
 
 from .data_model import ShotList
 from .errors import ConfigError, DataError, ValidationError
+
+_BLOCK = 64  # end frames per DP block
+_TEMP_FLOATS = 1 << 16  # cap on the (ends, starts, D) difference temp
 
 
 def _as_features(features) -> np.ndarray:
@@ -51,29 +57,51 @@ class _ScatterTable:
         self.sums = np.zeros((n + 1, d))
         self.sums[1:] = np.cumsum(x, axis=0)
 
-    def costs_ending_at(self, b: int, starts: np.ndarray) -> np.ndarray:
-        """Scatter of [start, b) for every start in ``starts`` at once."""
-        diff = self.sums[b] - self.sums[starts]
-        mean_part = np.einsum("jd,jd->j", diff, diff) / (b - starts)
-        return np.maximum(self.sq[b] - self.sq[starts] - mean_part, 0.0)
+    def block_costs(self, lo: int, hi: int) -> np.ndarray:
+        """Scatter of every segment [a, e) with end lo <= e < hi and start
+        a < hi - 1, as a (hi - lo) x (hi - 1) array; cells with a >= e hold
+        +inf. The (ends, starts, D) difference temp is built in chunks of at
+        most ``_TEMP_FLOATS`` floats, or of one D-vector if D exceeds that."""
+        ends = np.arange(lo, hi)
+        width = hi - 1
+        d = self.sums.shape[1]
+        out = np.empty((hi - lo, width))
+        rows = max(1, min(hi - lo, _TEMP_FLOATS // d))
+        cols = max(1, _TEMP_FLOATS // (rows * d))
+        for r0 in range(0, hi - lo, rows):
+            e = ends[r0 : r0 + rows, None]
+            for c0 in range(0, width, cols):
+                a = np.arange(c0, min(c0 + cols, width))
+                diff = self.sums[e] - self.sums[a]
+                # lengths < 1 only in cells overwritten with inf below
+                mean_part = np.einsum("ead,ead->ea", diff, diff) / np.maximum(e - a, 1)
+                np.maximum(self.sq[e] - self.sq[a] - mean_part, 0.0,
+                           out=out[r0 : r0 + rows, c0 : c0 + len(a)])
+        out[np.arange(width) >= ends[:, None]] = np.inf
+        return out
 
 
 def _dp_tables(table: _ScatterTable, max_parts: int):
     """dp[k][n] = minimum scatter splitting the first n frames into k
     segments; bp holds the matching last-segment start (the earliest on
-    ties)."""
+    ties). Cells with n < k stay inf with bp 0."""
     n = table.n
     dp = np.full((max_parts + 1, n + 1), np.inf)
     bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
     dp[0][0] = 0.0
-    for end in range(1, n + 1):
-        # every dp[k - 1][a] with a < end is final by now; entries with
-        # a < k - 1 are inf, so they never win the argmin
-        rows = min(max_parts, end)
-        totals = dp[:rows, :end] + table.costs_ending_at(end, np.arange(end))
-        best = np.argmin(totals, axis=1)
-        bp[1 : rows + 1, end] = best
-        dp[1 : rows + 1, end] = totals[np.arange(rows), best]
+    for lo in range(1, n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n + 1)
+        costs = table.block_costs(lo, hi)
+        width = hi - 1
+        totals = np.empty_like(costs)
+        rows = np.arange(hi - lo)
+        # level k - 1 of this block is final before level k reads it; inf
+        # cells (a >= e, or dp[k - 1][a] unreachable) never win the argmin
+        for k in range(1, min(max_parts, width) + 1):
+            np.add(dp[k - 1, :width], costs, out=totals)
+            best = np.argmin(totals, axis=1)
+            bp[k, lo:hi] = best
+            dp[k, lo:hi] = totals[rows, best]
     return dp, bp
 
 

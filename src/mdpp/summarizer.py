@@ -69,10 +69,17 @@ def default_max_segments(num_steps: int) -> int:
     return max(2, -(-num_steps // 15))
 
 
-def _view_shot_list(view_features: np.ndarray, max_segments: int | None, penalty_coeff: float):
+def _view_segmentation(view_features: np.ndarray, max_segments: int | None, penalty_coeff: float):
+    """KTS on one view; ``max_segments=None`` applies ``default_max_segments``."""
     n = view_features.shape[0]
     cap = max_segments if max_segments is not None else default_max_segments(n)
-    return kts(view_features, cap, penalty_coeff).shot_list(n)
+    return kts(view_features, cap, penalty_coeff)
+
+
+def _view_shot_list(view_features: np.ndarray, max_segments: int | None, penalty_coeff: float):
+    return _view_segmentation(view_features, max_segments, penalty_coeff).shot_list(
+        view_features.shape[0]
+    )
 
 
 def _quality_shots(

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdpp import cli, io
+from mdpp import cli, io, summarizer
 from mdpp.data_model import Summary
 
 
@@ -50,6 +50,21 @@ def test_segment_reports_change_points(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "view 0:" in text and "view 1:" in text
     assert out.read_text() in text
+
+
+def test_segment_defaults_to_the_summarizer_cap(tmp_path, capsys):
+    # zero penalty fills the cap, so the default cap decides the shots
+    features, _ = _synth(tmp_path, "a", seed=3, steps=300)
+    capsys.readouterr()
+    assert run(["segment", "--features", str(features), "--penalty", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:2]
+    sequence = io.read_feature_file(features)
+    for m, line in enumerate(lines):
+        shots = summarizer._view_shot_list(sequence.view(m), None, 0.0)
+        assert shots.num_shots == summarizer.default_max_segments(300) == 20
+        cps = ",".join(str(c) for c in shots.boundaries[:-1])
+        assert line.startswith(f"view {m}: segments=20 ")
+        assert line.endswith(f"change_points=[{cps}]")
 
 
 def test_oracle_then_eval(tmp_path, capsys):

@@ -85,6 +85,30 @@ def test_dp_tables_match_reference_loop_bitwise_on_synth_view():
     _assert_tables_match_reference(sequence.view(0), default_max_segments(300))
 
 
+def test_dp_tables_match_reference_loop_bitwise_across_blocks():
+    # N=600 spans ten DP blocks; the cap is the summarizer's default of 40
+    config = synth.SynthConfig(
+        num_views=3, num_steps=600, feature_dim=16, num_events=5,
+        event_length_min=6, event_length_max=9, seed=11,
+    )
+    sequence, _ = synth.generate(config)
+    assert default_max_segments(600) == 40
+    _assert_tables_match_reference(sequence.view(1), 40)
+
+
+def test_block_costs_are_direct_scatter_with_inf_past_the_end():
+    rng = np.random.default_rng(5)
+    # D=1500 makes the (ends, starts, D) temp split its rows as well as its starts
+    for n, d, lo, hi in ((130, 3, 65, 130), (70, 1500, 1, 65), (9, 2, 9, 10)):
+        x = rng.normal(size=(n, d))
+        costs = _ScatterTable(x).block_costs(lo, hi)
+        assert costs.shape == (hi - lo, hi - 1)
+        for i, end in enumerate(range(lo, hi)):
+            assert np.isinf(costs[i, end:]).all()
+            direct = [_scatter(x[a:end]) for a in range(end)]
+            assert costs[i, :end] == pytest.approx(direct, abs=1e-9)
+
+
 def test_dp_tables_match_reference_loop_bitwise_on_ties():
     _assert_tables_match_reference(np.zeros((40, 3)), 12)
     blocks = np.repeat([[1.0, -2.0], [1.0, -2.0], [3.0, 0.0], [-1.0, 1.0]], [5, 7, 1, 9], axis=0)
