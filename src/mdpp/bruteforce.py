@@ -5,19 +5,23 @@ determinant sums over the full power set, exhaustive MAP, exhaustive
 segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
 formulas that the dual-form fast path in ``dpp`` must reproduce, the
 from-scratch greedy MAP that its incremental Cholesky must match pick for
-pick, and the per-(k, end) KTS loop that the blocked DP in ``kts`` must
-reproduce bitwise. The `check` CLI subcommand drives these against the
-production implementations.
+pick, the per-(k, end) KTS loop that the blocked DP in ``kts`` must
+reproduce bitwise, and the per-pair tolerant-F1 loop that the one-pass
+sweep in ``evaluation`` must reproduce bitwise. Only this module builds a
+DppKernel's N x N matrix (``kernel_matrix``). The `check` CLI subcommand
+drives these against the production implementations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
-from . import dpp, encoder
+from . import dpp, encoder, evaluation
+from .data_model import MultiViewSequence
 from .dpp import DppKernel
 from .errors import NumericError, ValidationError
 from .kts import _BLOCK, _as_features, _ScatterTable
@@ -26,6 +30,12 @@ from .kts import _BLOCK, _as_features, _ScatterTable
 def all_subsets(n: int):
     for size in range(n + 1):
         yield from itertools.combinations(range(n), size)
+
+
+def kernel_matrix(kernel: DppKernel) -> np.ndarray:
+    """The induced (N, N) kernel L = diag(q) Phi^T Phi diag(q)."""
+    scaled = kernel.phi * kernel.q
+    return scaled.T @ scaled
 
 
 def subset_det(mat: np.ndarray, subset) -> float:
@@ -37,13 +47,13 @@ def subset_det(mat: np.ndarray, subset) -> float:
 
 def powerset_det_sum(kernel: DppKernel) -> float:
     """Sum of det(L_y) over every subset y; equals det(L + I)."""
-    mat = kernel.matrix()
+    mat = kernel_matrix(kernel)
     return sum(subset_det(mat, s) for s in all_subsets(kernel.ground_size))
 
 
 def normalizer_logdet(kernel: DppKernel) -> float:
     """logdet(L + I) of the N x N primal kernel, the log partition function."""
-    mat = kernel.matrix()
+    mat = kernel_matrix(kernel)
     mat[np.diag_indices_from(mat)] += 1.0
     return float(np.linalg.slogdet(mat)[1])
 
@@ -52,7 +62,7 @@ def primal_log_prob(kernel: DppKernel, subset) -> float:
     """log P(y) = logdet(L_y) - logdet(L + I) from the N x N kernel; -inf
     when det(L_y) is not positive."""
     idx = _sorted_subset(subset)
-    sign, sub_logdet = np.linalg.slogdet(kernel.matrix()[np.ix_(idx, idx)])
+    sign, sub_logdet = np.linalg.slogdet(kernel_matrix(kernel)[np.ix_(idx, idx)])
     if sign <= 0.0:
         return float("-inf")
     return float(sub_logdet) - normalizer_logdet(kernel)
@@ -65,7 +75,7 @@ def logprob_grad_L(kernel: DppKernel, subset) -> np.ndarray:
     (L + I)^{-1}; symmetric by construction.
     """
     idx = _sorted_subset(subset)
-    mat = kernel.matrix()
+    mat = kernel_matrix(kernel)
     n = kernel.ground_size
     grad = np.zeros((n, n))
     if idx.size:
@@ -99,11 +109,10 @@ def _sorted_subset(subset) -> np.ndarray:
     return np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
 
 
-def exhaustive_map(kernel):
+def exhaustive_map(kernel: DppKernel):
     """The subset maximizing det(L_y); ties go to the first enumerated
-    (smaller, then lexicographically earlier) subset. Accepts a DppKernel
-    or a raw symmetric matrix."""
-    mat = kernel.matrix() if isinstance(kernel, DppKernel) else np.asarray(kernel, dtype=float)
+    (smaller, then lexicographically earlier) subset."""
+    mat = kernel_matrix(kernel)
     best, best_det = (), 1.0
     for subset in all_subsets(mat.shape[0]):
         d = subset_det(mat, subset)
@@ -116,8 +125,10 @@ def reference_greedy_map(kernel, max_size: int | None = None, fill: bool = False
     """``dpp.greedy_map`` with every trial subset's determinant recomputed
     from scratch: the gain of item j is logdet(L_{y+j}) - logdet(L_y), item
     j is singular when det(L_{y+j}) / det(L_y) <= 1e-10 L_jj, and ties
-    within 1e-12 go to the smallest index."""
-    mat = kernel.matrix() if isinstance(kernel, DppKernel) else np.asarray(kernel, dtype=float)
+    within 1e-12 go to the smallest index. Takes what ``greedy_map`` takes,
+    a DppKernel or a (D', N) factor B, and builds L = B^T B."""
+    factor = kernel.phi * kernel.q if isinstance(kernel, DppKernel) else np.asarray(kernel)
+    mat = factor.T @ factor
     n = mat.shape[0]
     max_size = n if max_size is None else max_size
     selected: list[int] = []
@@ -267,6 +278,37 @@ def reference_lstm_backward(cache, wx, wh, grad_hidden):
     return dwx, dwh, db
 
 
+def reference_tolerant_f1(predicted, truth, sequence, tau: float) -> float:
+    """``evaluation.tolerant_f1`` one frame at a time: each source frame the
+    target lacks is compared, view by view, with the target frames at its
+    step, through ``np.linalg.norm`` of the unit-feature difference."""
+    truth_set, pred_set = truth.selection_set, predicted.selection_set
+    if not pred_set:
+        return 0.0
+    feats = sequence.features.astype(np.float64)
+    norms = np.linalg.norm(feats, axis=2)
+    unit = np.divide(feats, norms[..., None], out=np.zeros_like(feats), where=norms[..., None] > 0)
+
+    def matches(source, target) -> int:
+        by_step: dict[int, list[int]] = {}
+        for view, t in target:
+            by_step.setdefault(t, []).append(view)
+        count = 0
+        for view, t in source:
+            if (view, t) in target:
+                count += 1
+                continue
+            count += any(
+                np.linalg.norm(unit[view, t] - unit[other, t]) < 2.0 * tau
+                for other in by_step.get(t, ())
+            )
+        return count
+
+    precision = matches(pred_set, truth_set) / len(pred_set)
+    recall = matches(truth_set, pred_set) / len(truth_set)
+    return evaluation._f1(precision, recall)
+
+
 def random_kernel(rng: np.random.Generator, n: int, dim: int | None = None) -> DppKernel:
     dim = dim or max(2, n)
     phi = rng.normal(size=(dim, n))
@@ -311,9 +353,8 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
             scaled = rng.normal(size=(dim, n)) * rng.uniform(0.2, 1.5, size=n)
             repeated = scaled[:, np.sort(rng.integers(0, n, size=n))]
             for factor, fill in itertools.product((scaled, repeated), (False, True)):
-                mat = factor.T @ factor
-                picks = dpp.greedy_map(mat, fill=fill)
-                reference_ok &= picks == reference_greedy_map(mat, fill=fill)
+                picks = dpp.greedy_map(factor, fill=fill)
+                reference_ok &= picks == reference_greedy_map(factor, fill=fill)
                 rank_ok &= not fill or len(picks) == np.linalg.matrix_rank(factor)
     return [
         ("normalizer vs powerset det sum", worst_norm <= rel_tol, f"max rel err {worst_norm:.3e}"),
@@ -446,6 +487,7 @@ def check_encoder(trials: int = 50, seed: int = 0):
             )
             for fast, slow in zip(grads, ref_grads):
                 worst_bwd = max(worst_bwd, _max_rel_err(fast[k], slow))
+    worst_hidden, worst_loss = _check_groups(rng, trials)
     return [
         (
             "stacked LSTM forward vs per-direction reference (gates, cells, hidden)",
@@ -457,7 +499,73 @@ def check_encoder(trials: int = 50, seed: int = 0):
             worst_bwd <= 1e-12,
             f"{trials} inputs, max rel err {worst_bwd:.3e}",
         ),
+        (
+            "stacked sequence groups vs per-sequence loss_and_grad (hidden, loss parts, gradient)",
+            worst_hidden <= 1e-14 and worst_loss <= 1e-12,
+            f"{trials} groups, max rel err hidden {worst_hidden:.3e}, loss and grad {worst_loss:.3e}",
+        ),
     ]
+
+
+def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
+    """Worst relative errors of stacked groups against their sequences run
+    alone: the LSTM hidden states of the stacked input against each
+    sequence's own, and the group's loss parts and summed gradient against
+    per-sequence ``loss_and_grad``. Groups hold 1-4 sequences of one length
+    N <= 12 with M in 1..3 each, and lam in {0, 0.5, 1}; every other
+    group's model has saturated
+    LSTM gates, as in ``_lstm_inputs``."""
+    worst_hidden = worst_loss = 0.0
+    for trial in range(trials):
+        n, d, h = (int(rng.integers(1, 13)), int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        params = encoder.init_params(d, h, 8, seed=int(rng.integers(1 << 31)))
+        if trial % 2:
+            units = (np.arange(4 * h) % h != 0) & (rng.random((2, 4 * h)) < 0.5)
+            b = np.stack((params.b_f, params.b_b))
+            b[units] = rng.choice((-1.0, 1.0), size=int(units.sum())) * rng.uniform(
+                45, 60, int(units.sum())
+            )
+            params = dataclasses.replace(params, b_f=b[0], b_b=b[1])
+        group = []
+        for _ in range(int(rng.integers(1, 5))):
+            m = int(rng.integers(1, 4))
+            # the feature head has H hidden units, so the joint kernel's
+            # rank may be H + 1 and no more: target at most H steps
+            size = int(rng.integers(0, min(n, h, 3) + 1))
+            steps = np.sort(rng.choice(n, size=size, replace=False))
+            y = np.zeros((m, n), dtype=np.uint8)
+            for t in steps:
+                y[rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False), t] = 1
+            features = rng.normal(size=(m, n, d)).astype(np.float32)
+            group.append((MultiViewSequence("s", features), y, steps.tolist()))
+        lam = float(rng.choice((0.0, 0.5, 1.0)))
+
+        weights = encoder._lstm_weights(params)
+        stacked = encoder._lstm_forward(
+            np.concatenate([seq.features for seq, _, _ in group], dtype=np.float64), *weights
+        )["hidden"]
+        start = 0
+        for seq, _, _ in group:
+            alone = encoder._lstm_forward(seq.features.astype(np.float64), *weights)["hidden"]
+            cols = stacked[:, :, start : start + seq.num_views]
+            start += seq.num_views
+            worst_hidden = max(worst_hidden, _max_rel_err(cols, alone))
+
+        grads = encoder._zero_grads(params)
+        parts = encoder._loss(params, group, lam, grads)
+        alone = [encoder.loss_and_grad(params, *item, lam=lam) for item in group]
+        for part, (ref, _) in zip(parts, alone):
+            for field in ("total", "bce", "dpp_nll"):
+                fast, slow = getattr(part, field), getattr(ref, field)
+                if not (math.isnan(fast) and math.isnan(slow)):
+                    worst_loss = max(worst_loss, _max_rel_err(fast, slow))
+        ref_grads = dict(alone[0][1].named_arrays())
+        for _, grad in alone[1:]:
+            for name, arr in grad.named_arrays():
+                ref_grads[name] = ref_grads[name] + arr
+        for name, arr in ref_grads.items():
+            worst_loss = max(worst_loss, _max_rel_err(grads[name], arr))
+    return worst_hidden, worst_loss
 
 
 def _lstm_inputs(rng: np.random.Generator, trials: int):

@@ -15,7 +15,8 @@ Greedy MAP grows an incremental Cholesky factor (Chen, Zhang & Zhou, NeurIPS
 and breaks ties on the smallest index; ``bruteforce`` recomputes it. On a
 DppKernel it reads L only through B = Phi diag(q): the diagonal as squared
 column norms and a picked item's row as B[:, j]^T B, so it never builds the
-N x N kernel either.
+N x N kernel either; it also takes a bare (D', N) factor B. The N x N
+kernel is built only in ``bruteforce``.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class DppKernel:
     @property
     def ground_size(self) -> int:
         return self.q.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """The induced (N, N) kernel L = diag(q) Phi^T Phi diag(q)."""
-        scaled = self.phi * self.q
-        return scaled.T @ scaled
 
 
 def _cholesky(mat: np.ndarray) -> np.ndarray | None:
@@ -152,13 +148,14 @@ def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.
 def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
     """Greedy MAP: repeatedly add the item with the largest logdet gain.
 
-    ``kernel`` is a DppKernel or any symmetric PSD matrix. A DppKernel's
-    L = B^T B, B = phi diag(q), is never built: its diagonal is the squared
-    column norms of B and a picked item's row is B[:, j]^T B, O(N D') per
-    pick. The gain of item j is log d2_j, where d2_j = det(L_{y+j}) /
-    det(L_y) is j's Cholesky residual given the selection y. Each pick appends one row of the
-    incremental Cholesky factor for all N candidates at once and downdates
-    every residual, so after k picks the next one costs O(N k).
+    ``kernel`` is a DppKernel, read as its factor B = phi diag(q), or a
+    (D', N) factor B itself; either way L = B^T B is never built. Its
+    diagonal is the squared column norms of B and a picked item's row is
+    B[:, j]^T B, O(N D') per pick. The gain of item j is log d2_j, where
+    d2_j = det(L_{y+j}) / det(L_y) is j's Cholesky residual given the
+    selection y. Each pick appends one row of the incremental Cholesky
+    factor for all N candidates at once and downdates every residual, so
+    after k picks the next one costs O(N k).
 
     Items are added while the best gain is non-negative (a strictly negative
     gain means every remaining item shrinks det(L_y)); a decomposed kernel
@@ -175,20 +172,12 @@ def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
     Returns the selected indices in selection order.
     """
     if isinstance(kernel, DppKernel):
-        factor = kernel.phi * kernel.q  # L = factor^T factor, never built
-        diag = np.einsum("dn,dn->n", factor, factor)
-
-        def kernel_row(j):
-            return factor[:, j] @ factor
-
+        factor = kernel.phi * kernel.q
     else:
-        mat = np.asarray(kernel, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"kernel matrix must be square, got shape {mat.shape}")
-        if not np.allclose(mat, mat.T, atol=1e-9):
-            raise ValidationError("kernel matrix must be symmetric")
-        diag = np.diag(mat)
-        kernel_row = mat.__getitem__
+        factor = np.asarray(kernel, dtype=np.float64)
+        if factor.ndim != 2:
+            raise ValidationError(f"kernel factor must be (D', N), got shape {factor.shape}")
+    diag = np.einsum("dn,dn->n", factor, factor)
     n = diag.shape[0]
     if max_size is None:
         max_size = n
@@ -209,7 +198,7 @@ def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
             break
         j = int(np.argmax(gains >= best - _GAIN_TIE_TOL))
         k = len(selected)
-        rows[k] = (kernel_row(j) - rows[:k, j] @ rows[:k]) / np.sqrt(residual[j])
+        rows[k] = (factor[:, j] @ factor - rows[:k, j] @ rows[:k]) / np.sqrt(residual[j])
         residual -= rows[k] ** 2
         live[j] = False
         selected.append(j)

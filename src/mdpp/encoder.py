@@ -23,13 +23,20 @@ so that sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent
 factors of dz are computed for all steps at once over the gate cache, one
 loop turns each step's block into dz in place for both directions, and the
 weight gradients are per-direction products after the loop. The backward
-pass consumes its forward cache. One sequence runs at a time; its M views
-share each step's products. ``bruteforce.reference_lstm_forward`` /
+pass consumes its forward cache. ``bruteforce.reference_lstm_forward`` /
 ``_backward`` are per-direction, per-step loops, and ``mdpp check encoder``
 compares the stacked loops with one reference call per direction.
 
-``evaluate_loss`` is the no-gradient branch of the one loss path that
-``loss_and_grad`` takes.
+The views ride the batch axis of those loops, and so do the sequences of a
+training batch: ``batch_loss`` splits the batch in order into groups of
+consecutive equal-length sequences of at most _STACK_FRAMES view-frames,
+and each group's views share one LSTM forward and one backward. The heads,
+the loss and the heads' backprop run one sequence at a time on its own
+columns, so the cap bounds the memory that stacking adds: the LSTM cache of
+at most _STACK_FRAMES view-frames. A sequence longer than the cap runs
+alone. ``loss_and_grad`` and ``evaluate_loss`` are groups of one, with and
+without the gradient, on the same loss path; ``mdpp check encoder`` compares
+stacked groups with the sum of their sequences' ``loss_and_grad``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ from . import dpp, multi_dpp
 from .data_model import MultiViewSequence
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .multi_dpp import ViewStreams
+
+# view-frames (M * N summed over a group's sequences) one stacked LSTM loop
+# may hold; at M = 3, N = 300 it stacks pairs
+_STACK_FRAMES = 2048
 
 PARAM_FIELDS = (
     "wx_f", "wh_f", "b_f",
@@ -292,18 +303,16 @@ def _lstm_backward(cache, wh, grad_hidden):
 
 @dataclass
 class ForwardTrace:
-    """Cached activations from one forward pass, enough for backprop.
+    """The heads' activations for one sequence, enough for their backprop.
 
-    ``lstm`` is the two-direction LSTM cache, in loop time (direction 1
-    reversed); backprop overwrites it, so a trace serves one backward pass.
     ``spatiotemporal`` is (M, N, D + 2H); ``quality_raw`` holds the
     logistic outputs in the open interval (0, 1) before the kernel clamp;
     ``streams`` is the clamped view of the same outputs plus the unit
-    feature vectors.
+    feature vectors. The LSTM cache is not kept: ``forward`` drops it and
+    the loss path owns it.
     """
 
     params: ModelParams
-    lstm: dict
     spatiotemporal: np.ndarray
     feat_hidden: np.ndarray
     feat_norms: np.ndarray
@@ -313,25 +322,40 @@ class ForwardTrace:
     streams: ViewStreams
 
 
-def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
-    """Apply the shared encoder to every view of a sequence."""
+def _check_input_dim(params: ModelParams, sequence: MultiViewSequence) -> None:
     if sequence.feature_dim != params.input_dim:
         raise ShapeError(
             f"sequence has D={sequence.feature_dim}, model expects {params.input_dim}"
         )
-    x = sequence.features.astype(np.float64)
-    m, n, d = x.shape
-    h = params.hidden_size
 
-    lstm = _lstm_forward(
-        x,
+
+def _lstm_weights(params: ModelParams):
+    """(wx, wh, b) with the two directions stacked on a leading axis."""
+    return (
         np.stack((params.wx_f, params.wx_b)),
         np.stack((params.wh_f, params.wh_b)),
         np.stack((params.b_f, params.b_b)),
     )
-    hidden = lstm["hidden"]
+
+
+def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
+    """Apply the shared encoder to every view of a sequence."""
+    _check_input_dim(params, sequence)
+    lstm = _lstm_forward(sequence.features.astype(np.float64), *_lstm_weights(params))
+    return _heads(params, lstm, slice(None))
+
+
+def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
+    """Both heads over the batch columns ``cols`` of an LSTM cache: the
+    views of one sequence."""
+    xt, hidden = lstm["x"][:, 0, cols], lstm["hidden"][:, :, cols]
+    n, m, d = xt.shape
+    h = params.hidden_size
+    # ``out`` keeps it C-ordered (M, N, .): concatenate would follow the
+    # inputs' time-major strides, and ``flat`` would then be a copy
     spatio = np.concatenate(
-        [x, hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)], axis=2
+        [xt.swapaxes(0, 1), hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)],
+        axis=2, out=np.empty((m, n, d + 2 * h)),
     )
 
     flat = spatio.reshape(m * n, d + 2 * h)
@@ -350,7 +374,7 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
         features=features, quality=np.clip(quality_raw, dpp.QUALITY_FLOOR, 1.0)
     )
     return ForwardTrace(
-        params=params, lstm=lstm, spatiotemporal=spatio,
+        params=params, spatiotemporal=spatio,
         feat_hidden=feat_hidden, feat_norms=norms,
         qual_hidden=qual_hidden, logits=logits, quality_raw=quality_raw,
         streams=streams,
@@ -400,7 +424,7 @@ def evaluate_loss(
     the path ``loss_and_grad`` takes. The DPP term is evaluated even at
     lam = 0; a target subset the joint kernel cannot produce gives
     ``dpp_nll = +inf``."""
-    return _loss(params, sequence, target_views, target_steps, lam, with_grad=False)[0]
+    return _loss(params, [(sequence, target_views, target_steps)], lam, None)[0]
 
 
 def loss_and_grad(
@@ -415,21 +439,121 @@ def loss_and_grad(
     ModelParams-shaped bundle. At lam = 0 the joint kernel is never built
     and ``dpp_nll`` is nan; a target subset of zero probability raises
     NumericError."""
-    return _loss(params, sequence, target_views, target_steps, lam, with_grad=True)
+    grads = _zero_grads(params)
+    parts = _loss(params, [(sequence, target_views, target_steps)], lam, grads)
+    return parts[0], _grad_params(params, grads)
 
 
-def _loss(params, sequence, target_views, target_steps, lam, with_grad):
-    """The one loss path: (LossParts, gradient or None)."""
-    y, steps = _check_targets(sequence, target_views, target_steps)
-    trace = forward(params, sequence)
-    m, n = sequence.num_views, sequence.num_steps
+def batch_loss(
+    params: ModelParams, batch, lam: float = 1.0, with_grad: bool = True
+) -> tuple[list[LossParts], ModelParams | None]:
+    """Loss parts of every (sequence, target_views, target_steps) in
+    ``batch``, in order, and the gradient of their sum (None without
+    ``with_grad``). Each item's parts and gradient are those of
+    ``loss_and_grad`` / ``evaluate_loss``; the batch runs in the groups of
+    ``_groups``, one LSTM time loop per group."""
+    grads = _zero_grads(params) if with_grad else None
+    parts = []
+    for group in _groups(batch):
+        parts += _loss(params, group, lam, grads)
+    return parts, _grad_params(params, grads) if with_grad else None
+
+
+def _groups(batch):
+    """Split ``batch`` in order into runs of consecutive sequences of equal
+    length N holding at most _STACK_FRAMES view-frames (M * N summed) each;
+    a group always holds at least one sequence. The cap bounds the stacked
+    LSTM cache, which lives until the group's backward pass."""
+    groups, frames = [], 0
+    for item in batch:
+        sequence = item[0]
+        size = sequence.num_views * sequence.num_steps
+        if (
+            groups
+            and sequence.num_steps == groups[-1][0][0].num_steps
+            and frames + size <= _STACK_FRAMES
+        ):
+            groups[-1].append(item)
+            frames += size
+        else:
+            groups.append([item])
+            frames = size
+    return groups
+
+
+def _zero_grads(params: ModelParams) -> dict:
+    return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+
+
+def _grad_params(params: ModelParams, grads: dict) -> ModelParams:
+    return ModelParams(
+        input_dim=params.input_dim, hidden_size=params.hidden_size,
+        output_dim=params.output_dim, seed=params.seed, **grads,
+    )
+
+
+def _loss(params, group, lam, grads):
+    """The one loss path, over a group of (sequence, target_views,
+    target_steps) of equal N: returns each sequence's LossParts and, when
+    ``grads`` is a dict of arrays, adds the gradient of their sum to it.
+
+    The views of all the group's sequences ride the batch axis of one LSTM
+    forward and one backward. In between, each sequence in turn runs the
+    heads, the loss and the heads' backprop on its own batch columns and
+    writes dLoss/dh into them; its head arrays are freed before the next
+    sequence's are made. ``grad_hidden`` is allocated after the first
+    sequence's heads backprop, so a group of one never holds it together
+    with the heads' forward arrays.
+    """
+    checked = []
+    for sequence, target_views, target_steps in group:
+        _check_input_dim(params, sequence)
+        checked.append((sequence, *_check_targets(sequence, target_views, target_steps)))
+    wx, wh, b = _lstm_weights(params)
+    lstm = _lstm_forward(
+        np.concatenate([seq.features for seq, _, _ in checked], dtype=np.float64), wx, wh, b
+    )
+    n, _, batch_views, _ = lstm["hidden"].shape
+    d, h = params.input_dim, params.hidden_size
+    parts = []
+    grad_hidden = None
+    start = 0
+    for sequence, y, steps in checked:
+        cols = slice(start, start + sequence.num_views)
+        start = cols.stop
+        trace = _heads(params, lstm, cols)
+        part, dspatio = _sequence_loss(params, trace, y, steps, lam, grads)
+        parts.append(part)
+        del trace  # free this sequence's head arrays before the next one's
+        if grads is None:
+            continue
+        # dLoss/dh in the LSTM cache's loop-time layout: direction 1 reversed
+        if grad_hidden is None:
+            grad_hidden = np.empty((n, 2, batch_views, h))
+        grad_hidden[:, 0, cols] = dspatio[:, :, d : d + h].swapaxes(0, 1)
+        grad_hidden[:, 1, cols] = dspatio[:, ::-1, d + h :].swapaxes(0, 1)
+        del dspatio
+    if grads is None:
+        return parts
+    dwx, dwh, db = _lstm_backward(lstm, wh, grad_hidden)
+    for names, grad in ((("wx_f", "wx_b"), dwx), (("wh_f", "wh_b"), dwh), (("b_f", "b_b"), db)):
+        grads[names[0]] += grad[0]
+        grads[names[1]] += grad[1]
+    return parts
+
+
+def _sequence_loss(params, trace, y, steps, lam, grads):
+    """One sequence's LossParts and, when ``grads`` is given, its head
+    gradients added to ``grads`` and dLoss/d(spatiotemporal) as (M, N, D + 2H);
+    otherwise (parts, None)."""
+    m, n = y.shape
     d, h, dp = params.input_dim, params.hidden_size, params.output_dim
 
     bce, dlogits = _bce_terms(y, trace.quality_raw, m)
 
     grad_features = np.zeros((m, n, dp))
     dpp_nll = math.nan
-    if not with_grad:
+    if grads is None:
         dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
     elif lam != 0.0:
         bundle = multi_dpp.build_joint_kernel(trace.streams)
@@ -459,46 +583,28 @@ def _loss(params, sequence, target_views, target_steps, lam, with_grad):
             0.0,
         )
     parts = LossParts(total=bce if lam == 0.0 else bce + lam * dpp_nll, bce=bce, dpp_nll=dpp_nll)
-    if not with_grad:
+    if grads is None:
         return parts, None
 
     flat = trace.spatiotemporal.reshape(m * n, d + 2 * h)
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
 
     # quality head
     dlog_flat = dlogits.reshape(m * n, 1)
-    grads["qual_w2"] = dlog_flat.T @ trace.qual_hidden
-    grads["qual_b2"] = dlog_flat.sum(axis=0)
+    grads["qual_w2"] += dlog_flat.T @ trace.qual_hidden
+    grads["qual_b2"] += dlog_flat.sum(axis=0)
     dq_hidden = (dlog_flat @ params.qual_w2) * (1.0 - trace.qual_hidden**2)
-    grads["qual_w1"] = dq_hidden.T @ flat
-    grads["qual_b1"] = dq_hidden.sum(axis=0)
+    grads["qual_w1"] += dq_hidden.T @ flat
+    grads["qual_b1"] += dq_hidden.sum(axis=0)
     dflat = dq_hidden @ params.qual_w1
 
     # feature head (through the row normalization)
     gphi = grad_features.reshape(m * n, dp)
     unit = trace.streams.features.reshape(m * n, dp)
     graw = (gphi - unit * np.einsum("rd,rd->r", unit, gphi)[:, None]) / trace.feat_norms[:, None]
-    grads["feat_w2"] = graw.T @ trace.feat_hidden
-    grads["feat_b2"] = graw.sum(axis=0)
+    grads["feat_w2"] += graw.T @ trace.feat_hidden
+    grads["feat_b2"] += graw.sum(axis=0)
     df_hidden = (graw @ params.feat_w2) * (1.0 - trace.feat_hidden**2)
-    grads["feat_w1"] = df_hidden.T @ flat
-    grads["feat_b1"] = df_hidden.sum(axis=0)
+    grads["feat_w1"] += df_hidden.T @ flat
+    grads["feat_b1"] += df_hidden.sum(axis=0)
     dflat = dflat + df_hidden @ params.feat_w1
-
-    # dLoss/dh in the LSTM cache's loop-time layout: direction 1 reversed
-    dspatio = dflat.reshape(m, n, d + 2 * h)
-    grad_hidden = np.empty((n, 2, m, h))
-    grad_hidden[:, 0] = dspatio[:, :, d : d + h].swapaxes(0, 1)
-    grad_hidden[:, 1] = dspatio[:, ::-1, d + h :].swapaxes(0, 1)
-    del dflat, dspatio, graw  # free the head arrays before the LSTM backward
-    dwx, dwh, db = _lstm_backward(
-        trace.lstm, np.stack((params.wh_f, params.wh_b)), grad_hidden
-    )
-    grads["wx_f"], grads["wx_b"] = dwx
-    grads["wh_f"], grads["wh_b"] = dwh
-    grads["b_f"], grads["b_b"] = db
-
-    grad_params = ModelParams(
-        input_dim=d, hidden_size=h, output_dim=dp, seed=params.seed, **grads
-    )
-    return parts, grad_params
+    return parts, dflat.reshape(m, n, d + 2 * h)

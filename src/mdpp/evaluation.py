@@ -5,7 +5,9 @@ All matching is on exact (view, time-step) pairs; the tolerant variant
 additionally credits a prediction whose frame coincides in time with a truth
 frame on another view when the two L2-normalized input features are closer
 than 2*tau (unit vectors are never farther apart than 2, so tau is a
-fraction of the maximum possible distance).
+fraction of the maximum possible distance). ``build_report`` computes a
+sequence's cross-view distances once and compares them with every 2*tau
+of its sweep; ``bruteforce.reference_tolerant_f1`` is the per-pair loop.
 """
 
 from __future__ import annotations
@@ -59,37 +61,52 @@ def tolerant_f1(
 ) -> float:
     """F1 where a (v, t) counts as matching (v', t) when the normalized
     features are within 2*tau. Non-decreasing in tau; tau=0 is exact."""
-    if tau < 0:
-        raise ValidationError(f"tau must be non-negative, got {tau}")
-    truth_set = truth.selection_set
-    if not truth_set:
-        raise ValidationError("truth summary is empty; recall is undefined")
-    pred_set = predicted.selection_set
-    if not pred_set:
-        return 0.0
+    return _tolerant_sweep(predicted, truth, sequence, (tau,))[0]
 
+
+def _tolerant_sweep(predicted, truth, sequence, taus) -> list[float]:
+    """``tolerant_f1`` at every tau of ``taus``. The distances are computed
+    once; each tau only compares them with 2*tau."""
+    if any(tau < 0 for tau in taus):
+        raise ValidationError(f"tau must be non-negative, got {min(taus)}")
+    if not truth.selections:
+        raise ValidationError("truth summary is empty; recall is undefined")
+    if not predicted.selections:
+        return [0.0] * len(taus)
+    m, n = sequence.num_views, sequence.num_steps
+    pred, true = predicted.frame_mask(m, n), truth.frame_mask(m, n)
+    dist = _cross_view_distances(sequence)
+
+    def nearest(source, target):
+        """For each source frame the target lacks, the distance to the
+        nearest target frame at its step (inf when there is none)."""
+        return np.where(target[None], dist, np.inf).min(axis=1)[source & ~target]
+
+    hits = int((pred & true).sum())
+    pred_near, true_near = nearest(pred, true), nearest(true, pred)
+    sweep = []
+    for tau in taus:
+        precision = (hits + int((pred_near < 2.0 * tau).sum())) / int(pred.sum())
+        recall = (hits + int((true_near < 2.0 * tau).sum())) / int(true.sum())
+        sweep.append(_f1(precision, recall))
+    return sweep
+
+
+def _cross_view_distances(sequence: MultiViewSequence) -> np.ndarray:
+    """(M, M, N): distance between the L2-normalized input features of
+    views v and w at each step (zero features stay zero)."""
     feats = sequence.features.astype(np.float64)
     norms = np.linalg.norm(feats, axis=2)
     unit = np.divide(feats, norms[..., None], out=np.zeros_like(feats), where=norms[..., None] > 0)
-
-    def matches(source: set[Selection], target: set[Selection]) -> int:
-        by_step: dict[int, list[int]] = {}
-        for view, t in target:
-            by_step.setdefault(t, []).append(view)
-        count = 0
-        for view, t in source:
-            if (view, t) in target:
-                count += 1
-                continue
-            count += any(
-                np.linalg.norm(unit[view, t] - unit[other, t]) < 2.0 * tau
-                for other in by_step.get(t, ())
-            )
-        return count
-
-    precision = matches(pred_set, truth_set) / len(pred_set)
-    recall = matches(truth_set, pred_set) / len(truth_set)
-    return _f1(precision, recall)
+    m, n, _ = unit.shape
+    dist = np.zeros((m, m, n))
+    for v in range(m):
+        for w in range(v + 1, m):
+            diff = (unit[v] - unit[w])[:, None, :]
+            # one BLAS dot per step, the product np.linalg.norm takes for a
+            # single vector, so each distance is bitwise the per-pair one
+            dist[v, w] = dist[w, v] = np.sqrt(np.matmul(diff, diff.swapaxes(1, 2))[:, 0, 0])
+    return dist
 
 
 def pairwise_consensus(annotations: AnnotationSet) -> float:
@@ -205,7 +222,7 @@ def build_report(entries, thresholds=DEFAULT_THRESHOLDS) -> EvalReport:
     for sequence_id, predicted, truth, sequence in entries:
         precision, recall, f1 = frame_f1(predicted, truth)
         sweep = tuple(
-            (float(tau), tolerant_f1(predicted, truth, sequence, tau)) for tau in thresholds
+            zip(map(float, thresholds), _tolerant_sweep(predicted, truth, sequence, thresholds))
         )
         rows.append(
             SequenceEval(

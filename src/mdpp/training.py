@@ -16,9 +16,7 @@ import numpy as np
 
 from . import io
 from .data_model import MultiViewSequence, Summary
-from .encoder import (
-    LossParts, ModelParams, evaluate_loss, from_vector, loss_and_grad, to_vector,
-)
+from .encoder import LossParts, ModelParams, batch_loss, from_vector, to_vector
 from .errors import ConfigError, NumericError, ValidationError
 
 
@@ -168,26 +166,18 @@ def _mean_parts(parts: Sequence[LossParts]) -> LossParts:
     )
 
 
+def _items(examples):
+    return [(ex.sequence, ex.target_views, ex.target_steps) for ex in examples]
+
+
 def _batch_loss_and_grad(params, examples, config):
-    parts = []
-    total_grad = None
-    for ex in examples:
-        loss, grad = loss_and_grad(
-            params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam
-        )
-        gvec = to_vector(grad)
-        parts.append(loss)
-        total_grad = gvec if total_grad is None else total_grad + gvec
-    return _mean_parts(parts), total_grad / len(examples)
+    parts, grad = batch_loss(params, _items(examples), lam=config.lam)
+    return _mean_parts(parts), to_vector(grad) / len(examples)
 
 
 def _val_loss(params, examples, config):
-    return _mean_parts(
-        [
-            evaluate_loss(params, ex.sequence, ex.target_views, ex.target_steps, lam=config.lam)
-            for ex in examples
-        ]
-    )
+    parts, _ = batch_loss(params, _items(examples), lam=config.lam, with_grad=False)
+    return _mean_parts(parts)
 
 
 def train(

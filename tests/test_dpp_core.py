@@ -94,7 +94,7 @@ def test_grad_L_matches_directional_finite_differences():
         kernel = bruteforce.random_kernel(rng, n)
         subset = sorted(rng.choice(n, size=2, replace=False).tolist())
         grad = bruteforce.logprob_grad_L(kernel, subset)
-        mat = kernel.matrix()
+        mat = bruteforce.kernel_matrix(kernel)
         direction = rng.normal(size=(n, n))
         direction = direction + direction.T
         fd = (
@@ -146,9 +146,8 @@ def test_greedy_matches_reference():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        base = rng.normal(size=(n, n))
-        mat = base @ base.T  # eigenvalues above 1 are possible, so picks happen
-        assert dpp.greedy_map(mat) == bruteforce.reference_greedy_map(mat)
+        factor = rng.normal(size=(n, n))  # eigenvalues above 1 are possible, so picks happen
+        assert dpp.greedy_map(factor) == bruteforce.reference_greedy_map(factor)
 
 
 def test_greedy_fill_stops_at_kernel_rank():
@@ -160,21 +159,31 @@ def test_greedy_fill_stops_at_kernel_rank():
     assert picks == bruteforce.reference_greedy_map(kernel, max_size=8, fill=True)
 
 
+def _eigh_factor(mat):
+    """An (N, N) factor F with F^T F = mat for a symmetric PSD, possibly
+    singular, matrix; round-off negative eigenvalues count as 0."""
+    values, vectors = np.linalg.eigh(mat)
+    return np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors.T
+
+
 def test_greedy_factor_rows_match_kernel_matrix():
-    # rows computed from B = phi diag(q) on demand pick what the built N x N
-    # kernel picks, on low-rank (D' < N) and full-rank kernels
+    # a DppKernel's rows, computed from B = phi diag(q) on demand, pick what
+    # other factors of the built N x N kernel pick: an eigh factor on
+    # low-rank (D' < N) kernels, a Cholesky factor on full-rank ones
     rng = np.random.default_rng(12)
     for _ in range(40):
         n = int(rng.integers(2, 30))
         for dim in (int(rng.integers(1, n)), int(rng.integers(n, 2 * n + 1))):
             kernel = DppKernel(phi=rng.normal(size=(dim, n)), q=rng.uniform(0.05, 1.0, size=n))
+            mat = bruteforce.kernel_matrix(kernel)
+            factor = np.linalg.cholesky(mat).T if dim >= n else _eigh_factor(mat)
             for max_size, fill in ((None, False), (n, True), (int(rng.integers(0, n + 1)), True)):
                 picks = dpp.greedy_map(kernel, max_size=max_size, fill=fill)
-                assert picks == dpp.greedy_map(kernel.matrix(), max_size=max_size, fill=fill)
+                assert picks == dpp.greedy_map(factor, max_size=max_size, fill=fill)
 
 
-def test_greedy_on_raw_diagonal_matrix():
-    assert dpp.greedy_map(np.diag([2.0, 0.5])) == [0]
+def test_greedy_on_diagonal_factor():
+    assert dpp.greedy_map(np.sqrt(np.diag([2.0, 0.5]))) == [0]
 
 
 def test_greedy_diagonal_matches_exhaustive():
@@ -211,9 +220,9 @@ def test_greedy_fill_mode_runs_to_max_size():
 
 def test_greedy_rejects_bad_arguments():
     with pytest.raises(ValidationError):
-        dpp.greedy_map(np.zeros((2, 3)))
+        dpp.greedy_map(np.ones(3))
     with pytest.raises(ValidationError):
-        dpp.greedy_map(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        dpp.greedy_map(np.ones((2, 3, 1)))
     with pytest.raises(ValidationError):
         dpp.greedy_map(np.eye(2), max_size=3)
 

@@ -243,7 +243,7 @@ def _per_direction_reference(x, wx, wh, b, grad_hidden):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_lstm_matches_reference_loops(seed):
     rows = bruteforce.check_encoder(trials=40, seed=seed)
-    assert [passed for _, passed, _ in rows] == [True, True], rows
+    assert [passed for _, passed, _ in rows] == [True, True, True], rows
 
 
 def test_fused_lstm_single_step_has_zero_recurrent_gradient():
@@ -295,7 +295,8 @@ def test_encoder_check_fails_on_wrong_gate_order(monkeypatch):
 
     monkeypatch.setattr(encoder, "_lstm_forward", swapped_forward)
     rows = bruteforce.check_encoder(trials=10, seed=0)
-    assert [passed for _, passed, _ in rows] == [False, False], rows
+    # the group row runs the same mutant on both sides, so only the LSTM rows see it
+    assert [passed for _, passed, _ in rows[:2]] == [False, False], rows
 
 
 def _without_time_reversal(fused_forward):
@@ -320,7 +321,73 @@ def _forward_weights_only(fused_forward):
 def test_encoder_check_fails_on_direction_mixups(monkeypatch, mutant):
     monkeypatch.setattr(encoder, "_lstm_forward", mutant(encoder._lstm_forward))
     rows = bruteforce.check_encoder(trials=10, seed=0)
-    assert [passed for _, passed, _ in rows] == [False, False], rows
+    assert [passed for _, passed, _ in rows[:2]] == [False, False], rows
+
+
+def test_encoder_check_fails_when_sequences_read_the_first_columns(monkeypatch):
+    heads = encoder._heads
+
+    def first_columns(params, lstm, cols):  # every sequence reads sequence 0's columns
+        return heads(params, lstm, slice(0, cols.stop - cols.start))
+
+    monkeypatch.setattr(encoder, "_heads", first_columns)
+    rows = bruteforce.check_encoder(trials=10, seed=0)
+    assert [passed for _, passed, _ in rows] == [True, True, False], rows
+
+
+def _shapes(groups):
+    return [[(seq.num_views, seq.num_steps) for seq, _, _ in group] for group in groups]
+
+
+def _items(shapes):
+    return [(MultiViewSequence("s", np.zeros((m, n, 1), dtype=np.float32)), None, ()) for m, n in shapes]
+
+
+def test_groups_split_where_length_changes():
+    shapes = [(1, 5), (2, 5), (1, 7), (1, 7), (3, 7), (1, 5)]
+    groups = encoder._groups(_items(shapes))
+    assert _shapes(groups) == [shapes[:2], shapes[2:5], shapes[5:]]
+
+
+def test_groups_hold_at_most_the_frame_cap():
+    assert encoder._STACK_FRAMES == 2048
+    # 2 x 900 view-frames fit; a third sequence starts a new group
+    assert _shapes(encoder._groups(_items([(3, 300)] * 3))) == [[(3, 300)] * 2, [(3, 300)]]
+    # a sequence over the cap runs alone, and no sequence joins it
+    shapes = [(3, 700), (1, 700), (1, 700), (3, 2000)]
+    assert _shapes(encoder._groups(_items(shapes))) == [[shapes[0]], shapes[1:3], [shapes[3]]]
+    assert encoder._groups([]) == []
+
+
+def test_batch_loss_matches_per_sequence_calls():
+    rng = np.random.default_rng(12)
+    params = init_params(3, hidden_size=4, output_dim=5, seed=2)
+    batch = []
+    for m, n in ((2, 6), (1, 6), (3, 6), (2, 9), (1, 6)):
+        steps = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
+        batch.append((_sequence(rng, m, n, 3), _targets(rng, m, n, steps), steps))
+    for lam in (0.0, 1.0):
+        parts, grad = encoder.batch_loss(params, batch, lam=lam)
+        alone = [loss_and_grad(params, *item, lam=lam) for item in batch]
+        for part, (ref, _) in zip(parts, alone, strict=True):
+            assert part.total == pytest.approx(ref.total, rel=1e-12)
+            assert part.bce == pytest.approx(ref.bce, rel=1e-12)
+        ref_grad = sum(to_vector(g) for _, g in alone)
+        np.testing.assert_allclose(to_vector(grad), ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+        val, none = encoder.batch_loss(params, batch, lam=lam, with_grad=False)
+        assert none is None
+        for part, item in zip(val, batch, strict=True):
+            assert part.total == pytest.approx(evaluate_loss(params, *item, lam=lam).total, rel=1e-12)
+
+
+def test_zero_probability_target_in_a_group_raises_with_rank_hint():
+    rng = np.random.default_rng(5)
+    params = init_params(3, hidden_size=4, output_dim=2, seed=0)
+    first = (_sequence(rng, 1, 6, 3), _targets(rng, 1, 6, (2,)), (2,))
+    second = (_sequence(rng, 1, 6, 3), np.ones((1, 6), dtype=int), tuple(range(6)))
+    assert len(encoder._groups([first, second])) == 1
+    with pytest.raises(NumericError, match="output_dim=2"):
+        encoder.batch_loss(params, [first, second])
 
 
 def test_loss_parts_at_lam_zero():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdpp import evaluation
+from mdpp import bruteforce, evaluation
 from mdpp.data_model import AnnotationSet, MultiViewSequence, ShotList, Summary, SummaryBudget
 from mdpp.errors import ValidationError
 from mdpp.evaluation import (
@@ -80,6 +80,31 @@ def test_tolerant_f1_monotone_in_tau():
         predicted, truth = pick(), pick()
         scores = [tolerant_f1(predicted, truth, seq, float(t)) for t in taus]
         assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
+
+
+def test_report_sweep_equals_reference_loop_bitwise():
+    # criterion 6's tau-sweep fixtures, plus tied and zero features: one pass
+    # per sequence gives the per-tau, per-pair loop's F1 bit for bit
+    rng = np.random.default_rng(20260815 + 5)
+    taus = tuple(float(t) for t in np.linspace(0.0, 1.0, 9))
+    m, n = 3, 10
+    for trial in range(50):
+        feats = rng.normal(size=(m, n, 4)).astype(np.float32)
+        if trial % 5 == 4:
+            feats[1, ::2] = feats[0, ::2]
+            feats[2, 1::3] = 0.0
+        seq = MultiViewSequence(sequence_id="s", features=feats)
+
+        def pick():
+            k = int(rng.integers(1, 7))
+            flat = rng.choice(m * n, size=k, replace=False)
+            return Summary(selections=tuple((int(i) // n, int(i) % n) for i in flat))
+
+        predicted, truth = pick(), pick()
+        report = build_report([("s", predicted, truth, seq)], thresholds=taus)
+        expected = [bruteforce.reference_tolerant_f1(predicted, truth, seq, t) for t in taus]
+        assert [f1 for _, f1 in report.sequences[0].threshold_f1] == expected
+        assert [tolerant_f1(predicted, truth, seq, t) for t in taus] == expected
 
 
 def test_tolerant_f1_rejects_negative_tau():

@@ -3,7 +3,7 @@ import pytest
 
 from mdpp import training
 from mdpp.data_model import MultiViewSequence, Summary
-from mdpp.encoder import init_params, to_vector
+from mdpp.encoder import init_params, loss_and_grad, to_vector
 from mdpp.errors import ConfigError, NumericError, ValidationError
 from mdpp.training import (
     AdamState,
@@ -133,6 +133,26 @@ def test_train_runs_and_is_deterministic():
     rerun = train(initial, _collections(), plan, config)
     np.testing.assert_array_equal(to_vector(result.params), to_vector(rerun.params))
     assert [e.val_loss for e in rerun.history] == [e.val_loss for e in result.history]
+
+
+def test_batch_loss_is_the_mean_over_examples():
+    # the batch runs in stacked groups; its loss and gradient stay the
+    # per-example means
+    rng = np.random.default_rng(3)
+    examples = [_example(rng) for _ in range(5)]
+    params = init_params(4, hidden_size=3, output_dim=4, seed=1)
+    config = TrainConfig(lam=0.5)
+    loss, grad = training._batch_loss_and_grad(params, examples, config)
+    alone = [
+        loss_and_grad(params, ex.sequence, ex.target_views, ex.target_steps, lam=0.5)
+        for ex in examples
+    ]
+    assert loss.total == pytest.approx(np.mean([p.total for p, _ in alone]), rel=1e-12)
+    assert loss.dpp_nll == pytest.approx(np.mean([p.dpp_nll for p, _ in alone]), rel=1e-12)
+    mean_grad = np.mean([to_vector(g) for _, g in alone], axis=0)
+    np.testing.assert_allclose(grad, mean_grad, rtol=0, atol=1e-12 * np.abs(mean_grad).max())
+    val = training._val_loss(params, examples, config)
+    assert val.total == pytest.approx(loss.total, rel=1e-12)
 
 
 def test_train_history_records_loss_parts():
