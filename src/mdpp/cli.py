@@ -234,9 +234,7 @@ def _cmd_oracle(args):
     sequence = io.read_feature_file(args.features)
     annotations = io.read_annotations(args.annotations, sequence)
     shots = _per_view_shots(sequence, args.max_segments, args.penalty)
-    summary = evaluation.oracle_summary(
-        annotations, shots, _budget(args), num_views=sequence.num_views
-    )
+    summary = evaluation.oracle_summary(annotations, shots, _budget(args))
     io.write_summary(summary, args.out)
     print(f"oracle selected {len(summary.selections)} frames -> {args.out}")
     _write_manifest(args, [args.features, args.annotations], [args.out], started,

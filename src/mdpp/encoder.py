@@ -14,12 +14,14 @@ the number of views or time-steps.
 
 The two LSTM directions run in one stacked time loop, so each Python step
 does little numpy work for both: loop step t is time t for the forward
-direction and time N - 1 - t for the reverse one, and their weights are
-stacked on a leading axis of 2. Forward: X Wx^T + b for all steps and both
-directions is one batched product straight into the gate cache; a step adds
-h_{t-1} Wh^T for both directions in one batched product and takes one tanh
-over the (2, M, 4H) block, the i, f and o rows having been pre-scaled by 1/2
-so that sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent
+direction and time N - 1 - t for the reverse one. ``ModelParams`` stores
+their weights stacked on a leading axis of 2, the layout the loops read and
+write, so neither the forward nor the gradient converts them. Forward:
+X Wx^T + b for all steps and both directions is one batched product
+straight into the gate cache; a step adds h_{t-1} Wh^T for both directions
+in one batched product and takes one tanh over the (2, M, 4H) block, the
+i, f and o rows having been pre-scaled by 1/2 so that
+sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent
 factors of dz are computed for all steps at once over the gate cache, one
 loop turns each step's block into dz in place for both directions, and the
 weight gradients are per-direction products after the loop. The backward
@@ -56,8 +58,7 @@ from .multi_dpp import ViewStreams
 _STACK_FRAMES = 2048
 
 PARAM_FIELDS = (
-    "wx_f", "wh_f", "b_f",
-    "wx_b", "wh_b", "b_b",
+    "lstm_wx", "lstm_wh", "lstm_b",
     "feat_w1", "feat_b1", "feat_w2", "feat_b2",
     "qual_w1", "qual_b1", "qual_w2", "qual_b2",
 )
@@ -67,20 +68,19 @@ PARAM_FIELDS = (
 class ModelParams:
     """All trainable weights. Both heads use a hidden layer of width H.
 
-    LSTM gate blocks are ordered (input, forget, cell, output) along the 4H
-    axis; ``_f``/``_b`` are the forward and reverse time directions.
+    The LSTM weights ``lstm_wx`` (2, 4H, D), ``lstm_wh`` (2, 4H, H) and
+    ``lstm_b`` (2, 4H) stack the two time directions: index 0 is the forward
+    direction, index 1 the reverse one. Gate blocks are ordered (input,
+    forget, cell, output) along the 4H axis.
     """
 
     input_dim: int
     hidden_size: int
     output_dim: int
     seed: int
-    wx_f: np.ndarray
-    wh_f: np.ndarray
-    b_f: np.ndarray
-    wx_b: np.ndarray
-    wh_b: np.ndarray
-    b_b: np.ndarray
+    lstm_wx: np.ndarray
+    lstm_wh: np.ndarray
+    lstm_b: np.ndarray
     feat_w1: np.ndarray
     feat_b1: np.ndarray
     feat_w2: np.ndarray
@@ -94,8 +94,7 @@ class ModelParams:
         d, h, dp = self.input_dim, self.hidden_size, self.output_dim
         s = d + 2 * h
         expected = {
-            "wx_f": (4 * h, d), "wh_f": (4 * h, h), "b_f": (4 * h,),
-            "wx_b": (4 * h, d), "wh_b": (4 * h, h), "b_b": (4 * h,),
+            "lstm_wx": (2, 4 * h, d), "lstm_wh": (2, 4 * h, h), "lstm_b": (2, 4 * h),
             "feat_w1": (h, s), "feat_b1": (h,), "feat_w2": (dp, h), "feat_b2": (dp,),
             "qual_w1": (h, s), "qual_b1": (h,), "qual_w2": (1, h), "qual_b2": (1,),
         }
@@ -133,7 +132,9 @@ def init_params(
 
     Every tensor of an affine map is drawn from U(-1/sqrt(fan_in),
     1/sqrt(fan_in)) where fan_in is that map's input width (D + H for the
-    LSTM gates; D + 2H and H for the two head layers).
+    LSTM gates; D + 2H and H for the two head layers). The LSTM tensors are
+    drawn one direction at a time (forward Wx, Wh, b, then reverse) and
+    stacked afterwards.
     """
     if min(input_dim, hidden_size, output_dim) < 1:
         raise ConfigError(
@@ -147,10 +148,12 @@ def init_params(
         return rng.uniform(-bound, bound, size=shape)
 
     s = d + 2 * h
+    shapes = ((4 * h, d), (4 * h, h), (4 * h,))
+    directions = [[draw(shape, d + h) for shape in shapes] for _ in range(2)]
+    lstm_wx, lstm_wh, lstm_b = (np.stack(pair) for pair in zip(*directions))
     return ModelParams(
         input_dim=d, hidden_size=h, output_dim=dp, seed=seed,
-        wx_f=draw((4 * h, d), d + h), wh_f=draw((4 * h, h), d + h), b_f=draw((4 * h,), d + h),
-        wx_b=draw((4 * h, d), d + h), wh_b=draw((4 * h, h), d + h), b_b=draw((4 * h,), d + h),
+        lstm_wx=lstm_wx, lstm_wh=lstm_wh, lstm_b=lstm_b,
         feat_w1=draw((h, s), s), feat_b1=draw((h,), s),
         feat_w2=draw((dp, h), h), feat_b2=draw((dp,), h),
         qual_w1=draw((h, s), s), qual_b1=draw((h,), s),
@@ -312,12 +315,10 @@ class ForwardTrace:
     the loss path owns it.
     """
 
-    params: ModelParams
     spatiotemporal: np.ndarray
     feat_hidden: np.ndarray
     feat_norms: np.ndarray
     qual_hidden: np.ndarray
-    logits: np.ndarray
     quality_raw: np.ndarray
     streams: ViewStreams
 
@@ -329,19 +330,12 @@ def _check_input_dim(params: ModelParams, sequence: MultiViewSequence) -> None:
         )
 
 
-def _lstm_weights(params: ModelParams):
-    """(wx, wh, b) with the two directions stacked on a leading axis."""
-    return (
-        np.stack((params.wx_f, params.wx_b)),
-        np.stack((params.wh_f, params.wh_b)),
-        np.stack((params.b_f, params.b_b)),
-    )
-
-
 def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
     """Apply the shared encoder to every view of a sequence."""
     _check_input_dim(params, sequence)
-    lstm = _lstm_forward(sequence.features.astype(np.float64), *_lstm_weights(params))
+    lstm = _lstm_forward(
+        sequence.features.astype(np.float64), params.lstm_wx, params.lstm_wh, params.lstm_b
+    )
     return _heads(params, lstm, slice(None))
 
 
@@ -374,10 +368,8 @@ def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
         features=features, quality=np.clip(quality_raw, dpp.QUALITY_FLOOR, 1.0)
     )
     return ForwardTrace(
-        params=params, spatiotemporal=spatio,
-        feat_hidden=feat_hidden, feat_norms=norms,
-        qual_hidden=qual_hidden, logits=logits, quality_raw=quality_raw,
-        streams=streams,
+        spatiotemporal=spatio, feat_hidden=feat_hidden, feat_norms=norms,
+        qual_hidden=qual_hidden, quality_raw=quality_raw, streams=streams,
     )
 
 
@@ -388,7 +380,9 @@ class LossParts:
     dpp_nll: float
 
 
-def _check_targets(sequence, target_views, target_steps):
+def _check_targets(sequence, target_views):
+    """Validate a binary (M, N) target mask; return it as floats and the
+    sorted steps some view selects."""
     y = np.asarray(target_views)
     if y.shape != (sequence.num_views, sequence.num_steps):
         raise ValidationError(
@@ -397,13 +391,8 @@ def _check_targets(sequence, target_views, target_steps):
         )
     if not np.isin(y, (0, 1)).all():
         raise ValidationError("target_views must be binary")
-    steps = {int(t) for t in target_steps}
-    derived = {int(t) for t in np.flatnonzero(y.any(axis=0))}
-    if steps != derived:
-        raise ValidationError(
-            f"target_steps {sorted(steps)} inconsistent with target_views {sorted(derived)}"
-        )
-    return y.astype(np.float64), sorted(steps)
+    steps = sorted({int(t) for t in np.flatnonzero(y.any(axis=0))})
+    return y.astype(np.float64), steps
 
 
 def _bce_terms(y, quality_raw, num_views):
@@ -417,41 +406,42 @@ def evaluate_loss(
     params: ModelParams,
     sequence: MultiViewSequence,
     target_views,
-    target_steps,
+    *,
     lam: float = 1.0,
 ) -> LossParts:
     """Forward-only loss, for validation passes: the no-gradient branch of
     the path ``loss_and_grad`` takes. The DPP term is evaluated even at
     lam = 0; a target subset the joint kernel cannot produce gives
     ``dpp_nll = +inf``."""
-    return _loss(params, [(sequence, target_views, target_steps)], lam, None)[0]
+    return _loss(params, [(sequence, target_views)], lam, None)[0]
 
 
 def loss_and_grad(
     params: ModelParams,
     sequence: MultiViewSequence,
     target_views,
-    target_steps,
+    *,
     lam: float = 1.0,
 ) -> tuple[LossParts, ModelParams]:
     """Joint loss (binary cross-entropy + lam * joint-DPP negative
     log-likelihood), split into its parts, and its exact gradient in a
-    ModelParams-shaped bundle. At lam = 0 the joint kernel is never built
-    and ``dpp_nll`` is nan; a target subset of zero probability raises
-    NumericError."""
+    ModelParams-shaped bundle. ``target_views`` is the binary (M, N) mask of
+    selected (view, step) pairs; the DPP target is the steps some view
+    selects. At lam = 0 the joint kernel is never built and ``dpp_nll`` is
+    nan; a target subset of zero probability raises NumericError."""
     grads = _zero_grads(params)
-    parts = _loss(params, [(sequence, target_views, target_steps)], lam, grads)
+    parts = _loss(params, [(sequence, target_views)], lam, grads)
     return parts[0], _grad_params(params, grads)
 
 
 def batch_loss(
     params: ModelParams, batch, lam: float = 1.0, with_grad: bool = True
 ) -> tuple[list[LossParts], ModelParams | None]:
-    """Loss parts of every (sequence, target_views, target_steps) in
-    ``batch``, in order, and the gradient of their sum (None without
-    ``with_grad``). Each item's parts and gradient are those of
-    ``loss_and_grad`` / ``evaluate_loss``; the batch runs in the groups of
-    ``_groups``, one LSTM time loop per group."""
+    """Loss parts of every (sequence, target_views) in ``batch``, in order,
+    and the gradient of their sum (None without ``with_grad``). Each item's
+    parts and gradient are those of ``loss_and_grad`` / ``evaluate_loss``;
+    the batch runs in the groups of ``_groups``, one LSTM time loop per
+    group."""
     grads = _zero_grads(params) if with_grad else None
     parts = []
     for group in _groups(batch):
@@ -493,9 +483,9 @@ def _grad_params(params: ModelParams, grads: dict) -> ModelParams:
 
 
 def _loss(params, group, lam, grads):
-    """The one loss path, over a group of (sequence, target_views,
-    target_steps) of equal N: returns each sequence's LossParts and, when
-    ``grads`` is a dict of arrays, adds the gradient of their sum to it.
+    """The one loss path, over a group of (sequence, target_views) of equal
+    N: returns each sequence's LossParts and, when ``grads`` is a dict of
+    arrays, adds the gradient of their sum to it.
 
     The views of all the group's sequences ride the batch axis of one LSTM
     forward and one backward. In between, each sequence in turn runs the
@@ -506,12 +496,12 @@ def _loss(params, group, lam, grads):
     with the heads' forward arrays.
     """
     checked = []
-    for sequence, target_views, target_steps in group:
+    for sequence, target_views in group:
         _check_input_dim(params, sequence)
-        checked.append((sequence, *_check_targets(sequence, target_views, target_steps)))
-    wx, wh, b = _lstm_weights(params)
+        checked.append((sequence, *_check_targets(sequence, target_views)))
     lstm = _lstm_forward(
-        np.concatenate([seq.features for seq, _, _ in checked], dtype=np.float64), wx, wh, b
+        np.concatenate([seq.features for seq, _, _ in checked], dtype=np.float64),
+        params.lstm_wx, params.lstm_wh, params.lstm_b,
     )
     n, _, batch_views, _ = lstm["hidden"].shape
     d, h = params.input_dim, params.hidden_size
@@ -535,10 +525,10 @@ def _loss(params, group, lam, grads):
         del dspatio
     if grads is None:
         return parts
-    dwx, dwh, db = _lstm_backward(lstm, wh, grad_hidden)
-    for names, grad in ((("wx_f", "wx_b"), dwx), (("wh_f", "wh_b"), dwh), (("b_f", "b_b"), db)):
-        grads[names[0]] += grad[0]
-        grads[names[1]] += grad[1]
+    for name, grad in zip(
+        ("lstm_wx", "lstm_wh", "lstm_b"), _lstm_backward(lstm, params.lstm_wh, grad_hidden)
+    ):
+        grads[name] += grad
     return parts
 
 

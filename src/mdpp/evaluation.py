@@ -13,6 +13,7 @@ of its sweep; ``bruteforce.reference_tolerant_f1`` is the per-pair loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -123,25 +124,15 @@ def pairwise_consensus(annotations: AnnotationSet) -> float:
     return float(np.mean(scores))
 
 
-def _shot_lists_per_view(shots, num_views: int) -> list[ShotList]:
-    if isinstance(shots, ShotList):
-        return [shots] * num_views
-    lists = list(shots)
-    if len(lists) != num_views:
-        raise ValidationError(f"{len(lists)} shot lists for {num_views} views")
-    return lists
-
-
 def oracle_summary(
     annotations: AnnotationSet,
-    shots,
+    shots: Sequence[ShotList],
     budget: SummaryBudget = SummaryBudget(),
-    num_views: int | None = None,
 ) -> Summary:
     """Greedy shot selection maximizing mean F1 against the users.
 
-    ``shots`` is one ShotList shared by every view or a per-view sequence of
-    them. Starting empty, the (shot, view) pair with the largest strictly
+    ``shots`` holds one ShotList per view, so its length is the number of
+    views. Starting empty, the (shot, view) pair with the largest strictly
     positive gain in mean F1 is added; pairs that would exceed the frame
     budget are skipped; ties prefer the smallest (shot, view).
     """
@@ -152,12 +143,8 @@ def oracle_summary(
     if any(not s for s in user_sets):
         raise ValidationError("oracle needs every user to have selections")
 
-    if num_views is None:
-        if isinstance(shots, ShotList):
-            num_views = 1 + max((v for s in user_sets for v, _ in s), default=0)
-        else:
-            num_views = len(list(shots))
-    shot_lists = _shot_lists_per_view(shots, num_views)
+    shot_lists = list(shots)
+    num_views = len(shot_lists)
     num_steps = shot_lists[0].num_steps
     budget_frames = budget.frame_budget(num_steps)
 

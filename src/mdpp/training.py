@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io
 from .data_model import MultiViewSequence, Summary
-from .encoder import LossParts, ModelParams, batch_loss, from_vector, to_vector
-from .errors import ConfigError, NumericError, ValidationError
+from .encoder import PARAM_FIELDS, LossParts, ModelParams, batch_loss, from_vector, to_vector
+from .errors import ConfigError, FormatError, NumericError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,11 @@ def adam_step(
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One sequence with its supervision targets."""
+    """One sequence with its supervision targets: the binary (M, N) mask of
+    selected (view, step) pairs."""
 
     sequence: MultiViewSequence
     target_views: np.ndarray
-    target_steps: tuple[int, ...]
 
     def __post_init__(self):
         y = np.asarray(self.target_views, dtype=np.uint8)
@@ -92,19 +92,12 @@ class TrainingExample:
             )
         y.flags.writeable = False
         object.__setattr__(self, "target_views", y)
-        derived = tuple(int(t) for t in np.flatnonzero(y.any(axis=0)))
-        if tuple(self.target_steps) != derived:
-            raise ValidationError(
-                f"target_steps {self.target_steps} inconsistent with target_views {derived}"
-            )
-        object.__setattr__(self, "target_steps", derived)
 
 
 def targets_from_summary(sequence: MultiViewSequence, summary: Summary) -> TrainingExample:
     """Turn a reference summary's (view, step) pairs into training targets."""
     mask = summary.frame_mask(sequence.num_views, sequence.num_steps)
-    steps = tuple(int(t) for t in np.flatnonzero(mask.any(axis=0)))
-    return TrainingExample(sequence=sequence, target_views=mask, target_steps=steps)
+    return TrainingExample(sequence=sequence, target_views=mask)
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,7 @@ def _mean_parts(parts: Sequence[LossParts]) -> LossParts:
 
 
 def _items(examples):
-    return [(ex.sequence, ex.target_views, ex.target_steps) for ex in examples]
+    return [(ex.sequence, ex.target_views) for ex in examples]
 
 
 def _batch_loss_and_grad(params, examples, config):
@@ -257,6 +250,13 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     doc, blocks = io.read_checkpoint(path)
+    missing = [name for name in PARAM_FIELDS if name not in blocks]
+    unexpected = [name for name in blocks if name not in PARAM_FIELDS]
+    if missing or unexpected:
+        raise FormatError(
+            f"{path}: checkpoint arrays do not match the model: "
+            f"missing {missing}, unexpected {unexpected}"
+        )
     params = ModelParams(
         input_dim=int(doc["input_dim"]),
         hidden_size=int(doc["hidden_size"]),

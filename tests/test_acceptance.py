@@ -93,17 +93,16 @@ def test_criterion_3_gradient_fidelity(capsys):
     )
     y = np.zeros((2, 6), dtype=np.uint8)
     y[0, 1] = y[1, 1] = y[1, 4] = 1
-    steps = (1, 4)
 
-    _, grad_joint = loss_and_grad(params, seq, y, steps, lam=1.0)
-    _, grad_bce = loss_and_grad(params, seq, y, steps, lam=0.0)
+    _, grad_joint = loss_and_grad(params, seq, y, lam=1.0)
+    _, grad_bce = loss_and_grad(params, seq, y, lam=0.0)
     joint_vec, bce_vec = to_vector(grad_joint), to_vector(grad_bce)
     dpp_vec = joint_vec - bce_vec
 
     losses = {
-        "bce": (lambda p: evaluate_loss(p, seq, y, steps, lam=0.0).total, bce_vec),
-        "dpp": (lambda p: evaluate_loss(p, seq, y, steps, lam=1.0).dpp_nll, dpp_vec),
-        "joint": (lambda p: evaluate_loss(p, seq, y, steps, lam=1.0).total, joint_vec),
+        "bce": (lambda p: evaluate_loss(p, seq, y, lam=0.0).total, bce_vec),
+        "dpp": (lambda p: evaluate_loss(p, seq, y, lam=1.0).dpp_nll, dpp_vec),
+        "joint": (lambda p: evaluate_loss(p, seq, y, lam=1.0).total, joint_vec),
     }
     h = 1e-5
     vec = to_vector(params)
@@ -136,7 +135,7 @@ def test_criterion_4_parameter_count_invariance(capsys):
         y = np.zeros((m, 5), dtype=np.uint8)
         y[:, 1] = 1
         y[0, 3] = 1
-        _, grad = loss_and_grad(params, seq, y, (1, 3), lam=1.0)
+        _, grad = loss_and_grad(params, seq, y, lam=1.0)
         counts[m] = grad.count()
     ok = set(counts.values()) == {param_count(d, hidden, dprime)} == {372}
     _report(capsys, 4, "parameter count identical for M in {1,2,3,5}",
@@ -179,9 +178,7 @@ def test_criterion_5_exactness_oracles(capsys):
         )
         annotations = AnnotationSet(sequence_id="s", stage=3, users=users)
         shots = [ShotList(boundaries=tuple(range(1, n + 1)))] * m
-        summary = oracle_summary(
-            annotations, shots, SummaryBudget(fraction=1.0 / n), num_views=m
-        )
+        summary = oracle_summary(annotations, shots, SummaryBudget(fraction=1.0 / n))
         user_sets = [set(sels) for _, sels in users]
 
         def mean_f1(frames):

@@ -245,6 +245,35 @@ def test_numeric_failure_exits_2(tmp_path):
                 "--out", str(tmp_path / "s.summary.json")]) == 2
 
 
+@pytest.mark.parametrize("layout", ["missing", "per_direction"])
+def test_checkpoint_with_other_arrays_exits_1(tmp_path, capsys, layout):
+    # a checkpoint whose array names differ from the model's is a FormatError
+    from mdpp.encoder import init_params
+
+    features, _ = _synth(tmp_path, "a", seed=5)
+    blocks = init_params(8, hidden_size=3, output_dim=4, seed=0).named_arrays()
+    if layout == "missing":
+        blocks = [(name, arr) for name, arr in blocks if name != "lstm_b"]
+    else:  # the per-direction names written before the LSTM tensors were stacked
+        lstm = dict(blocks[:3])
+        blocks = [
+            (f"{name}_{tag}", lstm[f"lstm_{name}"][k])
+            for k, tag in enumerate("fb")
+            for name in ("wx", "wh", "b")
+        ] + blocks[3:]
+    ckpt = tmp_path / "model.ckpt"
+    io.write_checkpoint(ckpt, {"input_dim": 8, "hidden_size": 3, "output_dim": 4}, blocks)
+    capsys.readouterr()
+    assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "s.summary.json")]) == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err
+    if layout == "missing":
+        assert "missing ['lstm_b'], unexpected []" in err
+    else:
+        assert "missing ['lstm_wx', 'lstm_wh', 'lstm_b']" in err and "'b_b'" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "mdpp.cli", "check", "knapsack", "--trials", "2"],

@@ -43,7 +43,7 @@ def test_param_count_independent_of_views():
     for m in (1, 2, 3):
         seq = _sequence(rng, m, 5, 3)
         y = _targets(rng, m, 5, (1, 3))
-        _, grad = loss_and_grad(params, seq, y, (1, 3))
+        _, grad = loss_and_grad(params, seq, y)
         counts.add(grad.count())
     assert counts == {372}
 
@@ -57,13 +57,30 @@ def test_init_is_deterministic_and_bounded():
 
     d, h, s = 3, 4, 3 + 2 * 4
     fan_in = {
-        "wx_f": d + h, "wh_f": d + h, "b_f": d + h,
-        "wx_b": d + h, "wh_b": d + h, "b_b": d + h,
+        "lstm_wx": d + h, "lstm_wh": d + h, "lstm_b": d + h,
         "feat_w1": s, "feat_b1": s, "feat_w2": h, "feat_b2": h,
         "qual_w1": s, "qual_b1": s, "qual_w2": h, "qual_b2": h,
     }
     for name, arr in a.named_arrays():
         assert np.abs(arr).max() <= 1.0 / np.sqrt(fan_in[name])
+
+
+def test_init_draw_order():
+    # the LSTM tensors are drawn one direction at a time (Wx, Wh, b), then
+    # the heads; changing the order changes every seed's initial weights
+    d, h, dp = 3, 4, 5
+    params = init_params(d, hidden_size=h, output_dim=dp, seed=11)
+    rng = np.random.default_rng(11)
+    s = d + 2 * h
+    expected = [
+        (params.lstm_wx[0], d + h), (params.lstm_wh[0], d + h), (params.lstm_b[0], d + h),
+        (params.lstm_wx[1], d + h), (params.lstm_wh[1], d + h), (params.lstm_b[1], d + h),
+        (params.feat_w1, s), (params.feat_b1, s), (params.feat_w2, h), (params.feat_b2, h),
+        (params.qual_w1, s), (params.qual_b1, s), (params.qual_w2, h), (params.qual_b2, h),
+    ]
+    for arr, fan_in in expected:
+        bound = 1.0 / np.sqrt(fan_in)
+        np.testing.assert_array_equal(arr, rng.uniform(-bound, bound, size=arr.shape))
 
 
 def test_init_rejects_bad_dimensions():
@@ -85,7 +102,7 @@ def test_vector_roundtrip():
 def test_params_shape_validation():
     params = init_params(2, hidden_size=3, output_dim=2)
     values = dict(params.named_arrays())
-    values["b_f"] = np.zeros(5)
+    values["lstm_b"] = np.zeros((2, 5))
     with pytest.raises(ShapeError):
         ModelParams(input_dim=2, hidden_size=3, output_dim=2, seed=0, **values)
 
@@ -130,15 +147,18 @@ def test_target_validation():
     params = init_params(3, hidden_size=4, output_dim=4)
     seq = _sequence(rng, 2, 5, 3)
     with pytest.raises(ValidationError):
-        loss_and_grad(params, seq, np.zeros((2, 4), dtype=int), ())
+        loss_and_grad(params, seq, np.zeros((2, 4), dtype=int))
     bad = np.zeros((2, 5), dtype=int)
     bad[0, 1] = 2
     with pytest.raises(ValidationError):
-        loss_and_grad(params, seq, bad, (1,))
+        loss_and_grad(params, seq, bad)
     y = np.zeros((2, 5), dtype=int)
     y[0, 1] = 1
-    with pytest.raises(ValidationError):
-        loss_and_grad(params, seq, y, (1, 2))
+    # lam is keyword-only: a positional step list is not read as lam
+    with pytest.raises(TypeError):
+        loss_and_grad(params, seq, y, (1,))
+    with pytest.raises(TypeError):
+        evaluate_loss(params, seq, y, (1,))
 
 
 def test_loss_matches_evaluate_loss():
@@ -147,8 +167,8 @@ def test_loss_matches_evaluate_loss():
     seq = _sequence(rng, 2, 6, 3)
     y = _targets(rng, 2, 6, (0, 4))
     for lam in (0.0, 1.0, 0.5):
-        loss, _ = loss_and_grad(params, seq, y, (0, 4), lam=lam)
-        parts = evaluate_loss(params, seq, y, (0, 4), lam=lam)
+        loss, _ = loss_and_grad(params, seq, y, lam=lam)
+        parts = evaluate_loss(params, seq, y, lam=lam)
         assert loss.total == pytest.approx(parts.total, rel=1e-12)
         assert parts.total == pytest.approx(parts.bce + lam * parts.dpp_nll, rel=1e-12)
 
@@ -159,11 +179,11 @@ def test_zero_probability_target_raises():
     seq = _sequence(rng, 1, 6, 3)
     y = np.ones((1, 6), dtype=int)  # 6 target steps, rank at most output_dim=2
     with pytest.raises(NumericError):
-        loss_and_grad(params, seq, y, tuple(range(6)))
+        loss_and_grad(params, seq, y)
 
 
-def _max_rel_err(params, seq, y, steps, h=1e-5, **loss_kwargs):
-    _, grad = loss_and_grad(params, seq, y, steps, **loss_kwargs)
+def _max_rel_err(params, seq, y, h=1e-5, **loss_kwargs):
+    _, grad = loss_and_grad(params, seq, y, **loss_kwargs)
     gvec = to_vector(grad)
     vec = to_vector(params)
     worst = 0.0
@@ -171,8 +191,8 @@ def _max_rel_err(params, seq, y, steps, h=1e-5, **loss_kwargs):
         plus, minus = vec.copy(), vec.copy()
         plus[i] += h
         minus[i] -= h
-        lp = evaluate_loss(from_vector(params, plus), seq, y, steps, **loss_kwargs).total
-        lm = evaluate_loss(from_vector(params, minus), seq, y, steps, **loss_kwargs).total
+        lp = evaluate_loss(from_vector(params, plus), seq, y, **loss_kwargs).total
+        lm = evaluate_loss(from_vector(params, minus), seq, y, **loss_kwargs).total
         fd = (lp - lm) / (2 * h)
         worst = max(worst, abs(fd - gvec[i]) / max(abs(fd), abs(gvec[i]), 1e-3))
     return worst
@@ -183,8 +203,8 @@ def test_gradients_match_finite_differences():
     params = init_params(3, hidden_size=4, output_dim=3, seed=0)
     seq = _sequence(rng, 2, 6, 3)
     y = _targets(rng, 2, 6, (1, 4))
-    assert _max_rel_err(params, seq, y, (1, 4), lam=1.0) < 1e-4
-    assert _max_rel_err(params, seq, y, (1, 4), lam=0.0) < 1e-4
+    assert _max_rel_err(params, seq, y, lam=1.0) < 1e-4
+    assert _max_rel_err(params, seq, y, lam=0.0) < 1e-4
 
 
 def _stacked_weights(rng, d, h, scale):
@@ -336,11 +356,11 @@ def test_encoder_check_fails_when_sequences_read_the_first_columns(monkeypatch):
 
 
 def _shapes(groups):
-    return [[(seq.num_views, seq.num_steps) for seq, _, _ in group] for group in groups]
+    return [[(seq.num_views, seq.num_steps) for seq, _ in group] for group in groups]
 
 
 def _items(shapes):
-    return [(MultiViewSequence("s", np.zeros((m, n, 1), dtype=np.float32)), None, ()) for m, n in shapes]
+    return [(MultiViewSequence("s", np.zeros((m, n, 1), dtype=np.float32)), None) for m, n in shapes]
 
 
 def test_groups_split_where_length_changes():
@@ -365,7 +385,7 @@ def test_batch_loss_matches_per_sequence_calls():
     batch = []
     for m, n in ((2, 6), (1, 6), (3, 6), (2, 9), (1, 6)):
         steps = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
-        batch.append((_sequence(rng, m, n, 3), _targets(rng, m, n, steps), steps))
+        batch.append((_sequence(rng, m, n, 3), _targets(rng, m, n, steps)))
     for lam in (0.0, 1.0):
         parts, grad = encoder.batch_loss(params, batch, lam=lam)
         alone = [loss_and_grad(params, *item, lam=lam) for item in batch]
@@ -383,8 +403,8 @@ def test_batch_loss_matches_per_sequence_calls():
 def test_zero_probability_target_in_a_group_raises_with_rank_hint():
     rng = np.random.default_rng(5)
     params = init_params(3, hidden_size=4, output_dim=2, seed=0)
-    first = (_sequence(rng, 1, 6, 3), _targets(rng, 1, 6, (2,)), (2,))
-    second = (_sequence(rng, 1, 6, 3), np.ones((1, 6), dtype=int), tuple(range(6)))
+    first = (_sequence(rng, 1, 6, 3), _targets(rng, 1, 6, (2,)))
+    second = (_sequence(rng, 1, 6, 3), np.ones((1, 6), dtype=int))
     assert len(encoder._groups([first, second])) == 1
     with pytest.raises(NumericError, match="output_dim=2"):
         encoder.batch_loss(params, [first, second])
@@ -396,11 +416,11 @@ def test_loss_parts_at_lam_zero():
     params = init_params(3, hidden_size=4, output_dim=4, seed=3)
     seq = _sequence(rng, 2, 6, 3)
     y = _targets(rng, 2, 6, (1, 4))
-    parts, _ = loss_and_grad(params, seq, y, (1, 4), lam=0.0)
+    parts, _ = loss_and_grad(params, seq, y, lam=0.0)
     assert np.isnan(parts.dpp_nll) and parts.total == parts.bce
-    val = evaluate_loss(params, seq, y, (1, 4), lam=0.0)
+    val = evaluate_loss(params, seq, y, lam=0.0)
     assert np.isfinite(val.dpp_nll) and val.total == val.bce == parts.bce
-    joint, _ = loss_and_grad(params, seq, y, (1, 4), lam=1.0)
+    joint, _ = loss_and_grad(params, seq, y, lam=1.0)
     assert joint.dpp_nll == pytest.approx(val.dpp_nll, rel=1e-12)
 
 
@@ -409,8 +429,8 @@ def test_evaluate_loss_gives_inf_for_zero_probability_target():
     params = init_params(3, hidden_size=4, output_dim=2, seed=0)
     seq = _sequence(rng, 1, 6, 3)
     y = np.ones((1, 6), dtype=int)  # 6 target steps, rank at most output_dim=2
-    parts = evaluate_loss(params, seq, y, tuple(range(6)))
+    parts = evaluate_loss(params, seq, y)
     assert parts.dpp_nll == np.inf and parts.total == np.inf
     with pytest.raises(NumericError, match="output_dim=2"):
-        loss_and_grad(params, seq, y, tuple(range(6)))
+        loss_and_grad(params, seq, y)
 

@@ -153,7 +153,7 @@ def test_oracle_budget_one_matches_exhaustive():
         annotations = AnnotationSet(sequence_id="s", stage=3, users=users)
         shots = [_unit_shots(n)] * m
         budget = SummaryBudget(fraction=1.0 / n)  # exactly one frame
-        summary = oracle_summary(annotations, shots, budget, num_views=m)
+        summary = oracle_summary(annotations, shots, budget)
 
         user_sets = [set(sels) for _, sels in users]
         def mean_f1(frames):
@@ -168,8 +168,8 @@ def test_oracle_budget_one_matches_exhaustive():
 
 def test_oracle_skips_over_budget_shots():
     annotations = AnnotationSet(sequence_id="s", stage=3, users=(("u", ((0, 0),)),))
-    shots = ShotList(boundaries=(5,))  # single 5-frame shot, budget is 1 frame
-    summary = oracle_summary(annotations, shots, SummaryBudget(fraction=0.2), num_views=1)
+    shots = [ShotList(boundaries=(5,))]  # single 5-frame shot, budget is 1 frame
+    summary = oracle_summary(annotations, shots, SummaryBudget(fraction=0.2))
     assert summary.selections == ()
 
 
@@ -179,8 +179,8 @@ def test_oracle_recovers_union_of_users_under_loose_budget():
         ("b", ((0, 5), (0, 6), (0, 7))),
     )
     annotations = AnnotationSet(sequence_id="s", stage=3, users=users)
-    shots = ShotList(boundaries=(3, 5, 8, 10))
-    summary = oracle_summary(annotations, shots, SummaryBudget(fraction=0.8), num_views=1)
+    shots = [ShotList(boundaries=(3, 5, 8, 10))]
+    summary = oracle_summary(annotations, shots, SummaryBudget(fraction=0.8))
     assert summary.selection_set == {(0, t) for t in (0, 1, 2, 5, 6, 7)}
 
 
@@ -188,7 +188,7 @@ def test_oracle_requires_nonempty_users():
     with pytest.raises(ValidationError):
         oracle_summary(
             AnnotationSet(sequence_id="s", stage=3, users=(("a", ()),)),
-            ShotList(boundaries=(4,)),
+            [ShotList(boundaries=(4,))],
         )
 
 

@@ -81,8 +81,7 @@ def _example(rng, m=2, n=8, d=4, steps=(1, 5)):
     y = np.zeros((m, n), dtype=np.uint8)
     for t in steps:
         y[int(rng.integers(m)), t] = 1
-    derived = tuple(int(t) for t in np.flatnonzero(y.any(axis=0)))
-    return TrainingExample(sequence=seq, target_views=y, target_steps=derived)
+    return TrainingExample(sequence=seq, target_views=y)
 
 
 def test_training_example_consistency():
@@ -93,9 +92,9 @@ def test_training_example_consistency():
     y = np.zeros((2, 6), dtype=np.uint8)
     y[0, 2] = 1
     with pytest.raises(ValidationError):
-        TrainingExample(sequence=seq, target_views=y, target_steps=(2, 3))
+        TrainingExample(sequence=seq, target_views=y[:, :5])
     with pytest.raises(ValidationError):
-        TrainingExample(sequence=seq, target_views=y[:, :5], target_steps=(2,))
+        TrainingExample(sequence=seq, target_views=y[:1])
 
 
 def test_targets_from_summary():
@@ -105,7 +104,7 @@ def test_targets_from_summary():
     )
     summary = Summary(selections=((0, 1), (1, 1), (1, 4)))
     ex = targets_from_summary(seq, summary)
-    assert ex.target_steps == (1, 4)
+    assert np.flatnonzero(ex.target_views.any(axis=0)).tolist() == [1, 4]
     assert ex.target_views[0, 1] == 1 and ex.target_views[1, 4] == 1
     assert ex.target_views.sum() == 3
 
@@ -144,7 +143,7 @@ def test_batch_loss_is_the_mean_over_examples():
     config = TrainConfig(lam=0.5)
     loss, grad = training._batch_loss_and_grad(params, examples, config)
     alone = [
-        loss_and_grad(params, ex.sequence, ex.target_views, ex.target_steps, lam=0.5)
+        loss_and_grad(params, ex.sequence, ex.target_views, lam=0.5)
         for ex in examples
     ]
     assert loss.total == pytest.approx(np.mean([p.total for p, _ in alone]), rel=1e-12)
