@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import dpp, encoder, evaluation
+from . import dpp, encoder, evaluation, synth
 from .data_model import MultiViewSequence
 from .dpp import DppKernel
 from .errors import NumericError, ValidationError
@@ -176,7 +176,12 @@ def segment_cost(features, a: int, b: int) -> float:
     x = _as_features(features)
     if not (0 <= a < b <= x.shape[0]):
         raise ValidationError(f"segment [{a}, {b}) is empty or out of range for N={x.shape[0]}")
-    return float(_ScatterTable(x).block_costs(b, b + 1)[0, a])
+    return _direct_scatter(x[a:b])
+
+
+def _direct_scatter(seg: np.ndarray) -> float:
+    centred = seg - seg.sum(axis=0) / len(seg)
+    return float(np.vdot(centred, centred))
 
 
 def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
@@ -195,13 +200,16 @@ def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
 def reference_dp_tables(table, max_parts: int):
     """The KTS tables of ``kts._dp_tables`` filled one (k, end) cell at a
     time, each from the scatter of every segment [start, end) with
-    start >= k - 1. Costs come from one-end blocks of the same
-    ``block_costs`` the fast path reads."""
+    start >= k - 1. Each end's costs are its row of the same
+    ``block_costs(lo, hi)`` grid the fast path reads, since a cell's
+    round-off depends on the block that computed it."""
     n = table.n
     dp = np.full((max_parts + 1, n + 1), np.inf)
     bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
     dp[0][0] = 0.0
-    costs = [None] + [table.block_costs(end, end + 1)[0] for end in range(1, n + 1)]
+    costs = [None]
+    for lo in range(1, n + 1, _BLOCK):
+        costs.extend(table.block_costs(lo, min(lo + _BLOCK, n + 1)))
     for k in range(1, max_parts + 1):
         for end in range(k, n + 1):
             starts = np.arange(k - 1, end)
@@ -432,11 +440,45 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
         ref_dp, ref_bp = reference_dp_tables(table, max_parts)
         if not (np.array_equal(dp, ref_dp) and np.array_equal(bp, ref_bp)):
             tables_ok = False
+    cost_err = max(_block_cost_error(feats) for feats, _ in inputs)
+    config = synth.SynthConfig(num_views=1, num_steps=2000, feature_dim=16, num_events=5,
+                               event_length_min=6, event_length_max=9, seed=seed)
+    for x in (synth.generate(config)[0].view(0), rng.normal(size=(600, 16)) + 50.0):
+        # the first and last end of the first, a middle and the last block
+        n = x.shape[0]
+        los = {1, 1 + (n - 1) // _BLOCK // 2 * _BLOCK, 1 + (n - 1) // _BLOCK * _BLOCK}
+        ends = {e for lo in los for e in (lo, min(lo + _BLOCK - 1, n))}
+        cost_err = max(cost_err, _block_cost_error(x, ends))
     return [
         ("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials"),
         ("KTS tables vs reference loop", tables_ok,
          f"{len(inputs)} inputs, N <= {max(f.shape[0] for f, _ in inputs)}, bitwise dp and bp"),
+        ("KTS cost blocks vs direct scatter", cost_err <= 1e-11,
+         f"{len(inputs)} inputs plus N=2000 synth and N=600 normal + 50 views; "
+         f"max |cost - direct| / prefix energy = {cost_err:.1e}"),
     ]
+
+
+def _block_cost_error(x: np.ndarray, ends=None) -> float:
+    """Largest |cost - direct scatter| over the segments [a, e) ending at
+    each of ``ends`` (default: every end), relative to the energy
+    sum_{t < e} |x_t|^2 of the prefix whose cumulative sums the cost reads.
+    Each cost is read from the ``block_costs`` grid ``_dp_tables`` uses. A
+    nonzero error on an all-zero prefix is inf."""
+    x = _as_features(x)
+    table = _ScatterTable(x)
+    ends = set(range(1, table.n + 1) if ends is None else ends)
+    worst = 0.0
+    for lo in range(1, table.n + 1, _BLOCK):
+        hi = min(lo + _BLOCK, table.n + 1)
+        costs = table.block_costs(lo, hi)
+        for end in sorted(ends.intersection(range(lo, hi))):
+            direct = [_direct_scatter(x[a:end]) for a in range(end)]
+            err = float(np.abs(costs[end - lo, :end] - direct).max())
+            if err:
+                energy = float(np.vdot(x[:end], x[:end]))
+                worst = max(worst, err / energy if energy else math.inf)
+    return worst
 
 
 def _kts_table_inputs(rng: np.random.Generator, trials: int):

@@ -115,9 +115,9 @@ def read_annotations(path, sequence: MultiViewSequence | None = None) -> Annotat
     try:
         annotations = AnnotationSet(
             sequence_id=str(doc["sequence_id"]),
-            stage=int(doc["stage"]),
+            stage=read_index(doc["stage"], f"{path}: stage"),
             users=tuple(
-                (u["user_id"], tuple((v, t) for v, t in u["selections"]))
+                (u["user_id"], _read_selections(u["selections"], path))
                 for u in doc["users"]
             ),
         )
@@ -143,9 +143,12 @@ def write_summary(summary: Summary, path) -> None:
 def read_summary(path, sequence: MultiViewSequence | None = None) -> Summary:
     doc = _load_json(path, "mdpp-summary-1")
     try:
+        budget = doc["budget_fraction"]
+        if isinstance(budget, bool) or not isinstance(budget, (int, float)):
+            raise FormatError(f"{path}: budget_fraction must be a number, got {budget!r}")
         summary = Summary(
-            selections=tuple((v, t) for v, t in doc["selections"]),
-            budget_fraction=float(doc["budget_fraction"]),
+            selections=_read_selections(doc["selections"], path),
+            budget_fraction=float(budget),
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed summary document: {exc}") from exc
@@ -156,6 +159,27 @@ def read_summary(path, sequence: MultiViewSequence | None = None) -> Summary:
                     f"{path}: selection ({v}, {t}) outside sequence shape"
                 )
     return summary
+
+
+def read_index(value, what: str) -> int:
+    """``value`` as a non-negative integer index or size. A bool, a
+    non-integral number or any other type raises FormatError naming
+    ``what``, so a malformed field is never coerced."""
+    if type(value) is not int or value < 0:
+        raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _read_selections(items, path) -> tuple[tuple[int, int], ...]:
+    """A JSON list of [view, t] pairs as a tuple of index pairs."""
+    if not isinstance(items, list):
+        raise FormatError(f"{path}: selections must be a list, got {items!r}")
+    pairs = []
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2:
+            raise FormatError(f"{path}: a selection must be a [view, t] pair, got {item!r}")
+        pairs.append(tuple(read_index(i, f"{path}: selection index") for i in item))
+    return tuple(pairs)
 
 
 def _load_json(path, expected_format: str) -> dict:

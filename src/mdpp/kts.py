@@ -9,15 +9,14 @@ minimizes cost + penalty_coeff * m * (log(N / m) + 1), comparing against
 the single-segment (m = 0) alternative.
 
 The DP runs over blocks of ``_BLOCK`` end frames. Each block computes
-the scatter of every segment ending in it as one (block x starts) array in
-a vectorized pass, then relaxes the segment counts level by level: level
-k - 1 of the block is final before level k reads it. Time stays
-O(N^2 (D + K)); extra memory is O(K N + _BLOCK N) (the K x N tables plus
-one block of costs and one of candidate totals) and a difference temp of
-at most ``_TEMP_FLOATS`` floats; no N x N cost table is ever built.
-``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop, reading
-its costs from one-end blocks of the same ``_ScatterTable.block_costs``,
-and ``mdpp check kts`` requires the two to agree bitwise.
+the scatter of every segment ending in it as one (block x starts) array
+around one matrix product, then relaxes the segment counts level by level:
+level k - 1 of the block is final before level k reads it. Time stays
+O(N^2 (D + K)); extra memory is O(K N + _BLOCK N + N D); no N x N cost
+table is ever built. A cell's round-off depends on its block, so
+``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop but reads
+each end's costs from the same ``_ScatterTable.block_costs`` grid, and
+``mdpp check kts`` requires the two to agree bitwise.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -29,12 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_model import ShotList
 from .errors import ConfigError, DataError, ValidationError
 
 _BLOCK = 64  # end frames per DP block
-_TEMP_FLOATS = 1 << 16  # cap on the (ends, starts, D) difference temp
 
 
 def _as_features(features) -> np.ndarray:
@@ -60,24 +59,23 @@ class _ScatterTable:
     def block_costs(self, lo: int, hi: int) -> np.ndarray:
         """Scatter of every segment [a, e) with end lo <= e < hi and start
         a < hi - 1, as a (hi - lo) x (hi - 1) array; cells with a >= e hold
-        +inf. The (ends, starts, D) difference temp is built in chunks of at
-        most ``_TEMP_FLOATS`` floats, or of one D-vector if D exceeds that."""
-        ends = np.arange(lo, hi)
-        width = hi - 1
-        d = self.sums.shape[1]
-        out = np.empty((hi - lo, width))
-        rows = max(1, min(hi - lo, _TEMP_FLOATS // d))
-        cols = max(1, _TEMP_FLOATS // (rows * d))
-        for r0 in range(0, hi - lo, rows):
-            e = ends[r0 : r0 + rows, None]
-            for c0 in range(0, width, cols):
-                a = np.arange(c0, min(c0 + cols, width))
-                diff = self.sums[e] - self.sums[a]
-                # lengths < 1 only in cells overwritten with inf below
-                mean_part = np.einsum("ead,ead->ea", diff, diff) / np.maximum(e - a, 1)
-                np.maximum(self.sq[e] - self.sq[a] - mean_part, 0.0,
-                           out=out[r0 : r0 + rows, c0 : c0 + len(a)])
-        out[np.arange(width) >= ends[:, None]] = np.inf
+        +inf. Around the block's first end (u_e = S_e - S_lo, w_a = S_lo - S_a),
+        |S_e - S_a|^2 = |u_e|^2 + |w_a|^2 + 2 u_e . w_a takes one matrix
+        product, and integer features keep every term exact, so ties stay exact."""
+        width, rows = hi - 1, hi - lo
+        u = self.sums[lo:hi] - self.sums[lo]
+        w = self.sums[lo] - self.sums[:width]
+        mean_part = (2.0 * u) @ w.T
+        mean_part += np.einsum("ed,ed->e", u, u)[:, None]
+        mean_part += np.einsum("ad,ad->a", w, w)
+        # lengths e - a (clamped at 1) as a Toeplitz view of one vector
+        lengths = np.maximum(np.arange(hi - 1, lo - width, -1, dtype=float), 1.0)
+        mean_part /= sliding_window_view(lengths, width)[::-1]
+        out = self.sq[lo:hi, None] - self.sq[:width]
+        out -= mean_part
+        np.maximum(out, 0.0, out=out)
+        # a >= e only among the last rows - 1 starts, where a - lo >= e - lo
+        out[:, lo:][~np.tri(rows, rows - 1, -1, dtype=bool)] = np.inf
         return out
 
 

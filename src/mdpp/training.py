@@ -257,11 +257,10 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             f"{path}: checkpoint arrays do not match the model: "
             f"missing {missing}, unexpected {unexpected}"
         )
-    params = ModelParams(
-        input_dim=int(doc["input_dim"]),
-        hidden_size=int(doc["hidden_size"]),
-        output_dim=int(doc["output_dim"]),
-        seed=int(doc.get("seed", 0)),
-        **blocks,
-    )
+    dims = {
+        name: io.read_index(doc.get(name), f"{path}: checkpoint header {name}")
+        for name in ("input_dim", "hidden_size", "output_dim")
+    }
+    seed = io.read_index(doc.get("seed", 0), f"{path}: checkpoint header seed")
+    params = ModelParams(seed=seed, **dims, **blocks)
     return params, doc

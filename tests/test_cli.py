@@ -274,6 +274,63 @@ def test_checkpoint_with_other_arrays_exits_1(tmp_path, capsys, layout):
         assert "missing ['lstm_wx', 'lstm_wh', 'lstm_b']" in err and "'b_b'" in err
 
 
+def test_checkpoint_without_header_dims_exits_1(tmp_path, capsys):
+    from mdpp.encoder import init_params
+
+    features, _ = _synth(tmp_path, "a", seed=5)
+    blocks = init_params(8, hidden_size=3, output_dim=4, seed=0).named_arrays()
+    ckpt = tmp_path / "model.ckpt"
+    io.write_checkpoint(ckpt, {"hidden_size": 3, "output_dim": 4}, blocks)
+    capsys.readouterr()
+    assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "s.summary.json")]) == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "input_dim" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header", [
+    {"input_dim": True, "hidden_size": 3, "output_dim": 4},
+    {"input_dim": 8, "hidden_size": 3.0, "output_dim": 4},
+    {"input_dim": 8, "hidden_size": 3, "output_dim": "4"},
+])
+def test_checkpoint_with_non_integer_header_dims_exits_1(tmp_path, capsys, header):
+    from mdpp.encoder import init_params
+
+    features, _ = _synth(tmp_path, "a", seed=5)
+    ckpt = tmp_path / "model.ckpt"
+    io.write_checkpoint(ckpt, header, init_params(8, 3, 4, seed=0).named_arrays())
+    capsys.readouterr()
+    assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "s.summary.json")]) == 1
+    assert "FormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, bad", [
+    *((target, bad) for target in ("annotations", "summary")
+      for bad in ([0, 1, 2], ["x", 1], [True, 2], [0, 1.5])),
+    ("annotations", "stage"),
+])
+def test_malformed_selections_exit_1(tmp_path, capsys, target, bad):
+    features, annotations = _synth(tmp_path, "a", seed=2)
+    summary = tmp_path / "oracle.summary.json"
+    assert run(["oracle", "--features", str(features), "--annotations", str(annotations),
+                "--penalty", "0.05", "--max-segments", "8", "--out", str(summary)]) == 0
+    path = annotations if target == "annotations" else summary
+    doc = json.loads(path.read_text())
+    if bad == "stage":
+        doc["stage"] = True
+    elif target == "annotations":
+        doc["users"][0]["selections"][0] = bad
+    else:
+        doc["selections"][0] = bad
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--summary", str(summary), "--annotations", str(annotations),
+                "--features", str(features)]) == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "mdpp.cli", "check", "knapsack", "--trials", "2"],

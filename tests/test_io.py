@@ -132,6 +132,16 @@ def test_summary_rejects_missing_fields(tmp_path):
         io.read_summary(path)
 
 
+@pytest.mark.parametrize("budget", [True, "0.2", None])
+def test_summary_rejects_non_numeric_budget(tmp_path, budget):
+    path = tmp_path / "bad.summary.json"
+    path.write_text(json.dumps(
+        {"format": "mdpp-summary-1", "selections": [[0, 1]], "budget_fraction": budget}
+    ))
+    with pytest.raises(FormatError):
+        io.read_summary(path)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     blocks = [

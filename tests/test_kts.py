@@ -98,7 +98,7 @@ def test_dp_tables_match_reference_loop_bitwise_across_blocks():
 
 def test_block_costs_are_direct_scatter_with_inf_past_the_end():
     rng = np.random.default_rng(5)
-    # D=1500 makes the (ends, starts, D) temp split its rows as well as its starts
+    # a second block, a feature dimension far above the block size, a one-end block
     for n, d, lo, hi in ((130, 3, 65, 130), (70, 1500, 1, 65), (9, 2, 9, 10)):
         x = rng.normal(size=(n, d))
         costs = _ScatterTable(x).block_costs(lo, hi)
@@ -114,6 +114,37 @@ def test_dp_tables_match_reference_loop_bitwise_on_ties():
     blocks = np.repeat([[1.0, -2.0], [1.0, -2.0], [3.0, 0.0], [-1.0, 1.0]], [5, 7, 1, 9], axis=0)
     _assert_tables_match_reference(blocks, 10)
     _assert_tables_match_reference(np.ones((25, 1)), 25)
+
+
+def test_integer_runs_across_blocks_tie_exactly():
+    # constant integer runs; [40, 100) straddles end 64 and [100, 170) end 128,
+    # so their segments come from two DP blocks each
+    bounds = (0, 40, 100, 170, 200)
+    values = np.array([[1, -2, 0], [3, 0, 1], [-1, 1, 2], [2, 2, -1]], dtype=float)
+    x = np.repeat(values, np.diff(bounds), axis=0)
+    table = _ScatterTable(x)
+    for lo in range(1, 201, 64):
+        costs = table.block_costs(lo, min(lo + 64, 201))
+        for end in range(lo, lo + len(costs)):
+            run_start = max(b for b in bounds if b < end)
+            assert (costs[end - lo, run_start:end] == 0.0).all()
+    result = kts(x, max_segments=default_max_segments(200), penalty_coeff=0.05)
+    assert result.change_points == bounds[1:-1]
+    assert result.objective == 0.0
+
+
+def test_kts_check_fails_on_wrong_costs(monkeypatch):
+    # the exhaustive and direct-scatter rows read no production cost, so a
+    # cost error shows there even though the reference tables share it
+    block_costs = _ScatterTable.block_costs
+    monkeypatch.setattr(_ScatterTable, "block_costs",
+                        lambda self, lo, hi: block_costs(self, lo, hi) * (1 + 1e-6))
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows == {
+        "KTS dynamic program vs exhaustive segmentation": False,
+        "KTS tables vs reference loop": True,
+        "KTS cost blocks vs direct scatter": False,
+    }
 
 
 def test_single_frame_and_cap_above_num_frames():
