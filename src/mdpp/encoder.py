@@ -10,7 +10,9 @@ the classification output and as the kernel quality.
 
 Because all weights are shared across views and the joint kernel pools over
 views, the trainable parameter count depends only on (D, H, D') - never on
-the number of views or time-steps.
+the number of views or time-steps. ``ModelParams`` holds the eleven weight
+arrays and nothing else: D, H and D' are read off their shapes, so no
+stored dimension can disagree with the weights.
 
 The two LSTM directions run in one stacked time loop, so each Python step
 does little numpy work for both: loop step t is time t for the forward
@@ -66,18 +68,16 @@ PARAM_FIELDS = (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All trainable weights. Both heads use a hidden layer of width H.
+    """All trainable weights, and nothing else. Both heads use a hidden layer
+    of width H.
 
     The LSTM weights ``lstm_wx`` (2, 4H, D), ``lstm_wh`` (2, 4H, H) and
     ``lstm_b`` (2, 4H) stack the two time directions: index 0 is the forward
     direction, index 1 the reverse one. Gate blocks are ordered (input,
-    forget, cell, output) along the 4H axis.
+    forget, cell, output) along the 4H axis. D, H and D' are read off
+    ``lstm_wx`` and ``feat_w2`` (D', H), and every other array must fit them.
     """
 
-    input_dim: int
-    hidden_size: int
-    output_dim: int
-    seed: int
     lstm_wx: np.ndarray
     lstm_wh: np.ndarray
     lstm_b: np.ndarray
@@ -91,7 +91,12 @@ class ModelParams:
     qual_b2: np.ndarray
 
     def __post_init__(self):
-        d, h, dp = self.input_dim, self.hidden_size, self.output_dim
+        wx, w2 = np.shape(self.lstm_wx), np.shape(self.feat_w2)
+        if len(wx) != 3 or min(wx) < 1 or wx[1] % 4:
+            raise ShapeError(f"lstm_wx has shape {wx}, expected (2, 4H, D) with H, D >= 1")
+        if len(w2) != 2 or min(w2) < 1:
+            raise ShapeError(f"feat_w2 has shape {w2}, expected (D', H) with D', H >= 1")
+        d, h, dp = wx[2], wx[1] // 4, w2[0]
         s = d + 2 * h
         expected = {
             "lstm_wx": (2, 4 * h, d), "lstm_wh": (2, 4 * h, h), "lstm_b": (2, 4 * h),
@@ -107,6 +112,11 @@ class ModelParams:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    # D, H and D', read off the weight shapes
+    input_dim = property(lambda self: self.lstm_wx.shape[2])
+    hidden_size = property(lambda self: self.lstm_wx.shape[1] // 4)
+    output_dim = property(lambda self: self.feat_w2.shape[0])
 
     def named_arrays(self):
         return [(name, getattr(self, name)) for name in PARAM_FIELDS]
@@ -152,7 +162,6 @@ def init_params(
     directions = [[draw(shape, d + h) for shape in shapes] for _ in range(2)]
     lstm_wx, lstm_wh, lstm_b = (np.stack(pair) for pair in zip(*directions))
     return ModelParams(
-        input_dim=d, hidden_size=h, output_dim=dp, seed=seed,
         lstm_wx=lstm_wx, lstm_wh=lstm_wh, lstm_b=lstm_b,
         feat_w1=draw((h, s), s), feat_b1=draw((h,), s),
         feat_w2=draw((dp, h), h), feat_b2=draw((dp,), h),
@@ -173,10 +182,7 @@ def from_vector(like: ModelParams, vec: np.ndarray) -> ModelParams:
     for name, arr in like.named_arrays():
         values[name] = vec[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
-    return ModelParams(
-        input_dim=like.input_dim, hidden_size=like.hidden_size,
-        output_dim=like.output_dim, seed=like.seed, **values,
-    )
+    return ModelParams(**values)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -431,7 +437,7 @@ def loss_and_grad(
     nan; a target subset of zero probability raises NumericError."""
     grads = _zero_grads(params)
     parts = _loss(params, [(sequence, target_views)], lam, grads)
-    return parts[0], _grad_params(params, grads)
+    return parts[0], ModelParams(**grads)
 
 
 def batch_loss(
@@ -446,7 +452,7 @@ def batch_loss(
     parts = []
     for group in _groups(batch):
         parts += _loss(params, group, lam, grads)
-    return parts, _grad_params(params, grads) if with_grad else None
+    return parts, ModelParams(**grads) if with_grad else None
 
 
 def _groups(batch):
@@ -473,13 +479,6 @@ def _groups(batch):
 
 def _zero_grads(params: ModelParams) -> dict:
     return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-
-
-def _grad_params(params: ModelParams, grads: dict) -> ModelParams:
-    return ModelParams(
-        input_dim=params.input_dim, hidden_size=params.hidden_size,
-        output_dim=params.output_dim, seed=params.seed, **grads,
-    )
 
 
 def _loss(params, group, lam, grads):

@@ -14,6 +14,7 @@ All writers go through an atomic temp-file + rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -77,10 +78,11 @@ def read_feature_file(path) -> MultiViewSequence:
         raise FormatError(f"{path}: truncated metadata block")
     try:
         meta = json.loads(raw[body : body + meta_len].decode("utf-8"))
-        sequence_id = str(meta["sequence_id"])
-        fps_note = str(meta.get("fps_note", ""))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: unreadable metadata block: {exc}") from exc
+    if not isinstance(meta, dict) or "sequence_id" not in meta:
+        raise FormatError(f"{path}: metadata block must be a JSON object with a sequence_id")
+    sequence_id, fps_note = str(meta["sequence_id"]), str(meta.get("fps_note", ""))
     payload = raw[body + meta_len :]
     expected = m * n * d * 4
     if len(payload) != expected:
@@ -198,7 +200,7 @@ def _load_json(path, expected_format: str) -> dict:
 def write_checkpoint(path, header: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
     """Write named float64 arrays after a text header.
 
-    ``header`` is caller metadata (dims, seed, training info); the layout of
+    ``header`` is caller metadata (training info); the layout of
     ``blocks`` (name + shape per array) is recorded so readers can rebuild
     them without out-of-band knowledge.
     """
@@ -221,22 +223,29 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise FormatError(f"{path}: missing checkpoint header line")
     try:
         doc = json.loads(raw[first + 1 : second].decode("utf-8"))
-        layout = [(str(name), tuple(int(s) for s in shape)) for name, shape in doc.pop("layout")]
+        if not isinstance(doc, dict):
+            raise FormatError(f"{path}: checkpoint header must be a JSON object")
+        layout = [
+            (str(name), tuple(read_index(s, f"{path}: a dimension of {name}") for s in shape))
+            for name, shape in doc.pop("layout")
+        ]
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
     blob = raw[second + 1 :]
-    total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in layout)
-    if len(blob) != total * 8:
+    sizes = [math.prod(shape) for _, shape in layout]  # Python ints: no wrap-around
+    if len(blob) != sum(sizes) * 8:
         raise FormatError(
-            f"{path}: weight blob holds {len(blob)} bytes, header declares {total * 8}"
+            f"{path}: weight blob holds {len(blob)} bytes, header declares {sum(sizes) * 8}"
         )
     flat = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: checkpoint weights contain non-finite values")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in layout:
-        size = int(np.prod(shape, dtype=np.int64))
-        arrays[name] = flat[offset : offset + size].reshape(shape).copy()
+    for (name, shape), size in zip(layout, sizes):
+        try:  # numpy caps the number of dimensions
+            arrays[name] = flat[offset : offset + size].reshape(shape).copy()
+        except ValueError as exc:
+            raise FormatError(f"{path}: array {name}: {exc}") from exc
         offset += size
     return doc, arrays

@@ -236,19 +236,13 @@ def train(
 
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
-    """Write weights with enough header metadata to rebuild the model."""
-    header = {
-        "input_dim": params.input_dim,
-        "hidden_size": params.hidden_size,
-        "output_dim": params.output_dim,
-        "seed": params.seed,
-    }
-    if extra:
-        header["extra"] = extra
-    io.write_checkpoint(path, header, params.named_arrays())
+    """Write the weights; the model's dimensions are their shapes."""
+    io.write_checkpoint(path, {"extra": extra} if extra else {}, params.named_arrays())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """The model and the header. Header keys other than the layout are not
+    read back (older checkpoints also stored the dims and the seed)."""
     doc, blocks = io.read_checkpoint(path)
     missing = [name for name in PARAM_FIELDS if name not in blocks]
     unexpected = [name for name in blocks if name not in PARAM_FIELDS]
@@ -257,10 +251,4 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             f"{path}: checkpoint arrays do not match the model: "
             f"missing {missing}, unexpected {unexpected}"
         )
-    dims = {
-        name: io.read_index(doc.get(name), f"{path}: checkpoint header {name}")
-        for name in ("input_dim", "hidden_size", "output_dim")
-    }
-    seed = io.read_index(doc.get("seed", 0), f"{path}: checkpoint header seed")
-    params = ModelParams(seed=seed, **dims, **blocks)
-    return params, doc
+    return ModelParams(**blocks), doc

@@ -238,7 +238,7 @@ def test_numeric_failure_exits_2(tmp_path):
     values = dict(params.named_arrays())
     values["feat_w2"] = np.zeros_like(values["feat_w2"])
     values["feat_b2"] = np.zeros_like(values["feat_b2"])
-    broken = ModelParams(input_dim=8, hidden_size=3, output_dim=4, seed=0, **values)
+    broken = ModelParams(**values)
     ckpt = tmp_path / "broken.ckpt"
     training.save_checkpoint(ckpt, broken)
     assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
@@ -262,7 +262,7 @@ def test_checkpoint_with_other_arrays_exits_1(tmp_path, capsys, layout):
             for name in ("wx", "wh", "b")
         ] + blocks[3:]
     ckpt = tmp_path / "model.ckpt"
-    io.write_checkpoint(ckpt, {"input_dim": 8, "hidden_size": 3, "output_dim": 4}, blocks)
+    io.write_checkpoint(ckpt, {}, blocks)
     capsys.readouterr()
     assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
                 "--out", str(tmp_path / "s.summary.json")]) == 1
@@ -274,35 +274,97 @@ def test_checkpoint_with_other_arrays_exits_1(tmp_path, capsys, layout):
         assert "missing ['lstm_wx', 'lstm_wh', 'lstm_b']" in err and "'b_b'" in err
 
 
-def test_checkpoint_without_header_dims_exits_1(tmp_path, capsys):
+def _summarize_with(tmp_path, features, ckpt, name="s"):
+    out = tmp_path / f"{name}.summary.json"
+    code = run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
+                "--out", str(out)])
+    return code, out
+
+
+def test_checkpoint_header_dims_are_ignored(tmp_path):
+    # checkpoints written before the dims were read off the array shapes
+    # carry them, and a seed, in the header; they load to the same model
     from mdpp.encoder import init_params
 
     features, _ = _synth(tmp_path, "a", seed=5)
     blocks = init_params(8, hidden_size=3, output_dim=4, seed=0).named_arrays()
+    old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
+    io.write_checkpoint(
+        old, {"input_dim": 8, "hidden_size": 3, "output_dim": 4, "seed": 0}, blocks
+    )
+    io.write_checkpoint(new, {}, blocks)
+    code_old, out_old = _summarize_with(tmp_path, features, old, "old")
+    code_new, out_new = _summarize_with(tmp_path, features, new, "new")
+    assert code_old == code_new == 0
+    assert out_old.read_bytes() == out_new.read_bytes()
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("feat_w2", (4, 5)),  # H = 5 against the LSTM's H = 3
+    ("lstm_wx", (12, 8)),  # the two directions not stacked
+    ("lstm_wx", (2, 13, 8)),  # a 4H axis not divisible by 4
+], ids=["feat_w2-other-H", "lstm_wx-2d", "lstm_wx-4H-not-divisible"])
+def test_checkpoint_arrays_that_fit_no_model_exit_1(tmp_path, capsys, name, shape):
+    from mdpp.encoder import init_params
+
+    features, _ = _synth(tmp_path, "a", seed=5)
+    blocks = dict(init_params(8, hidden_size=3, output_dim=4, seed=0).named_arrays())
+    blocks[name] = np.zeros(shape)
     ckpt = tmp_path / "model.ckpt"
-    io.write_checkpoint(ckpt, {"hidden_size": 3, "output_dim": 4}, blocks)
+    io.write_checkpoint(ckpt, {}, list(blocks.items()))
     capsys.readouterr()
-    assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
-                "--out", str(tmp_path / "s.summary.json")]) == 1
+    assert _summarize_with(tmp_path, features, ckpt)[0] == 1
     err = capsys.readouterr().err
-    assert "FormatError" in err and "input_dim" in err and "Traceback" not in err
+    assert "ShapeError" in err and f"{name} has shape" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("header", [
-    {"input_dim": True, "hidden_size": 3, "output_dim": 4},
-    {"input_dim": 8, "hidden_size": 3.0, "output_dim": 4},
-    {"input_dim": 8, "hidden_size": 3, "output_dim": "4"},
-])
-def test_checkpoint_with_non_integer_header_dims_exits_1(tmp_path, capsys, header):
+def _set_dim(name, dims):
+    def mutate(doc):
+        for entry in doc["layout"]:
+            if entry[0] == name:
+                entry[1] = dims
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, blob", [
+    (lambda doc: "abc", None),  # valid JSON, not an object
+    (_set_dim("lstm_b", [2, 12.0]), None),  # would be coerced to 12
+    (_set_dim("qual_b2", [True]), None),  # would be coerced to 1
+    (_set_dim("feat_b2", [1e308]), None),
+    # the int64 product of these dims wraps to 0, which an empty blob matches
+    (lambda doc: {"layout": [["w", [4294967296, 4294967296]]]}, b""),
+    (lambda doc: {"layout": [["w", [1] * 70]]}, np.zeros(1).tobytes()),  # too many dims
+], ids=["not-an-object", "float-dim", "bool-dim", "1e308-dim", "int64-wrap", "70-dims"])
+def test_malformed_checkpoint_header_exits_1(tmp_path, capsys, mutate, blob):
+    from mdpp import training
     from mdpp.encoder import init_params
 
     features, _ = _synth(tmp_path, "a", seed=5)
     ckpt = tmp_path / "model.ckpt"
-    io.write_checkpoint(ckpt, header, init_params(8, 3, 4, seed=0).named_arrays())
+    training.save_checkpoint(ckpt, init_params(8, hidden_size=3, output_dim=4, seed=0))
+    magic, header, weights = ckpt.read_bytes().split(b"\n", 2)
+    header = json.dumps(mutate(json.loads(header))).encode()
+    ckpt.write_bytes(b"\n".join([magic, header, weights if blob is None else blob]))
     capsys.readouterr()
-    assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
-                "--out", str(tmp_path / "s.summary.json")]) == 1
-    assert "FormatError" in capsys.readouterr().err
+    assert _summarize_with(tmp_path, features, ckpt)[0] == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("meta", [b"[1]", b'"x"', b"null", b"1"])
+def test_feature_meta_block_that_is_not_an_object_exits_1(tmp_path, capsys, meta):
+    features, _ = _synth(tmp_path, "a", seed=5)
+    raw = features.read_bytes()
+    header = raw[:16]
+    meta_len = int.from_bytes(raw[16:20], "little")
+    payload = raw[20 + meta_len :]
+    features.write_bytes(header + len(meta).to_bytes(4, "little") + meta + payload)
+    capsys.readouterr()
+    assert run(["segment", "--features", str(features), "--out",
+                str(tmp_path / "seg.json")]) == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("target, bad", [

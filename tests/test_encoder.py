@@ -104,7 +104,7 @@ def test_params_shape_validation():
     values = dict(params.named_arrays())
     values["lstm_b"] = np.zeros((2, 5))
     with pytest.raises(ShapeError):
-        ModelParams(input_dim=2, hidden_size=3, output_dim=2, seed=0, **values)
+        ModelParams(**values)
 
 
 def test_forward_output_shapes_and_ranges():
@@ -434,3 +434,12 @@ def test_evaluate_loss_gives_inf_for_zero_probability_target():
     with pytest.raises(NumericError, match="output_dim=2"):
         loss_and_grad(params, seq, y)
 
+
+def test_params_are_the_weight_arrays_alone():
+    import dataclasses
+
+    params = init_params(3, hidden_size=4, output_dim=5, seed=0)
+    assert tuple(f.name for f in dataclasses.fields(ModelParams)) == encoder.PARAM_FIELDS
+    assert (params.input_dim, params.hidden_size, params.output_dim) == (3, 4, 5)
+    with pytest.raises(ShapeError, match="feat_w2 has shape"):
+        ModelParams(**{**dict(params.named_arrays()), "feat_w2": np.zeros(5)})
