@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -151,24 +152,25 @@ def reference_greedy_map(kernel, max_size: int | None = None, fill: bool = False
 
 
 def exhaustive_knapsack(lengths, scores, budget: int):
-    """Max-score shot set with total length <= budget.
+    """Max-score shot set with total length <= budget, its score summed
+    exactly as ``Fraction``s. Among optima, prefers the lexicographically
+    smallest index tuple (the production tie-break). Visits every subset
+    that fits, each extending a smaller one by one index, so each costs one
+    exact addition."""
+    values = [Fraction(v) for v in scores]
+    best = None
 
-    Among exact-value optima, prefers the lexicographically smallest index
-    tuple (matches the production tie-break). Callers that want reliable
-    subset-level agreement should use scores whose sums are exact in floats
-    (e.g. integer-valued).
-    """
-    n = len(lengths)
-    best_tuple, best_value = None, -1.0
-    for subset in all_subsets(n):
-        if sum(lengths[i] for i in subset) > budget:
-            continue
-        value = float(sum(scores[i] for i in subset))
-        if value > best_value or (
-            value == best_value and (best_tuple is None or subset < best_tuple)
-        ):
-            best_tuple, best_value = subset, value
-    return list(best_tuple) if best_tuple is not None else []
+    def visit(subset, length, value, start):
+        nonlocal best
+        if best is None or value > best[0] or (value == best[0] and subset < best[1]):
+            best = (value, subset)
+        for i in range(start, len(values)):
+            if length + lengths[i] <= budget:
+                visit(subset + (i,), length + lengths[i], value + values[i], i + 1)
+
+    if budget >= 0:
+        visit((), 0, Fraction(0), 0)
+    return list(best[1]) if best is not None else []
 
 
 def segment_cost(features, a: int, b: int) -> float:
@@ -411,12 +413,45 @@ def check_knapsack(trials: int = 50, max_shots: int = 12, seed: int = 0):
     for _ in range(trials):
         n = int(rng.integers(1, max_shots + 1))
         lengths = rng.integers(1, 7, size=n).tolist()
-        # integer-valued scores keep tied sums exact, so tie-breaks compare
+        # integer-valued scores: many subsets tie
         scores = rng.integers(0, 1000, size=n).astype(float).tolist()
         budget = int(rng.integers(0, sum(lengths) + 2))
         if knapsack_shots(lengths, scores, budget) != exhaustive_knapsack(lengths, scores, budget):
             ok = False
-    return [("knapsack DP vs exhaustive enumeration", ok, f"{trials} trials")]
+    ties_ok = all(
+        knapsack_shots(*case) == exhaustive_knapsack(*case)
+        for case in (_knapsack_tie(rng) for _ in range(trials))
+    )
+    return [
+        ("knapsack DP vs exhaustive enumeration", ok, f"{trials} trials"),
+        (
+            "knapsack DP vs exhaustive enumeration on constructed exact ties",
+            ties_ok,
+            f"{trials} trials",
+        ),
+    ]
+
+
+def _knapsack_tie(rng: np.random.Generator):
+    """(lengths, scores, budget) where one shot of length k scores exactly
+    the sum of k unit-length shots, in shuffled order with up to two
+    zero-score unit shots and a budget of k or k + 1. The k scores mix one
+    value near 1 with multiples of 2^-54, so adding them in float rounds
+    (sometimes past the tie, sometimes short of it) while their exact sum
+    is a float."""
+    while True:
+        k = int(rng.integers(2, 4))
+        big = float(rng.choice((0.5, 0.75, 1.0, 1.5))) + int(rng.integers(0, 8)) * 2.0**-52
+        parts = [big] + [int(rng.integers(1, 8)) * 2.0**-54 for _ in range(k - 1)]
+        total = sum((Fraction(v) for v in parts), Fraction(0))
+        if Fraction(float(total)) == total:
+            break
+    zeros = int(rng.integers(0, 3))
+    items = [(k, float(total))] + [(1, v) for v in parts] + [(1, 0.0)] * zeros
+    order = rng.permutation(len(items))
+    lengths = [items[i][0] for i in order]
+    scores = [items[i][1] for i in order]
+    return lengths, scores, k + int(rng.integers(0, 2))
 
 
 def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
@@ -505,15 +540,32 @@ def _kts_table_inputs(rng: np.random.Generator, trials: int):
             yield feats, n + int(rng.integers(1, 4))
 
 
+def per_direction_layout(cache: dict) -> dict:
+    """Copies of ``encoder._lstm_forward``'s gate, cell and hidden caches in
+    the per-direction layout the reference loops are compared in: (N, 2, M,
+    4H) gates in the weights' (i, f, g, o) block order, and (N, 2, M, H)
+    cells and hidden states without the zero state row. Loop step t is
+    time t for direction 0 and time N - 1 - t for direction 1."""
+    gates = np.empty_like(cache["gates"])
+    gates[:, encoder._GATE_ORDER] = cache["gates"]
+    n, _, _, m, h = gates.shape
+    return {
+        "gates": gates.transpose(0, 2, 3, 1, 4).reshape(n, 2, m, 4 * h),
+        "cells": cache["cells"][1:].copy(),
+        "hidden": cache["hidden"][1:].copy(),
+    }
+
+
 def check_encoder(trials: int = 50, seed: int = 0):
     """The stacked two-direction LSTM loops of ``encoder`` against two
     per-direction reference calls, the reverse one on the time-reversed
-    input. Each direction's outputs are compared at the scale of that
-    direction's whole array."""
+    input, in ``per_direction_layout``. Each direction's outputs are
+    compared at the scale of that direction's whole array."""
     rng = np.random.default_rng(seed)
     worst_fwd = worst_bwd = 0.0
     for x, wx, wh, b in _lstm_inputs(rng, trials):
-        fused = encoder._lstm_forward(x, wx, wh, b)
+        cache = encoder._lstm_forward(x, wx, wh, b)
+        fused = per_direction_layout(cache)
         refs = [
             reference_lstm_forward(x, wx[0], wh[0], b[0]),
             reference_lstm_forward(x[:, ::-1], wx[1], wh[1], b[1]),
@@ -522,7 +574,7 @@ def check_encoder(trials: int = 50, seed: int = 0):
             for key in ("gates", "cells", "hidden"):
                 worst_fwd = max(worst_fwd, _max_rel_err(fused[key][:, k], ref[key].swapaxes(0, 1)))
         grad_hidden = rng.normal(size=fused["hidden"].shape)
-        grads = encoder._lstm_backward(fused, wh, grad_hidden)
+        grads = encoder._lstm_backward(cache, wh, grad_hidden)
         for k, ref in enumerate(refs):
             ref_grads = reference_lstm_backward(
                 ref, wx[k], wh[k], grad_hidden[:, k].swapaxes(0, 1)
@@ -583,12 +635,14 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
         lam = float(rng.choice((0.0, 0.5, 1.0)))
 
         weights = (params.lstm_wx, params.lstm_wh, params.lstm_b)
-        stacked = encoder._lstm_forward(
+        stacked = per_direction_layout(encoder._lstm_forward(
             np.concatenate([seq.features for seq, _ in group], dtype=np.float64), *weights
-        )["hidden"]
+        ))["hidden"]
         start = 0
         for seq, _ in group:
-            alone = encoder._lstm_forward(seq.features.astype(np.float64), *weights)["hidden"]
+            alone = per_direction_layout(
+                encoder._lstm_forward(seq.features.astype(np.float64), *weights)
+            )["hidden"]
             cols = stacked[:, :, start : start + seq.num_views]
             start += seq.num_views
             worst_hidden = max(worst_hidden, _max_rel_err(cols, alone))

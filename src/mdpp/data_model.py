@@ -75,10 +75,11 @@ class AnnotationSet:
         if self.stage not in (1, 2, 3):
             raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage}")
         users = tuple(
-            (str(uid), tuple((int(v), int(t)) for v, t in sels))
-            for uid, sels in self.users
+            (uid, tuple((int(v), int(t)) for v, t in sels)) for uid, sels in self.users
         )
         for uid, sels in users:
+            if not isinstance(uid, str):
+                raise ValidationError(f"user ids must be strings, got {uid!r}")
             if len(set(sels)) != len(sels):
                 raise ValidationError(f"user {uid!r} has duplicate (view, t) selections")
             for v, t in sels:

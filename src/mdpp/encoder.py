@@ -17,19 +17,27 @@ stored dimension can disagree with the weights.
 The two LSTM directions run in one stacked time loop, so each Python step
 does little numpy work for both: loop step t is time t for the forward
 direction and time N - 1 - t for the reverse one. ``ModelParams`` stores
-their weights stacked on a leading axis of 2, the layout the loops read and
-write, so neither the forward nor the gradient converts them. Forward:
-X Wx^T + b for all steps and both directions is one batched product
-straight into the gate cache; a step adds h_{t-1} Wh^T for both directions
-in one batched product and takes one tanh over the (2, M, 4H) block, the
-i, f and o rows having been pre-scaled by 1/2 so that
-sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent
-factors of dz are computed for all steps at once over the gate cache, one
-loop turns each step's block into dz in place for both directions, and the
-weight gradients are per-direction products after the loop. The backward
-pass consumes its forward cache. ``bruteforce.reference_lstm_forward`` /
-``_backward`` are per-direction, per-step loops, and ``mdpp check encoder``
-compares the stacked loops with one reference call per direction.
+their weights stacked on a leading axis of 2, with (i, f, g, o) gate blocks;
+each call permutes them once into the loops' gate-major order (o, i, f, g).
+The gate cache is (N, 4, 2, M, H), so every per-step numpy call works on a
+contiguous block: the sigmoid gates (o, i, f) are one slab and the gates
+the backward scales by dc (i, f, g) another. The cell and hidden caches are
+(N + 1, 2, M, H) and start from a zero row, so no step is a special case.
+Forward: X Wx^T + b for all steps, gates and directions is one batched
+product straight into the gate cache; a step adds h_{t-1} Wh^T as one
+batched product with the (4, 2, H, H) Wh blocks and takes one tanh over the
+step's block, the sigmoid gates' rows having been pre-scaled by 1/2 so that
+sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent factors
+of dz are computed for all steps at once over whole slabs of the gate
+cache, and one loop writes each step's dz, for both directions, into an
+(N, 2, M, 4H) array in the weights' gate order; dh_{t-1} = dz_t Wh and the
+weight gradients are then products against the unpermuted weights. Each
+step reuses preallocated buffers. The backward pass consumes its forward
+cache. ``bruteforce.reference_lstm_forward`` / ``_backward`` are
+per-direction, per-step loops, and ``mdpp check encoder`` compares the
+stacked loops with one reference call per direction, after
+``bruteforce.per_direction_layout`` has put the caches in the references'
+layout.
 
 The views ride the batch axis of those loops, and so do the sequences of a
 training batch: ``batch_loss`` splits the batch in order into groups of
@@ -58,6 +66,13 @@ from .multi_dpp import ViewStreams
 # view-frames (M * N summed over a group's sequences) one stacked LSTM loop
 # may hold; at M = 3, N = 300 it stacks pairs
 _STACK_FRAMES = 2048
+
+# the LSTM loops' gate order (o, i, f, g), as indices of the weights' (i, f,
+# g, o) blocks: the sigmoid gates form the slab [0:3] and the gates scaled
+# by dc in the backward the slab [1:4]
+_GATE_ORDER = (3, 0, 1, 2)
+# sigmoid(z) = 0.5 (1 + tanh(z / 2)) on o, i and f; g is tanh(z)
+_GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 
 PARAM_FIELDS = (
     "lstm_wx", "lstm_wh", "lstm_b",
@@ -194,51 +209,61 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gate_blocks(w, h_size):
+    """(2, 4H, k) stacked weights as (4, 2, k, H) transposed per-gate blocks
+    in the loops' gate order, the sigmoid gates' rows halved."""
+    blocks = w.reshape(2, 4, h_size, -1)[:, _GATE_ORDER] * _GATE_SCALE
+    return blocks.transpose(1, 0, 3, 2)
+
+
 def _lstm_forward(x, wx, wh, b):
     """Run both directions over (M, N, D) inputs in one time loop.
 
     ``wx``, ``wh`` and ``b`` stack the two directions' weights: (2, 4H, D),
     (2, 4H, H) and (2, 4H). Direction 1 reads the input in reversed time,
     so loop step t is time t for direction 0 and time N - 1 - t for
-    direction 1; the views ride the batch axis. The i, f and o rows of Wx,
-    Wh and b are pre-scaled by 1/2 (exact in floating point), so a step is
-    one in-place add of h_{t-1} Wh^T, one in-place tanh over the (2, M, 4H)
-    block and an in-place affine map to the sigmoids 0.5 (1 + tanh(z / 2)).
-    The caches ``x``, ``gates``, ``cells`` and ``hidden`` are (N, 2, M, ...)
-    in loop time, so every step reads contiguous blocks.
+    direction 1; the views ride the batch axis. The gate cache is
+    gate-major, (N, 4, 2, M, H) in the gate order (o, i, f, g), so each
+    step's sigmoid gates are one contiguous (3, 2, M, H) slab. Their rows of
+    Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so a step
+    is one batched product of h_{t-1} with the (4, 2, H, H) Wh blocks, one
+    add, one tanh and a scalar affine map of the slab to the sigmoids
+    0.5 (1 + tanh(z / 2)), then five ``out=`` ops for c_t and h_t. ``cells``
+    and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the zero
+    state and row t + 1 holds step t. ``x`` is the (N, 2, M, D) input in
+    loop time.
     """
     m, n, d = x.shape
     h_size = wh.shape[2]
-    scale = np.full(4 * h_size, 0.5)  # sigmoid(z) = 0.5 (1 + tanh(z / 2)) on i, f, o
-    scale[2 * h_size : 3 * h_size] = 1.0  # g is tanh(z)
-    offset = 1.0 - scale
     xt = np.empty((n, 2, m, d))
     xt[:, 0] = x.swapaxes(0, 1)
     xt[:, 1] = xt[::-1, 0]
-    gates = np.empty((n, 2, m, 4 * h_size))
-    # one (N x D)(D x 4H) product per direction and view, into the cache
+    gates = np.empty((n, 4, 2, m, h_size))
+    # one (N x D)(D x H) product per gate, direction and view, into the cache
     np.matmul(
-        xt.transpose(1, 2, 0, 3), (wx * scale[:, None]).transpose(0, 2, 1)[:, None],
-        out=gates.transpose(1, 2, 0, 3),
+        xt.transpose(1, 2, 0, 3), _gate_blocks(wx, h_size)[:, :, None],
+        out=gates.transpose(1, 2, 3, 0, 4),
     )
-    gates += (b * scale)[:, None]
-    wh_t = (wh * scale[:, None]).transpose(0, 2, 1)
-    cells = np.empty((n, 2, m, h_size))
-    hidden = np.empty((n, 2, m, h_size))
-    c_prev = np.zeros((2, m, h_size))
-    for t in range(n):
-        z = gates[t]
-        if t:
-            z += np.matmul(hidden[t - 1], wh_t)
+    gates += _gate_blocks(b[..., None], h_size)
+    wh_blocks = np.ascontiguousarray(_gate_blocks(wh, h_size))
+    cells = np.zeros((n + 1, 2, m, h_size))
+    hidden = np.zeros((n + 1, 2, m, h_size))
+    recurrent = np.empty((4, 2, m, h_size))
+    product = np.empty((2, m, h_size))
+    for z, sig, o, i, f, g, c_prev, c, h_prev, h in zip(
+        gates, gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3],
+        cells[:-1], cells[1:], hidden[:-1], hidden[1:],
+    ):
+        np.matmul(h_prev, wh_blocks, out=recurrent)
+        z += recurrent
         np.tanh(z, out=z)
-        z *= scale
-        z += offset
-        c = cells[t]
-        np.multiply(z[..., h_size : 2 * h_size], c_prev, out=c)
-        c += z[..., :h_size] * z[..., 2 * h_size : 3 * h_size]
-        np.tanh(c, out=hidden[t])
-        hidden[t] *= z[..., 3 * h_size :]
-        c_prev = c
+        sig *= 0.5
+        sig += 0.5
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=product)
+        np.add(c, product, out=c)
+        np.tanh(c, out=h)
+        np.multiply(h, o, out=h)
     return {"x": xt, "gates": gates, "cells": cells, "hidden": hidden}
 
 
@@ -246,68 +271,75 @@ def _lstm_backward(cache, wh, grad_hidden):
     """Backprop both directions in one time loop; returns the stacked
     (dwx, dwh, db), shaped like the weights. Consumes ``cache``.
 
-    ``grad_hidden`` is dLoss/dh in the cache's (N, 2, M, H) loop-time
-    layout. With dz = dLoss/d(pre-activation), every factor of dz that does
-    not depend on the incoming gradient is computed for all steps at once
-    and written over the gate cache:
+    ``grad_hidden`` is dLoss/dh in the (N, 2, M, H) loop-time layout. With
+    dz = dLoss/d(pre-activation), every factor of dz that does not depend on
+    the incoming gradient is computed for all steps at once, over whole
+    slabs of the gate-major cache, and written over it:
 
         dz = [dc, dc, dc, dh] * [g i(1-i), c_{t-1} f(1-f), i(1-g^2), tanh(c) o(1-o)]
 
-    with dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
-    overwrites the cell cache. The time loop then only scales each step's
-    (2, M, 4H) gate block into dz in place and carries dh and dc back for
-    both directions. After the loop the gate cache holds dz for every step,
-    so dWx and dWh are one batched product per direction and view against
-    the inputs and the hidden states shifted by a step, and db one sum. The
-    gate and cell caches are overwritten.
+    for (i, f, g, o), with c_{-1} the cell cache's zero row and
+    dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
+    overwrites the cell cache. The time loop multiplies the (i, f, g) slab
+    by dc and the o block by dh, writing each step's dz into an
+    (N, 2, M, 4H) array in the weights' gate order, and carries dh and dc
+    back for both directions. dh_{t-1} = dz_t Wh is one batched product
+    against the unpermuted Wh; after the loop dWx and dWh are one batched
+    product per direction and view against the inputs and the hidden states
+    shifted by a step, and db one sum.
     """
     xt, gates, cells, hidden = (cache[k] for k in ("x", "gates", "cells", "hidden"))
-    n, _, m, _ = gates.shape
-    h_size = wh.shape[2]
-    i, f, g, o = (gates[..., k * h_size : (k + 1) * h_size] for k in range(4))
+    n, _, _, m, h_size = gates.shape
+    o, i, f, g = gates.swapaxes(0, 1)
     forget = f.copy()
-    scratch = np.empty_like(forget)
-    # f block: c_{t-1} f (1 - f), with c_{-1} = 0
-    np.subtract(1.0, f, out=scratch)
-    f *= scratch
-    f[1:] *= cells[:-1]
-    f[0] = 0.0
+    # dz is written only by the time loop, so until then its memory holds
+    # 1 - (o, i, f), one slab
+    dz = np.empty((n, 2, m, 4 * h_size))
+    one_minus = np.subtract(1.0, gates[:, :3], out=dz.reshape(gates.shape)[:, :3])
+    # f block: c_{t-1} f (1 - f), c_{-1} being the cell cache's zero row
+    f *= one_minus[:, 2]
+    f *= cells[:-1]
     # o block: tanh(c) o (1 - o); cell cache: o (1 - tanh(c)^2)
-    np.subtract(1.0, o, out=scratch)
-    scratch *= o
     np.tanh(cells, out=cells)
-    scratch *= cells
-    cells *= cells
-    np.subtract(1.0, cells, out=cells)
-    cells *= o
-    o[...] = scratch
-    # g block: i (1 - g^2); i block: g i (1 - i)
-    np.multiply(g, g, out=scratch)
-    np.subtract(1.0, scratch, out=scratch)
-    scratch *= i
+    tanh_c = cells[1:]
+    o_factor = one_minus[:, 0]
+    o_factor *= o
+    o_factor *= tanh_c
+    tanh_c *= tanh_c
+    np.subtract(1.0, tanh_c, out=tanh_c)
+    tanh_c *= o
+    o[...] = o_factor
+    # g block: i (1 - g^2), in the spent 1 - f; i block: g i (1 - i)
+    g_factor = one_minus[:, 2]
+    np.multiply(g, g, out=g_factor)
+    np.subtract(1.0, g_factor, out=g_factor)
+    g_factor *= i
     g *= i
-    np.subtract(1.0, i, out=i)
-    i *= g
-    g[...] = scratch
-    del scratch
+    i_factor = one_minus[:, 1]
+    i_factor *= g
+    i[...] = i_factor
+    g[...] = g_factor
+    del one_minus
 
-    dz_blocks = gates.reshape(n, 2, m, 4, h_size)
-    dh_next = np.zeros((2, m, h_size))
-    dc = np.zeros((2, m, h_size))
-    for t in range(n - 1, -1, -1):
-        dh = grad_hidden[t] + dh_next
-        dc += dh * cells[t]
-        dz = dz_blocks[t]
-        dz[..., :3, :] *= dc[..., None, :]
-        dz[..., 3, :] *= dh
-        dh_next = np.matmul(gates[t], wh)
-        dc *= forget[t]
+    dz_blocks = dz.reshape(n, 2, m, 4, h_size).transpose(0, 3, 1, 2, 4)
+    dh, dh_next, dc, product = (np.zeros((2, m, h_size)) for _ in range(4))
+    for grad, cell, fac_o, fac_ifg, dz_t, out_ifg, out_o, f_t in zip(
+        grad_hidden[::-1], cells[:0:-1], gates[::-1, 0], gates[::-1, 1:],
+        dz[::-1], dz_blocks[::-1, :3], dz_blocks[::-1, 3], forget[::-1],
+    ):
+        np.add(grad, dh_next, out=dh)
+        np.multiply(dh, cell, out=product)
+        dc += product
+        np.multiply(fac_ifg, dc, out=out_ifg)
+        np.multiply(fac_o, dh, out=out_o)
+        np.matmul(dz_t, wh, out=dh_next)
+        dc *= f_t
 
     # (4H x N)(N x .) per direction and view, summed over the views
-    dz_t = gates.transpose(1, 2, 3, 0)
+    dz_t = dz.transpose(1, 2, 3, 0)
     dwx = np.matmul(dz_t, xt.transpose(1, 2, 0, 3)).sum(axis=1)
-    dwh = np.matmul(dz_t[..., 1:], hidden[:-1].transpose(1, 2, 0, 3)).sum(axis=1)
-    return dwx, dwh, gates.sum(axis=(0, 2))
+    dwh = np.matmul(dz_t[..., 1:], hidden[1:-1].transpose(1, 2, 0, 3)).sum(axis=1)
+    return dwx, dwh, dz.sum(axis=(0, 2))
 
 
 @dataclass
@@ -348,7 +380,7 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
 def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
     """Both heads over the batch columns ``cols`` of an LSTM cache: the
     views of one sequence."""
-    xt, hidden = lstm["x"][:, 0, cols], lstm["hidden"][:, :, cols]
+    xt, hidden = lstm["x"][:, 0, cols], lstm["hidden"][1:, :, cols]
     n, m, d = xt.shape
     h = params.hidden_size
     # ``out`` keeps it C-ordered (M, N, .): concatenate would follow the
@@ -502,7 +534,7 @@ def _loss(params, group, lam, grads):
         np.concatenate([seq.features for seq, _, _ in checked], dtype=np.float64),
         params.lstm_wx, params.lstm_wh, params.lstm_b,
     )
-    n, _, batch_views, _ = lstm["hidden"].shape
+    n, _, batch_views, _ = lstm["x"].shape
     d, h = params.input_dim, params.hidden_size
     parts = []
     grad_hidden = None

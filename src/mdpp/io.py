@@ -82,7 +82,8 @@ def read_feature_file(path) -> MultiViewSequence:
         raise FormatError(f"{path}: unreadable metadata block: {exc}") from exc
     if not isinstance(meta, dict) or "sequence_id" not in meta:
         raise FormatError(f"{path}: metadata block must be a JSON object with a sequence_id")
-    sequence_id, fps_note = str(meta["sequence_id"]), str(meta.get("fps_note", ""))
+    sequence_id = read_string(meta["sequence_id"], f"{path}: sequence_id")
+    fps_note = read_string(meta.get("fps_note", ""), f"{path}: fps_note")
     payload = raw[body + meta_len :]
     expected = m * n * d * 4
     if len(payload) != expected:
@@ -116,10 +117,13 @@ def read_annotations(path, sequence: MultiViewSequence | None = None) -> Annotat
     doc = _load_json(path, "mdpp-annotations-1")
     try:
         annotations = AnnotationSet(
-            sequence_id=str(doc["sequence_id"]),
+            sequence_id=read_string(doc["sequence_id"], f"{path}: sequence_id"),
             stage=read_index(doc["stage"], f"{path}: stage"),
             users=tuple(
-                (u["user_id"], _read_selections(u["selections"], path))
+                (
+                    read_string(u["user_id"], f"{path}: user_id"),
+                    _read_selections(u["selections"], path),
+                )
                 for u in doc["users"]
             ),
         )
@@ -169,6 +173,15 @@ def read_index(value, what: str) -> int:
     ``what``, so a malformed field is never coerced."""
     if type(value) is not int or value < 0:
         raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def read_string(value, what: str) -> str:
+    """``value`` if it is a JSON string; any other type raises FormatError
+    naming ``what``, so ``null``, numbers, booleans, lists and objects are
+    never coerced to their text."""
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -226,7 +239,10 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(doc, dict):
             raise FormatError(f"{path}: checkpoint header must be a JSON object")
         layout = [
-            (str(name), tuple(read_index(s, f"{path}: a dimension of {name}") for s in shape))
+            (
+                read_string(name, f"{path}: an array name"),
+                tuple(read_index(s, f"{path}: a dimension of {name}") for s in shape),
+            )
             for name, shape in doc.pop("layout")
         ]
     except (ValueError, KeyError, TypeError) as exc:

@@ -38,7 +38,10 @@ Shot = tuple[int, int, float]
 
 def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
     """Exact 0/1 knapsack: maximize total score with total length within the
-    budget. Ties prefer the lexicographically smallest index set."""
+    budget. Ties prefer the lexicographically smallest index set. Sums are
+    exact: the DP runs on Python integers, each score scaled by the largest
+    denominator of the scores' ``as_integer_ratio``, so a tie never depends
+    on the order in which float additions round."""
     lens = [int(v) for v in lengths]
     vals = [float(v) for v in scores]
     if len(lens) != len(vals):
@@ -49,15 +52,18 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
         raise ValidationError("shot scores must be finite")
     if budget_frames < 0:
         raise ValidationError(f"budget must be non-negative, got {budget_frames}")
+    ratios = [v.as_integer_ratio() for v in vals]
+    scale = max((den for _, den in ratios), default=1)  # a power of two
+    ints = [num * (scale // den) for num, den in ratios]
 
     # dp[w] = (best value, chosen indices) for the item suffix under capacity w
-    dp = [(0.0, ())] * (budget_frames + 1)
+    dp = [(0, ())] * (budget_frames + 1)
     for i in range(len(lens) - 1, -1, -1):
         nxt = dp
         dp = list(nxt)
         for w in range(lens[i], budget_frames + 1):
             value, chosen = nxt[w - lens[i]]
-            take = (value + vals[i], (i, *chosen))
+            take = (value + ints[i], (i, *chosen))
             skip = nxt[w]
             if take[0] > skip[0] or (take[0] == skip[0] and take[1] < skip[1]):
                 dp[w] = take

@@ -367,6 +367,48 @@ def test_feature_meta_block_that_is_not_an_object_exits_1(tmp_path, capsys, meta
     assert "FormatError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [None, [1, 2], 5, True], ids=["null", "list", "int", "true"])
+@pytest.mark.parametrize(
+    "field", ["feature-sequence-id", "annotation-sequence-id", "user-id", "array-name"]
+)
+def test_non_string_ids_exit_1(tmp_path, capsys, field, value):
+    # a non-string id is a FormatError, never read as its text ('None', '5')
+    from mdpp import training
+    from mdpp.encoder import init_params
+
+    features, annotations = _synth(tmp_path, "a", seed=3)
+    if field == "feature-sequence-id":
+        raw = features.read_bytes()
+        meta_len = int.from_bytes(raw[16:20], "little")
+        meta = json.dumps({"sequence_id": value}).encode()
+        features.write_bytes(
+            raw[:16] + len(meta).to_bytes(4, "little") + meta + raw[20 + meta_len :]
+        )
+        argv = ["segment", "--features", str(features), "--out", str(tmp_path / "seg.json")]
+    elif field == "array-name":
+        ckpt = tmp_path / "model.ckpt"
+        training.save_checkpoint(ckpt, init_params(8, hidden_size=3, output_dim=4, seed=0))
+        magic, header, weights = ckpt.read_bytes().split(b"\n", 2)
+        doc = json.loads(header)
+        doc["layout"][0][0] = value
+        ckpt.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), weights]))
+        argv = ["summarize", "--features", str(features), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "s.summary.json")]
+    else:
+        doc = json.loads(annotations.read_text())
+        if field == "user-id":
+            doc["users"][0]["user_id"] = value
+        else:
+            doc["sequence_id"] = value
+        annotations.write_text(json.dumps(doc))
+        argv = ["oracle", "--features", str(features), "--annotations", str(annotations),
+                "--out", str(tmp_path / "o.summary.json")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "must be a string" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("target, bad", [
     *((target, bad) for target in ("annotations", "summary")
       for bad in ([0, 1, 2], ["x", 1], [True, 2], [0, 1.5])),

@@ -47,6 +47,12 @@ def test_annotations_reject_duplicate_user_pairs():
         AnnotationSet(sequence_id="s", stage=2, users=(("u", ((0, 1), (0, 1))),))
 
 
+def test_annotations_reject_non_string_user_ids():
+    for uid in (5, None, ("u",)):
+        with pytest.raises(ValidationError):
+            AnnotationSet(sequence_id="s", stage=2, users=((uid, ((0, 1),)),))
+
+
 def test_annotations_stage1_single_view():
     AnnotationSet(sequence_id="s", stage=1, users=(("u", ((1, 0), (1, 3))),))
     with pytest.raises(ValidationError):

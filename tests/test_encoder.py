@@ -224,7 +224,8 @@ def test_lstm_backward_matches_finite_differences():
     weights = rng.normal(size=(n, 2, m, h))
 
     def total(wx_, wh_, b_):
-        return float((encoder._lstm_forward(x, wx_, wh_, b_)["hidden"] * weights).sum())
+        hidden = bruteforce.per_direction_layout(encoder._lstm_forward(x, wx_, wh_, b_))["hidden"]
+        return float((hidden * weights).sum())
 
     cache = encoder._lstm_forward(x, wx, wh, b)
     dwx, dwh, db = encoder._lstm_backward(cache, wh, weights)
@@ -244,7 +245,8 @@ def test_lstm_backward_matches_finite_differences():
 
 def _per_direction_reference(x, wx, wh, b, grad_hidden):
     """Two reference calls, the reverse one on the time-reversed input, with
-    outputs stacked into the encoder's (N, 2, M, ...) loop-time layout."""
+    outputs stacked into the (N, 2, M, ...) loop-time layout of
+    ``bruteforce.per_direction_layout``."""
     refs = [
         bruteforce.reference_lstm_forward(x, wx[0], wh[0], b[0]),
         bruteforce.reference_lstm_forward(x[:, ::-1], wx[1], wh[1], b[1]),
@@ -291,7 +293,8 @@ def test_fused_lstm_saturated_gates_are_exact():
     b[:, h // 2 : h] = -50.0  # input gates of half the units: 0
     b[:, 3 * h + h // 2 :] = 50.0  # output gates of the same units: 1
     grad_hidden = rng.normal(size=(n, 2, m, h))
-    fused = encoder._lstm_forward(x, wx, wh, b)
+    cache = encoder._lstm_forward(x, wx, wh, b)
+    fused = bruteforce.per_direction_layout(cache)
     ref, ref_grads = _per_direction_reference(x, wx, wh, b, grad_hidden)
     assert (fused["gates"][..., h // 2 : h] == 0.0).all()
     assert (fused["gates"][..., 3 * h + h // 2 :] == 1.0).all()
@@ -299,7 +302,7 @@ def test_fused_lstm_saturated_gates_are_exact():
     for k in (0, 1):
         for key in ("gates", "cells", "hidden"):
             assert bruteforce._max_rel_err(fused[key][:, k], ref[key][:, k]) <= 1e-14
-    grads = encoder._lstm_backward(fused, wh, grad_hidden)
+    grads = encoder._lstm_backward(cache, wh, grad_hidden)
     for fast, slow in zip(grads, ref_grads):
         for k in (0, 1):
             assert bruteforce._max_rel_err(fast[k], slow[k]) <= 1e-12
@@ -324,7 +327,8 @@ def _without_time_reversal(fused_forward):
         cache = fused_forward(x, wx, wh, b)
         unreversed = fused_forward(x[:, ::-1], wx, wh, b)
         for key, arr in cache.items():
-            arr[:, 1] = unreversed[key][:, 1]
+            direction = (slice(None), slice(None), 1) if key == "gates" else (slice(None), 1)
+            arr[direction] = unreversed[key][direction]
         return cache
 
     return forward
@@ -335,6 +339,14 @@ def _forward_weights_only(fused_forward):
         return fused_forward(x, wx[[0, 0]], wh[[0, 0]], b[[0, 0]])
 
     return forward
+
+
+def test_encoder_check_fails_when_o_and_g_slabs_swap(monkeypatch):
+    # the loops treat slab 0 as the output gate and slab 3 as the cell
+    # input; feeding them each other's weights must not pass
+    monkeypatch.setattr(encoder, "_GATE_ORDER", (2, 0, 1, 3))
+    rows = bruteforce.check_encoder(trials=10, seed=0)
+    assert [passed for _, passed, _ in rows[:2]] == [False, False], rows
 
 
 @pytest.mark.parametrize("mutant", [_without_time_reversal, _forward_weights_only])

@@ -32,6 +32,18 @@ def test_knapsack_tie_prefers_lexicographically_smallest():
     assert knapsack_shots([1, 1], [0.0, 0.0], 5) == []
 
 
+def test_knapsack_exact_tie_ignores_float_rounding():
+    # {1, 2, 3} sums to exactly 1 + 5 eps, the score of {0}; added in float
+    # from the last item, 1.5 eps + (1 + 2 eps) rounds up to 1 + 4 eps and
+    # then up again to 1 + 6 eps, so a float DP would pick {1, 2, 3}
+    eps = 2.0**-52
+    scores = [1 + 5 * eps, 1.5 * eps, 1 + 2 * eps, 1.5 * eps]
+    assert knapsack_shots([3, 1, 1, 1], scores, 3) == [0]
+    assert exhaustive_knapsack([3, 1, 1, 1], scores, 3) == [0]
+    # not a tie: the floats 0.1 and 0.2 sum to 2^-55 more than the float 0.3
+    assert knapsack_shots([2, 1, 1], [0.3, 0.1, 0.2], 2) == [1, 2]
+
+
 def test_knapsack_matches_exhaustive():
     rng = np.random.default_rng(0)
     for _ in range(60):
