@@ -374,6 +374,7 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
     lstm = _lstm_forward(
         sequence.features.astype(np.float64), params.lstm_wx, params.lstm_wh, params.lstm_b
     )
+    del lstm["gates"], lstm["cells"]  # only a backward reads them; the heads do not
     return _heads(params, lstm, slice(None))
 
 
@@ -524,7 +525,8 @@ def _loss(params, group, lam, grads):
     writes dLoss/dh into them; its head arrays are freed before the next
     sequence's are made. ``grad_hidden`` is allocated after the first
     sequence's heads backprop, so a group of one never holds it together
-    with the heads' forward arrays.
+    with the heads' forward arrays. Without ``grads`` the gate and cell
+    caches, which only the backward reads, are freed before the heads run.
     """
     checked = []
     for sequence, target_views in group:
@@ -534,6 +536,8 @@ def _loss(params, group, lam, grads):
         np.concatenate([seq.features for seq, _, _ in checked], dtype=np.float64),
         params.lstm_wx, params.lstm_wh, params.lstm_b,
     )
+    if grads is None:
+        del lstm["gates"], lstm["cells"]
     n, _, batch_views, _ = lstm["x"].shape
     d, h = params.input_dim, params.hidden_size
     parts = []

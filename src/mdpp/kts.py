@@ -145,8 +145,8 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     x = _as_features(features)
     if max_segments < 1:
         raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
-    if penalty_coeff < 0:
-        raise ConfigError(f"penalty_coeff must be non-negative, got {penalty_coeff}")
+    if not (penalty_coeff >= 0 and math.isfinite(penalty_coeff)):
+        raise ConfigError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")
     n = x.shape[0]
     parts_cap = min(max_segments, n)
     table = _ScatterTable(x)

@@ -64,8 +64,10 @@ class SynthConfig:
             raise ConfigError(f"overlap_mode must be one of {OVERLAP_MODES}")
         if self.overlap_mode == "pairwise" and self.num_views < 2:
             raise ConfigError("pairwise overlap needs at least 2 views")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+            raise ConfigError(
+                f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
+            )
         if not (0 < self.budget_fraction <= 1):
             raise ConfigError(f"budget_fraction must be in (0, 1], got {self.budget_fraction}")
 

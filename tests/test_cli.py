@@ -185,6 +185,24 @@ def test_train_summarize_eval_pipeline(tmp_path, capsys):
                 "--features", str(test_features)]) == 0
 
 
+def test_train_with_non_finite_learning_rate_exits_1(tmp_path, capsys):
+    root = _training_dir(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    assert run(["train", "--features-dir", str(root), "--lr", "nan", "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "learning_rate must be finite, got nan" in err
+    assert not ckpt.exists()
+
+
+def test_segment_with_non_finite_penalty_exits_1(tmp_path, capsys):
+    features, _ = _synth(tmp_path, "a", seed=5)
+    capsys.readouterr()
+    assert run(["segment", "--features", str(features), "--penalty", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "penalty_coeff must be finite and non-negative" in err
+
+
 def test_train_history_columns_parse_as_floats(tmp_path):
     root = _training_dir(tmp_path)
     for lam in ("1.0", "0"):

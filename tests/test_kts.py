@@ -227,5 +227,8 @@ def test_kts_validation():
         kts(np.zeros((5, 2)), max_segments=0)
     with pytest.raises(ConfigError):
         kts(np.zeros((5, 2)), max_segments=3, penalty_coeff=-1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            kts(np.zeros((5, 2)), max_segments=5, penalty_coeff=value)
     with pytest.raises(ValidationError):
         kts(np.zeros(5), max_segments=2)

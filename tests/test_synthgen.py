@@ -103,6 +103,9 @@ def test_config_validation():
         _config(event_length_min=0)
     with pytest.raises(ConfigError):
         _config(noise_sigma=-0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            _config(noise_sigma=value)
 
 
 def test_no_events_gives_pure_background():

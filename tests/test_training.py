@@ -1,7 +1,11 @@
+import ctypes
+import math
+import platform
+
 import numpy as np
 import pytest
 
-from mdpp import training
+from mdpp import synth, training
 from mdpp.data_model import MultiViewSequence, Summary
 from mdpp.encoder import init_params, loss_and_grad, to_vector
 from mdpp.errors import ConfigError, NumericError, ValidationError
@@ -28,6 +32,20 @@ def test_config_validation():
         TrainConfig(beta1=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(lam=-0.1)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "beta1", "beta2", "epsilon", "lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["batch_size", "iterations"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
 
 
 def test_adam_matches_reference_updates():
@@ -181,6 +199,49 @@ def test_train_rejects_bad_plans():
         train(initial, collections,
               SplitPlan(train_collections=(), val_collection="c1", test_collection="c2"),
               config)
+
+
+def _synth_training_args(num_steps=600):
+    """A 2-sequence training collection and a 1-sequence validation one at
+    M=3, D=16, with an H=16, D'=64 model and one epoch."""
+    def example(seed):
+        sequence, annotations = synth.generate(synth.SynthConfig(
+            num_views=3, num_steps=num_steps, feature_dim=16, num_events=5,
+            event_length_min=6, event_length_max=9, seed=seed,
+        ))
+        return targets_from_summary(sequence, Summary(selections=annotations.users[0][1]))
+
+    collections = {"c0": [example(0), example(1)], "c1": [example(2)], "c2": []}
+    plan = SplitPlan(train_collections=("c0",), val_collection="c1", test_collection="c2")
+    initial = init_params(16, hidden_size=16, output_dim=64, seed=0)
+    return initial, collections, plan, TrainConfig(iterations=1)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_repeated_train_reuses_its_freed_memory():
+    # each step frees what the next one allocates again; kept mapped, the
+    # second call touches no new pages (4k-8k faults when glibc hands the
+    # memory back to the OS after every step)
+    import resource
+
+    args = _synth_training_args()
+    train(*args)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(*args)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+
+
+def test_train_without_mallopt_returns_the_same_weights(monkeypatch):
+    args = _synth_training_args(num_steps=300)
+    expected = train(*args)
+
+    def no_c_library(*_args, **_kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_c_library)
+    result = train(*args)
+    np.testing.assert_array_equal(to_vector(result.params), to_vector(expected.params))
+    assert result.best_val_loss == expected.best_val_loss
 
 
 def test_checkpoint_roundtrip(tmp_path):
