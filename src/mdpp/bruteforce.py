@@ -6,8 +6,9 @@ segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
 formulas that the dual-form fast path in ``dpp`` must reproduce, the
 from-scratch greedy MAP that its incremental Cholesky must match pick for
 pick, the per-(k, end) KTS loop that the blocked DP in ``kts`` must
-reproduce bitwise, and the per-pair tolerant-F1 loop that the one-pass
-sweep in ``evaluation`` must reproduce bitwise. Only this module builds a
+reproduce bitwise, the full-cap KTS choice that its level cut must match,
+and the per-pair tolerant-F1 loop that the one-pass sweep in
+``evaluation`` must reproduce bitwise. Only this module builds a
 DppKernel's N x N matrix (``kernel_matrix``). The `check` CLI subcommand
 drives these against the production implementations.
 """
@@ -220,6 +221,27 @@ def reference_dp_tables(table, max_parts: int):
             dp[k][end] = totals[j]
             bp[k][end] = starts[j]
     return dp, bp
+
+
+def reference_kts(tables, max_segments: int, penalty_coeff: float):
+    """``kts`` without the level cut: the penalized choice among every
+    change-point count below cap = min(max_segments, N), read off the
+    tables ``(dp, bp)`` of ``reference_dp_tables`` for N frames and a cap
+    of at least that."""
+    from .kts import SegmentationResult, _reconstruct
+
+    dp, bp = tables
+    n = dp.shape[1] - 1
+    best_m, best_penalized = 0, float(dp[1][n])
+    for m in range(1, min(max_segments, n)):
+        penalized = float(dp[m + 1][n]) + penalty_coeff * m * (math.log(n / m) + 1.0)
+        if penalized < best_penalized:
+            best_m, best_penalized = m, penalized
+    return SegmentationResult(
+        change_points=_reconstruct(bp, best_m + 1, n),
+        num_segments=best_m + 1,
+        objective=float(dp[best_m + 1][n]),
+    )
 
 
 def reference_lstm_forward(x, wx, wh, b):
@@ -455,7 +477,7 @@ def _knapsack_tie(rng: np.random.Generator):
 
 
 def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
-    from .kts import _dp_tables, kts_fixed_m
+    from .kts import _dp_tables, _single_segment, kts, kts_fixed_m
 
     rng = np.random.default_rng(seed)
     ok = True
@@ -467,7 +489,8 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
             _, brute_cost = exhaustive_segmentation(feats, m)
             if abs(cost - brute_cost) > 1e-9 * max(1.0, abs(brute_cost)):
                 ok = False
-    tables_ok = True
+    tables_ok = cut_ok = True
+    cut_runs = cut_applied = 0
     inputs = list(_kts_table_inputs(rng, trials))
     for feats, max_parts in inputs:
         table = _ScatterTable(feats)
@@ -475,6 +498,17 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
         ref_dp, ref_bp = reference_dp_tables(table, max_parts)
         if not (np.array_equal(dp, ref_dp) and np.array_equal(bp, ref_bp)):
             tables_ok = False
+        # the cut's dp[1][N] must be the table's bits, and every penalty
+        # must pick what the full-cap tables pick
+        n = table.n
+        if np.float64(_single_segment(table)[1]).tobytes() != ref_dp[1, n].tobytes():
+            cut_ok = False
+        for penalty in _KTS_CUT_PENALTIES:
+            cut_runs += 1
+            cut_applied += any(penalty * m * (math.log(n / m) + 1.0) >= ref_dp[1, n]
+                               for m in range(1, min(max_parts, n)))
+            if kts(feats, max_parts, penalty) != reference_kts((ref_dp, ref_bp), max_parts, penalty):
+                cut_ok = False
     cost_err = max(_block_cost_error(feats) for feats, _ in inputs)
     config = synth.SynthConfig(num_views=1, num_steps=2000, feature_dim=16, num_events=5,
                                event_length_min=6, event_length_max=9, seed=seed)
@@ -488,10 +522,18 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
         ("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials"),
         ("KTS tables vs reference loop", tables_ok,
          f"{len(inputs)} inputs, N <= {max(f.shape[0] for f, _ in inputs)}, bitwise dp and bp"),
+        ("KTS level cut vs full cap", cut_ok,
+         f"{cut_runs} runs of {len(inputs)} inputs at penalties {_KTS_CUT_PENALTIES}, "
+         f"{cut_applied} with levels cut; equal results, bitwise dp[1][N]"),
         ("KTS cost blocks vs direct scatter", cost_err <= 1e-11,
          f"{len(inputs)} inputs plus N=2000 synth and N=600 normal + 50 views; "
          f"max |cost - direct| / prefix energy = {cost_err:.1e}"),
     ]
+
+
+# zero (nothing is cut on views with scatter), tiny, the benchmark's, the
+# library default and a large one
+_KTS_CUT_PENALTIES = (0.0, 1e-9, 0.05, 1.0, 10.0)
 
 
 def _block_cost_error(x: np.ndarray, ends=None) -> float:
@@ -518,12 +560,15 @@ def _block_cost_error(x: np.ndarray, ends=None) -> float:
 
 def _kts_table_inputs(rng: np.random.Generator, trials: int):
     """(features, max_parts) pairs. Random features with N <= 60 and
-    max_parts <= N, plus tie-heavy ones: all-zero frames and runs of
-    repeated constant blocks. Then the same three kinds at sizes that cross
-    DP blocks (b - 1, b, b + 1, 2b + 1 and one random size in (b, 3b] for
-    block size b), each with max_parts below N and above N."""
+    max_parts <= N, the same around a common offset of 50 (where a
+    segment's scatter cancels most of its energy, so differently anchored
+    cost blocks round differently), plus tie-heavy ones: all-zero frames
+    and runs of repeated constant blocks. Then the same four kinds at sizes
+    that cross DP blocks (b - 1, b, b + 1, 2b + 1 and one random size in
+    (b, 3b] for block size b), each with max_parts below N and above N."""
     def kinds(n, d):
         yield rng.normal(size=(n, d))
+        yield rng.normal(size=(n, d)) + 50.0
         yield np.zeros((n, d))
         blocks = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), d)).astype(float)
         lengths = rng.integers(1, max(2, n // 4), size=blocks.shape[0])

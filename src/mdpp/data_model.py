@@ -17,6 +17,14 @@ from .errors import ConfigError, DataError, ValidationError
 Selection = tuple[int, int]  # (view, time-step)
 
 
+def check_seed(seed) -> int:
+    """``seed`` if it is a non-negative integer (not a bool); otherwise a
+    ConfigError, where numpy's generators would raise a bare ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class MultiViewSequence:
     """M temporally aligned views of N time-steps with D-dim features each.

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dpp, multi_dpp
-from .data_model import MultiViewSequence
+from .data_model import MultiViewSequence, check_seed
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .multi_dpp import ViewStreams
 
@@ -166,7 +166,7 @@ def init_params(
             f"dimensions must be positive, got ({input_dim}, {hidden_size}, {output_dim})"
         )
     d, h, dp = input_dim, hidden_size, output_dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
 
     def draw(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)

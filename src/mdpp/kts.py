@@ -11,12 +11,20 @@ the single-segment (m = 0) alternative.
 The DP runs over blocks of ``_BLOCK`` end frames. Each block computes
 the scatter of every segment ending in it as one (block x starts) array
 around one matrix product, then relaxes the segment counts level by level:
-level k - 1 of the block is final before level k reads it. Time stays
-O(N^2 (D + K)); extra memory is O(K N + _BLOCK N + N D); no N x N cost
-table is ever built. A cell's round-off depends on its block, so
-``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop but reads
-each end's costs from the same ``_ScatterTable.block_costs`` grid, and
-``mdpp check kts`` requires the two to agree bitwise.
+level k - 1 of the block is final before level k reads it. Every level
+adds into one C-contiguous scratch whose base is 64-byte aligned; a full
+block's width is a multiple of 64, so each of its rows starts on a cache
+line. ``kts`` relaxes only the levels whose change-point count can still
+win: m change points pay at least the penalty pen(m) >= 0 on top of a
+non-negative cost, so an m with pen(m) >= dp[1][N] never beats the single
+segment. That cut reads dp[1][N] from the final block's own grid, the
+value the table holds bit for bit, so the outputs equal the full-cap ones.
+With K the levels relaxed, time is O(N^2 (D + K)) and extra memory
+O(K N + _BLOCK N + N D); no N x N cost table is ever built. A cell's
+round-off depends on its block, so ``bruteforce.reference_dp_tables`` keeps
+the per-(k, end) loop but reads each end's costs from the same
+``_ScatterTable.block_costs`` grid, and ``mdpp check kts`` requires the two
+to agree bitwise and the cut to match a full-cap selection.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -79,19 +87,29 @@ class _ScatterTable:
         return out
 
 
-def _dp_tables(table: _ScatterTable, max_parts: int):
+def _dp_tables(table: _ScatterTable, max_parts: int, last_costs=None):
     """dp[k][n] = minimum scatter splitting the first n frames into k
     segments; bp holds the matching last-segment start (the earliest on
-    ties). Cells with n < k stay inf with bp 0."""
+    ties). Cells with n < k stay inf with bp 0. ``last_costs``, if given,
+    is the final block's ``block_costs``, already computed by the caller."""
     n = table.n
     dp = np.full((max_parts + 1, n + 1), np.inf)
     bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
     dp[0][0] = 0.0
+    # one scratch for every block's relaxation, its base on a 64-byte cache
+    # line: 8 spare doubles absorb the allocator's 16-byte alignment
+    flat = np.empty(min(_BLOCK, n) * n + 8)
+    scratch = flat[-flat.ctypes.data % 64 // 8 :]
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        costs = table.block_costs(lo, hi)
+        if hi == n + 1 and last_costs is not None:
+            costs = last_costs
+        else:
+            costs = table.block_costs(lo, hi)
         width = hi - 1
-        totals = np.empty_like(costs)
+        # C-contiguous, so each row of a full block (width 64 j) starts on a
+        # cache line and no 64-byte store straddles two
+        totals = scratch[: costs.size].reshape(costs.shape)
         rows = np.arange(hi - lo)
         # level k - 1 of this block is final before level k reads it; inf
         # cells (a >= e, or dp[k - 1][a] unreachable) never win the argmin
@@ -101,6 +119,16 @@ def _dp_tables(table: _ScatterTable, max_parts: int):
             bp[k, lo:hi] = best
             dp[k, lo:hi] = totals[rows, best]
     return dp, bp
+
+
+def _single_segment(table: _ScatterTable) -> tuple[np.ndarray, float]:
+    """The final DP block's ``block_costs`` and, read from that grid, the
+    cost of the one segment [0, n): bitwise the table's dp[1][n]. A block
+    anchored elsewhere (``block_costs(n, n + 1)``) rounds differently."""
+    n = table.n
+    lo = 1 + (n - 1) // _BLOCK * _BLOCK
+    costs = table.block_costs(lo, n + 1)
+    return costs, float(costs[n - lo, 0])
 
 
 def _reconstruct(bp: np.ndarray, parts: int, n: int) -> tuple[int, ...]:
@@ -141,7 +169,12 @@ class SegmentationResult:
 
 def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> SegmentationResult:
     """Segment one view's features, choosing the change-point count by the
-    penalized objective. Ties prefer fewer change points."""
+    penalized objective. Ties prefer fewer change points.
+
+    Only levels 1 .. 1 + max{m < cap : pen(m) < dp[1][N]} are relaxed, with
+    cap = min(max_segments, N): a larger m cannot win. The result is the
+    full-cap one, and time and extra memory are O(N^2 (D + K)) and
+    O(K N + 64 N + N D) with K the levels relaxed."""
     x = _as_features(features)
     if max_segments < 1:
         raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
@@ -150,11 +183,16 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     n = x.shape[0]
     parts_cap = min(max_segments, n)
     table = _ScatterTable(x)
-    dp, bp = _dp_tables(table, parts_cap)
+    last_costs, single = _single_segment(table)
+    penalties = [0.0] + [penalty_coeff * m * (math.log(n / m) + 1.0) for m in range(1, parts_cap)]
+    # the table is non-negative, so m's penalized value is at least
+    # penalties[m]; once that reaches dp[1][n], m cannot win
+    parts = 1 + max((m for m in range(1, parts_cap) if penalties[m] < single), default=0)
+    dp, bp = _dp_tables(table, parts, last_costs)
 
     best_m, best_penalized = 0, float(dp[1][n])
-    for m in range(1, parts_cap):
-        penalized = float(dp[m + 1][n]) + penalty_coeff * m * (math.log(n / m) + 1.0)
+    for m in range(1, parts):
+        penalized = float(dp[m + 1][n]) + penalties[m]
         if penalized < best_penalized:
             best_m, best_penalized = m, penalized
     return SegmentationResult(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dpp
-from .data_model import MultiViewSequence, Summary, SummaryBudget
+from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed
 from .encoder import ModelParams, forward
 from .errors import DataError, ValidationError
 from .kts import kts
@@ -241,7 +241,7 @@ def baseline_random(
 ) -> Summary:
     """Uniform sample of frame_budget (view, t) pairs without replacement."""
     m, n = sequence.num_views, sequence.num_steps
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     flat = rng.choice(m * n, size=min(budget.frame_budget(n), m * n), replace=False)
     selections = tuple((int(i) // n, int(i) % n) for i in flat)
     return Summary(selections=selections, budget_fraction=budget.fraction)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AnnotationSet, MultiViewSequence
+from .data_model import AnnotationSet, MultiViewSequence, check_seed
 from .errors import ConfigError
 
 OVERLAP_MODES = ("independent", "pairwise", "full")
@@ -70,6 +70,7 @@ class SynthConfig:
             )
         if not (0 < self.budget_fraction <= 1):
             raise ConfigError(f"budget_fraction must be in (0, 1], got {self.budget_fraction}")
+        check_seed(self.seed)
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:

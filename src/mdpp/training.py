@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import io
-from .data_model import MultiViewSequence, Summary
+from .data_model import MultiViewSequence, Summary, check_seed
 from .encoder import PARAM_FIELDS, LossParts, ModelParams, batch_loss, from_vector, to_vector
 from .errors import ConfigError, FormatError, NumericError, ValidationError
 
@@ -52,6 +52,7 @@ class TrainConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.lam < 0:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
+        check_seed(self.seed)
 
 
 @dataclass

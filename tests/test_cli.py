@@ -195,6 +195,27 @@ def test_train_with_non_finite_learning_rate_exits_1(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_negative_seed_exits_1(tmp_path, capsys):
+    root = _training_dir(tmp_path)
+    features = root / "c0" / "s0.mdv"
+    out = tmp_path / "out"
+    commands = (
+        ["synth", "--views", "2", "--steps", "40", "--dim", "8", "--events", "2",
+         "--event-min", "3", "--event-max", "3", "--out", str(out / "a.mdv"),
+         "--annotations-out", str(out / "a.annotations.json")],
+        ["train", "--features-dir", str(root), "--hidden", "4", "--output-dim", "8",
+         "--iterations", "1", "--out", str(out / "model.ckpt")],
+        ["summarize", "--features", str(features), "--baseline", "random",
+         "--out", str(out / "random.summary.json")],
+    )
+    capsys.readouterr()
+    for argv in commands:
+        assert run([*argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "seed must be a non-negative integer, got -1" in err
+    assert not out.exists()
+
+
 def test_segment_with_non_finite_penalty_exits_1(tmp_path, capsys):
     features, _ = _synth(tmp_path, "a", seed=5)
     capsys.readouterr()

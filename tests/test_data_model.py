@@ -101,3 +101,20 @@ def test_budget_frame_count():
     assert SummaryBudget(fraction=1.0).frame_budget(8) == 8
     with pytest.raises(ConfigError):
         SummaryBudget(fraction=0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_seeds_must_be_non_negative_integers(seed):
+    from mdpp import encoder, summarizer, synth, training
+
+    makers = (
+        lambda: synth.SynthConfig(num_views=1, num_steps=10, feature_dim=2, num_events=1,
+                                  event_length_min=2, event_length_max=3, seed=seed),
+        lambda: training.TrainConfig(seed=seed),
+        lambda: encoder.init_params(2, hidden_size=2, output_dim=2, seed=seed),
+        lambda: summarizer.baseline_random(_sequence(), seed=seed),
+    )
+    for make in makers:
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            make()
+    assert training.TrainConfig(seed=np.int64(3)).seed == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mdpp import bruteforce, synth
+from mdpp import kts as kts_module
 from mdpp.errors import ConfigError, DataError, ValidationError
 from mdpp.bruteforce import segment_cost
 from mdpp.kts import SegmentationResult, _dp_tables, _ScatterTable, kts, kts_fixed_m
@@ -143,8 +144,93 @@ def test_kts_check_fails_on_wrong_costs(monkeypatch):
     assert rows == {
         "KTS dynamic program vs exhaustive segmentation": False,
         "KTS tables vs reference loop": True,
+        "KTS level cut vs full cap": True,
         "KTS cost blocks vs direct scatter": False,
     }
+
+
+def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
+    dp_tables = kts_module._dp_tables
+
+    def one_level_fewer(table, max_parts, last_costs=None):
+        dp, bp = dp_tables(table, max_parts, last_costs)
+        if last_costs is not None and max_parts > 1:  # called from kts
+            dp[max_parts], bp[max_parts] = np.inf, 0
+        return dp, bp
+
+    monkeypatch.setattr(kts_module, "_dp_tables", one_level_fewer)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
+    assert rows["KTS tables vs reference loop"] is True
+
+
+def test_kts_check_fails_when_the_cut_reads_an_end_anchored_block(monkeypatch):
+    # block_costs(n, n + 1) is the same segment's scatter anchored at end n;
+    # on views with a large common offset its bits differ from the table's
+    single_segment = kts_module._single_segment
+    monkeypatch.setattr(
+        kts_module, "_single_segment",
+        lambda table: (single_segment(table)[0],
+                       float(table.block_costs(table.n, table.n + 1)[0, 0])),
+    )
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
+
+
+class _SpyNumpy:
+    """numpy, except that ``argmin`` records the array it is given."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmin(self, a, axis=None):
+        self.seen.setdefault(a.shape, []).append(
+            (a.flags.c_contiguous, a.ctypes.data % 64, a.strides))
+        return np.argmin(a, axis=axis)
+
+
+def test_relaxation_block_is_contiguous_and_cache_line_aligned(monkeypatch):
+    spy = _SpyNumpy()
+    monkeypatch.setattr(kts_module, "np", spy)
+    for n in (40, 64, 65, 200):
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        spy.seen.clear()
+        _dp_tables(_ScatterTable(x), 6)
+        lows = range(1, n + 1, 64)
+        assert sorted(spy.seen) == sorted((min(lo + 64, n + 1) - lo, min(lo + 63, n)) for lo in lows)
+        for (rows, width), arrays in spy.seen.items():
+            for contiguous, offset, strides in arrays:
+                assert contiguous and offset == 0 and strides == (8 * width, 8)
+            if rows == 64:  # a full block: every row starts on a cache line
+                assert width % 8 == 0
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 193])
+def test_dp_tables_match_reference_loop_bitwise_around_block_edges(n):
+    rng = np.random.default_rng(n)
+    _assert_tables_match_reference(rng.normal(size=(n, 4)), n // 4 + 1)
+    _assert_tables_match_reference(rng.normal(size=(n, 2)) + 50.0, n // 6 + 1)
+
+
+@pytest.mark.parametrize("n, seed", [(300, 21), (600, 22)])
+def test_level_cut_equals_full_cap_on_synth_views(monkeypatch, n, seed):
+    config = synth.SynthConfig(
+        num_views=3, num_steps=n, feature_dim=16, num_events=5,
+        event_length_min=6, event_length_max=9, seed=seed,
+    )
+    x = np.asarray(synth.generate(config)[0].view(0), dtype=float)
+    cap = default_max_segments(n)
+    tables = _dp_tables(_ScatterTable(x), cap)  # bitwise the reference loop's
+    relaxed = []
+    monkeypatch.setattr(kts_module, "_dp_tables", lambda table, parts, last_costs=None: (
+        relaxed.append(parts) or _dp_tables(table, parts, last_costs)))
+    for penalty in (0.0, 1e-6, 0.05, 1.0, 10.0):
+        assert kts(x, cap, penalty) == bruteforce.reference_kts(tables, cap, penalty)
+    # nothing is cut at penalties 0 to 0.05 on these views; 1 and 10 cut levels
+    assert relaxed[:3] == [cap] * 3 and cap > relaxed[3] > relaxed[4]
 
 
 def test_single_frame_and_cap_above_num_frames():
