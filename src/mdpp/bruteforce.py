@@ -223,6 +223,20 @@ def reference_dp_tables(table, max_parts: int):
     return dp, bp
 
 
+def reference_linear_penalty(table, beta: float) -> float:
+    """G = F[N] of ``kts._LinearPenaltyRow``, one end at a time: F[0] =
+    -beta, F[e] = min_a (F[a] + beta) + c(a, e), with each end's costs read
+    from the same ``block_costs`` grid and the same float operations, so
+    the fast row's converged in-block passes must give the same bits."""
+    shifted = np.zeros(1)  # F + beta; F[0] + beta = 0 exactly
+    total = -beta
+    for lo in range(1, table.n + 1, _BLOCK):
+        for row in table.block_costs(lo, min(lo + _BLOCK, table.n + 1)):
+            total = float(np.min(shifted + row[: len(shifted)]))
+            shifted = np.append(shifted, total + beta)
+    return total
+
+
 def reference_kts(tables, max_segments: int, penalty_coeff: float):
     """``kts`` without the level cut: the penalized choice among every
     change-point count below cap = min(max_segments, N), read off the
@@ -241,6 +255,7 @@ def reference_kts(tables, max_segments: int, penalty_coeff: float):
         change_points=_reconstruct(bp, best_m + 1, n),
         num_segments=best_m + 1,
         objective=float(dp[best_m + 1][n]),
+        levels_relaxed=min(max_segments, n),
     )
 
 
@@ -489,26 +504,19 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
             _, brute_cost = exhaustive_segmentation(feats, m)
             if abs(cost - brute_cost) > 1e-9 * max(1.0, abs(brute_cost)):
                 ok = False
-    tables_ok = cut_ok = True
-    cut_runs = cut_applied = 0
+    tables_ok = True
     inputs = list(_kts_table_inputs(rng, trials))
+    cases = []
     for feats, max_parts in inputs:
         table = _ScatterTable(feats)
         dp, bp = _dp_tables(table, max_parts)
-        ref_dp, ref_bp = reference_dp_tables(table, max_parts)
-        if not (np.array_equal(dp, ref_dp) and np.array_equal(bp, ref_bp)):
+        ref = reference_dp_tables(table, max_parts)
+        if not (np.array_equal(dp, ref[0]) and np.array_equal(bp, ref[1])):
             tables_ok = False
-        # the cut's dp[1][N] must be the table's bits, and every penalty
-        # must pick what the full-cap tables pick
-        n = table.n
-        if np.float64(_single_segment(table)[1]).tobytes() != ref_dp[1, n].tobytes():
-            cut_ok = False
-        for penalty in _KTS_CUT_PENALTIES:
-            cut_runs += 1
-            cut_applied += any(penalty * m * (math.log(n / m) + 1.0) >= ref_dp[1, n]
-                               for m in range(1, min(max_parts, n)))
-            if kts(feats, max_parts, penalty) != reference_kts((ref_dp, ref_bp), max_parts, penalty):
-                cut_ok = False
+        cases.append((feats, max_parts, ref))
+    for feats, cap in _kts_long_views(rng, seed):
+        cases.append((feats, cap, reference_dp_tables(_ScatterTable(feats), cap)))
+    cut = _check_kts_cuts(cases)
     cost_err = max(_block_cost_error(feats) for feats, _ in inputs)
     config = synth.SynthConfig(num_views=1, num_steps=2000, feature_dim=16, num_events=5,
                                event_length_min=6, event_length_max=9, seed=seed)
@@ -522,9 +530,7 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
         ("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials"),
         ("KTS tables vs reference loop", tables_ok,
          f"{len(inputs)} inputs, N <= {max(f.shape[0] for f, _ in inputs)}, bitwise dp and bp"),
-        ("KTS level cut vs full cap", cut_ok,
-         f"{cut_runs} runs of {len(inputs)} inputs at penalties {_KTS_CUT_PENALTIES}, "
-         f"{cut_applied} with levels cut; equal results, bitwise dp[1][N]"),
+        cut,
         ("KTS cost blocks vs direct scatter", cost_err <= 1e-11,
          f"{len(inputs)} inputs plus N=2000 synth and N=600 normal + 50 views; "
          f"max |cost - direct| / prefix energy = {cost_err:.1e}"),
@@ -534,6 +540,69 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
 # zero (nothing is cut on views with scatter), tiny, the benchmark's, the
 # library default and a large one
 _KTS_CUT_PENALTIES = (0.0, 1e-9, 0.05, 1.0, 10.0)
+
+
+def _check_kts_cuts(cases):
+    """The "level cut vs full cap" row: on every (features, max_parts,
+    reference tables of at least min(max_parts, N) levels) case, ``kts`` at
+    each of _KTS_CUT_PENALTIES must equal ``reference_kts`` on the
+    reference tables, the cut's dp[1][N] must have the reference table's
+    bytes, and, where the bound path runs, the linear-penalty row's G the
+    bytes of ``reference_linear_penalty`` at the same beta."""
+    from .kts import (_FIRST_LEVELS, _ROW_COST_LEVELS, _LinearPenaltyRow, _empty_tables,
+                      _penalty, _relax, _single_segment, kts)
+
+    ok = True
+    runs = cut_runs = bound_runs = bound_levels = bound_k15 = 0
+    for feats, max_parts, ref in cases:
+        table = _ScatterTable(feats)
+        n, cap = table.n, min(max_parts, table.n)
+        if np.float64(_single_segment(table)[1]).tobytes() != ref[0][1, n].tobytes():
+            ok = False
+        for penalty in _KTS_CUT_PENALTIES:
+            runs += 1
+            penalties = [_penalty(penalty, n, m) for m in range(cap)]
+            k15 = 1 + max((m for m in range(1, cap) if penalties[m] < ref[0][1, n]), default=0)
+            result = kts(feats, max_parts, penalty)
+            if result != reference_kts(ref, max_parts, penalty):
+                ok = False
+            cut_runs += result.levels_relaxed < cap
+            if penalty > 0 and k15 > _FIRST_LEVELS + _ROW_COST_LEVELS:
+                bound_runs += 1
+                bound_levels += result.levels_relaxed
+                bound_k15 += k15
+                # the row alone, never giving up (its cap is N)
+                beta = min(b - a for a, b in zip(penalties, penalties[1:k15]))
+                row = _LinearPenaltyRow(n, beta, n, k15)
+                _relax(table, *_empty_tables(n, 0), range(1, 1), None, row)
+                if np.float64(row.total).tobytes() != \
+                        np.float64(reference_linear_penalty(table, beta)).tobytes():
+                    ok = False
+    return ("KTS level cut vs full cap", ok,
+            f"{runs} runs of {len(cases)} inputs (N <= {max(f.shape[0] for f, _, _ in cases)}) "
+            f"at penalties {_KTS_CUT_PENALTIES}, {cut_runs} with levels cut; "
+            f"{bound_runs} on the bound path (K15 > {_FIRST_LEVELS + _ROW_COST_LEVELS}, "
+            f"penalty > 0) "
+            f"relaxed {bound_levels} of their {bound_k15} K15 levels; "
+            f"equal results, bitwise dp[1][N] and G")
+
+
+def _kts_long_views(rng: np.random.Generator, seed: int):
+    """(features, default cap) at N = 300 and 600, where the bound path
+    runs at penalty 0.05: planted-event synth views, integer runs with exact
+    ties (10-20 constant runs of integer frames, zero-cost splits), and
+    normal noise, on which the linear-penalty row gives up."""
+    for n in (300, 600):
+        cap = -(-n // 15)
+        config = synth.SynthConfig(num_views=1, num_steps=n, feature_dim=16, num_events=5,
+                                   event_length_min=6, event_length_max=9,
+                                   noise_sigma=0.05, seed=seed + n)
+        yield synth.generate(config)[0].view(0).astype(float), cap
+        runs = int(rng.integers(10, 21))
+        values = rng.integers(-2, 3, size=(runs, 3)).astype(float)
+        lengths = rng.multinomial(n - 5 * runs, np.ones(runs) / runs) + 5
+        yield np.repeat(values, lengths, axis=0), cap
+    yield rng.normal(size=(300, 4)), 20
 
 
 def _block_cost_error(x: np.ndarray, ends=None) -> float:
@@ -626,7 +695,7 @@ def check_encoder(trials: int = 50, seed: int = 0):
             )
             for fast, slow in zip(grads, ref_grads):
                 worst_bwd = max(worst_bwd, _max_rel_err(fast[k], slow))
-    worst_hidden, worst_loss = _check_groups(rng, trials)
+    worst_hidden, worst_lone, worst_loss = _check_groups(rng, trials)
     return [
         (
             "stacked LSTM forward vs per-direction reference (gates, cells, hidden)",
@@ -640,21 +709,23 @@ def check_encoder(trials: int = 50, seed: int = 0):
         ),
         (
             "stacked sequence groups vs per-sequence loss_and_grad (hidden, loss parts, gradient)",
-            worst_hidden <= 1e-14 and worst_loss <= 1e-12,
-            f"{trials} groups, max rel err hidden {worst_hidden:.3e}, loss and grad {worst_loss:.3e}",
+            worst_lone == 0.0 and worst_hidden <= 1e-14 and worst_loss <= 1e-12,
+            f"{trials} groups, max rel err hidden {worst_lone:.3e} for one-view sequences "
+            f"(bitwise required), {worst_hidden:.3e} for others, loss and grad {worst_loss:.3e}",
         ),
     ]
 
 
-def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
+def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float, float]:
     """Worst relative errors of stacked groups against their sequences run
     alone: the LSTM hidden states of the stacked input against each
-    sequence's own, and the group's loss parts and summed gradient against
+    sequence's own (one-view sequences, padded by ``encoder._stacked_lstm``,
+    apart from the others), and the group's loss parts and summed gradient against
     per-sequence ``loss_and_grad``, each parameter array (each LSTM
     direction) at its own scale. Groups hold 1-4 sequences of one length
     N <= 12 with M in 1..3 each, and lam in {0, 0.5, 1}; every other
     group's model has saturated LSTM gates, as in ``_lstm_inputs``."""
-    worst_hidden = worst_loss = 0.0
+    worst_hidden = worst_lone = worst_loss = 0.0
     for trial in range(trials):
         n, d, h = (int(rng.integers(1, 13)), int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         params = encoder.init_params(d, h, 8, seed=int(rng.integers(1 << 31)))
@@ -679,18 +750,19 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
             group.append((MultiViewSequence("s", features), y))
         lam = float(rng.choice((0.0, 0.5, 1.0)))
 
-        weights = (params.lstm_wx, params.lstm_wh, params.lstm_b)
-        stacked = per_direction_layout(encoder._lstm_forward(
-            np.concatenate([seq.features for seq, _ in group], dtype=np.float64), *weights
-        ))["hidden"]
+        stacked = per_direction_layout(
+            encoder._stacked_lstm(params, [seq for seq, _ in group])
+        )["hidden"]
         start = 0
         for seq, _ in group:
-            alone = per_direction_layout(
-                encoder._lstm_forward(seq.features.astype(np.float64), *weights)
-            )["hidden"]
-            cols = stacked[:, :, start : start + seq.num_views]
-            start += seq.num_views
-            worst_hidden = max(worst_hidden, _max_rel_err(cols, alone))
+            alone = per_direction_layout(encoder._stacked_lstm(params, [seq]))["hidden"]
+            cols = slice(start, start + seq.num_views)
+            start = cols.stop
+            err = _max_rel_err(stacked[:, :, cols], alone[:, :, : seq.num_views])
+            if seq.num_views == 1:
+                worst_lone = max(worst_lone, err)
+            else:
+                worst_hidden = max(worst_hidden, err)
 
         grads = encoder._zero_grads(params)
         parts = encoder._loss(params, group, lam, grads)
@@ -709,7 +781,7 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
             pairs = zip(grads[name], arr) if name.startswith("lstm_") else [(grads[name], arr)]
             for fast, slow in pairs:
                 worst_loss = max(worst_loss, _max_rel_err(fast, slow))
-    return worst_hidden, worst_loss
+    return worst_hidden, worst_lone, worst_loss
 
 
 def _lstm_inputs(rng: np.random.Generator, trials: int):

@@ -250,7 +250,8 @@ def _cmd_segment(args):
         result = summarizer._view_segmentation(sequence.view(m), args.max_segments, args.penalty)
         cps = ",".join(str(c) for c in result.change_points)
         lines.append(f"view {m}: segments={result.num_segments} "
-                     f"objective={result.objective:.6f} change_points=[{cps}]")
+                     f"objective={result.objective:.6f} levels_relaxed={result.levels_relaxed} "
+                     f"change_points=[{cps}]")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     outputs = []

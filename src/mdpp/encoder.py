@@ -46,9 +46,12 @@ and each group's views share one LSTM forward and one backward. The heads,
 the loss and the heads' backprop run one sequence at a time on its own
 columns, so the cap bounds the memory that stacking adds: the LSTM cache of
 at most _STACK_FRAMES view-frames. A sequence longer than the cap runs
-alone. ``loss_and_grad`` and ``evaluate_loss`` are groups of one, with and
-without the gradient, on the same loss path; ``mdpp check encoder`` compares
-stacked groups with the sum of their sequences' ``loss_and_grad``.
+alone. A group of one view runs with a zero second view, so that its
+per-step products take the matrix-matrix path too and its states do not
+depend on whether it was stacked. ``loss_and_grad`` and ``evaluate_loss``
+are groups of one, with and without the gradient, on the same loss path;
+``mdpp check encoder`` compares stacked groups with the sum of their
+sequences' ``loss_and_grad``.
 """
 
 from __future__ import annotations
@@ -368,14 +371,25 @@ def _check_input_dim(params: ModelParams, sequence: MultiViewSequence) -> None:
         )
 
 
+def _stacked_lstm(params: ModelParams, sequences) -> dict:
+    """One ``_lstm_forward`` over the views of ``sequences``, in order. A
+    lone view gets a zero second view, so that its per-step products take
+    the same matrix-matrix path as a stacked group's (a one-row product
+    takes the vector path, which rounds differently) and its states are
+    bitwise those it gets stacked with others. No sequence's columns
+    include the extra one, and its gradient stays zero."""
+    x = np.concatenate([seq.features for seq in sequences], dtype=np.float64)
+    if x.shape[0] == 1:
+        x = np.concatenate([x, np.zeros_like(x)])
+    return _lstm_forward(x, params.lstm_wx, params.lstm_wh, params.lstm_b)
+
+
 def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
     """Apply the shared encoder to every view of a sequence."""
     _check_input_dim(params, sequence)
-    lstm = _lstm_forward(
-        sequence.features.astype(np.float64), params.lstm_wx, params.lstm_wh, params.lstm_b
-    )
+    lstm = _stacked_lstm(params, [sequence])
     del lstm["gates"], lstm["cells"]  # only a backward reads them; the heads do not
-    return _heads(params, lstm, slice(None))
+    return _heads(params, lstm, slice(0, sequence.num_views))
 
 
 def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
@@ -532,10 +546,7 @@ def _loss(params, group, lam, grads):
     for sequence, target_views in group:
         _check_input_dim(params, sequence)
         checked.append((sequence, *_check_targets(sequence, target_views)))
-    lstm = _lstm_forward(
-        np.concatenate([seq.features for seq, _, _ in checked], dtype=np.float64),
-        params.lstm_wx, params.lstm_wh, params.lstm_b,
-    )
+    lstm = _stacked_lstm(params, [seq for seq, _, _ in checked])
     if grads is None:
         del lstm["gates"], lstm["cells"]
     n, _, batch_views, _ = lstm["x"].shape
@@ -555,6 +566,8 @@ def _loss(params, group, lam, grads):
         # dLoss/dh in the LSTM cache's loop-time layout: direction 1 reversed
         if grad_hidden is None:
             grad_hidden = np.empty((n, 2, batch_views, h))
+            # a lone view's zero second view (``_stacked_lstm``) gets none
+            grad_hidden[:, :, sum(seq.num_views for seq, _, _ in checked) :] = 0.0
         grad_hidden[:, 0, cols] = dspatio[:, :, d : d + h].swapaxes(0, 1)
         grad_hidden[:, 1, cols] = dspatio[:, ::-1, d + h :].swapaxes(0, 1)
         del dspatio

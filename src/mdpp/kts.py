@@ -14,17 +14,52 @@ around one matrix product, then relaxes the segment counts level by level:
 level k - 1 of the block is final before level k reads it. Every level
 adds into one C-contiguous scratch whose base is 64-byte aligned; a full
 block's width is a multiple of 64, so each of its rows starts on a cache
-line. ``kts`` relaxes only the levels whose change-point count can still
-win: m change points pay at least the penalty pen(m) >= 0 on top of a
-non-negative cost, so an m with pen(m) >= dp[1][N] never beats the single
-segment. That cut reads dp[1][N] from the final block's own grid, the
-value the table holds bit for bit, so the outputs equal the full-cap ones.
-With K the levels relaxed, time is O(N^2 (D + K)) and extra memory
-O(K N + _BLOCK N + N D); no N x N cost table is ever built. A cell's
-round-off depends on its block, so ``bruteforce.reference_dp_tables`` keeps
-the per-(k, end) loop but reads each end's costs from the same
-``_ScatterTable.block_costs`` grid, and ``mdpp check kts`` requires the two
-to agree bitwise and the cut to match a full-cap selection.
+line.
+
+``kts`` relaxes only the levels whose change-point count can still win,
+and its result is the full-cap one: a level's cells read only the level
+below and the cost blocks, so every level relaxed holds the bits a full-cap
+run holds, and a level that is cut cannot hold the winner. Two bounds cut:
+
+- m change points pay pen(m) >= 0 on top of a non-negative cost, so an m
+  with pen(m) >= dp[1][N] never beats the single segment. That leaves K15
+  levels, and reads dp[1][N] from the final block's own grid, the value
+  the table holds bit for bit.
+- When K15 > _FIRST_LEVELS + _ROW_COST_LEVELS and the penalty is positive,
+  the first sweep relaxes _FIRST_LEVELS levels and, on the same cost
+  blocks, the linear-penalty row F[0] = -beta, F[e] = min_a (F[a] + beta)
+  + c(a, e), beta the least increment pen(m) - pen(m - 1) over m < K15.
+  G = F[N] = min_j (dp[j][N] + beta (j - 1)) <= dp[m + 1][N] + beta m for
+  every m and any beta >= 0, so with dp >= 0 m's penalized value is at
+  least max(0, G - beta m) + pen(m). m can win only if that is at most
+  U + margin, U the least penalized value known: the relaxed levels', and
+  the row's own segmentation's (its summed costs plus pen) when it has
+  fewer than cap change points. A second sweep recomputes the cost blocks,
+  which are deterministic, for the levels above _FIRST_LEVELS the bound
+  keeps. Since pen's increments are at least beta, the bound grows with m,
+  and it meets the winner where the row's segmentation is the winner. The
+  row gives up where it would cut little (see ``_LinearPenaltyRow``).
+
+The margin bounds summation round-off. Every dp cell, F value and
+penalized value is a sum of non-negative float terms taken left to right
+along a back-pointer path, so with u = 2^-53 a path of j segments is within
+a factor (1 +- u)^(2j) of the exact sum of its float costs, and j <= N.
+Hence G is at most (1 + u)^(2N) times the exact linear-penalty optimum,
+dp[m + 1][N] at least (1 - u)^(m + 1) times the exact dp, and the row's
+candidate value within (1 + u)^(2N + 5) of the exact one. Collected, the
+computed bound exceeds the computed penalized value of a winning m by less
+than (2N + 8) u U + 3 N u G + 3 u (G + beta m + pen(m)). The margin,
+4 (N + 1) eps (G + U + pen(K15 - 1)) with eps = 2^-52, is twice that; at
+N = 2000 it is 2e-12 of the scale, so it keeps no level in practice.
+
+With K the levels relaxed, time is O(N^2 (D + K)): the row costs about one
+level plus in-block passes of at most _BLOCK^2 cells each, and a second
+sweep recomputes the O(N^2 D) cost blocks once. Extra memory is
+O(K N + _BLOCK N + N D); no N x N cost table is ever built. A cell's round-off depends on
+its block, so ``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop
+but reads each end's costs from the same ``_ScatterTable.block_costs``
+grid, and ``mdpp check kts`` requires the two to agree bitwise and the cuts
+to match a full-cap selection.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -33,7 +68,7 @@ boundaries never depend on the trained model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,6 +77,14 @@ from .data_model import ShotList
 from .errors import ConfigError, DataError, ValidationError
 
 _BLOCK = 64  # end frames per DP block
+# levels kts relaxes before the linear-penalty bound decides on the rest
+_FIRST_LEVELS = 8
+# the bound's row costs about as much as 2 (N = 2000) to 5 (N = 300) levels,
+# so it runs only when the levels it may save outnumber that
+_ROW_COST_LEVELS = 4
+# ends a pass of the row's in-block relaxation must settle to be repeated
+_SETTLE_PASS_MIN = 8
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _as_features(features) -> np.ndarray:
@@ -92,10 +135,26 @@ def _dp_tables(table: _ScatterTable, max_parts: int, last_costs=None):
     segments; bp holds the matching last-segment start (the earliest on
     ties). Cells with n < k stay inf with bp 0. ``last_costs``, if given,
     is the final block's ``block_costs``, already computed by the caller."""
-    n = table.n
+    dp, bp = _empty_tables(table.n, max_parts)
+    _relax(table, dp, bp, range(1, max_parts + 1), last_costs)
+    return dp, bp
+
+
+def _empty_tables(n: int, max_parts: int):
     dp = np.full((max_parts + 1, n + 1), np.inf)
     bp = np.zeros((max_parts + 1, n + 1), dtype=np.int64)
     dp[0][0] = 0.0
+    return dp, bp
+
+
+def _relax(table: _ScatterTable, dp, bp, levels: range, last_costs=None, row=None):
+    """Fill the consecutive dp and bp levels ``levels`` (the level below
+    the first is final) block by block, and ``row``, if given, on the same
+    cost blocks. A level's cells depend only on the level below and the
+    deterministic cost blocks, so splitting the levels over sweeps leaves
+    every bit as one sweep would. If the row gives up on the first block,
+    the sweep relaxes levels up to ``row.levels`` instead."""
+    n = table.n
     # one scratch for every block's relaxation, its base on a 64-byte cache
     # line: 8 spare doubles absorb the allocator's 16-byte alignment
     flat = np.empty(min(_BLOCK, n) * n + 8)
@@ -106,19 +165,111 @@ def _dp_tables(table: _ScatterTable, max_parts: int, last_costs=None):
             costs = last_costs
         else:
             costs = table.block_costs(lo, hi)
-        width = hi - 1
         # C-contiguous, so each row of a full block (width 64 j) starts on a
         # cache line and no 64-byte store straddles two
         totals = scratch[: costs.size].reshape(costs.shape)
-        rows = np.arange(hi - lo)
-        # level k - 1 of this block is final before level k reads it; inf
-        # cells (a >= e, or dp[k - 1][a] unreachable) never win the argmin
-        for k in range(1, min(max_parts, width) + 1):
-            np.add(dp[k - 1, :width], costs, out=totals)
-            best = np.argmin(totals, axis=1)
-            bp[k, lo:hi] = best
-            dp[k, lo:hi] = totals[rows, best]
-    return dp, bp
+        _relax_block(dp, bp, levels, lo, costs, totals)
+        if row is not None and not row.relax(lo, hi, costs, totals):
+            _relax_block(dp, bp, range(levels.stop, row.levels + 1), lo, costs, totals)
+            levels, row = range(levels.start, row.levels + 1), None
+
+
+def _relax_block(dp, bp, levels: range, lo: int, costs, totals) -> None:
+    """Relax ``levels`` over the ends lo <= e < hi of one block's (hi - lo,
+    hi - 1) ``costs``. Level k - 1 of the block is final before level k
+    reads it; inf cells (a >= e, or dp[k - 1][a] unreachable) never win the
+    argmin; no level above the block's width reaches its ends."""
+    count, width = costs.shape
+    hi, rows = lo + count, np.arange(count)
+    for k in levels[: max(0, width - levels.start + 1)]:
+        np.add(dp[k - 1, :width], costs, out=totals)
+        best = np.argmin(totals, axis=1)
+        bp[k, lo:hi] = best
+        dp[k, lo:hi] = totals[rows, best]
+
+
+class _LinearPenaltyRow:
+    """The linear-penalty DP F[0] = -beta, F[e] = min_a (F[a] + beta) +
+    c(a, e) over every segment count: F[N] = min_j (dp[j][N] + beta (j - 1)),
+    so F[N] <= dp[m + 1][N] + beta m for every m. It runs on ``_relax``'s
+    cost blocks. Starts inside a block are settled by repeating the in-block
+    relaxation until no end improves. ``start`` and ``cost`` hold each end's
+    last segment, so the row's own segmentation can be read back.
+
+    The row gives up (``relax`` returns False and ``gave_up`` is set) if,
+    on the first of several blocks, more two-frame segments cost more than
+    beta than that block's share of ``cap`` (cap * 63 / N). The row then
+    splits frames apart more often than the cap allows, so its segmentation
+    is no candidate, G sits far below U and the bound cuts little or
+    nothing; the sweep relaxes all ``levels`` instead of paying for the
+    row, its long in-block chains and a second sweep."""
+
+    def __init__(self, n: int, beta: float, cap: int, levels: int):
+        self.beta, self.cap, self.levels = beta, cap, levels
+        self.gave_up = False
+        self.total = math.nan  # G = F[N], set by the last block
+        self.shifted = np.full(n + 1, np.inf)  # F + beta, inf until settled
+        self.shifted[0] = 0.0
+        self.start = np.zeros(n + 1, dtype=np.int64)
+        self.cost = np.zeros(n + 1)
+
+    def relax(self, lo: int, hi: int, costs: np.ndarray, totals: np.ndarray) -> bool:
+        width = hi - 1
+        if lo == 1 and hi < len(self.start):
+            # the first of several blocks: c(e - 2, e) for its ends e >= 2
+            pairs = costs[np.arange(1, width), np.arange(width - 1)]
+            if np.count_nonzero(pairs > self.beta) * (len(self.start) - 1) > self.cap * len(pairs):
+                self.gave_up = True
+                return False
+        # starts before the block are settled: sum into the shared scratch
+        np.add(self.shifted[:width], costs, out=totals)
+        start = np.argmin(totals, axis=1)
+        value = totals[np.arange(hi - lo), start]
+        self.shifted[lo:hi] = value + self.beta
+        self._settle_in_block(lo, hi, costs, value, start)
+        if hi == len(self.start):
+            self.total = float(value[-1])
+        self.start[lo:hi] = start
+        self.cost[lo:hi] = costs[np.arange(hi - lo), start]
+        return True
+
+    def _settle_in_block(self, lo, hi, costs, value, start) -> None:
+        """Relax the block's ends ``value`` / ``start`` from the starts
+        inside it, lo <= a < hi - 1, until no end improves. Ends up to the
+        first one that improved are final, so the next pass reads only the
+        ends after it and the starts from it on. Once a pass settles few
+        ends, the rest are settled one end at a time."""
+        width = hi - 1
+        first = 0
+        while first < width - lo:
+            candidates = self.shifted[lo + first : width] + costs[first + 1 :, lo + first :]
+            j = np.argmin(candidates, axis=1)
+            best = candidates[np.arange(len(j)), j]
+            better = best < value[first + 1 :]
+            if not better.any():
+                return
+            value[first + 1 :][better] = best[better]
+            start[first + 1 :][better] = lo + first + j[better]
+            self.shifted[lo:hi] = value + self.beta
+            settled = 1 + int(np.argmax(better))
+            first += settled
+            if settled < _SETTLE_PASS_MIN:
+                break
+        for r in range(first + 1, hi - lo):
+            candidates = self.shifted[lo + first : lo + r] + costs[r, lo + first : lo + r]
+            a = int(np.argmin(candidates))
+            if candidates[a] < value[r]:
+                value[r], start[r] = candidates[a], lo + first + a
+                self.shifted[lo + r] = value[r] + self.beta
+
+    def segmentation(self) -> tuple[int, float]:
+        """Change points and summed scatter of the row's segmentation."""
+        end, change_points, total = len(self.start) - 1, -1, 0.0
+        while end > 0:
+            total += float(self.cost[end])
+            end = int(self.start[end])
+            change_points += 1
+        return change_points, total
 
 
 def _single_segment(table: _ScatterTable) -> tuple[np.ndarray, float]:
@@ -157,24 +308,35 @@ def kts_fixed_m(features, num_change_points: int) -> tuple[list[int], float]:
 @dataclass(frozen=True)
 class SegmentationResult:
     """Change points are strictly increasing interior indices in (0, N);
-    the objective is the unpenalized total scatter of the chosen split."""
+    the objective is the unpenalized total scatter of the chosen split.
+    ``levels_relaxed`` counts the DP levels filled to choose it; it is a
+    cost, not part of the result, so equality ignores it."""
 
     change_points: tuple[int, ...]
     num_segments: int
     objective: float
+    levels_relaxed: int = field(default=0, compare=False)
 
     def shot_list(self, num_steps: int) -> ShotList:
         return ShotList(boundaries=(*self.change_points, num_steps))
+
+
+def _penalty(penalty_coeff: float, n: int, m: int) -> float:
+    """pen(m) = penalty_coeff * m * (log(N / m) + 1), and pen(0) = 0."""
+    return penalty_coeff * m * (math.log(n / m) + 1.0) if m else 0.0
 
 
 def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> SegmentationResult:
     """Segment one view's features, choosing the change-point count by the
     penalized objective. Ties prefer fewer change points.
 
-    Only levels 1 .. 1 + max{m < cap : pen(m) < dp[1][N]} are relaxed, with
-    cap = min(max_segments, N): a larger m cannot win. The result is the
-    full-cap one, and time and extra memory are O(N^2 (D + K)) and
-    O(K N + 64 N + N D) with K the levels relaxed."""
+    With cap = min(max_segments, N), only the levels whose change-point
+    count can still win are relaxed (see the module docstring): those with
+    pen(m) < dp[1][N], and, when the linear-penalty bound runs, those with
+    max(0, G - beta m) + pen(m) <= U + margin. The result is the full-cap
+    one, its ``levels_relaxed`` counts the levels filled, and time and
+    extra memory are O(N^2 (D + K)) and O(K N + 64 N + N D) with K the
+    levels relaxed."""
     x = _as_features(features)
     if max_segments < 1:
         raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
@@ -184,19 +346,46 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     parts_cap = min(max_segments, n)
     table = _ScatterTable(x)
     last_costs, single = _single_segment(table)
-    penalties = [0.0] + [penalty_coeff * m * (math.log(n / m) + 1.0) for m in range(1, parts_cap)]
+    penalties = [_penalty(penalty_coeff, n, m) for m in range(parts_cap)]
     # the table is non-negative, so m's penalized value is at least
     # penalties[m]; once that reaches dp[1][n], m cannot win
     parts = 1 + max((m for m in range(1, parts_cap) if penalties[m] < single), default=0)
-    dp, bp = _dp_tables(table, parts, last_costs)
-
-    best_m, best_penalized = 0, float(dp[1][n])
-    for m in range(1, parts):
-        penalized = float(dp[m + 1][n]) + penalties[m]
-        if penalized < best_penalized:
-            best_m, best_penalized = m, penalized
+    dp, bp = _empty_tables(n, parts)
+    row = None
+    if parts > _FIRST_LEVELS + _ROW_COST_LEVELS and penalty_coeff > 0:
+        beta = min(b - a for a, b in zip(penalties, penalties[1:parts]))
+        row = _LinearPenaltyRow(n, beta, parts_cap, parts)
+    relaxed = parts if row is None else min(parts, _FIRST_LEVELS)
+    _relax(table, dp, bp, range(1, relaxed + 1), last_costs, row)
+    if row is not None and row.gave_up:
+        row, relaxed = None, parts
+    penalized = [float(dp[1][n])] + [float(dp[m + 1][n]) + penalties[m] for m in range(1, relaxed)]
+    if row is not None:
+        kept = _levels_that_can_win(row, penalties[:parts], min(penalized), penalty_coeff)
+        if kept > relaxed:
+            _relax(table, dp, bp, range(relaxed + 1, kept + 1), last_costs)
+            penalized += [float(dp[m + 1][n]) + penalties[m] for m in range(relaxed, kept)]
+            relaxed = kept
+    best_m = min(range(relaxed), key=penalized.__getitem__)  # the first minimum: fewest
     return SegmentationResult(
         change_points=_reconstruct(bp, best_m + 1, n),
         num_segments=best_m + 1,
         objective=float(dp[best_m + 1][n]),
+        levels_relaxed=relaxed,
     )
+
+
+def _levels_that_can_win(row: _LinearPenaltyRow, penalties, upper: float,
+                         penalty_coeff: float) -> int:
+    """1 + the largest m < len(penalties) whose lower bound max(0, G - beta
+    m) + pen(m) stays within ``upper`` + margin, after ``upper`` takes the
+    row's own segmentation when that is a candidate (fewer than cap change
+    points)."""
+    n = len(row.start) - 1
+    g = row.total
+    m_row, cost = row.segmentation()
+    if m_row < row.cap:
+        upper = min(upper, cost + _penalty(penalty_coeff, n, m_row))
+    margin = 4 * (n + 1) * _EPS * (g + upper + penalties[-1])
+    return 1 + max((m for m, pen in enumerate(penalties)
+                    if max(0.0, g - row.beta * m) + pen <= upper + margin), default=0)

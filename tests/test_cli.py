@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdpp import cli, io, summarizer
+from mdpp import cli, io, kts, summarizer
 from mdpp.data_model import Summary
 
 
@@ -50,6 +50,12 @@ def test_segment_reports_change_points(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "view 0:" in text and "view 1:" in text
     assert out.read_text() in text
+    sequence = io.read_feature_file(features)
+    lines = [line for line in text.splitlines() if line.startswith("view ")]
+    assert len(lines) == sequence.num_views
+    for m, line in enumerate(lines):
+        relaxed = kts.kts(sequence.view(m), 6, 0.05).levels_relaxed
+        assert 1 <= relaxed <= 6 and f" levels_relaxed={relaxed} " in line
 
 
 def test_segment_defaults_to_the_summarizer_cap(tmp_path, capsys):
@@ -64,7 +70,7 @@ def test_segment_defaults_to_the_summarizer_cap(tmp_path, capsys):
         assert shots.num_shots == summarizer.default_max_segments(300) == 20
         cps = ",".join(str(c) for c in shots.boundaries[:-1])
         assert line.startswith(f"view {m}: segments=20 ")
-        assert line.endswith(f"change_points=[{cps}]")
+        assert line.endswith(f" levels_relaxed=20 change_points=[{cps}]")
 
 
 def test_oracle_then_eval(tmp_path, capsys):

@@ -412,6 +412,30 @@ def test_batch_loss_matches_per_sequence_calls():
             assert part.total == pytest.approx(evaluate_loss(params, *item, lam=lam).total, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [50, 300])
+def test_lone_view_states_are_bitwise_those_of_a_stack(n):
+    # a one-view group runs with a zero second view, so its per-step
+    # products take the matrix-matrix path a stacked group takes
+    rng = np.random.default_rng(n)
+    params = init_params(16, hidden_size=16, output_dim=8, seed=4)
+    lone, pair = _sequence(rng, 1, n, 16), _sequence(rng, 2, n, 16)
+    alone = encoder._stacked_lstm(params, [lone])
+    stacked = encoder._stacked_lstm(params, [lone, pair])
+    assert alone["hidden"].shape[2] == 2
+    np.testing.assert_array_equal(alone["hidden"][:, :, :1], stacked["hidden"][:, :, :1])
+    trace = forward(params, lone)
+    assert trace.quality_raw.shape == (1, n) and trace.spatiotemporal.shape == (1, n, 48)
+
+
+def test_lone_view_gradient_matches_finite_differences():
+    # the zero view's columns get no gradient into the weights
+    rng = np.random.default_rng(7)
+    params = init_params(3, hidden_size=4, output_dim=3, seed=1)
+    seq = _sequence(rng, 1, 6, 3)
+    y = _targets(rng, 1, 6, (1, 4))
+    assert _max_rel_err(params, seq, y, lam=1.0) < 1e-4
+
+
 def test_zero_probability_target_in_a_group_raises_with_rank_hint():
     rng = np.random.default_rng(5)
     params = init_params(3, hidden_size=4, output_dim=2, seed=0)

@@ -150,18 +150,33 @@ def test_kts_check_fails_on_wrong_costs(monkeypatch):
 
 
 def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
-    dp_tables = kts_module._dp_tables
+    relax = kts_module._relax
 
-    def one_level_fewer(table, max_parts, last_costs=None):
-        dp, bp = dp_tables(table, max_parts, last_costs)
-        if last_costs is not None and max_parts > 1:  # called from kts
-            dp[max_parts], bp[max_parts] = np.inf, 0
-        return dp, bp
+    def one_level_fewer(table, dp, bp, levels, last_costs=None, row=None):
+        # kts's one-sweep path (the dp[1][N] cut) and its second sweep
+        if last_costs is not None and row is None:
+            levels = levels[:-1]
+        relax(table, dp, bp, levels, last_costs, row)
 
-    monkeypatch.setattr(kts_module, "_dp_tables", one_level_fewer)
+    monkeypatch.setattr(kts_module, "_relax", one_level_fewer)
     rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
     assert rows["KTS level cut vs full cap"] is False
     assert rows["KTS tables vs reference loop"] is True
+
+
+def test_kts_check_fails_when_the_bound_keeps_one_level_fewer(monkeypatch):
+    bound = kts_module._levels_that_can_win
+    monkeypatch.setattr(kts_module, "_levels_that_can_win", lambda *args: bound(*args) - 1)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
+
+
+def test_kts_check_fails_when_the_row_skips_in_block_starts(monkeypatch):
+    # without its in-block passes the row's F is too high, so G is no lower
+    # bound: its bits differ from the reference's and levels that win are cut
+    monkeypatch.setattr(kts_module._LinearPenaltyRow, "_settle_in_block", lambda self, *args: None)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
 
 
 def test_kts_check_fails_when_the_cut_reads_an_end_anchored_block(monkeypatch):
@@ -216,7 +231,7 @@ def test_dp_tables_match_reference_loop_bitwise_around_block_edges(n):
 
 
 @pytest.mark.parametrize("n, seed", [(300, 21), (600, 22)])
-def test_level_cut_equals_full_cap_on_synth_views(monkeypatch, n, seed):
+def test_level_cut_equals_full_cap_on_synth_views(n, seed):
     config = synth.SynthConfig(
         num_views=3, num_steps=n, feature_dim=16, num_events=5,
         event_length_min=6, event_length_max=9, seed=seed,
@@ -225,12 +240,67 @@ def test_level_cut_equals_full_cap_on_synth_views(monkeypatch, n, seed):
     cap = default_max_segments(n)
     tables = _dp_tables(_ScatterTable(x), cap)  # bitwise the reference loop's
     relaxed = []
-    monkeypatch.setattr(kts_module, "_dp_tables", lambda table, parts, last_costs=None: (
-        relaxed.append(parts) or _dp_tables(table, parts, last_costs)))
     for penalty in (0.0, 1e-6, 0.05, 1.0, 10.0):
-        assert kts(x, cap, penalty) == bruteforce.reference_kts(tables, cap, penalty)
-    # nothing is cut at penalties 0 to 0.05 on these views; 1 and 10 cut levels
-    assert relaxed[:3] == [cap] * 3 and cap > relaxed[3] > relaxed[4]
+        result = kts(x, cap, penalty)
+        assert result == bruteforce.reference_kts(tables, cap, penalty)
+        relaxed.append(result.levels_relaxed)
+    # nothing is cut at penalties 0 and 1e-6 on these views; the bound
+    # leaves at most the first sweep's levels at 0.05; 1 and 10 cut levels
+    assert relaxed[:2] == [cap] * 2
+    assert relaxed[2] <= kts_module._FIRST_LEVELS
+    assert cap > relaxed[3] > relaxed[4]
+
+
+def test_long_view_at_the_benchmark_penalty_relaxes_the_first_levels_only():
+    # the benchmark's protocol: events spread over three views
+    config = synth.SynthConfig(
+        num_views=3, num_steps=2000, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, overlap_mode="independent", noise_sigma=0.05, seed=23,
+    )
+    x = np.asarray(synth.generate(config)[0].view(0), dtype=float)
+    cap = default_max_segments(2000)
+    assert cap == 134
+    result = kts(x, cap, 0.05)
+    assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), cap), cap, 0.05)
+    assert result.levels_relaxed <= kts_module._FIRST_LEVELS
+
+
+@pytest.mark.parametrize("n, beta", [(40, 0.3), (200, 0.3), (200, 1e-9), (130, 2.0)])
+def test_linear_penalty_row_matches_reference_bitwise(n, beta):
+    # one block and several; beta = 1e-9 splits every frame, so the
+    # in-block passes hand over to settling one end at a time
+    rng = np.random.default_rng(n)
+    centers = rng.normal(size=(6, 3)) * 3
+    x = np.repeat(centers, np.diff(np.linspace(0, n, 7).astype(int)), axis=0)
+    x += 0.2 * rng.normal(size=x.shape)
+    table = _ScatterTable(x)
+    row = kts_module._LinearPenaltyRow(n, beta, cap=n, levels=n)
+    kts_module._relax(table, *kts_module._empty_tables(n, 0), range(1, 1), None, row)
+    assert not row.gave_up
+    assert np.float64(row.total).tobytes() == np.float64(
+        bruteforce.reference_linear_penalty(table, beta)).tobytes()
+    change_points, cost = row.segmentation()
+    assert row.total == pytest.approx(cost + beta * change_points, rel=1e-12)
+
+
+def test_row_gives_up_on_noise_and_the_one_sweep_relaxes_every_level(monkeypatch):
+    x = np.random.default_rng(8).normal(size=(300, 4))
+    cap = default_max_segments(300)
+    sweeps = []
+    relax = kts_module._relax
+    monkeypatch.setattr(kts_module, "_relax", lambda table, dp, bp, levels, last_costs=None, row=None: (
+        relax(table, dp, bp, levels, last_costs, row),
+        sweeps.append((levels, row is not None and row.gave_up)))[0])
+    result = kts(x, cap, 0.05)
+    assert sweeps == [(range(1, kts_module._FIRST_LEVELS + 1), True)]
+    assert result.levels_relaxed == cap
+    assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), cap), cap, 0.05)
+
+
+def test_levels_relaxed_is_not_part_of_equality():
+    a = SegmentationResult(change_points=(3,), num_segments=2, objective=1.5, levels_relaxed=4)
+    b = SegmentationResult(change_points=(3,), num_segments=2, objective=1.5, levels_relaxed=20)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_single_frame_and_cap_above_num_frames():
