@@ -83,11 +83,18 @@ def _budget(args) -> SummaryBudget:
     return SummaryBudget(fraction=args.budget)
 
 
-def _per_view_shots(sequence, max_segments, penalty_coeff):
-    return [
-        summarizer._view_shot_list(sequence.view(m), max_segments, penalty_coeff)
-        for m in range(sequence.num_views)
-    ]
+def _thresholds(text: str) -> tuple[float, ...]:
+    """The comma-separated --thresholds as finite floats."""
+    values = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            value = np.nan
+        if not np.isfinite(value):
+            raise ConfigError(f"--thresholds item {item!r} is not a finite number")
+        values.append(value)
+    return tuple(values)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -233,7 +240,8 @@ def _cmd_oracle(args):
     started = time.monotonic()
     sequence = io.read_feature_file(args.features)
     annotations = io.read_annotations(args.annotations, sequence)
-    shots = _per_view_shots(sequence, args.max_segments, args.penalty)
+    segmentations = summarizer.segment_views(sequence, args.max_segments, args.penalty)
+    shots = [s.shot_list(sequence.num_steps) for s in segmentations]
     summary = evaluation.oracle_summary(annotations, shots, _budget(args))
     io.write_summary(summary, args.out)
     print(f"oracle selected {len(summary.selections)} frames -> {args.out}")
@@ -246,8 +254,8 @@ def _cmd_segment(args):
     started = time.monotonic()
     sequence = io.read_feature_file(args.features)
     lines = []
-    for m in range(sequence.num_views):
-        result = summarizer._view_segmentation(sequence.view(m), args.max_segments, args.penalty)
+    segmentations = summarizer.segment_views(sequence, args.max_segments, args.penalty)
+    for m, result in enumerate(segmentations):
         cps = ",".join(str(c) for c in result.change_points)
         lines.append(f"view {m}: segments={result.num_segments} "
                      f"objective={result.objective:.6f} levels_relaxed={result.levels_relaxed} "
@@ -268,7 +276,7 @@ def _cmd_eval(args):
     sequence = io.read_feature_file(args.features)
     predicted = io.read_summary(args.summary, sequence)
     annotations = io.read_annotations(args.annotations, sequence)
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
+    thresholds = _thresholds(args.thresholds)
 
     user_sets = annotations.user_selections()
     entries = [

@@ -338,6 +338,8 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     extra memory are O(N^2 (D + K)) and O(K N + 64 N + N D) with K the
     levels relaxed."""
     x = _as_features(features)
+    if isinstance(max_segments, bool) or not isinstance(max_segments, (int, np.integer)):
+        raise ConfigError(f"max_segments must be an integer, got {max_segments!r}")
     if max_segments < 1:
         raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
     if not (penalty_coeff >= 0 and math.isfinite(penalty_coeff)):

@@ -1,11 +1,12 @@
 """Inference pipelines turning scores into budgeted keyshot summaries.
 
 The supervised path scores every frame of every view with the trained
-quality head, segments each view into shots with KTS on the raw input
-features, scores each shot by its mean frame quality, and solves an exact
-0/1 knapsack over the pooled shot set under the frame budget (15% of a
-single view's length by default). A chosen shot contributes all of its
-frames.
+quality head, segments each view into shots with ``segment_views`` (KTS on
+the raw input features; the one segmentation step, which the unsupervised
+path and the CLI's ``oracle`` and ``segment`` commands share), scores each
+shot by its mean frame quality, and solves an exact 0/1 knapsack over the
+pooled shot set under the frame budget (15% of a single view's length by
+default). A chosen shot contributes all of its frames.
 
 The unsupervised path needs no trained weights: it pools unit-normalized
 raw features into the joint kernel with uniform qualities, greedily selects
@@ -30,7 +31,7 @@ from . import dpp
 from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed
 from .encoder import ModelParams, forward
 from .errors import DataError, ValidationError
-from .kts import kts
+from .kts import SegmentationResult, kts
 from .multi_dpp import ViewStreams, build_joint_kernel
 
 Shot = tuple[int, int, float]
@@ -75,34 +76,12 @@ def default_max_segments(num_steps: int) -> int:
     return max(2, -(-num_steps // 15))
 
 
-def _view_segmentation(view_features: np.ndarray, max_segments: int | None, penalty_coeff: float):
-    """KTS on one view; ``max_segments=None`` applies ``default_max_segments``."""
-    n = view_features.shape[0]
-    cap = max_segments if max_segments is not None else default_max_segments(n)
-    return kts(view_features, cap, penalty_coeff)
-
-
-def _view_shot_list(view_features: np.ndarray, max_segments: int | None, penalty_coeff: float):
-    return _view_segmentation(view_features, max_segments, penalty_coeff).shot_list(
-        view_features.shape[0]
-    )
-
-
-def _quality_shots(
-    view: int,
-    view_features: np.ndarray,
-    quality: np.ndarray,
-    max_segments: int | None,
-    penalty_coeff: float,
-):
-    """KTS shots of one view, each scored by its mean frame quality, as
-    (view, start, end, score)."""
-    shot_list = _view_shot_list(view_features, max_segments, penalty_coeff)
-    shots = []
-    for i in range(shot_list.num_shots):
-        a, b = shot_list.shot_span(i)
-        shots.append((view, a, b, float(quality[a:b].mean())))
-    return shots
+def segment_views(sequence: MultiViewSequence, max_segments: int | None = None,
+                  penalty_coeff: float = 1.0) -> list[SegmentationResult]:
+    """KTS on each view's raw features, in view order. ``max_segments=None``
+    applies ``default_max_segments``."""
+    cap = default_max_segments(sequence.num_steps) if max_segments is None else max_segments
+    return [kts(sequence.view(m), cap, penalty_coeff) for m in range(sequence.num_views)]
 
 
 def _pick_shots(shots: list[tuple[int, int, int, float]], budget_frames: int):
@@ -122,6 +101,19 @@ def _shots_to_summary(chosen, fraction: float) -> Summary:
     return Summary(selections=selections, budget_fraction=fraction)
 
 
+def _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff):
+    """The knapsack's choice, as (view, start, end, score), among each view's
+    KTS shots scored by their mean quality-head score."""
+    quality = forward(params, sequence).quality_raw
+    shots = []
+    for m, segmentation in enumerate(segment_views(sequence, max_segments, penalty_coeff)):
+        shot_list = segmentation.shot_list(sequence.num_steps)
+        for i in range(shot_list.num_shots):
+            a, b = shot_list.shot_span(i)
+            shots.append((m, a, b, float(quality[m][a:b].mean())))
+    return _pick_shots(shots, frame_budget)
+
+
 def summarize_supervised(
     params: ModelParams,
     sequence: MultiViewSequence,
@@ -130,11 +122,8 @@ def summarize_supervised(
     penalty_coeff: float = 1.0,
 ) -> Summary:
     """Quality-head scores + per-view KTS shots + global knapsack."""
-    quality = forward(params, sequence).quality_raw
-    shots = []
-    for m in range(sequence.num_views):
-        shots += _quality_shots(m, sequence.view(m), quality[m], max_segments, penalty_coeff)
-    chosen = _pick_shots(shots, budget.frame_budget(sequence.num_steps))
+    frame_budget = budget.frame_budget(sequence.num_steps)
+    chosen = _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff)
     return _shots_to_summary(chosen, budget.fraction)
 
 
@@ -162,10 +151,7 @@ def summarize_unsupervised(
     steps = dpp.greedy_map(bundle.kernel, max_size=budget_frames, fill=True)
 
     joint = bundle.kernel.phi
-    shot_lists = [
-        _view_shot_list(sequence.view(m), max_segments, penalty_coeff)
-        for m in range(sequence.num_views)
-    ]
+    shot_lists = [s.shot_list(n) for s in segment_views(sequence, max_segments, penalty_coeff)]
     attributed = [
         (int(np.argmax(unit[:, t] @ joint[:, t])), int(t)) for t in steps
     ]
@@ -189,9 +175,8 @@ def single_view_supervised(params: ModelParams, penalty_coeff: float = 1.0, max_
 
     def summarizer(features: np.ndarray, frame_budget: int) -> list[Shot]:
         seq = MultiViewSequence(sequence_id="single", features=features[None, ...])
-        quality = forward(params, seq).quality_raw[0]
-        shots = _quality_shots(0, features, quality, max_segments, penalty_coeff)
-        return [(a, b, score) for _, a, b, score in _pick_shots(shots, frame_budget)]
+        chosen = _supervised_shots(params, seq, frame_budget, max_segments, penalty_coeff)
+        return [(a, b, score) for _, a, b, score in chosen]
 
     return summarizer
 

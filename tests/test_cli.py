@@ -65,8 +65,10 @@ def test_segment_defaults_to_the_summarizer_cap(tmp_path, capsys):
     assert run(["segment", "--features", str(features), "--penalty", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()[:2]
     sequence = io.read_feature_file(features)
-    for m, line in enumerate(lines):
-        shots = summarizer._view_shot_list(sequence.view(m), None, 0.0)
+    segmentations = summarizer.segment_views(sequence, penalty_coeff=0.0)
+    assert len(segmentations) == len(lines) == 2
+    for m, (line, segmentation) in enumerate(zip(lines, segmentations)):
+        shots = segmentation.shot_list(sequence.num_steps)
         assert shots.num_shots == summarizer.default_max_segments(300) == 20
         cps = ",".join(str(c) for c in shots.boundaries[:-1])
         assert line.startswith(f"view {m}: segments=20 ")
@@ -90,6 +92,24 @@ def test_oracle_then_eval(tmp_path, capsys):
     assert doc["f1"] > 0.5  # the oracle should align well with its own truth
     plot = (tmp_path / "report.json.plot.tsv").read_text()
     assert plot.startswith("tau\tf1\n")
+
+
+@pytest.mark.parametrize("thresholds, item", [
+    ("x", "x"), ("", ""), ("0.1,,0.2", ""), ("nan", "nan"), ("0,inf", "inf"),
+])
+def test_eval_rejects_bad_thresholds(tmp_path, capsys, thresholds, item):
+    features, annotations = _synth(tmp_path, "a", seed=2)
+    summary = tmp_path / "oracle.summary.json"
+    assert run(["oracle", "--features", str(features), "--annotations", str(annotations),
+                "--out", str(summary)]) == 0
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", "--summary", str(summary), "--annotations", str(annotations),
+                "--features", str(features), "--thresholds", thresholds,
+                "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"ConfigError: --thresholds item {item!r} is not a finite number" in err
+    assert "Traceback" not in err and not report.exists()
 
 
 def test_oracle_rejects_zero_max_segments(tmp_path, capsys):

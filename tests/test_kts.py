@@ -388,3 +388,7 @@ def test_kts_validation():
             kts(np.zeros((5, 2)), max_segments=5, penalty_coeff=value)
     with pytest.raises(ValidationError):
         kts(np.zeros(5), max_segments=2)
+    for value in (2.5, "3", True, None):
+        with pytest.raises(ConfigError, match="max_segments must be an integer"):
+            kts(np.zeros((5, 2)), max_segments=value)
+    assert kts(np.zeros((5, 2)), max_segments=np.int64(3)) == kts(np.zeros((5, 2)), max_segments=3)

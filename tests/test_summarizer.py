@@ -13,6 +13,7 @@ from mdpp.summarizer import (
     baseline_random,
     default_max_segments,
     knapsack_shots,
+    segment_views,
     summarize_supervised,
     summarize_unsupervised,
 )
@@ -85,15 +86,23 @@ def _synth_sequence(seed=0):
 def _selected_shot_structure(summary, sequence, max_segments, penalty_coeff):
     """Check every selection belongs to a fully selected KTS shot."""
     chosen = summary.selection_set
-    for m in range(sequence.num_views):
-        shots = kts(sequence.view(m), max_segments, penalty_coeff).shot_list(
-            sequence.num_steps
-        )
+    for m, segmentation in enumerate(segment_views(sequence, max_segments, penalty_coeff)):
+        shots = segmentation.shot_list(sequence.num_steps)
         steps = {t for v, t in chosen if v == m}
         for i in range(shots.num_shots):
             a, b = shots.shot_span(i)
             inside = steps & set(range(a, b))
             assert inside in (set(), set(range(a, b)))
+
+
+def test_segment_views_is_kts_on_each_view():
+    sequence = _synth_sequence()
+    n = sequence.num_steps
+    for max_segments, cap in ((None, default_max_segments(n)), (6, 6)):
+        for penalty in (0.05, 1.0):
+            expected = [kts(sequence.view(m), cap, penalty) for m in range(sequence.num_views)]
+            assert segment_views(sequence, max_segments, penalty) == expected
+    assert segment_views(sequence) == segment_views(sequence, default_max_segments(n), 1.0)
 
 
 def test_summarize_supervised_budget_and_shot_structure():
