@@ -3,9 +3,11 @@ segment / check.
 
 Exit codes: 0 on success, 1 on validation, configuration or usage errors,
 2 on numeric failures. Errors go to standard error with a machine-parseable
-``mdpp: error: <Kind>:`` prefix. Every run emits a JSON manifest recording
-the resolved configuration, the seed, SHA-256 hashes of all inputs, output
-paths, and wall time. The MDPP_THREADS environment variable caps BLAS and
+``mdpp: error: <Kind>:`` prefix. Every successful run emits a JSON manifest
+recording the resolved configuration, the seed, SHA-256 hashes of all inputs,
+output paths, and wall time: to ``--manifest-out`` (``-`` means stdout), else
+to ``<out>.manifest.json``, else as one ``manifest: {...}`` line on stdout. A
+run that fails emits none. The MDPP_THREADS environment variable caps BLAS and
 OpenMP parallelism (it must be honored before numpy starts, which is why it
 is applied at module import time).
 """
@@ -51,7 +53,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, inputs, outputs, started, manifest_path):
+def _write_manifest(args, inputs, outputs, started):
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
     }
@@ -64,23 +66,28 @@ def _write_manifest(args, inputs, outputs, started, manifest_path):
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    if manifest_path is None:
+    target = args.manifest_out
+    if target is None and getattr(args, "out", None) is not None:
+        target = f"{args.out}.manifest.json"
+    if target is None or target == "-":
         sys.stdout.write("manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     else:
-        io.atomic_write_text(manifest_path, text)
-
-
-def _manifest_target(args, primary_out):
-    if args.manifest_out is not None:
-        return args.manifest_out
-    if primary_out is not None:
-        return str(primary_out) + ".manifest.json"
-    return None
+        io.atomic_write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _budget(args) -> SummaryBudget:
     return SummaryBudget(fraction=args.budget)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
@@ -98,10 +105,11 @@ def _thresholds(text: str) -> tuple[float, ...]:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each returns (inputs, outputs), the paths it read and wrote; dispatch times
+# it and writes the manifest.
 
 
 def _cmd_synth(args):
-    started = time.monotonic()
     config = synth.SynthConfig(
         num_views=args.views, num_steps=args.steps, feature_dim=args.dim,
         num_events=args.events, event_length_min=args.event_min,
@@ -114,9 +122,7 @@ def _cmd_synth(args):
     io.write_annotations(annotations, args.annotations_out)
     print(f"wrote {sequence.num_views} views x {sequence.num_steps} steps "
           f"x {sequence.feature_dim} dims to {args.out}")
-    _write_manifest(args, [], [args.out, args.annotations_out], started,
-                    _manifest_target(args, args.out))
-    return 0
+    return [], [args.out, args.annotations_out]
 
 
 def _collect_training_data(features_dir):
@@ -142,7 +148,6 @@ def _collect_training_data(features_dir):
 
 
 def _cmd_train(args):
-    started = time.monotonic()
     raw = _collect_training_data(args.features_dir)
     inputs = [p for examples in raw.values() for ex in examples for p in ex[:2]]
     collections = {cid: [ex[2] for ex in examples] for cid, examples in raw.items()}
@@ -189,13 +194,10 @@ def _cmd_train(args):
     print(f"trained {config.iterations} iterations on {n_train} "
           f"collection{'s' if n_train != 1 else ''}; best epoch {result.best_epoch} "
           f"(val loss {result.best_val_loss:.6f})")
-    _write_manifest(args, inputs, [args.out, history_out], started,
-                    _manifest_target(args, args.out))
-    return 0
+    return inputs, [args.out, history_out]
 
 
 def _cmd_summarize(args):
-    started = time.monotonic()
     sequence = io.read_feature_file(args.features)
     budget = _budget(args)
     inputs = [args.features]
@@ -232,12 +234,10 @@ def _cmd_summarize(args):
     io.write_summary(summary, args.out)
     print(f"selected {len(summary.selections)} frames "
           f"(budget {budget.frame_budget(sequence.num_steps)}) -> {args.out}")
-    _write_manifest(args, inputs, [args.out], started, _manifest_target(args, args.out))
-    return 0
+    return inputs, [args.out]
 
 
 def _cmd_oracle(args):
-    started = time.monotonic()
     sequence = io.read_feature_file(args.features)
     annotations = io.read_annotations(args.annotations, sequence)
     segmentations = summarizer.segment_views(sequence, args.max_segments, args.penalty)
@@ -245,13 +245,10 @@ def _cmd_oracle(args):
     summary = evaluation.oracle_summary(annotations, shots, _budget(args))
     io.write_summary(summary, args.out)
     print(f"oracle selected {len(summary.selections)} frames -> {args.out}")
-    _write_manifest(args, [args.features, args.annotations], [args.out], started,
-                    _manifest_target(args, args.out))
-    return 0
+    return [args.features, args.annotations], [args.out]
 
 
 def _cmd_segment(args):
-    started = time.monotonic()
     sequence = io.read_feature_file(args.features)
     lines = []
     segmentations = summarizer.segment_views(sequence, args.max_segments, args.penalty)
@@ -266,13 +263,10 @@ def _cmd_segment(args):
     if args.out:
         io.atomic_write_text(args.out, text)
         outputs.append(args.out)
-    _write_manifest(args, [args.features], outputs, started,
-                    _manifest_target(args, args.out))
-    return 0
+    return [args.features], outputs
 
 
 def _cmd_eval(args):
-    started = time.monotonic()
     sequence = io.read_feature_file(args.features)
     predicted = io.read_summary(args.summary, sequence)
     annotations = io.read_annotations(args.annotations, sequence)
@@ -316,13 +310,10 @@ def _cmd_eval(args):
         plot = "tau\tf1\n" + "".join(f"{tau:g}\t{f1:.6f}\n" for tau, f1 in report.threshold_f1)
         io.atomic_write_text(plot_out, plot)
         outputs.append(plot_out)
-    _write_manifest(args, [args.features, args.summary, args.annotations], outputs,
-                    started, _manifest_target(args, args.out))
-    return 0
+    return [args.features, args.summary, args.annotations], outputs
 
 
 def _cmd_check(args):
-    started = time.monotonic()
     rows = []
     if args.suite in ("dpp", "all"):
         rows += bruteforce.check_dpp(n=args.n, trials=args.trials, seed=args.seed)
@@ -336,10 +327,9 @@ def _cmd_check(args):
     for name, passed, detail in rows:
         print(f"{'ok' if passed else 'FAIL'}  {name} ({detail})")
         failed = failed or not passed
-    _write_manifest(args, [], [], started, _manifest_target(args, None))
     if failed:
         raise ValidationError("one or more brute-force checks failed")
-    return 0
+    return [], []
 
 
 # -- parser ------------------------------------------------------------------
@@ -348,7 +338,7 @@ def _cmd_check(args):
 def _add_common(sub, *, out_required=True, out_help="output path"):
     sub.add_argument("--seed", type=int, default=0, help="deterministic run seed (default 0)")
     sub.add_argument("--manifest-out", default=None,
-                     help="manifest path (default: <out>.manifest.json)")
+                     help="manifest path, - for stdout (default: <out>.manifest.json)")
     if out_required is not None:
         sub.add_argument("--out", required=out_required, help=out_help)
 
@@ -444,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="run brute-force verification suites")
     p.add_argument("suite", choices=("dpp", "knapsack", "kts", "encoder", "all"))
-    p.add_argument("--n", type=int, default=8, help="ground-set size for the dpp suite")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--n", type=_positive_int, default=8,
+                   help="ground-set size for the dpp suite")
+    p.add_argument("--trials", type=_positive_int, default=50)
     _add_common(p, out_required=None)
     p.set_defaults(func=_cmd_check)
 
@@ -456,7 +447,10 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.monotonic()
+        inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, started)
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except NumericError as exc:

@@ -130,13 +130,12 @@ class _ScatterTable:
         return out
 
 
-def _dp_tables(table: _ScatterTable, max_parts: int, last_costs=None):
+def _dp_tables(table: _ScatterTable, max_parts: int):
     """dp[k][n] = minimum scatter splitting the first n frames into k
     segments; bp holds the matching last-segment start (the earliest on
-    ties). Cells with n < k stay inf with bp 0. ``last_costs``, if given,
-    is the final block's ``block_costs``, already computed by the caller."""
+    ties). Cells with n < k stay inf with bp 0."""
     dp, bp = _empty_tables(table.n, max_parts)
-    _relax(table, dp, bp, range(1, max_parts + 1), last_costs)
+    _relax(table, dp, bp, range(1, max_parts + 1))
     return dp, bp
 
 
@@ -294,6 +293,8 @@ def _reconstruct(bp: np.ndarray, parts: int, n: int) -> tuple[int, ...]:
 def kts_fixed_m(features, num_change_points: int) -> tuple[list[int], float]:
     """Optimal placement of exactly ``num_change_points`` boundaries."""
     x = _as_features(features)
+    if isinstance(num_change_points, bool) or not isinstance(num_change_points, (int, np.integer)):
+        raise ConfigError(f"num_change_points must be an integer, got {num_change_points!r}")
     n = x.shape[0]
     if not (0 <= num_change_points <= n - 1):
         raise ValidationError(

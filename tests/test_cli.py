@@ -1,13 +1,15 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdpp import cli, io, kts, summarizer
+from mdpp import bruteforce, cli, io, kts, summarizer
 from mdpp.data_model import Summary
 
 
@@ -155,6 +157,94 @@ def test_check_suites(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("ok") >= 5
+    assert run(["check", "dpp", "--n", "1", "--trials", "2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--trials", "0"), ("--trials", "-1")])
+def test_check_counts_must_be_positive(capsys, flag, value):
+    suite = "dpp" if flag == "--n" else "knapsack"
+    assert run(["check", suite, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert (f"mdpp: error: usage: argument {flag}: '{value}' is not a positive integer"
+            in captured.err)
+    assert "Traceback" not in captured.err
+    assert "ok " not in captured.out
+
+
+def test_failing_check_exits_1_without_manifest(capsys, monkeypatch):
+    monkeypatch.setattr(bruteforce, "check_knapsack",
+                        lambda trials, seed: [("planted knapsack row", False, "1 trials")])
+    assert run(["check", "knapsack"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL  planted knapsack row (1 trials)" in captured.out
+    assert "manifest:" not in captured.out
+    assert "mdpp: error: ValidationError: one or more brute-force checks failed" in captured.err
+
+
+def _printed_manifests(text):
+    prefix = "manifest: "
+    return [json.loads(line[len(prefix):]) for line in text.splitlines()
+            if line.startswith(prefix)]
+
+
+def test_manifest_out_dash_prints_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    features, _ = _synth(tmp_path, "a", seed=1)
+    capsys.readouterr()
+    assert run(["summarize", "--features", str(features), "--unsupervised",
+                "--out", "s.json", "--manifest-out", "-"]) == 0
+    (manifest,) = _printed_manifests(capsys.readouterr().out)
+    assert manifest["subcommand"] == "summarize" and manifest["outputs"] == ["s.json"]
+    assert not (tmp_path / "-").exists()
+    assert not (tmp_path / "s.json.manifest.json").exists()
+
+
+# argv, manifest file (None: one stdout line), inputs, outputs; {f}, {a}, {s} are
+# the features, annotations and summary, {t} the test's directory
+@pytest.mark.parametrize("argv, target, inputs, outputs", [
+    (["oracle", "--features", "{f}", "--annotations", "{a}", "--out", "{t}/o.json"],
+     "{t}/o.json.manifest.json", ["{f}", "{a}"], ["{t}/o.json"]),
+    (["segment", "--features", "{f}"], None, ["{f}"], []),
+    (["segment", "--features", "{f}", "--out", "{t}/seg.txt"],
+     "{t}/seg.txt.manifest.json", ["{f}"], ["{t}/seg.txt"]),
+    (["eval", "--summary", "{s}", "--annotations", "{a}", "--features", "{f}"],
+     None, ["{f}", "{s}", "{a}"], []),
+    (["eval", "--summary", "{s}", "--annotations", "{a}", "--features", "{f}",
+      "--out", "{t}/e.json"],
+     "{t}/e.json.manifest.json", ["{f}", "{s}", "{a}"], ["{t}/e.json", "{t}/e.json.plot.tsv"]),
+    (["check", "knapsack", "--trials", "2"], None, [], []),
+    (["summarize", "--features", "{f}", "--unsupervised", "--out", "{t}/u.json",
+      "--manifest-out", "{t}/m.json"], "{t}/m.json", ["{f}"], ["{t}/u.json"]),
+], ids=["oracle", "segment", "segment-out", "eval", "eval-out", "check", "manifest-out"])
+def test_manifest_destination_and_paths(tmp_path, capsys, argv, target, inputs, outputs):
+    features, annotations = _synth(tmp_path, "a", seed=1)
+    summary = tmp_path / "s.json"
+    assert run(["summarize", "--features", str(features), "--unsupervised",
+                "--out", str(summary)]) == 0
+    names = {"f": features, "a": annotations, "s": summary, "t": tmp_path}
+
+    def fill(texts):
+        return [text.format(**names) for text in texts]
+
+    before = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(fill(argv)) == 0
+    printed = _printed_manifests(capsys.readouterr().out)
+    written = set(tmp_path.iterdir()) - before - {Path(p) for p in fill(outputs)}
+    if target is None:
+        assert written == set()
+        (manifest,) = printed
+    else:
+        (path,) = fill([target])
+        assert printed == [] and written == {Path(path)}
+        manifest = json.loads(Path(path).read_text())
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["inputs"] == {
+        p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in fill(inputs)
+    }
+    assert manifest["outputs"] == fill(outputs)
+    assert all(Path(p).is_file() for p in manifest["outputs"])
 
 
 def _training_dir(tmp_path, steps=40):

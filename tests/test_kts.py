@@ -392,3 +392,10 @@ def test_kts_validation():
         with pytest.raises(ConfigError, match="max_segments must be an integer"):
             kts(np.zeros((5, 2)), max_segments=value)
     assert kts(np.zeros((5, 2)), max_segments=np.int64(3)) == kts(np.zeros((5, 2)), max_segments=3)
+    x = np.arange(10.0).reshape(5, 2)
+    for value in (2.5, "3", True, None):
+        with pytest.raises(ConfigError, match="num_change_points must be an integer"):
+            kts_fixed_m(x, value)
+    assert kts_fixed_m(x, np.int64(2)) == kts_fixed_m(x, 2)
+    with pytest.raises(ValidationError):
+        kts_fixed_m(x, 5)
