@@ -19,39 +19,44 @@ does little numpy work for both: loop step t is time t for the forward
 direction and time N - 1 - t for the reverse one. ``ModelParams`` stores
 their weights stacked on a leading axis of 2, with (i, f, g, o) gate blocks;
 each call permutes them once into the loops' gate-major order (o, i, f, g).
-The gate cache is (N, 4, 2, M, H), so every per-step numpy call works on a
-contiguous block: the sigmoid gates (o, i, f) are one slab and the gates
-the backward scales by dc (i, f, g) another. The cell and hidden caches are
-(N + 1, 2, M, H) and start from a zero row, so no step is a special case.
+The gate cache is (N + 1, 4, 2, M, H), so every per-step numpy call works
+on a contiguous block: the sigmoid gates (o, i, f) are one slab and the
+gates the backward scales by dc (i, f, g) another. Its last row is spare.
+The cell and hidden caches are (N + 1, 2, M, H) and start from a zero row,
+so no step is a special case. The input is held once, as (M, N, D).
 Forward: X Wx^T + b for all steps, gates and directions is one batched
 product straight into the gate cache; a step adds h_{t-1} Wh^T as one
 batched product with the (4, 2, H, H) Wh blocks and takes one tanh over the
 step's block, the sigmoid gates' rows having been pre-scaled by 1/2 so that
 sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent factors
 of dz are computed for all steps at once over whole slabs of the gate
-cache, and one loop writes each step's dz, for both directions, into an
-(N, 2, M, 4H) array in the weights' gate order; dh_{t-1} = dz_t Wh and the
-weight gradients are then products against the unpermuted weights. Each
-step reuses preallocated buffers. The backward pass consumes its forward
-cache. ``bruteforce.reference_lstm_forward`` / ``_backward`` are
-per-direction, per-step loops, and ``mdpp check encoder`` compares the
-stacked loops with one reference call per direction, after
-``bruteforce.per_direction_layout`` has put the caches in the references'
-layout.
+cache, with a copy of f and one gate block of scratch, and one loop writes
+step t's dz, for both directions, into row t + 1 of the gate cache in the
+weights' gate order, so that rows 1..N end as dz, (N, 2, M, 4H), and the
+backward needs no dz array of its own; dh_{t-1} = dz_t Wh and the weight
+gradients are then products against the unpermuted weights. Each step
+reuses preallocated buffers. The backward pass consumes its forward cache.
+``bruteforce.reference_lstm_forward`` / ``_backward`` are per-direction,
+per-step loops, and ``mdpp check encoder`` compares the stacked loops with
+one reference call per direction, after ``bruteforce.per_direction_layout``
+has put the caches in the references' layout.
 
 The views ride the batch axis of those loops, and so do the sequences of a
 training batch: ``batch_loss`` splits the batch in order into groups of
-consecutive equal-length sequences of at most _STACK_FRAMES view-frames,
-and each group's views share one LSTM forward and one backward. The heads,
-the loss and the heads' backprop run one sequence at a time on its own
-columns, so the cap bounds the memory that stacking adds: the LSTM cache of
-at most _STACK_FRAMES view-frames. A sequence longer than the cap runs
-alone. A group of one view runs with a zero second view, so that its
-per-step products take the matrix-matrix path too and its states do not
-depend on whether it was stacked. ``loss_and_grad`` and ``evaluate_loss``
-are groups of one, with and without the gradient, on the same loss path;
-``mdpp check encoder`` compares stacked groups with the sum of their
-sequences' ``loss_and_grad``.
+consecutive equal-length sequences of at most _STACK_VIEWS views, so
+3-view sequences train in pairs, and each group's views share one LSTM
+forward and one backward. The heads, the loss and the heads' backprop run
+one sequence at a time on its own columns and write over their own
+activations, so the cap bounds the memory that stacking adds: the LSTM
+cache of at most _STACK_VIEWS views. A sequence of more views runs alone.
+The weight gradients are summed per sequence, so each sequence's gradient
+is bitwise that of the sequence run alone, however it was grouped. A group of
+one view runs with a zero second view, so that its per-step products take
+the matrix-matrix path too and its states do not depend on whether it was
+stacked. ``loss_and_grad`` and ``evaluate_loss`` are groups of one, with
+and without the gradient, on the same loss path; ``mdpp check encoder``
+requires stacked groups to be bitwise the sum of their sequences'
+``loss_and_grad``.
 """
 
 from __future__ import annotations
@@ -66,9 +71,9 @@ from .data_model import MultiViewSequence, check_seed
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .multi_dpp import ViewStreams
 
-# view-frames (M * N summed over a group's sequences) one stacked LSTM loop
-# may hold; at M = 3, N = 300 it stacks pairs
-_STACK_FRAMES = 2048
+# views (M summed over a group's sequences) one stacked LSTM loop may hold:
+# 3-view sequences of equal length run in pairs
+_STACK_VIEWS = 6
 
 # the LSTM loops' gate order (o, i, f, g), as indices of the weights' (i, f,
 # g, o) blocks: the sigmoid gates form the slab [0:3] and the gates scaled
@@ -219,6 +224,16 @@ def _gate_blocks(w, h_size):
     return blocks.transpose(1, 0, 3, 2)
 
 
+def _both_directions(x):
+    """(M, N, D) inputs as (2, M, N, D): direction 1 reads them in reversed
+    time. Made where the input product and dWx need it; the cache holds x
+    once."""
+    xt = np.empty((2, *x.shape))
+    xt[0] = x
+    xt[1] = x[:, ::-1]
+    return xt
+
+
 def _lstm_forward(x, wx, wh, b):
     """Run both directions over (M, N, D) inputs in one time loop.
 
@@ -226,35 +241,33 @@ def _lstm_forward(x, wx, wh, b):
     (2, 4H, H) and (2, 4H). Direction 1 reads the input in reversed time,
     so loop step t is time t for direction 0 and time N - 1 - t for
     direction 1; the views ride the batch axis. The gate cache is
-    gate-major, (N, 4, 2, M, H) in the gate order (o, i, f, g), so each
-    step's sigmoid gates are one contiguous (3, 2, M, H) slab. Their rows of
-    Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so a step
-    is one batched product of h_{t-1} with the (4, 2, H, H) Wh blocks, one
-    add, one tanh and a scalar affine map of the slab to the sigmoids
+    gate-major, (N + 1, 4, 2, M, H) in the gate order (o, i, f, g), so each
+    step's sigmoid gates are one contiguous (3, 2, M, H) slab; row t holds
+    step t and row N is spare room for the backward. The sigmoid gates' rows
+    of Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so a
+    step is one batched product of h_{t-1} with the (4, 2, H, H) Wh blocks,
+    one add, one tanh and a scalar affine map of the slab to the sigmoids
     0.5 (1 + tanh(z / 2)), then five ``out=`` ops for c_t and h_t. ``cells``
     and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the zero
-    state and row t + 1 holds step t. ``x`` is the (N, 2, M, D) input in
-    loop time.
+    state and row t + 1 holds step t. ``x`` is the (M, N, D) input itself.
     """
-    m, n, d = x.shape
+    m, n, _ = x.shape
     h_size = wh.shape[2]
-    xt = np.empty((n, 2, m, d))
-    xt[:, 0] = x.swapaxes(0, 1)
-    xt[:, 1] = xt[::-1, 0]
-    gates = np.empty((n, 4, 2, m, h_size))
+    gates = np.empty((n + 1, 4, 2, m, h_size))
+    steps = gates[:n]
     # one (N x D)(D x H) product per gate, direction and view, into the cache
     np.matmul(
-        xt.transpose(1, 2, 0, 3), _gate_blocks(wx, h_size)[:, :, None],
-        out=gates.transpose(1, 2, 3, 0, 4),
+        _both_directions(x), _gate_blocks(wx, h_size)[:, :, None],
+        out=steps.transpose(1, 2, 3, 0, 4),
     )
-    gates += _gate_blocks(b[..., None], h_size)
+    steps += _gate_blocks(b[..., None], h_size)
     wh_blocks = np.ascontiguousarray(_gate_blocks(wh, h_size))
     cells = np.zeros((n + 1, 2, m, h_size))
     hidden = np.zeros((n + 1, 2, m, h_size))
     recurrent = np.empty((4, 2, m, h_size))
     product = np.empty((2, m, h_size))
     for z, sig, o, i, f, g, c_prev, c, h_prev, h in zip(
-        gates, gates[:, :3], gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3],
+        steps, steps[:, :3], steps[:, 0], steps[:, 1], steps[:, 2], steps[:, 3],
         cells[:-1], cells[1:], hidden[:-1], hidden[1:],
     ):
         np.matmul(h_prev, wh_blocks, out=recurrent)
@@ -267,12 +280,14 @@ def _lstm_forward(x, wx, wh, b):
         np.add(c, product, out=c)
         np.tanh(c, out=h)
         np.multiply(h, o, out=h)
-    return {"x": xt, "gates": gates, "cells": cells, "hidden": hidden}
+    return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
 
 
-def _lstm_backward(cache, wh, grad_hidden):
-    """Backprop both directions in one time loop; returns the stacked
-    (dwx, dwh, db), shaped like the weights. Consumes ``cache``.
+def _lstm_backward(cache, wh, grad_hidden, cols):
+    """Backprop both directions in one time loop. Returns one stacked
+    (dwx, dwh, db), shaped like the weights, per slice of batch columns in
+    ``cols``: the gradient of that sequence's views alone. Consumes
+    ``cache``.
 
     ``grad_hidden`` is dLoss/dh in the (N, 2, M, H) loop-time layout. With
     dz = dLoss/d(pre-activation), every factor of dz that does not depend on
@@ -283,51 +298,54 @@ def _lstm_backward(cache, wh, grad_hidden):
 
     for (i, f, g, o), with c_{-1} the cell cache's zero row and
     dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
-    overwrites the cell cache. The time loop multiplies the (i, f, g) slab
-    by dc and the o block by dh, writing each step's dz into an
-    (N, 2, M, 4H) array in the weights' gate order, and carries dh and dc
-    back for both directions. dh_{t-1} = dz_t Wh is one batched product
-    against the unpermuted Wh; after the loop dWx and dWh are one batched
-    product per direction and view against the inputs and the hidden states
-    shifted by a step, and db one sum.
+    overwrites the cell cache. A copy of f, kept for the dc carry, and one
+    gate block of scratch are all the factors need. The time loop
+    multiplies the (i, f, g) slab by dc and the o block by dh and writes
+    step t's dz, for both directions, into row t + 1 of the gate cache, in
+    the weights' gate order: that row's factors were read one step earlier,
+    and row N is the forward's spare row. So the cache's rows 1..N end as
+    dz, (N, 2, M, 4H). dh_{t-1} = dz_t Wh is one batched product against
+    the unpermuted Wh; after the loop dWx and dWh are one batched product
+    per direction and view against the inputs and the hidden states shifted
+    by a step, summed over each slice's views, and db is one sum per slice.
+    Summing per sequence keeps each sequence's gradient bits those of the
+    sequence run alone.
     """
-    xt, gates, cells, hidden = (cache[k] for k in ("x", "gates", "cells", "hidden"))
-    n, _, _, m, h_size = gates.shape
-    o, i, f, g = gates.swapaxes(0, 1)
+    x, gates, cells, hidden = (cache[k] for k in ("x", "gates", "cells", "hidden"))
+    n = gates.shape[0] - 1
+    m, h_size = gates.shape[3:]
+    o, i, f, g = gates[:n].swapaxes(0, 1)
     forget = f.copy()
-    # dz is written only by the time loop, so until then its memory holds
-    # 1 - (o, i, f), one slab
-    dz = np.empty((n, 2, m, 4 * h_size))
-    one_minus = np.subtract(1.0, gates[:, :3], out=dz.reshape(gates.shape)[:, :3])
     # f block: c_{t-1} f (1 - f), c_{-1} being the cell cache's zero row
-    f *= one_minus[:, 2]
+    np.subtract(1.0, f, out=f)
+    f *= forget
     f *= cells[:-1]
+    scratch = np.empty_like(forget)
     # o block: tanh(c) o (1 - o); cell cache: o (1 - tanh(c)^2)
     np.tanh(cells, out=cells)
     tanh_c = cells[1:]
-    o_factor = one_minus[:, 0]
-    o_factor *= o
-    o_factor *= tanh_c
+    np.subtract(1.0, o, out=scratch)
+    scratch *= o
+    scratch *= tanh_c
     tanh_c *= tanh_c
     np.subtract(1.0, tanh_c, out=tanh_c)
     tanh_c *= o
-    o[...] = o_factor
-    # g block: i (1 - g^2), in the spent 1 - f; i block: g i (1 - i)
-    g_factor = one_minus[:, 2]
-    np.multiply(g, g, out=g_factor)
-    np.subtract(1.0, g_factor, out=g_factor)
-    g_factor *= i
+    o[...] = scratch
+    # g block: i (1 - g^2); i block: g i (1 - i)
+    np.multiply(g, g, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    scratch *= i
     g *= i
-    i_factor = one_minus[:, 1]
-    i_factor *= g
-    i[...] = i_factor
-    g[...] = g_factor
-    del one_minus
+    np.subtract(1.0, i, out=i)
+    i *= g
+    g[...] = scratch
+    del scratch
 
+    dz = gates[1:].reshape(n, 2, m, 4 * h_size)
     dz_blocks = dz.reshape(n, 2, m, 4, h_size).transpose(0, 3, 1, 2, 4)
     dh, dh_next, dc, product = (np.zeros((2, m, h_size)) for _ in range(4))
     for grad, cell, fac_o, fac_ifg, dz_t, out_ifg, out_o, f_t in zip(
-        grad_hidden[::-1], cells[:0:-1], gates[::-1, 0], gates[::-1, 1:],
+        grad_hidden[::-1], cells[:0:-1], gates[-2::-1, 0], gates[-2::-1, 1:],
         dz[::-1], dz_blocks[::-1, :3], dz_blocks[::-1, 3], forget[::-1],
     ):
         np.add(grad, dh_next, out=dh)
@@ -337,12 +355,16 @@ def _lstm_backward(cache, wh, grad_hidden):
         np.multiply(fac_o, dh, out=out_o)
         np.matmul(dz_t, wh, out=dh_next)
         dc *= f_t
+    del forget
 
-    # (4H x N)(N x .) per direction and view, summed over the views
+    # (4H x N)(N x .) per direction and view, summed over each slice's views
     dz_t = dz.transpose(1, 2, 3, 0)
-    dwx = np.matmul(dz_t, xt.transpose(1, 2, 0, 3)).sum(axis=1)
-    dwh = np.matmul(dz_t[..., 1:], hidden[1:-1].transpose(1, 2, 0, 3)).sum(axis=1)
-    return dwx, dwh, dz.sum(axis=(0, 2))
+    dwx = np.matmul(dz_t, _both_directions(x))
+    dwh = np.matmul(dz_t[..., 1:], hidden[1:-1].transpose(1, 2, 0, 3))
+    return [
+        (dwx[:, c].sum(axis=1), dwh[:, c].sum(axis=1), dz[:, :, c].sum(axis=(0, 2)))
+        for c in cols
+    ]
 
 
 @dataclass
@@ -394,36 +416,45 @@ def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
 
 def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
     """Both heads over the batch columns ``cols`` of an LSTM cache: the
-    views of one sequence."""
-    xt, hidden = lstm["x"][:, 0, cols], lstm["hidden"][1:, :, cols]
-    n, m, d = xt.shape
+    views of one sequence. Each layer's bias and activation are applied in
+    place on its product."""
+    x, hidden = lstm["x"][cols], lstm["hidden"][1:, :, cols]
+    m, n, d = x.shape
     h = params.hidden_size
     # ``out`` keeps it C-ordered (M, N, .): concatenate would follow the
-    # inputs' time-major strides, and ``flat`` would then be a copy
+    # hidden states' time-major strides, and ``flat`` would then be a copy
     spatio = np.concatenate(
-        [xt.swapaxes(0, 1), hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)],
+        [x, hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)],
         axis=2, out=np.empty((m, n, d + 2 * h)),
     )
 
     flat = spatio.reshape(m * n, d + 2 * h)
-    feat_hidden = np.tanh(flat @ params.feat_w1.T + params.feat_b1)
-    feat_raw = feat_hidden @ params.feat_w2.T + params.feat_b2
-    norms = np.linalg.norm(feat_raw, axis=1)
+    feat_hidden = _affine(flat, params.feat_w1, params.feat_b1)
+    np.tanh(feat_hidden, out=feat_hidden)
+    features = _affine(feat_hidden, params.feat_w2, params.feat_b2)
+    norms = np.linalg.norm(features, axis=1)
     if (norms < 1e-12).any():
         raise NumericError("feature head produced a zero vector; cannot normalize")
-    features = (feat_raw / norms[:, None]).reshape(m, n, params.output_dim)
+    features /= norms[:, None]
 
-    qual_hidden = np.tanh(flat @ params.qual_w1.T + params.qual_b1)
-    logits = qual_hidden @ params.qual_w2.T + params.qual_b2
-    quality_raw = _sigmoid(logits).reshape(m, n)
+    qual_hidden = _affine(flat, params.qual_w1, params.qual_b1)
+    np.tanh(qual_hidden, out=qual_hidden)
+    quality_raw = _sigmoid(_affine(qual_hidden, params.qual_w2, params.qual_b2)).reshape(m, n)
 
     streams = ViewStreams(
-        features=features, quality=np.clip(quality_raw, dpp.QUALITY_FLOOR, 1.0)
+        features=features.reshape(m, n, params.output_dim),
+        quality=np.clip(quality_raw, dpp.QUALITY_FLOOR, 1.0),
     )
     return ForwardTrace(
         spatiotemporal=spatio, feat_hidden=feat_hidden, feat_norms=norms,
         qual_hidden=qual_hidden, quality_raw=quality_raw, streams=streams,
     )
+
+
+def _affine(inputs, weight, bias):
+    out = inputs @ weight.T
+    out += bias
+    return out
 
 
 @dataclass(frozen=True)
@@ -504,23 +535,22 @@ def batch_loss(
 
 def _groups(batch):
     """Split ``batch`` in order into runs of consecutive sequences of equal
-    length N holding at most _STACK_FRAMES view-frames (M * N summed) each;
-    a group always holds at least one sequence. The cap bounds the stacked
-    LSTM cache, which lives until the group's backward pass."""
-    groups, frames = [], 0
+    length N holding at most _STACK_VIEWS views (M summed) each; a group
+    always holds at least one sequence. The cap bounds the stacked LSTM
+    cache, which lives until the group's backward pass."""
+    groups, views = [], 0
     for item in batch:
         sequence = item[0]
-        size = sequence.num_views * sequence.num_steps
         if (
             groups
             and sequence.num_steps == groups[-1][0][0].num_steps
-            and frames + size <= _STACK_FRAMES
+            and views + sequence.num_views <= _STACK_VIEWS
         ):
             groups[-1].append(item)
-            frames += size
+            views += sequence.num_views
         else:
             groups.append([item])
-            frames = size
+            views = sequence.num_views
     return groups
 
 
@@ -531,7 +561,8 @@ def _zero_grads(params: ModelParams) -> dict:
 def _loss(params, group, lam, grads):
     """The one loss path, over a group of (sequence, target_views) of equal
     N: returns each sequence's LossParts and, when ``grads`` is a dict of
-    arrays, adds the gradient of their sum to it.
+    arrays, adds each sequence's gradient to it in turn, so that the sum's
+    bits do not depend on how the batch was grouped.
 
     The views of all the group's sequences ride the batch axis of one LSTM
     forward and one backward. In between, each sequence in turn runs the
@@ -549,13 +580,14 @@ def _loss(params, group, lam, grads):
     lstm = _stacked_lstm(params, [seq for seq, _, _ in checked])
     if grads is None:
         del lstm["gates"], lstm["cells"]
-    n, _, batch_views, _ = lstm["x"].shape
+    batch_views, n, _ = lstm["x"].shape
     d, h = params.input_dim, params.hidden_size
-    parts = []
+    parts, columns = [], []
     grad_hidden = None
     start = 0
     for sequence, y, steps in checked:
         cols = slice(start, start + sequence.num_views)
+        columns.append(cols)
         start = cols.stop
         trace = _heads(params, lstm, cols)
         part, dspatio = _sequence_loss(params, trace, y, steps, lam, grads)
@@ -573,23 +605,23 @@ def _loss(params, group, lam, grads):
         del dspatio
     if grads is None:
         return parts
-    for name, grad in zip(
-        ("lstm_wx", "lstm_wh", "lstm_b"), _lstm_backward(lstm, params.lstm_wh, grad_hidden)
-    ):
-        grads[name] += grad
+    for lstm_grads in _lstm_backward(lstm, params.lstm_wh, grad_hidden, columns):
+        for name, grad in zip(("lstm_wx", "lstm_wh", "lstm_b"), lstm_grads):
+            grads[name] += grad
     return parts
 
 
 def _sequence_loss(params, trace, y, steps, lam, grads):
     """One sequence's LossParts and, when ``grads`` is given, its head
     gradients added to ``grads`` and dLoss/d(spatiotemporal) as (M, N, D + 2H);
-    otherwise (parts, None)."""
+    otherwise (parts, None). The backprop overwrites the trace's head
+    activations, and each DPP array is dropped as soon as it is spent."""
     m, n = y.shape
     d, h, dp = params.input_dim, params.hidden_size, params.output_dim
 
     bce, dlogits = _bce_terms(y, trace.quality_raw, m)
 
-    grad_features = np.zeros((m, n, dp))
+    grad_features = None  # at lam = 0 the feature head gets no gradient
     dpp_nll = math.nan
     if grads is None:
         dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
@@ -610,9 +642,12 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
                 f"the joint kernel{hint}"
             ) from exc
         dpp_nll = -log_p
+        grad_phi *= -lam
+        grad_q *= -lam
         grad_features, grad_stream_q = multi_dpp.backprop_streams(
-            bundle, trace.streams, -lam * grad_phi, -lam * grad_q
+            bundle, trace.streams, grad_phi, grad_q
         )
+        del bundle, grad_phi
         # per-view clamp: logistic outputs below the floor carry no gradient
         passthrough = trace.quality_raw > dpp.QUALITY_FLOOR
         dlogits = dlogits + np.where(
@@ -630,19 +665,37 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
     dlog_flat = dlogits.reshape(m * n, 1)
     grads["qual_w2"] += dlog_flat.T @ trace.qual_hidden
     grads["qual_b2"] += dlog_flat.sum(axis=0)
-    dq_hidden = (dlog_flat @ params.qual_w2) * (1.0 - trace.qual_hidden**2)
+    dq_hidden = _tanh_backward(dlog_flat @ params.qual_w2, trace.qual_hidden)
     grads["qual_w1"] += dq_hidden.T @ flat
     grads["qual_b1"] += dq_hidden.sum(axis=0)
-    dflat = dq_hidden @ params.qual_w1
 
-    # feature head (through the row normalization)
-    gphi = grad_features.reshape(m * n, dp)
-    unit = trace.streams.features.reshape(m * n, dp)
-    graw = (gphi - unit * np.einsum("rd,rd->r", unit, gphi)[:, None]) / trace.feat_norms[:, None]
-    grads["feat_w2"] += graw.T @ trace.feat_hidden
-    grads["feat_b2"] += graw.sum(axis=0)
-    df_hidden = (graw @ params.feat_w2) * (1.0 - trace.feat_hidden**2)
-    grads["feat_w1"] += df_hidden.T @ flat
-    grads["feat_b1"] += df_hidden.sum(axis=0)
-    dflat = dflat + df_hidden @ params.feat_w1
-    return parts, dflat.reshape(m, n, d + 2 * h)
+    df_hidden = None
+    if grad_features is not None:
+        # feature head (through the row normalization): graw in gphi's
+        # memory, its projection term in the unit features'
+        graw = grad_features.reshape(m * n, dp)
+        unit = trace.streams.features.reshape(m * n, dp)
+        unit *= np.einsum("rd,rd->r", unit, graw)[:, None]
+        graw -= unit
+        graw /= trace.feat_norms[:, None]
+        grads["feat_w2"] += graw.T @ trace.feat_hidden
+        grads["feat_b2"] += graw.sum(axis=0)
+        df_hidden = _tanh_backward(graw @ params.feat_w2, trace.feat_hidden)
+        del grad_features, graw
+        grads["feat_w1"] += df_hidden.T @ flat
+        grads["feat_b1"] += df_hidden.sum(axis=0)
+
+    # dLoss/d(spatiotemporal), written over the spent ``flat``
+    dflat = np.matmul(dq_hidden, params.qual_w1, out=flat)
+    if df_hidden is not None:
+        dflat += df_hidden @ params.feat_w1
+    return parts, trace.spatiotemporal
+
+
+def _tanh_backward(upstream, hidden):
+    """upstream * (1 - hidden^2), the gradient through hidden = tanh(.),
+    written over ``hidden``."""
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    hidden *= upstream
+    return hidden

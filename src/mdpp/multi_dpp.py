@@ -90,17 +90,18 @@ def backprop_streams(
     Max-pooling sends each dimension's gradient to the winning view;
     L2 renormalization contributes the usual tangent projection; the quality
     product distributes multiplicatively, gated to zero where the clamp was
-    active.
+    active. The projected gradient is built in ``grad_joint_phi``'s memory,
+    which the call overwrites.
     """
     m, n, dprime = streams.features.shape
     phi = bundle.kernel.phi  # unit columns, (D', N)
-    inner = np.einsum("dn,dn->n", phi, grad_joint_phi)
-    grad_pooled = (grad_joint_phi - phi * inner) / bundle.prenorm_norms
+    grad_pooled = grad_joint_phi
+    grad_pooled -= phi * np.einsum("dn,dn->n", phi, grad_pooled)
+    grad_pooled /= bundle.prenorm_norms
 
     grad_features = np.zeros((m, n, dprime))
-    steps = np.arange(n)[:, None].repeat(dprime, axis=1)
-    dims = np.arange(dprime)[None, :].repeat(n, axis=0)
-    grad_features[bundle.argmax_views, steps, dims] = grad_pooled.T
+    for view in range(m):
+        np.copyto(grad_features[view], grad_pooled.T, where=bundle.argmax_views == view)
 
     passthrough = (bundle.raw_quality > dpp.QUALITY_FLOOR) & (bundle.raw_quality <= 1.0)
     gated = np.where(passthrough, grad_joint_q * bundle.raw_quality, 0.0)
@@ -113,7 +114,8 @@ def _pool_features(streams: ViewStreams):
     the strict ``>`` hands a tie to the first view, as ``argmax`` does."""
     features = streams.features
     pooled = features[0].copy()
-    argmax_views = np.zeros(pooled.shape, dtype=np.intp)  # (N, D')
+    # (N, D'), in the smallest integer type that holds a view index
+    argmax_views = np.zeros(pooled.shape, dtype=np.min_scalar_type(features.shape[0] - 1))
     for view in range(1, features.shape[0]):
         np.copyto(argmax_views, view, where=features[view] > pooled)
         np.maximum(pooled, features[view], out=pooled)

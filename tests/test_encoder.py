@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,7 @@ def test_lstm_backward_matches_finite_differences():
         return float((hidden * weights).sum())
 
     cache = encoder._lstm_forward(x, wx, wh, b)
-    dwx, dwh, db = encoder._lstm_backward(cache, wh, weights)
+    dwx, dwh, db = encoder._lstm_backward(cache, wh, weights, [slice(None)])[0]
     step = 1e-6
     for arr, grad in ((wx, dwx), (wh, dwh), (b, db)):
         flat, gflat = arr.ravel(), grad.ravel()
@@ -276,7 +278,8 @@ def test_fused_lstm_single_step_has_zero_recurrent_gradient():
     wx, wh, b = _stacked_weights(rng, d, h, 1.0)
     grad_hidden = rng.normal(size=(1, 2, 1, h))
     _, (ref_dwx, ref_dwh, ref_db) = _per_direction_reference(x, wx, wh, b, grad_hidden)
-    dwx, dwh, db = encoder._lstm_backward(encoder._lstm_forward(x, wx, wh, b), wh, grad_hidden)
+    cache = encoder._lstm_forward(x, wx, wh, b)
+    dwx, dwh, db = encoder._lstm_backward(cache, wh, grad_hidden, [slice(None)])[0]
     assert np.array_equal(dwh, np.zeros_like(wh)) and np.array_equal(ref_dwh, dwh)
     for k in (0, 1):
         assert bruteforce._max_rel_err(dwx[k], ref_dwx[k]) <= 1e-12
@@ -302,7 +305,7 @@ def test_fused_lstm_saturated_gates_are_exact():
     for k in (0, 1):
         for key in ("gates", "cells", "hidden"):
             assert bruteforce._max_rel_err(fused[key][:, k], ref[key][:, k]) <= 1e-14
-    grads = encoder._lstm_backward(cache, wh, grad_hidden)
+    grads = encoder._lstm_backward(cache, wh, grad_hidden, [slice(None)])[0]
     for fast, slow in zip(grads, ref_grads):
         for k in (0, 1):
             assert bruteforce._max_rel_err(fast[k], slow[k]) <= 1e-12
@@ -326,7 +329,8 @@ def _without_time_reversal(fused_forward):
     def forward(x, wx, wh, b):  # direction 1 reads the input in forward time
         cache = fused_forward(x, wx, wh, b)
         unreversed = fused_forward(x[:, ::-1], wx, wh, b)
-        for key, arr in cache.items():
+        for key in ("gates", "cells", "hidden"):
+            arr = cache[key]
             direction = (slice(None), slice(None), 1) if key == "gates" else (slice(None), 1)
             arr[direction] = unreversed[key][direction]
         return cache
@@ -381,14 +385,58 @@ def test_groups_split_where_length_changes():
     assert _shapes(groups) == [shapes[:2], shapes[2:5], shapes[5:]]
 
 
-def test_groups_hold_at_most_the_frame_cap():
-    assert encoder._STACK_FRAMES == 2048
-    # 2 x 900 view-frames fit; a third sequence starts a new group
+def test_groups_hold_at_most_the_view_cap():
+    assert encoder._STACK_VIEWS == 6
+    # 3-view sequences of equal length run in pairs at every N
     assert _shapes(encoder._groups(_items([(3, 300)] * 3))) == [[(3, 300)] * 2, [(3, 300)]]
+    assert _shapes(encoder._groups(_items([(3, 2000)] * 2))) == [[(3, 2000)] * 2]
     # a sequence over the cap runs alone, and no sequence joins it
+    shapes = [(1, 50), (7, 50), (1, 50)]
+    assert _shapes(encoder._groups(_items(shapes))) == [[shape] for shape in shapes]
     shapes = [(3, 700), (1, 700), (1, 700), (3, 2000)]
-    assert _shapes(encoder._groups(_items(shapes))) == [[shapes[0]], shapes[1:3], [shapes[3]]]
+    assert _shapes(encoder._groups(_items(shapes))) == [shapes[:3], [shapes[3]]]
     assert encoder._groups([]) == []
+
+
+def test_pair_is_bitwise_its_sequences_run_alone():
+    # each sequence's LSTM weight gradient is summed over its own views, so
+    # a pair's parts and summed gradient are those of two loss_and_grad calls
+    rng = np.random.default_rng(19)
+    params = init_params(16, hidden_size=16, output_dim=64, seed=5)
+    pair = [
+        (_sequence(rng, 3, 600, 16), _targets(rng, 3, 600, rng.choice(600, 20, replace=False)))
+        for _ in range(2)
+    ]
+    grads = encoder._zero_grads(params)
+    parts = encoder._loss(params, pair, 1.0, grads)
+    alone = [loss_and_grad(params, *item, lam=1.0) for item in pair]
+    assert parts == [part for part, _ in alone]
+    ref = dict(alone[0][1].named_arrays())
+    for name, arr in alone[1][1].named_arrays():
+        np.testing.assert_array_equal(grads[name], ref[name] + arr, err_msg=name)
+
+
+def test_lstm_backward_holds_at_most_two_blocks():
+    # dz is written into the gate cache; the factors take a copy of f and
+    # one block of scratch
+    rng = np.random.default_rng(3)
+    m, n, d, h = 6, 300, 4, 16
+    x = rng.normal(size=(m, n, d))
+    wx, wh, b = _stacked_weights(rng, d, h, 0.4)
+    cache = encoder._lstm_forward(x, wx, wh, b)
+    grad_hidden = rng.normal(size=(n, 2, m, h))
+    block = grad_hidden.nbytes
+    # per-step buffers, numpy's iterator buffers for three strided operands,
+    # and the per-view dWx and dWh products before their sums
+    allowance = 4 * 2 * m * h * 8 + 3 * np.getbufsize() * 8 + 2 * m * 4 * h * (d + h) * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        encoder._lstm_backward(cache, wh, grad_hidden, [slice(0, 3), slice(3, 6)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2 * block + allowance, (peak - entry) / block
 
 
 def test_batch_loss_matches_per_sequence_calls():
@@ -401,15 +449,12 @@ def test_batch_loss_matches_per_sequence_calls():
     for lam in (0.0, 1.0):
         parts, grad = encoder.batch_loss(params, batch, lam=lam)
         alone = [loss_and_grad(params, *item, lam=lam) for item in batch]
-        for part, (ref, _) in zip(parts, alone, strict=True):
-            assert part.total == pytest.approx(ref.total, rel=1e-12)
-            assert part.bce == pytest.approx(ref.bce, rel=1e-12)
-        ref_grad = sum(to_vector(g) for _, g in alone)
-        np.testing.assert_allclose(to_vector(grad), ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+        # bitwise: every sequence's gradient is summed on its own
+        assert [(p.total, p.bce) for p in parts] == [(p.total, p.bce) for p, _ in alone]
+        np.testing.assert_array_equal(to_vector(grad), sum(to_vector(g) for _, g in alone))
         val, none = encoder.batch_loss(params, batch, lam=lam, with_grad=False)
         assert none is None
-        for part, item in zip(val, batch, strict=True):
-            assert part.total == pytest.approx(evaluate_loss(params, *item, lam=lam).total, rel=1e-12)
+        assert val == [evaluate_loss(params, *item, lam=lam) for item in batch]
 
 
 @pytest.mark.parametrize("n", [50, 300])
