@@ -34,10 +34,11 @@ def all_subsets(n: int):
         yield from itertools.combinations(range(n), size)
 
 
-def kernel_matrix(kernel: DppKernel) -> np.ndarray:
-    """The induced (N, N) kernel L = diag(q) Phi^T Phi diag(q)."""
-    scaled = kernel.phi * kernel.q
-    return scaled.T @ scaled
+def kernel_matrix(kernel) -> np.ndarray:
+    """The induced (N, N) kernel L = diag(q) Phi^T Phi diag(q) of a
+    DppKernel, or L = B^T B of a (D', N) factor B."""
+    factor = kernel.phi * kernel.q if isinstance(kernel, DppKernel) else np.asarray(kernel)
+    return factor.T @ factor
 
 
 def subset_det(mat: np.ndarray, subset) -> float:
@@ -111,9 +112,10 @@ def _sorted_subset(subset) -> np.ndarray:
     return np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
 
 
-def exhaustive_map(kernel: DppKernel):
+def exhaustive_map(kernel):
     """The subset maximizing det(L_y); ties go to the first enumerated
-    (smaller, then lexicographically earlier) subset."""
+    (smaller, then lexicographically earlier) subset. Takes a DppKernel or
+    a (D', N) factor B, as ``reference_greedy_map`` does."""
     mat = kernel_matrix(kernel)
     best, best_det = (), 1.0
     for subset in all_subsets(mat.shape[0]):
@@ -129,8 +131,7 @@ def reference_greedy_map(kernel, max_size: int | None = None, fill: bool = False
     j is singular when det(L_{y+j}) / det(L_y) <= 1e-10 L_jj, and ties
     within 1e-12 go to the smallest index. Takes what ``greedy_map`` takes,
     a DppKernel or a (D', N) factor B, and builds L = B^T B."""
-    factor = kernel.phi * kernel.q if isinstance(kernel, DppKernel) else np.asarray(kernel)
-    mat = factor.T @ factor
+    mat = kernel_matrix(kernel)
     n = mat.shape[0]
     max_size = n if max_size is None else max_size
     selected: list[int] = []
@@ -325,6 +326,18 @@ def reference_lstm_backward(cache, wx, wh, grad_hidden):
     return dwx, dwh, db
 
 
+def reference_bilstm(x, wx, wh, b, grad_hidden):
+    """``encoder._lstm_forward`` and ``_lstm_backward`` as one reference call
+    per direction, the reverse one on the reversed input: the caches in
+    ``per_direction_layout``'s loop-time layout, and (dwx, dwh, db)."""
+    refs = [reference_lstm_forward(x[:, :: 1 - 2 * k], wx[k], wh[k], b[k]) for k in (0, 1)]
+    stacked = {key: np.stack([ref[key].swapaxes(0, 1) for ref in refs], axis=1)
+               for key in ("gates", "cells", "hidden")}
+    grads = [reference_lstm_backward(ref, wx[k], wh[k], grad_hidden[:, k].swapaxes(0, 1))
+             for k, ref in enumerate(refs)]
+    return stacked, [np.stack(pair) for pair in zip(*grads)]
+
+
 def reference_tolerant_f1(predicted, truth, sequence, tau: float) -> float:
     """``evaluation.tolerant_f1`` one frame at a time: each source frame the
     target lacks is compared, view by view, with the target frames at its
@@ -403,6 +416,12 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
                 picks = dpp.greedy_map(factor, fill=fill)
                 reference_ok &= picks == reference_greedy_map(factor, fill=fill)
                 rank_ok &= not fill or len(picks) == np.linalg.matrix_rank(factor)
+    nonempty = 0
+    for _ in range(trials):  # diag(sqrt(d)): det(L_y) = prod of d over y, MAP {d > 1}
+        factor = np.diag(np.sqrt(rng.uniform(0.2, 3.0, size=n)))
+        best = exhaustive_map(factor)
+        nonempty += bool(best)
+        greedy_ok &= sorted(dpp.greedy_map(factor)) == best
     return [
         ("normalizer vs powerset det sum", worst_norm <= rel_tol, f"max rel err {worst_norm:.3e}"),
         ("subset probabilities sum to 1", worst_sum <= rel_tol, f"max abs err {worst_sum:.3e}"),
@@ -411,7 +430,8 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
             worst_dual <= 1e-10,
             f"max rel err {worst_dual:.3e}",
         ),
-        ("greedy MAP = exhaustive MAP on diagonal kernels", greedy_ok, f"{trials} trials"),
+        ("greedy MAP = exhaustive MAP on diagonal kernels", greedy_ok,
+         f"{trials} with q < 1, {trials} diagonal factors ({nonempty} nonempty MAPs)"),
         (
             "greedy MAP = reference greedy on low- and full-rank kernels, fill on and off",
             reference_ok,
@@ -571,10 +591,10 @@ def _check_kts_cuts(cases):
                 bound_runs += 1
                 bound_levels += result.levels_relaxed
                 bound_k15 += k15
-                # the row alone, never giving up (its cap is N)
+                # the row alone, whether or not kts's plan runs it
                 beta = min(b - a for a, b in zip(penalties, penalties[1:k15]))
-                row = _LinearPenaltyRow(n, beta, n, k15)
-                _relax(table, *_empty_tables(n, 0), range(1, 1), None, row)
+                row = _LinearPenaltyRow(n, beta)
+                _relax(table, *_empty_tables(n, 0), range(1, 1), _single_segment(table)[0], row)
                 if np.float64(row.total).tobytes() != \
                         np.float64(reference_linear_penalty(table, beta)).tobytes():
                     ok = False
@@ -672,30 +692,22 @@ def per_direction_layout(cache: dict) -> dict:
 
 
 def check_encoder(trials: int = 50, seed: int = 0):
-    """The stacked two-direction LSTM loops of ``encoder`` against two
-    per-direction reference calls, the reverse one on the time-reversed
-    input, in ``per_direction_layout``. Each direction's outputs are
-    compared at the scale of that direction's whole array."""
+    """The stacked two-direction LSTM loops of ``encoder`` against
+    ``reference_bilstm``, in ``per_direction_layout``. Each direction's
+    outputs are compared at the scale of that direction's whole array."""
     rng = np.random.default_rng(seed)
     worst_fwd = worst_bwd = 0.0
     for x, wx, wh, b in _lstm_inputs(rng, trials):
         cache = encoder._lstm_forward(x, wx, wh, b)
         fused = per_direction_layout(cache)
-        refs = [
-            reference_lstm_forward(x, wx[0], wh[0], b[0]),
-            reference_lstm_forward(x[:, ::-1], wx[1], wh[1], b[1]),
-        ]
-        for k, ref in enumerate(refs):
-            for key in ("gates", "cells", "hidden"):
-                worst_fwd = max(worst_fwd, _max_rel_err(fused[key][:, k], ref[key].swapaxes(0, 1)))
         grad_hidden = rng.normal(size=fused["hidden"].shape)
+        ref, ref_grads = reference_bilstm(x, wx, wh, b, grad_hidden)
         grads = encoder._lstm_backward(cache, wh, grad_hidden, [slice(None)])[0]
-        for k, ref in enumerate(refs):
-            ref_grads = reference_lstm_backward(
-                ref, wx[k], wh[k], grad_hidden[:, k].swapaxes(0, 1)
-            )
+        for k in (0, 1):
+            for key in ("gates", "cells", "hidden"):
+                worst_fwd = max(worst_fwd, _max_rel_err(fused[key][:, k], ref[key][:, k]))
             for fast, slow in zip(grads, ref_grads):
-                worst_bwd = max(worst_bwd, _max_rel_err(fast[k], slow))
+                worst_bwd = max(worst_bwd, _max_rel_err(fast[k], slow[k]))
     worst_hidden, worst_loss = _check_groups(rng, trials)
     return [
         (

@@ -140,9 +140,9 @@ def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.
         if not np.isfinite(sub_inv).all():
             raise NumericError(f"L_y is numerically singular for subset {idx.tolist()}")
         grad_b[:, idx] += 2.0 * scaled[:, idx] @ sub_inv
-    grad_phi = grad_b * kernel.q
     grad_q = np.einsum("dn,dn->n", kernel.phi, grad_b)
-    return _chol_logdet(sub_chol) - _chol_logdet(chol), grad_phi, grad_q
+    grad_b *= kernel.q  # now dlogP/dphi
+    return _chol_logdet(sub_chol) - _chol_logdet(chol), grad_b, grad_q
 
 
 def greedy_map(kernel, max_size: int | None = None, fill: bool = False):

@@ -38,8 +38,8 @@ gradients are then products against the unpermuted weights. Each step
 reuses preallocated buffers. The backward pass consumes its forward cache.
 ``bruteforce.reference_lstm_forward`` / ``_backward`` are per-direction,
 per-step loops, and ``mdpp check encoder`` compares the stacked loops with
-one reference call per direction, after ``bruteforce.per_direction_layout``
-has put the caches in the references' layout.
+one reference call per direction (``bruteforce.reference_bilstm``), after
+``bruteforce.per_direction_layout`` has put the caches in their layout.
 
 The views ride the batch axis of those loops, and so do the sequences of a
 training batch: ``batch_loss`` splits the batch in order into groups of

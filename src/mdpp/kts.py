@@ -25,20 +25,21 @@ run holds, and a level that is cut cannot hold the winner. Two bounds cut:
   with pen(m) >= dp[1][N] never beats the single segment. That leaves K15
   levels, and reads dp[1][N] from the final block's own grid, the value
   the table holds bit for bit.
-- When K15 > _FIRST_LEVELS + _ROW_COST_LEVELS and the penalty is positive,
-  the first sweep relaxes _FIRST_LEVELS levels and, on the same cost
-  blocks, the linear-penalty row F[0] = -beta, F[e] = min_a (F[a] + beta)
-  + c(a, e), beta the least increment pen(m) - pen(m - 1) over m < K15.
-  G = F[N] = min_j (dp[j][N] + beta (j - 1)) <= dp[m + 1][N] + beta m for
-  every m and any beta >= 0, so with dp >= 0 m's penalized value is at
-  least max(0, G - beta m) + pen(m). m can win only if that is at most
-  U + margin, U the least penalized value known: the relaxed levels', and
-  the row's own segmentation's (its summed costs plus pen) when it has
-  fewer than cap change points. A second sweep recomputes the cost blocks,
-  which are deterministic, for the levels above _FIRST_LEVELS the bound
-  keeps. Since pen's increments are at least beta, the bound grows with m,
-  and it meets the winner where the row's segmentation is the winner. The
-  row gives up where it would cut little (see ``_LinearPenaltyRow``).
+- When K15 > _FIRST_LEVELS + _ROW_COST_LEVELS, the penalty is positive and
+  ``_row_pays``, the first sweep relaxes _FIRST_LEVELS levels and, on the
+  same cost blocks, the linear-penalty row F[0] = -beta, F[e] = min_a
+  (F[a] + beta) + c(a, e), beta the least increment pen(m) - pen(m - 1)
+  over m < K15. G = F[N] = min_j (dp[j][N] + beta (j - 1)) <= dp[m + 1][N]
+  + beta m for every m and any beta >= 0, so with dp >= 0 m's penalized
+  value is at least max(0, G - beta m) + pen(m). m can win only if that is
+  at most U + margin, U the least penalized value known: the relaxed
+  levels', and the row's own segmentation's (its summed costs plus pen)
+  when it has fewer than cap change points. A second sweep recomputes the
+  cost blocks, which are deterministic, for the levels above _FIRST_LEVELS
+  the bound keeps. Since pen's increments are at least beta, the bound
+  grows with m, and it meets the winner where the row's segmentation is
+  the winner. ``kts`` fixes the plan (the levels, and the row or not)
+  before sweeping.
 
 The margin bounds summation round-off. Every dp cell, F value and
 penalized value is a sum of non-negative float terms taken left to right
@@ -55,11 +56,11 @@ N = 2000 it is 2e-12 of the scale, so it keeps no level in practice.
 With K the levels relaxed, time is O(N^2 (D + K)): the row costs about one
 level plus in-block passes of at most _BLOCK^2 cells each, and a second
 sweep recomputes the O(N^2 D) cost blocks once. Extra memory is
-O(K N + _BLOCK N + N D); no N x N cost table is ever built. A cell's round-off depends on
-its block, so ``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop
-but reads each end's costs from the same ``_ScatterTable.block_costs``
-grid, and ``mdpp check kts`` requires the two to agree bitwise and the cuts
-to match a full-cap selection.
+O(K N + _BLOCK N + N D); no N x N cost table is ever built. A cell's
+round-off depends on its block, so ``bruteforce.reference_dp_tables`` keeps
+the per-(k, end) loop but reads each end's costs from the same
+``_ScatterTable.block_costs`` grid, and ``mdpp check kts`` requires the two
+to agree bitwise and the cuts to match a full-cap selection.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -135,7 +136,7 @@ def _dp_tables(table: _ScatterTable, max_parts: int):
     segments; bp holds the matching last-segment start (the earliest on
     ties). Cells with n < k stay inf with bp 0."""
     dp, bp = _empty_tables(table.n, max_parts)
-    _relax(table, dp, bp, range(1, max_parts + 1))
+    _relax(table, dp, bp, range(1, max_parts + 1), _single_segment(table)[0])
     return dp, bp
 
 
@@ -146,13 +147,13 @@ def _empty_tables(n: int, max_parts: int):
     return dp, bp
 
 
-def _relax(table: _ScatterTable, dp, bp, levels: range, last_costs=None, row=None):
+def _relax(table: _ScatterTable, dp, bp, levels: range, last_costs: np.ndarray, row=None):
     """Fill the consecutive dp and bp levels ``levels`` (the level below
     the first is final) block by block, and ``row``, if given, on the same
-    cost blocks. A level's cells depend only on the level below and the
-    deterministic cost blocks, so splitting the levels over sweeps leaves
-    every bit as one sweep would. If the row gives up on the first block,
-    the sweep relaxes levels up to ``row.levels`` instead."""
+    cost blocks; ``last_costs`` is the final block, from ``_single_segment``.
+    A level's cells depend only on the level below and the deterministic
+    cost blocks, so splitting the levels over sweeps leaves every bit as one
+    sweep would."""
     n = table.n
     # one scratch for every block's relaxation, its base on a 64-byte cache
     # line: 8 spare doubles absorb the allocator's 16-byte alignment
@@ -160,17 +161,13 @@ def _relax(table: _ScatterTable, dp, bp, levels: range, last_costs=None, row=Non
     scratch = flat[-flat.ctypes.data % 64 // 8 :]
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        if hi == n + 1 and last_costs is not None:
-            costs = last_costs
-        else:
-            costs = table.block_costs(lo, hi)
+        costs = last_costs if hi == n + 1 else table.block_costs(lo, hi)
         # C-contiguous, so each row of a full block (width 64 j) starts on a
         # cache line and no 64-byte store straddles two
         totals = scratch[: costs.size].reshape(costs.shape)
         _relax_block(dp, bp, levels, lo, costs, totals)
-        if row is not None and not row.relax(lo, hi, costs, totals):
-            _relax_block(dp, bp, range(levels.stop, row.levels + 1), lo, costs, totals)
-            levels, row = range(levels.start, row.levels + 1), None
+        if row is not None:
+            row.relax(lo, hi, costs, totals)
 
 
 def _relax_block(dp, bp, levels: range, lo: int, costs, totals) -> None:
@@ -193,44 +190,27 @@ class _LinearPenaltyRow:
     so F[N] <= dp[m + 1][N] + beta m for every m. It runs on ``_relax``'s
     cost blocks. Starts inside a block are settled by repeating the in-block
     relaxation until no end improves. ``start`` and ``cost`` hold each end's
-    last segment, so the row's own segmentation can be read back.
+    last segment, so the row's own segmentation can be read back."""
 
-    The row gives up (``relax`` returns False and ``gave_up`` is set) if,
-    on the first of several blocks, more two-frame segments cost more than
-    beta than that block's share of ``cap`` (cap * 63 / N). The row then
-    splits frames apart more often than the cap allows, so its segmentation
-    is no candidate, G sits far below U and the bound cuts little or
-    nothing; the sweep relaxes all ``levels`` instead of paying for the
-    row, its long in-block chains and a second sweep."""
-
-    def __init__(self, n: int, beta: float, cap: int, levels: int):
-        self.beta, self.cap, self.levels = beta, cap, levels
-        self.gave_up = False
+    def __init__(self, n: int, beta: float):
+        self.beta = beta
         self.total = math.nan  # G = F[N], set by the last block
         self.shifted = np.full(n + 1, np.inf)  # F + beta, inf until settled
         self.shifted[0] = 0.0
         self.start = np.zeros(n + 1, dtype=np.int64)
         self.cost = np.zeros(n + 1)
 
-    def relax(self, lo: int, hi: int, costs: np.ndarray, totals: np.ndarray) -> bool:
-        width = hi - 1
-        if lo == 1 and hi < len(self.start):
-            # the first of several blocks: c(e - 2, e) for its ends e >= 2
-            pairs = costs[np.arange(1, width), np.arange(width - 1)]
-            if np.count_nonzero(pairs > self.beta) * (len(self.start) - 1) > self.cap * len(pairs):
-                self.gave_up = True
-                return False
+    def relax(self, lo: int, hi: int, costs: np.ndarray, totals: np.ndarray) -> None:
         # starts before the block are settled: sum into the shared scratch
-        np.add(self.shifted[:width], costs, out=totals)
-        start = np.argmin(totals, axis=1)
-        value = totals[np.arange(hi - lo), start]
+        np.add(self.shifted[: hi - 1], costs, out=totals)
+        start, rows = np.argmin(totals, axis=1), np.arange(hi - lo)
+        value = totals[rows, start]
         self.shifted[lo:hi] = value + self.beta
         self._settle_in_block(lo, hi, costs, value, start)
         if hi == len(self.start):
             self.total = float(value[-1])
         self.start[lo:hi] = start
-        self.cost[lo:hi] = costs[np.arange(hi - lo), start]
-        return True
+        self.cost[lo:hi] = costs[rows, start]
 
     def _settle_in_block(self, lo, hi, costs, value, start) -> None:
         """Relax the block's ends ``value`` / ``start`` from the starts
@@ -269,6 +249,18 @@ class _LinearPenaltyRow:
             end = int(self.start[end])
             change_points += 1
         return change_points, total
+
+
+def _row_pays(x: np.ndarray, beta: float, cap: int) -> bool:
+    """Whether the linear-penalty row rides along, decided before any sweep:
+    not if a view longer than one block has more of its first 63 two-frame
+    segments [a, a + 2) costing above beta than their share of ``cap``
+    (cap * 63 / N). The row would then split frames more often than the cap
+    allows and its bound cut little, so one sweep of every level is cheaper.
+    Each cost is 0.5 |x[a + 1] - x[a]|^2; it only picks between exact paths."""
+    n, steps = x.shape[0], np.diff(x[:_BLOCK], axis=0)
+    pairs = 0.5 * np.einsum("ad,ad->a", steps, steps)
+    return n <= _BLOCK or int(np.count_nonzero(pairs > beta)) * n <= cap * len(pairs)
 
 
 def _single_segment(table: _ScatterTable) -> tuple[np.ndarray, float]:
@@ -335,9 +327,7 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     count can still win are relaxed (see the module docstring): those with
     pen(m) < dp[1][N], and, when the linear-penalty bound runs, those with
     max(0, G - beta m) + pen(m) <= U + margin. The result is the full-cap
-    one, its ``levels_relaxed`` counts the levels filled, and time and
-    extra memory are O(N^2 (D + K)) and O(K N + 64 N + N D) with K the
-    levels relaxed."""
+    one, and its ``levels_relaxed`` counts the levels filled."""
     x = _as_features(features)
     if isinstance(max_segments, bool) or not isinstance(max_segments, (int, np.integer)):
         raise ConfigError(f"max_segments must be an integer, got {max_segments!r}")
@@ -354,22 +344,23 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     # penalties[m]; once that reaches dp[1][n], m cannot win
     parts = 1 + max((m for m in range(1, parts_cap) if penalties[m] < single), default=0)
     dp, bp = _empty_tables(n, parts)
+    # the plan: one sweep of every level, or _FIRST_LEVELS levels with the
+    # row, then the levels the row's bound keeps
     row = None
     if parts > _FIRST_LEVELS + _ROW_COST_LEVELS and penalty_coeff > 0:
         beta = min(b - a for a, b in zip(penalties, penalties[1:parts]))
-        row = _LinearPenaltyRow(n, beta, parts_cap, parts)
-    relaxed = parts if row is None else min(parts, _FIRST_LEVELS)
+        if _row_pays(x, beta, parts_cap):
+            row = _LinearPenaltyRow(n, beta)
+    relaxed = parts if row is None else _FIRST_LEVELS
     _relax(table, dp, bp, range(1, relaxed + 1), last_costs, row)
-    if row is not None and row.gave_up:
-        row, relaxed = None, parts
-    penalized = [float(dp[1][n])] + [float(dp[m + 1][n]) + penalties[m] for m in range(1, relaxed)]
     if row is not None:
-        kept = _levels_that_can_win(row, penalties[:parts], min(penalized), penalty_coeff)
+        upper = float(np.min(dp[1 : relaxed + 1, n] + penalties[:relaxed]))
+        kept = _levels_that_can_win(row, parts_cap, penalties[:parts], upper, penalty_coeff)
         if kept > relaxed:
             _relax(table, dp, bp, range(relaxed + 1, kept + 1), last_costs)
-            penalized += [float(dp[m + 1][n]) + penalties[m] for m in range(relaxed, kept)]
             relaxed = kept
-    best_m = min(range(relaxed), key=penalized.__getitem__)  # the first minimum: fewest
+    # the penalized values' first minimum: the fewest change points
+    best_m = int(np.argmin(dp[1 : relaxed + 1, n] + penalties[:relaxed]))
     return SegmentationResult(
         change_points=_reconstruct(bp, best_m + 1, n),
         num_segments=best_m + 1,
@@ -378,16 +369,16 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     )
 
 
-def _levels_that_can_win(row: _LinearPenaltyRow, penalties, upper: float,
+def _levels_that_can_win(row: _LinearPenaltyRow, cap: int, penalties, upper: float,
                          penalty_coeff: float) -> int:
     """1 + the largest m < len(penalties) whose lower bound max(0, G - beta
     m) + pen(m) stays within ``upper`` + margin, after ``upper`` takes the
-    row's own segmentation when that is a candidate (fewer than cap change
-    points)."""
+    row's own segmentation when that is a candidate (fewer than ``cap``
+    change points)."""
     n = len(row.start) - 1
     g = row.total
     m_row, cost = row.segmentation()
-    if m_row < row.cap:
+    if m_row < cap:
         upper = min(upper, cost + _penalty(penalty_coeff, n, m_row))
     margin = 4 * (n + 1) * _EPS * (g + upper + penalties[-1])
     return 1 + max((m for m, pen in enumerate(penalties)

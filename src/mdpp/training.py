@@ -21,20 +21,20 @@ from .data_model import MultiViewSequence, Summary, check_seed
 from .encoder import PARAM_FIELDS, LossParts, ModelParams, batch_loss, from_vector, to_vector
 from .errors import ConfigError, FormatError, NumericError, ValidationError
 
+# Adam's moment decay rates and denominator offset
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 10
     iterations: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     lam: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "beta1", "beta2", "epsilon", "lam"):
+        for name in ("learning_rate", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("batch_size", "iterations"):
@@ -46,10 +46,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.lam < 0:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
         check_seed(self.seed)
@@ -76,11 +72,11 @@ def adam_step(
             f"non-finite gradient at flat index {bad} on Adam step {state.step + 1}"
         )
     state.step += 1
-    state.first_moment = config.beta1 * state.first_moment + (1 - config.beta1) * grad
-    state.second_moment = config.beta2 * state.second_moment + (1 - config.beta2) * grad**2
-    m_hat = state.first_moment / (1 - config.beta1**state.step)
-    v_hat = state.second_moment / (1 - config.beta2**state.step)
-    vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    state.first_moment = _BETA1 * state.first_moment + (1 - _BETA1) * grad
+    state.second_moment = _BETA2 * state.second_moment + (1 - _BETA2) * grad**2
+    m_hat = state.first_moment / (1 - _BETA1**state.step)
+    v_hat = state.second_moment / (1 - _BETA2**state.step)
+    vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
     return vec
 
 

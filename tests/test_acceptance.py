@@ -198,10 +198,20 @@ def test_criterion_5_exactness_oracles(capsys):
         kernel = DppKernel(phi=np.eye(n), q=rng.uniform(dpp.QUALITY_FLOOR, 1.0, size=n))
         if sorted(dpp.greedy_map(kernel)) != bruteforce.exhaustive_map(kernel):
             greedy_ok = False
+    # q < 1 makes every MAP above empty; diag(sqrt(d)) factors have MAP {d > 1}
+    nonempty = 0
+    for _ in range(50):
+        factor = np.diag(np.sqrt(rng.uniform(0.2, 3.0, size=int(rng.integers(1, 11)))))
+        best = bruteforce.exhaustive_map(factor)
+        nonempty += bool(best)
+        if sorted(dpp.greedy_map(factor)) != best:
+            greedy_ok = False
+    greedy_ok = greedy_ok and nonempty > 0
 
     ok = knapsack_ok and kts_ok and oracle_ok and greedy_ok
     _report(capsys, 5, "exactness oracles (knapsack, KTS, oracle summary, greedy MAP)",
-            ok, f"knapsack={knapsack_ok} kts={kts_ok} oracle={oracle_ok} greedy={greedy_ok}")
+            ok, f"knapsack={knapsack_ok} kts={kts_ok} oracle={oracle_ok} greedy={greedy_ok} "
+            f"({nonempty}/50 factor MAPs nonempty)")
 
 
 def test_criterion_6_protocol_fixtures(capsys):

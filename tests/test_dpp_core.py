@@ -194,6 +194,21 @@ def test_greedy_diagonal_matches_exhaustive():
         assert sorted(dpp.greedy_map(kernel)) == bruteforce.exhaustive_map(kernel)
 
 
+@pytest.mark.parametrize("never_stops", [False, True])
+def test_dpp_check_fails_when_greedy_stops_at_once_or_never(monkeypatch, never_stops):
+    # a greedy that picks nothing matches every q < 1 kernel's empty MAP, so
+    # only the diagonal factors (MAP {d > 1}) catch it; one that ignores the
+    # negative-gain stop (fill mode) fails on both
+    greedy = dpp.greedy_map
+
+    def mutant(kernel, max_size=None, fill=False):
+        return greedy(kernel, max_size, fill=True) if never_stops else []
+
+    monkeypatch.setattr(dpp, "greedy_map", mutant)
+    rows = {name: ok for name, ok, _ in bruteforce.check_dpp(n=4, trials=5)}
+    assert rows["greedy MAP = exhaustive MAP on diagonal kernels"] is False
+
+
 def test_greedy_empty_when_all_qualities_below_one():
     # every det(L_y) < 1 = det(L_{}) when q < 1, so the optimum is empty
     rng = np.random.default_rng(9)

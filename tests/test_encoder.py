@@ -245,25 +245,6 @@ def test_lstm_backward_matches_finite_differences():
             assert abs(fd - gflat[i]) < 1e-5 * max(1.0, abs(fd))
 
 
-def _per_direction_reference(x, wx, wh, b, grad_hidden):
-    """Two reference calls, the reverse one on the time-reversed input, with
-    outputs stacked into the (N, 2, M, ...) loop-time layout of
-    ``bruteforce.per_direction_layout``."""
-    refs = [
-        bruteforce.reference_lstm_forward(x, wx[0], wh[0], b[0]),
-        bruteforce.reference_lstm_forward(x[:, ::-1], wx[1], wh[1], b[1]),
-    ]
-    stacked = {
-        key: np.stack([ref[key].swapaxes(0, 1) for ref in refs], axis=1)
-        for key in ("gates", "cells", "hidden")
-    }
-    grads = [
-        bruteforce.reference_lstm_backward(ref, wx[k], wh[k], grad_hidden[:, k].swapaxes(0, 1))
-        for k, ref in enumerate(refs)
-    ]
-    return stacked, [np.stack(pair) for pair in zip(*grads)]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_lstm_matches_reference_loops(seed):
     rows = bruteforce.check_encoder(trials=40, seed=seed)
@@ -277,7 +258,7 @@ def test_fused_lstm_single_step_has_zero_recurrent_gradient():
     x = rng.normal(size=(1, 1, d))
     wx, wh, b = _stacked_weights(rng, d, h, 1.0)
     grad_hidden = rng.normal(size=(1, 2, 1, h))
-    _, (ref_dwx, ref_dwh, ref_db) = _per_direction_reference(x, wx, wh, b, grad_hidden)
+    _, (ref_dwx, ref_dwh, ref_db) = bruteforce.reference_bilstm(x, wx, wh, b, grad_hidden)
     cache = encoder._lstm_forward(x, wx, wh, b)
     dwx, dwh, db = encoder._lstm_backward(cache, wh, grad_hidden, [slice(None)])[0]
     assert np.array_equal(dwh, np.zeros_like(wh)) and np.array_equal(ref_dwh, dwh)
@@ -298,7 +279,7 @@ def test_fused_lstm_saturated_gates_are_exact():
     grad_hidden = rng.normal(size=(n, 2, m, h))
     cache = encoder._lstm_forward(x, wx, wh, b)
     fused = bruteforce.per_direction_layout(cache)
-    ref, ref_grads = _per_direction_reference(x, wx, wh, b, grad_hidden)
+    ref, ref_grads = bruteforce.reference_bilstm(x, wx, wh, b, grad_hidden)
     assert (fused["gates"][..., h // 2 : h] == 0.0).all()
     assert (fused["gates"][..., 3 * h + h // 2 :] == 1.0).all()
     assert (ref["gates"][..., h // 2 : h] > 0.0).all()

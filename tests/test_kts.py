@@ -150,15 +150,20 @@ def test_kts_check_fails_on_wrong_costs(monkeypatch):
 
 
 def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
-    relax = kts_module._relax
+    relax, segment = kts_module._relax, kts_module.kts
 
-    def one_level_fewer(table, dp, bp, levels, last_costs=None, row=None):
+    def one_level_fewer(table, dp, bp, levels, last_costs, row=None):
         # kts's one-sweep path (the dp[1][N] cut) and its second sweep
-        if last_costs is not None and row is None:
-            levels = levels[:-1]
-        relax(table, dp, bp, levels, last_costs, row)
+        relax(table, dp, bp, levels if row else levels[:-1], last_costs, row)
 
-    monkeypatch.setattr(kts_module, "_relax", one_level_fewer)
+    def kts_relaxing_one_level_fewer(*args):
+        # only inside kts: _dp_tables, which the check compares with the
+        # reference loop, keeps every level
+        with monkeypatch.context() as patch:
+            patch.setattr(kts_module, "_relax", one_level_fewer)
+            return segment(*args)
+
+    monkeypatch.setattr(kts_module, "kts", kts_relaxing_one_level_fewer)
     rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
     assert rows["KTS level cut vs full cap"] is False
     assert rows["KTS tables vs reference loop"] is True
@@ -274,27 +279,78 @@ def test_linear_penalty_row_matches_reference_bitwise(n, beta):
     x = np.repeat(centers, np.diff(np.linspace(0, n, 7).astype(int)), axis=0)
     x += 0.2 * rng.normal(size=x.shape)
     table = _ScatterTable(x)
-    row = kts_module._LinearPenaltyRow(n, beta, cap=n, levels=n)
-    kts_module._relax(table, *kts_module._empty_tables(n, 0), range(1, 1), None, row)
-    assert not row.gave_up
+    row = kts_module._LinearPenaltyRow(n, beta)
+    kts_module._relax(table, *kts_module._empty_tables(n, 0), range(1, 1),
+                      kts_module._single_segment(table)[0], row)
     assert np.float64(row.total).tobytes() == np.float64(
         bruteforce.reference_linear_penalty(table, beta)).tobytes()
     change_points, cost = row.segmentation()
     assert row.total == pytest.approx(cost + beta * change_points, rel=1e-12)
 
 
+def _record_sweeps(monkeypatch):
+    """A list that each ``_relax`` call kts makes appends (levels, row?) to."""
+    sweeps = []
+    relax = kts_module._relax
+
+    def recording(table, dp, bp, levels, last_costs, row=None):
+        sweeps.append((levels, row is not None))
+        relax(table, dp, bp, levels, last_costs, row)
+
+    monkeypatch.setattr(kts_module, "_relax", recording)
+    return sweeps
+
+
 def test_row_gives_up_on_noise_and_the_one_sweep_relaxes_every_level(monkeypatch):
     x = np.random.default_rng(8).normal(size=(300, 4))
     cap = default_max_segments(300)
-    sweeps = []
-    relax = kts_module._relax
-    monkeypatch.setattr(kts_module, "_relax", lambda table, dp, bp, levels, last_costs=None, row=None: (
-        relax(table, dp, bp, levels, last_costs, row),
-        sweeps.append((levels, row is not None and row.gave_up)))[0])
+    sweeps = _record_sweeps(monkeypatch)
     result = kts(x, cap, 0.05)
-    assert sweeps == [(range(1, kts_module._FIRST_LEVELS + 1), True)]
+    # K15 is the whole cap, enough levels for the row, yet the plan has none
+    assert cap > kts_module._FIRST_LEVELS + kts_module._ROW_COST_LEVELS
+    assert sweeps == [(range(1, cap + 1), False)]
     assert result.levels_relaxed == cap
     assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), cap), cap, 0.05)
+
+
+def test_plan_with_the_row_sweeps_the_first_levels_then_the_kept_ones(monkeypatch):
+    config = synth.SynthConfig(
+        num_views=1, num_steps=300, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, noise_sigma=0.05, seed=300,
+    )
+    x = synth.generate(config)[0].view(0).astype(float)
+    sweeps = _record_sweeps(monkeypatch)
+    result = kts(x, 20, 0.05)
+    first = kts_module._FIRST_LEVELS
+    assert first < result.levels_relaxed < 20
+    assert sweeps == [(range(1, first + 1), True),
+                      (range(first + 1, result.levels_relaxed + 1), False)]
+    assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), 20), 20, 0.05)
+
+
+def _first_block_views():
+    rng = np.random.default_rng(5)
+    config = synth.SynthConfig(
+        num_views=1, num_steps=300, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, noise_sigma=0.05, seed=21,
+    )
+    return {
+        "noise": rng.normal(size=(300, 4)),
+        "synth": synth.generate(config)[0].view(0).astype(float),
+        "runs": np.repeat(rng.integers(-2, 3, size=(12, 3)).astype(float), 25, axis=0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["noise", "synth", "runs"])
+@pytest.mark.parametrize("beta", [0.05, 1.0, 10.0])
+def test_row_pays_applies_the_rule_to_the_first_cost_blocks_pairs(kind, beta):
+    # the rule as the first block's cost grid gives it: c(e - 2, e) for its
+    # ends e >= 2, more above beta than cap * 63 / N of them means no row
+    x = _first_block_views()[kind]
+    pairs = _ScatterTable(x).block_costs(1, 65)[np.arange(1, 64), np.arange(63)]
+    expected = np.count_nonzero(pairs > beta) * 300 <= 20 * 63
+    assert kts_module._row_pays(x, beta, 20) == expected
+    assert kts_module._row_pays(x[:64], beta, 1)  # one block: always
 
 
 def test_levels_relaxed_is_not_part_of_equality():
