@@ -614,8 +614,10 @@ def _loss(params, group, lam, grads):
 def _sequence_loss(params, trace, y, steps, lam, grads):
     """One sequence's LossParts and, when ``grads`` is given, its head
     gradients added to ``grads`` and dLoss/d(spatiotemporal) as (M, N, D + 2H);
-    otherwise (parts, None). The backprop overwrites the trace's head
-    activations, and each DPP array is dropped as soon as it is spent."""
+    otherwise (parts, None). The DPP term and its per-view gradients are one
+    ``multi_dpp.multi_dpp_log_prob_and_grad`` call, the gradients then scaled
+    by -lam. The backprop overwrites the trace's head activations, and each
+    DPP array is dropped as soon as it is spent."""
     m, n = y.shape
     d, h, dp = params.input_dim, params.hidden_size, params.output_dim
 
@@ -626,28 +628,12 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
     if grads is None:
         dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
     elif lam != 0.0:
-        bundle = multi_dpp.build_joint_kernel(trace.streams)
-        try:
-            log_p, grad_phi, grad_q = dpp.log_prob_and_grad(bundle.kernel, steps)
-        except NumericError as exc:
-            hint = (
-                f" ({len(steps)} target steps exceed output_dim={dp}; the joint "
-                f"kernel has rank at most output_dim, so such subsets have "
-                f"probability 0 - use a larger output_dim)"
-                if len(steps) > dp
-                else ""
-            )
-            raise NumericError(
-                f"target subset of size {len(steps)} has zero probability under "
-                f"the joint kernel{hint}"
-            ) from exc
-        dpp_nll = -log_p
-        grad_phi *= -lam
-        grad_q *= -lam
-        grad_features, grad_stream_q = multi_dpp.backprop_streams(
-            bundle, trace.streams, grad_phi, grad_q
+        log_p, grad_features, grad_stream_q = multi_dpp.multi_dpp_log_prob_and_grad(
+            trace.streams, steps
         )
-        del bundle, grad_phi
+        dpp_nll = -log_p
+        grad_features *= -lam
+        grad_stream_q *= -lam
         # per-view clamp: logistic outputs below the floor carry no gradient
         passthrough = trace.quality_raw > dpp.QUALITY_FLOOR
         dlogits = dlogits + np.where(
@@ -671,8 +657,8 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
 
     df_hidden = None
     if grad_features is not None:
-        # feature head (through the row normalization): graw in gphi's
-        # memory, its projection term in the unit features'
+        # feature head (through the row normalization): graw in the routed
+        # gradient's memory, its projection term in the unit features'
         graw = grad_features.reshape(m * n, dp)
         unit = trace.streams.features.reshape(m * n, dp)
         unit *= np.einsum("rd,rd->r", unit, graw)[:, None]

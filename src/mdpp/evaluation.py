@@ -144,8 +144,13 @@ def oracle_summary(
         raise ValidationError("oracle needs every user to have selections")
 
     shot_lists = list(shots)
+    lengths = [s.num_steps for s in shot_lists]
+    if len(set(lengths)) != 1:
+        raise ValidationError(
+            f"oracle needs one shot list per view, all of one length, got {lengths}"
+        )
     num_views = len(shot_lists)
-    num_steps = shot_lists[0].num_steps
+    num_steps = lengths[0]
     budget_frames = budget.frame_budget(num_steps)
 
     candidates = sorted(

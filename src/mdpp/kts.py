@@ -333,6 +333,9 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
         raise ConfigError(f"max_segments must be an integer, got {max_segments!r}")
     if max_segments < 1:
         raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
+    real = (int, float, np.integer, np.floating)
+    if isinstance(penalty_coeff, bool) or not isinstance(penalty_coeff, real):
+        raise ConfigError(f"penalty_coeff must be a real number, got {penalty_coeff!r}")
     if not (penalty_coeff >= 0 and math.isfinite(penalty_coeff)):
         raise ConfigError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")
     n = x.shape[0]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dpp
 from .dpp import DppKernel
-from .errors import DataError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -54,64 +54,62 @@ class ViewStreams:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class JointKernelBundle:
-    """A joint kernel plus the max-pool provenance needed for diagnostics
-    and for routing gradients back to the contributing views."""
-
-    kernel: DppKernel
-    argmax_views: np.ndarray   # (N, D') view index winning each dimension
-    prenorm_norms: np.ndarray  # (N,) L2 norm of each max-pooled column
-    raw_quality: np.ndarray    # (N,) quality product before the clamp
-
-
-def build_joint_kernel(streams: ViewStreams) -> JointKernelBundle:
-    pooled, argmax_views, norms = _pool_features(streams)
-    raw = streams.quality.prod(axis=0)
-    kernel = DppKernel(phi=pooled, q=np.clip(raw, dpp.QUALITY_FLOOR, 1.0))
-    return JointKernelBundle(
-        kernel=kernel, argmax_views=argmax_views, prenorm_norms=norms, raw_quality=raw
-    )
+def build_joint_kernel(streams: ViewStreams) -> DppKernel:
+    """The joint kernel: max-pooled unit features, quality product clamped."""
+    return _joint_kernel(streams)[0]
 
 
 def multi_dpp_log_prob(streams: ViewStreams, subset) -> float:
     """log P(y) of a time-step subset under the joint kernel."""
-    return dpp.log_prob(build_joint_kernel(streams).kernel, subset)
+    return dpp.log_prob(build_joint_kernel(streams), subset)
 
 
-def backprop_streams(
-    bundle: JointKernelBundle,
-    streams: ViewStreams,
-    grad_joint_phi: np.ndarray,
-    grad_joint_q: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Route joint-kernel gradients back to per-view features and qualities.
+def multi_dpp_log_prob_and_grad(
+    streams: ViewStreams, subset
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """log P(y) under the joint kernel and its gradients with respect to the
+    per-view features (M, N, D') and qualities (M, N).
 
-    Max-pooling sends each dimension's gradient to the winning view;
-    L2 renormalization contributes the usual tangent projection; the quality
+    Max-pooling sends each dimension's gradient to the winning view; L2
+    renormalization contributes the usual tangent projection; the quality
     product distributes multiplicatively, gated to zero where the clamp was
-    active. The projected gradient is built in ``grad_joint_phi``'s memory,
-    which the call overwrites.
+    active. The kernel is freed before the per-view gradient is allocated. A
+    zero-probability subset raises NumericError, naming D' (the kernel's rank
+    bound) when the subset is larger.
     """
+    kernel, argmax_views, norms, raw_quality = _joint_kernel(streams)
     m, n, dprime = streams.features.shape
-    phi = bundle.kernel.phi  # unit columns, (D', N)
-    grad_pooled = grad_joint_phi
+    try:
+        log_p, grad_pooled, grad_q = dpp.log_prob_and_grad(kernel, subset)
+    except NumericError as exc:
+        size = len(set(subset))
+        hint = (
+            f" ({size} target steps exceed output_dim={dprime}; the joint kernel has rank at "
+            f"most output_dim, so such subsets have probability 0 - use a larger output_dim)"
+        ) if size > dprime else ""
+        raise NumericError(
+            f"target subset of size {size} has zero probability under the joint kernel{hint}"
+        ) from exc
+    phi = kernel.phi  # unit columns, (D', N)
     grad_pooled -= phi * np.einsum("dn,dn->n", phi, grad_pooled)
-    grad_pooled /= bundle.prenorm_norms
+    grad_pooled /= norms
+    del kernel, phi
 
     grad_features = np.zeros((m, n, dprime))
     for view in range(m):
-        np.copyto(grad_features[view], grad_pooled.T, where=bundle.argmax_views == view)
+        np.copyto(grad_features[view], grad_pooled.T, where=argmax_views == view)
 
-    passthrough = (bundle.raw_quality > dpp.QUALITY_FLOOR) & (bundle.raw_quality <= 1.0)
-    gated = np.where(passthrough, grad_joint_q * bundle.raw_quality, 0.0)
-    grad_quality = gated[None, :] / streams.quality
-    return grad_features, grad_quality
+    passthrough = (raw_quality > dpp.QUALITY_FLOOR) & (raw_quality <= 1.0)
+    gated = np.where(passthrough, grad_q * raw_quality, 0.0)
+    return log_p, grad_features, gated[None, :] / streams.quality
 
 
-def _pool_features(streams: ViewStreams):
-    """Max-pool the views per (step, dimension) and record the winning view;
-    the strict ``>`` hands a tie to the first view, as ``argmax`` does."""
+def _joint_kernel(streams: ViewStreams):
+    """The joint kernel and the provenance its gradient routes through:
+    (kernel, argmax_views (N, D'), the pooled columns' norms (N,), the
+    quality product before the clamp (N,)). Max-pooling records the winning
+    view per (step, dimension); the strict ``>`` hands a tie to the first
+    view, as ``argmax`` does."""
     features = streams.features
     pooled = features[0].copy()
     # (N, D'), in the smallest integer type that holds a view index
@@ -124,4 +122,6 @@ def _pool_features(streams: ViewStreams):
     if (norms == 0.0).any():
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DataError(f"max-pooled feature column {bad} is all zero")
-    return pooled / norms, argmax_views, norms
+    raw = streams.quality.prod(axis=0)
+    kernel = DppKernel(phi=pooled / norms, q=np.clip(raw, dpp.QUALITY_FLOOR, 1.0))
+    return kernel, argmax_views, norms, raw

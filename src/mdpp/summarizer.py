@@ -145,12 +145,12 @@ def summarize_unsupervised(
     budget_frames = budget.frame_budget(n)
     unit = _unit_rows(sequence.features.astype(np.float64))
     streams = ViewStreams(features=unit, quality=np.ones((sequence.num_views, n)))
-    bundle = build_joint_kernel(streams)
+    kernel = build_joint_kernel(streams)
     # fill mode: keep taking the least-redundant step up to the budget (a
     # unit-diagonal kernel would otherwise stop after one pick)
-    steps = dpp.greedy_map(bundle.kernel, max_size=budget_frames, fill=True)
+    steps = dpp.greedy_map(kernel, max_size=budget_frames, fill=True)
 
-    joint = bundle.kernel.phi
+    joint = kernel.phi
     shot_lists = [s.shot_list(n) for s in segment_views(sequence, max_segments, penalty_coeff)]
     attributed = [
         (int(np.argmax(unit[:, t] @ joint[:, t])), int(t)) for t in steps

@@ -192,6 +192,14 @@ def test_oracle_requires_nonempty_users():
         )
 
 
+def test_oracle_requires_shot_lists_of_one_length():
+    annotations = AnnotationSet(sequence_id="s", stage=3, users=(("u", ((0, 0),)),))
+    with pytest.raises(ValidationError, match=r"got \[\]"):
+        oracle_summary(annotations, [])
+    with pytest.raises(ValidationError, match=r"one length, got \[10, 8\]"):
+        oracle_summary(annotations, [ShotList(boundaries=(4, 10)), ShotList(boundaries=(8,))])
+
+
 def test_build_report_aggregates():
     rng = np.random.default_rng(6)
     seq = _sequence(rng)

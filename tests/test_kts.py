@@ -442,13 +442,19 @@ def test_kts_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
             kts(np.zeros((5, 2)), max_segments=5, penalty_coeff=value)
+    for value in ("1", None, True, np.bool_(True), [1.0], 1j, np.complex128(1.0)):
+        with pytest.raises(ConfigError, match="penalty_coeff must be a real number"):
+            kts(np.zeros((5, 2)), max_segments=3, penalty_coeff=value)
+    x = np.arange(10.0).reshape(5, 2)
+    assert kts(x, 3, 1) == kts(x, 3, np.float64(1.0)) == kts(x, 3, 1.0)
+    y = np.random.default_rng(0).normal(size=(300, 8))
+    assert kts(y, 20, np.float32(0.05)) == kts(y, 20, float(np.float32(0.05)))
     with pytest.raises(ValidationError):
         kts(np.zeros(5), max_segments=2)
     for value in (2.5, "3", True, None):
         with pytest.raises(ConfigError, match="max_segments must be an integer"):
             kts(np.zeros((5, 2)), max_segments=value)
     assert kts(np.zeros((5, 2)), max_segments=np.int64(3)) == kts(np.zeros((5, 2)), max_segments=3)
-    x = np.arange(10.0).reshape(5, 2)
     for value in (2.5, "3", True, None):
         with pytest.raises(ConfigError, match="num_change_points must be an integer"):
             kts_fixed_m(x, value)

@@ -3,7 +3,7 @@ import pytest
 
 from mdpp import dpp, multi_dpp
 from mdpp.dpp import DppKernel
-from mdpp.errors import DataError, ValidationError
+from mdpp.errors import DataError, NumericError, ValidationError
 from mdpp.multi_dpp import ViewStreams
 
 
@@ -28,7 +28,7 @@ def test_joint_features_max_pool_fixture():
         features=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
         quality=np.full((2, 1), 0.5),
     )
-    joint = multi_dpp.build_joint_kernel(streams).kernel.phi
+    joint = multi_dpp.build_joint_kernel(streams).phi
     np.testing.assert_allclose(joint[:, 0], np.array([1.0, 1.0]) / np.sqrt(2))
 
 
@@ -37,7 +37,7 @@ def test_joint_quality_product_and_clamp():
         features=np.ones((2, 2, 3)),
         quality=np.array([[0.5, 5e-4], [0.5, 5e-4]]),
     )
-    q = multi_dpp.build_joint_kernel(streams).kernel.q
+    q = multi_dpp.build_joint_kernel(streams).q
     assert q[0] == 0.25
     assert q[1] == dpp.QUALITY_FLOOR  # 2.5e-7 product clamps back up
 
@@ -74,16 +74,17 @@ def test_zero_pooled_column_rejected():
         multi_dpp.build_joint_kernel(streams)
 
 
-def test_backprop_streams_matches_finite_differences():
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_log_prob_and_grad_matches_finite_differences(m):
     rng = np.random.default_rng(2)
     h = 1e-6
-    m, n, dprime = 2, 5, 3
+    n, dprime = 5, 3
     streams = _random_streams(rng, m, n, dprime)
     subset = [1, 3]
 
-    bundle = multi_dpp.build_joint_kernel(streams)
-    _, gphi, gq = dpp.log_prob_and_grad(bundle.kernel, subset)
-    gfeat, gqual = multi_dpp.backprop_streams(bundle, streams, gphi, gq)
+    logp, gfeat, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, subset)
+    assert logp == multi_dpp.multi_dpp_log_prob(streams, subset)
+    assert gfeat.shape == (m, n, dprime) and gqual.shape == (m, n)
 
     def log_p(features, quality):
         return multi_dpp.multi_dpp_log_prob(
@@ -114,10 +115,29 @@ def test_backprop_gates_clamped_quality_product():
         features=rng.normal(size=(2, 4, 3)),
         quality=np.full((2, 4), 5e-4),  # product 2.5e-7 < floor everywhere
     )
-    bundle = multi_dpp.build_joint_kernel(streams)
-    _, gphi, gq = dpp.log_prob_and_grad(bundle.kernel, [0, 2])
-    _, gqual = multi_dpp.backprop_streams(bundle, streams, gphi, gq)
+    _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
     assert (gqual == 0.0).all()
+
+
+def _repeating_streams(dprime):
+    # view 0 wins every dimension, so pooled columns 0 and 2 are both e_0
+    # and every subset holding both is exactly singular
+    cols = np.eye(dprime)[[0, 1, 0, 1]]
+    features = np.stack([cols, 0.5 * cols])
+    return ViewStreams(features=features, quality=np.full((2, 4), 0.5))
+
+
+def test_subset_larger_than_output_dim_raises_with_rank_hint():
+    with pytest.raises(NumericError, match="3 target steps exceed output_dim=2"):
+        multi_dpp.multi_dpp_log_prob_and_grad(_repeating_streams(2), [0, 1, 2])
+
+
+def test_singular_subset_within_the_rank_raises_without_the_hint():
+    streams = _repeating_streams(3)
+    with pytest.raises(NumericError, match="subset of size 2 has zero probability") as info:
+        multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
+    assert "output_dim" not in str(info.value)
+    assert multi_dpp.multi_dpp_log_prob(streams, [0, 2]) == -np.inf
 
 
 def test_pool_features_matches_max_and_argmax():
@@ -129,8 +149,8 @@ def test_pool_features_matches_max_and_argmax():
         tied = rng.integers(1, 4, size=(m, n, dprime)).astype(float)
         for feats in (untied, tied):
             streams = ViewStreams(features=feats, quality=np.full((m, n), 0.5))
-            pooled, argmax_views, norms = multi_dpp._pool_features(streams)
+            kernel, argmax_views, norms, _ = multi_dpp._joint_kernel(streams)
             expected = feats.max(axis=0).T
             assert np.array_equal(argmax_views, feats.argmax(axis=0))
             assert np.array_equal(norms, np.linalg.norm(expected, axis=0))
-            assert np.array_equal(pooled, expected / norms)
+            assert np.array_equal(kernel.phi, expected / norms)
