@@ -23,9 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import dpp, encoder, evaluation, synth
-from .data_model import MultiViewSequence
+from .data_model import MultiViewSequence, is_integer
 from .dpp import DppKernel
-from .errors import NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError
 from .kts import _BLOCK, _as_features, _ScatterTable
 
 
@@ -201,8 +201,38 @@ def exhaustive_segmentation(features: np.ndarray, num_change_points: int):
     return best_cps, best_cost
 
 
+def dp_tables(table, max_parts: int):
+    """dp[k][n] = minimum scatter splitting the first n frames into k
+    segments; bp holds the matching last-segment start (the earliest on
+    ties). Cells with n < k stay inf with bp 0. ``kts``'s blocked sweep over
+    every level, which ``kts`` itself cuts short."""
+    from .kts import _empty_tables, _relax, _single_segment
+
+    dp, bp = _empty_tables(table.n, max_parts)
+    _relax(table, dp, bp, range(1, max_parts + 1), _single_segment(table)[0])
+    return dp, bp
+
+
+def kts_fixed_m(features, num_change_points: int) -> tuple[list[int], float]:
+    """Optimal placement of exactly ``num_change_points`` boundaries."""
+    from .kts import _reconstruct
+
+    x = _as_features(features)
+    if not is_integer(num_change_points):
+        raise ConfigError(f"num_change_points must be an integer, got {num_change_points!r}")
+    n = x.shape[0]
+    if not (0 <= num_change_points <= n - 1):
+        raise ValidationError(
+            f"{num_change_points} change points do not fit in {n} frames"
+        )
+    table = _ScatterTable(x)
+    parts = num_change_points + 1
+    dp, bp = dp_tables(table, parts)
+    return list(_reconstruct(bp, parts, n)), float(dp[parts][n])
+
+
 def reference_dp_tables(table, max_parts: int):
-    """The KTS tables of ``kts._dp_tables`` filled one (k, end) cell at a
+    """The KTS tables of ``dp_tables`` filled one (k, end) cell at a
     time, each from the scatter of every segment [start, end) with
     start >= k - 1. Each end's costs are its row of the same
     ``block_costs(lo, hi)`` grid the fast path reads, since a cell's
@@ -512,7 +542,7 @@ def _knapsack_tie(rng: np.random.Generator):
 
 
 def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
-    from .kts import _dp_tables, _single_segment, kts, kts_fixed_m
+    from .kts import _single_segment, kts
 
     rng = np.random.default_rng(seed)
     ok = True
@@ -529,7 +559,7 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
     cases = []
     for feats, max_parts in inputs:
         table = _ScatterTable(feats)
-        dp, bp = _dp_tables(table, max_parts)
+        dp, bp = dp_tables(table, max_parts)
         ref = reference_dp_tables(table, max_parts)
         if not (np.array_equal(dp, ref[0]) and np.array_equal(bp, ref[1])):
             tables_ok = False
@@ -629,7 +659,7 @@ def _block_cost_error(x: np.ndarray, ends=None) -> float:
     """Largest |cost - direct scatter| over the segments [a, e) ending at
     each of ``ends`` (default: every end), relative to the energy
     sum_{t < e} |x_t|^2 of the prefix whose cumulative sums the cost reads.
-    Each cost is read from the ``block_costs`` grid ``_dp_tables`` uses. A
+    Each cost is read from the ``block_costs`` grid ``dp_tables`` uses. A
     nonzero error on an all-zero prefix is inf."""
     x = _as_features(x)
     table = _ScatterTable(x)

@@ -17,10 +17,20 @@ from .errors import ConfigError, DataError, ValidationError
 Selection = tuple[int, int]  # (view, time-step)
 
 
+def is_integer(value) -> bool:
+    """Whether a config value is an int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether a config value is an int, float or numpy real, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """``seed`` if it is a non-negative integer (not a bool); otherwise a
     ConfigError, where numpy's generators would raise a bare ValueError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
@@ -202,8 +212,10 @@ class SummaryBudget:
     fraction: float = 0.15
 
     def __post_init__(self):
-        if not (0.0 < self.fraction <= 1.0):
-            raise ConfigError(f"budget fraction must lie in (0, 1], got {self.fraction}")
+        if not is_real(self.fraction) or not (0.0 < self.fraction <= 1.0):
+            raise ConfigError(
+                f"budget fraction must be a real number in (0, 1], got {self.fraction!r}"
+            )
 
     def frame_budget(self, num_steps: int) -> int:
         return math.ceil(self.fraction * num_steps)

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dpp, multi_dpp
-from .data_model import MultiViewSequence, check_seed
+from . import multi_dpp
+from .data_model import MultiViewSequence, check_seed, is_integer
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 from .multi_dpp import ViewStreams
 
@@ -169,11 +169,9 @@ def init_params(
     drawn one direction at a time (forward Wx, Wh, b, then reverse) and
     stacked afterwards.
     """
-    if min(input_dim, hidden_size, output_dim) < 1:
-        raise ConfigError(
-            f"dimensions must be positive, got ({input_dim}, {hidden_size}, {output_dim})"
-        )
     d, h, dp = input_dim, hidden_size, output_dim
+    if not all(is_integer(v) for v in (d, h, dp)) or min(d, h, dp) < 1:
+        raise ConfigError(f"dimensions must be positive integers, got ({d!r}, {h!r}, {dp!r})")
     rng = np.random.default_rng(check_seed(seed))
 
     def draw(shape, fan_in):
@@ -371,18 +369,17 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
 class ForwardTrace:
     """The heads' activations for one sequence, enough for their backprop.
 
-    ``spatiotemporal`` is (M, N, D + 2H); ``quality_raw`` holds the
-    logistic outputs in the open interval (0, 1) before the kernel clamp;
-    ``streams`` is the clamped view of the same outputs plus the unit
-    feature vectors. The LSTM cache is not kept: ``forward`` drops it and
-    the loss path owns it.
+    ``spatiotemporal`` is (M, N, D + 2H); ``streams`` holds the unit
+    feature vectors and the quality head's logistic outputs in [0, 1], which
+    are both the classification scores and the per-view kernel qualities
+    (``multi_dpp`` applies the quality floor). The LSTM cache is not kept:
+    ``forward`` drops it and the loss path owns it.
     """
 
     spatiotemporal: np.ndarray
     feat_hidden: np.ndarray
     feat_norms: np.ndarray
     qual_hidden: np.ndarray
-    quality_raw: np.ndarray
     streams: ViewStreams
 
 
@@ -439,15 +436,12 @@ def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
 
     qual_hidden = _affine(flat, params.qual_w1, params.qual_b1)
     np.tanh(qual_hidden, out=qual_hidden)
-    quality_raw = _sigmoid(_affine(qual_hidden, params.qual_w2, params.qual_b2)).reshape(m, n)
+    quality = _sigmoid(_affine(qual_hidden, params.qual_w2, params.qual_b2)).reshape(m, n)
 
-    streams = ViewStreams(
-        features=features.reshape(m, n, params.output_dim),
-        quality=np.clip(quality_raw, dpp.QUALITY_FLOOR, 1.0),
-    )
+    streams = ViewStreams(features=features.reshape(m, n, params.output_dim), quality=quality)
     return ForwardTrace(
         spatiotemporal=spatio, feat_hidden=feat_hidden, feat_norms=norms,
-        qual_hidden=qual_hidden, quality_raw=quality_raw, streams=streams,
+        qual_hidden=qual_hidden, streams=streams,
     )
 
 
@@ -479,10 +473,10 @@ def _check_targets(sequence, target_views):
     return y.astype(np.float64), steps
 
 
-def _bce_terms(y, quality_raw, num_views):
+def _bce_terms(y, quality, num_views):
     scale = 1.0 / num_views
-    loss = -scale * float((y * np.log(quality_raw) + (1.0 - y) * np.log1p(-quality_raw)).sum())
-    dlogits = scale * (quality_raw - y)
+    loss = -scale * float((y * np.log(quality) + (1.0 - y) * np.log1p(-quality)).sum())
+    dlogits = scale * (quality - y)
     return loss, dlogits
 
 
@@ -621,7 +615,8 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
     m, n = y.shape
     d, h, dp = params.input_dim, params.hidden_size, params.output_dim
 
-    bce, dlogits = _bce_terms(y, trace.quality_raw, m)
+    quality = trace.streams.quality
+    bce, dlogits = _bce_terms(y, quality, m)
 
     grad_features = None  # at lam = 0 the feature head gets no gradient
     dpp_nll = math.nan
@@ -634,13 +629,7 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
         dpp_nll = -log_p
         grad_features *= -lam
         grad_stream_q *= -lam
-        # per-view clamp: logistic outputs below the floor carry no gradient
-        passthrough = trace.quality_raw > dpp.QUALITY_FLOOR
-        dlogits = dlogits + np.where(
-            passthrough,
-            grad_stream_q * trace.quality_raw * (1.0 - trace.quality_raw),
-            0.0,
-        )
+        dlogits = dlogits + grad_stream_q * quality * (1.0 - quality)
     parts = LossParts(total=bce if lam == 0.0 else bce + lam * dpp_nll, bce=bce, dpp_nll=dpp_nll)
     if grads is None:
         return parts, None

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_model import ShotList
+from .data_model import ShotList, is_integer, is_real
 from .errors import ConfigError, DataError, ValidationError
 
 _BLOCK = 64  # end frames per DP block
@@ -113,7 +113,10 @@ class _ScatterTable:
         a < hi - 1, as a (hi - lo) x (hi - 1) array; cells with a >= e hold
         +inf. Around the block's first end (u_e = S_e - S_lo, w_a = S_lo - S_a),
         |S_e - S_a|^2 = |u_e|^2 + |w_a|^2 + 2 u_e . w_a takes one matrix
-        product, and integer features keep every term exact, so ties stay exact."""
+        product. On integer features the product's terms are exact, but the
+        cost is rounded twice, by the division by the length and by the
+        subtraction from the energy, so segments of equal exact scatter can
+        get different floats."""
         width, rows = hi - 1, hi - lo
         u = self.sums[lo:hi] - self.sums[lo]
         w = self.sums[lo] - self.sums[:width]
@@ -129,15 +132,6 @@ class _ScatterTable:
         # a >= e only among the last rows - 1 starts, where a - lo >= e - lo
         out[:, lo:][~np.tri(rows, rows - 1, -1, dtype=bool)] = np.inf
         return out
-
-
-def _dp_tables(table: _ScatterTable, max_parts: int):
-    """dp[k][n] = minimum scatter splitting the first n frames into k
-    segments; bp holds the matching last-segment start (the earliest on
-    ties). Cells with n < k stay inf with bp 0."""
-    dp, bp = _empty_tables(table.n, max_parts)
-    _relax(table, dp, bp, range(1, max_parts + 1), _single_segment(table)[0])
-    return dp, bp
 
 
 def _empty_tables(n: int, max_parts: int):
@@ -282,22 +276,6 @@ def _reconstruct(bp: np.ndarray, parts: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(cuts))
 
 
-def kts_fixed_m(features, num_change_points: int) -> tuple[list[int], float]:
-    """Optimal placement of exactly ``num_change_points`` boundaries."""
-    x = _as_features(features)
-    if isinstance(num_change_points, bool) or not isinstance(num_change_points, (int, np.integer)):
-        raise ConfigError(f"num_change_points must be an integer, got {num_change_points!r}")
-    n = x.shape[0]
-    if not (0 <= num_change_points <= n - 1):
-        raise ValidationError(
-            f"{num_change_points} change points do not fit in {n} frames"
-        )
-    table = _ScatterTable(x)
-    parts = num_change_points + 1
-    dp, bp = _dp_tables(table, parts)
-    return list(_reconstruct(bp, parts, n)), float(dp[parts][n])
-
-
 @dataclass(frozen=True)
 class SegmentationResult:
     """Change points are strictly increasing interior indices in (0, N);
@@ -329,12 +307,11 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     max(0, G - beta m) + pen(m) <= U + margin. The result is the full-cap
     one, and its ``levels_relaxed`` counts the levels filled."""
     x = _as_features(features)
-    if isinstance(max_segments, bool) or not isinstance(max_segments, (int, np.integer)):
+    if not is_integer(max_segments):
         raise ConfigError(f"max_segments must be an integer, got {max_segments!r}")
     if max_segments < 1:
         raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
-    real = (int, float, np.integer, np.floating)
-    if isinstance(penalty_coeff, bool) or not isinstance(penalty_coeff, real):
+    if not is_real(penalty_coeff):
         raise ConfigError(f"penalty_coeff must be a real number, got {penalty_coeff!r}")
     if not (penalty_coeff >= 0 and math.isfinite(penalty_coeff)):
         raise ConfigError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")

@@ -23,7 +23,8 @@ class ViewStreams:
     """Per-view encoder outputs over a shared timeline.
 
     ``features``: (M, N, D') with unit-norm vectors per (view, step).
-    ``quality``: (M, N) with entries in [QUALITY_FLOOR, 1].
+    ``quality``: (M, N) scores in [0, 1]; the joint kernel floors each at
+    QUALITY_FLOOR, so a view scoring ~0 keeps the likelihood finite.
     """
 
     features: np.ndarray
@@ -40,8 +41,8 @@ class ViewStreams:
             raise ValidationError("at least one view is required")
         if not (np.isfinite(feats).all() and np.isfinite(qual).all()):
             raise DataError("streams contain non-finite entries")
-        if (qual < dpp.QUALITY_FLOOR - 1e-12).any() or (qual > 1.0 + 1e-9).any():
-            raise ValidationError("per-view qualities must lie in [QUALITY_FLOOR, 1]")
+        if (qual < 0.0).any() or (qual > 1.0 + 1e-9).any():
+            raise ValidationError("per-view qualities must lie in [0, 1]")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "quality", qual)
 
@@ -55,7 +56,7 @@ class ViewStreams:
 
 
 def build_joint_kernel(streams: ViewStreams) -> DppKernel:
-    """The joint kernel: max-pooled unit features, quality product clamped."""
+    """The joint kernel: max-pooled unit features, floored quality product clamped."""
     return _joint_kernel(streams)[0]
 
 
@@ -72,10 +73,12 @@ def multi_dpp_log_prob_and_grad(
 
     Max-pooling sends each dimension's gradient to the winning view; L2
     renormalization contributes the usual tangent projection; the quality
-    product distributes multiplicatively, gated to zero where the clamp was
-    active. The kernel is freed before the per-view gradient is allocated. A
-    zero-probability subset raises NumericError, naming D' (the kernel's rank
-    bound) when the subset is larger.
+    product distributes multiplicatively, gated to zero where its clamp was
+    active and, per view, where a score is at or below QUALITY_FLOOR (the
+    floor, not the score, entered the product). The kernel is freed before
+    the per-view gradient is allocated. A zero-probability subset raises
+    NumericError, naming D' (the kernel's rank bound) when the subset is
+    larger.
     """
     kernel, argmax_views, norms, raw_quality = _joint_kernel(streams)
     m, n, dprime = streams.features.shape
@@ -101,13 +104,15 @@ def multi_dpp_log_prob_and_grad(
 
     passthrough = (raw_quality > dpp.QUALITY_FLOOR) & (raw_quality <= 1.0)
     gated = np.where(passthrough, grad_q * raw_quality, 0.0)
-    return log_p, grad_features, gated[None, :] / streams.quality
+    grad_quality = np.zeros((m, n))
+    np.divide(gated, streams.quality, out=grad_quality, where=streams.quality > dpp.QUALITY_FLOOR)
+    return log_p, grad_features, grad_quality
 
 
 def _joint_kernel(streams: ViewStreams):
     """The joint kernel and the provenance its gradient routes through:
     (kernel, argmax_views (N, D'), the pooled columns' norms (N,), the
-    quality product before the clamp (N,)). Max-pooling records the winning
+    floored product before the clamp (N,)). Max-pooling records the winning
     view per (step, dimension); the strict ``>`` hands a tie to the first
     view, as ``argmax`` does."""
     features = streams.features
@@ -122,6 +127,6 @@ def _joint_kernel(streams: ViewStreams):
     if (norms == 0.0).any():
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DataError(f"max-pooled feature column {bad} is all zero")
-    raw = streams.quality.prod(axis=0)
+    raw = np.maximum(streams.quality, dpp.QUALITY_FLOOR).prod(axis=0)
     kernel = DppKernel(phi=pooled / norms, q=np.clip(raw, dpp.QUALITY_FLOOR, 1.0))
     return kernel, argmax_views, norms, raw

@@ -104,7 +104,7 @@ def _shots_to_summary(chosen, fraction: float) -> Summary:
 def _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff):
     """The knapsack's choice, as (view, start, end, score), among each view's
     KTS shots scored by their mean quality-head score."""
-    quality = forward(params, sequence).quality_raw
+    quality = forward(params, sequence).streams.quality
     shots = []
     for m, segmentation in enumerate(segment_views(sequence, max_segments, penalty_coeff)):
         shot_list = segmentation.shot_list(sequence.num_steps)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import io
-from .data_model import MultiViewSequence, Summary, check_seed
+from .data_model import MultiViewSequence, Summary, check_seed, is_integer, is_real
 from .encoder import PARAM_FIELDS, LossParts, ModelParams, batch_loss, from_vector, to_vector
 from .errors import ConfigError, FormatError, NumericError, ValidationError
 
@@ -35,10 +35,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "lam"):
+            if not is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("batch_size", "iterations"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")

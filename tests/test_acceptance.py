@@ -21,7 +21,6 @@ from mdpp.encoder import (
     to_vector,
 )
 from mdpp.evaluation import frame_f1, oracle_summary, pairwise_consensus, tolerant_f1
-from mdpp.kts import kts_fixed_m
 from mdpp.multi_dpp import ViewStreams
 from mdpp.summarizer import knapsack_shots
 from mdpp.synth import SynthConfig, generate
@@ -161,7 +160,7 @@ def test_criterion_5_exactness_oracles(capsys):
         n = int(rng.integers(4, 13))
         feats = rng.normal(size=(n, 3))
         for m in range(min(4, n)):
-            _, cost = kts_fixed_m(feats, m)
+            _, cost = bruteforce.kts_fixed_m(feats, m)
             _, brute = bruteforce.exhaustive_segmentation(feats, m)
             if abs(cost - brute) > 1e-9 * max(1.0, abs(brute)):
                 kts_ok = False

@@ -101,6 +101,9 @@ def test_budget_frame_count():
     assert SummaryBudget(fraction=1.0).frame_budget(8) == 8
     with pytest.raises(ConfigError):
         SummaryBudget(fraction=0.0)
+    for fraction in ["0.15", None, True]:
+        with pytest.raises(ConfigError, match="budget fraction must be a real number"):
+            SummaryBudget(fraction)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])

@@ -88,6 +88,9 @@ def test_init_draw_order():
 def test_init_rejects_bad_dimensions():
     with pytest.raises(ConfigError):
         init_params(0, hidden_size=4, output_dim=3)
+    for dims in [(16.0, 16, 64), ("16", 16, 64), (16, 16, None), (True, 16, 64)]:
+        with pytest.raises(ConfigError, match="dimensions must be positive integers"):
+            init_params(*dims)
 
 
 def test_vector_roundtrip():
@@ -120,7 +123,7 @@ def test_forward_output_shapes_and_ranges():
     np.testing.assert_allclose(
         np.linalg.norm(trace.streams.features, axis=2), 1.0, atol=1e-12
     )
-    assert ((trace.quality_raw > 0) & (trace.quality_raw < 1)).all()
+    assert ((trace.streams.quality > 0) & (trace.streams.quality < 1)).all()
 
 
 def test_forward_rejects_dim_mismatch():
@@ -138,10 +141,10 @@ def test_views_share_weights():
     seq = MultiViewSequence(sequence_id="dup", features=np.concatenate([view, view]))
     trace = forward(params, seq)
     np.testing.assert_array_equal(trace.streams.features[0], trace.streams.features[1])
-    np.testing.assert_array_equal(trace.quality_raw[0], trace.quality_raw[1])
+    np.testing.assert_array_equal(trace.streams.quality[0], trace.streams.quality[1])
 
     solo = forward(params, MultiViewSequence(sequence_id="one", features=view))
-    np.testing.assert_array_equal(solo.quality_raw[0], trace.quality_raw[0])
+    np.testing.assert_array_equal(solo.streams.quality[0], trace.streams.quality[0])
 
 
 def test_target_validation():
@@ -450,7 +453,7 @@ def test_lone_view_states_are_bitwise_those_of_a_stack(n):
     assert alone["hidden"].shape[2] == 2
     np.testing.assert_array_equal(alone["hidden"][:, :, :1], stacked["hidden"][:, :, :1])
     trace = forward(params, lone)
-    assert trace.quality_raw.shape == (1, n) and trace.spatiotemporal.shape == (1, n, 48)
+    assert trace.streams.quality.shape == (1, n) and trace.spatiotemporal.shape == (1, n, 48)
 
 
 def test_lone_view_gradient_matches_finite_differences():

@@ -6,8 +6,8 @@ import pytest
 from mdpp import bruteforce, synth
 from mdpp import kts as kts_module
 from mdpp.errors import ConfigError, DataError, ValidationError
-from mdpp.bruteforce import segment_cost
-from mdpp.kts import SegmentationResult, _dp_tables, _ScatterTable, kts, kts_fixed_m
+from mdpp.bruteforce import dp_tables, kts_fixed_m, segment_cost
+from mdpp.kts import SegmentationResult, _ScatterTable, kts
 from mdpp.summarizer import default_max_segments
 
 
@@ -71,7 +71,7 @@ def test_fixed_m_validation():
 
 def _assert_tables_match_reference(x, max_parts):
     table = _ScatterTable(x)
-    dp, bp = _dp_tables(table, max_parts)
+    dp, bp = dp_tables(table, max_parts)
     ref_dp, ref_bp = bruteforce.reference_dp_tables(table, max_parts)
     assert np.array_equal(dp, ref_dp)
     assert np.array_equal(bp, ref_bp)
@@ -157,7 +157,7 @@ def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
         relax(table, dp, bp, levels if row else levels[:-1], last_costs, row)
 
     def kts_relaxing_one_level_fewer(*args):
-        # only inside kts: _dp_tables, which the check compares with the
+        # only inside kts: dp_tables, which the check compares with the
         # reference loop, keeps every level
         with monkeypatch.context() as patch:
             patch.setattr(kts_module, "_relax", one_level_fewer)
@@ -218,7 +218,7 @@ def test_relaxation_block_is_contiguous_and_cache_line_aligned(monkeypatch):
     for n in (40, 64, 65, 200):
         x = np.random.default_rng(n).normal(size=(n, 3))
         spy.seen.clear()
-        _dp_tables(_ScatterTable(x), 6)
+        dp_tables(_ScatterTable(x), 6)
         lows = range(1, n + 1, 64)
         assert sorted(spy.seen) == sorted((min(lo + 64, n + 1) - lo, min(lo + 63, n)) for lo in lows)
         for (rows, width), arrays in spy.seen.items():
@@ -243,7 +243,7 @@ def test_level_cut_equals_full_cap_on_synth_views(n, seed):
     )
     x = np.asarray(synth.generate(config)[0].view(0), dtype=float)
     cap = default_max_segments(n)
-    tables = _dp_tables(_ScatterTable(x), cap)  # bitwise the reference loop's
+    tables = dp_tables(_ScatterTable(x), cap)  # bitwise the reference loop's
     relaxed = []
     for penalty in (0.0, 1e-6, 0.05, 1.0, 10.0):
         result = kts(x, cap, penalty)
@@ -266,7 +266,7 @@ def test_long_view_at_the_benchmark_penalty_relaxes_the_first_levels_only():
     cap = default_max_segments(2000)
     assert cap == 134
     result = kts(x, cap, 0.05)
-    assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), cap), cap, 0.05)
+    assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), cap), cap, 0.05)
     assert result.levels_relaxed <= kts_module._FIRST_LEVELS
 
 
@@ -310,7 +310,7 @@ def test_row_gives_up_on_noise_and_the_one_sweep_relaxes_every_level(monkeypatch
     assert cap > kts_module._FIRST_LEVELS + kts_module._ROW_COST_LEVELS
     assert sweeps == [(range(1, cap + 1), False)]
     assert result.levels_relaxed == cap
-    assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), cap), cap, 0.05)
+    assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), cap), cap, 0.05)
 
 
 def test_plan_with_the_row_sweeps_the_first_levels_then_the_kept_ones(monkeypatch):
@@ -325,7 +325,7 @@ def test_plan_with_the_row_sweeps_the_first_levels_then_the_kept_ones(monkeypatc
     assert first < result.levels_relaxed < 20
     assert sweeps == [(range(1, first + 1), True),
                       (range(first + 1, result.levels_relaxed + 1), False)]
-    assert result == bruteforce.reference_kts(_dp_tables(_ScatterTable(x), 20), 20, 0.05)
+    assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), 20), 20, 0.05)
 
 
 def _first_block_views():

@@ -1,6 +1,10 @@
 """No module under ``src/mdpp/`` imports or reads another mdpp module's
 single-underscore name. ``bruteforce.py`` is exempt: its oracles check the
-fast paths' internals."""
+fast paths' internals.
+
+Only the DPP modules read ``dpp.QUALITY_FLOOR``: it keeps the joint kernel's
+log-likelihood finite, and ``multi_dpp`` applies it to the per-view scores
+and their product, so no other module decides it."""
 
 import ast
 from pathlib import Path
@@ -9,6 +13,7 @@ import mdpp
 
 PACKAGE = Path(mdpp.__file__).parent
 EXEMPT = {"bruteforce.py"}
+FLOOR_READERS = {"dpp.py", "multi_dpp.py", "bruteforce.py"}
 
 
 def _private(name):
@@ -25,9 +30,13 @@ def _mdpp_module(node: ast.ImportFrom):
     return None
 
 
-def private_reaches(path: Path) -> list[tuple[int, str]]:
-    """(line, dotted name) for each import or attribute read of another mdpp
-    module's single-underscore name in ``path``."""
+def _floor(name):
+    return name == "QUALITY_FLOOR"
+
+
+def reaches(path: Path, wanted) -> list[tuple[int, str]]:
+    """(line, dotted name) for each import or attribute read in ``path`` of
+    another mdpp module's name that ``wanted`` accepts."""
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = set()  # local names bound to mdpp modules
     for node in ast.walk(tree):
@@ -42,8 +51,8 @@ def private_reaches(path: Path) -> list[tuple[int, str]]:
             source = _mdpp_module(node)
             if source is not None:
                 found += [(node.lineno, f"{source}.{a.name}".lstrip("."))
-                          for a in node.names if _private(a.name)]
-        elif isinstance(node, ast.Attribute) and _private(node.attr):
+                          for a in node.names if wanted(a.name)]
+        elif isinstance(node, ast.Attribute) and wanted(node.attr):
             base = node.value
             while isinstance(base, ast.Attribute):
                 base = base.value
@@ -56,9 +65,18 @@ def test_no_module_reaches_into_another_modules_private_names():
     offences = [
         f"{path.name}:{line} {name}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name not in EXEMPT
-        for line, name in private_reaches(path)
+        for line, name in reaches(path, _private)
     ]
     assert offences == []
+
+
+def test_only_the_dpp_modules_read_the_quality_floor():
+    readers = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name not in FLOOR_READERS
+        for line, name in reaches(path, _floor)
+    ]
+    assert readers == []
 
 
 def test_the_check_sees_imports_and_attribute_reads(tmp_path):
@@ -73,10 +91,17 @@ def test_the_check_sees_imports_and_attribute_reads(tmp_path):
         "summarizer.segment_views\n"
         "summarizer.__name__\n"
         "_local = 1\n"
+        "from .dpp import QUALITY_FLOOR\n"
+        "from . import dpp\n"
+        "dpp.QUALITY_FLOOR\n"
     )
-    assert private_reaches(source) == [
+    assert reaches(source, _private) == [
         (3, "kts._BLOCK"),
         (4, "encoder._lstm_forward"),
         (5, "summarizer._view_shot_list"),
         (6, "k._dp_tables"),
+    ]
+    assert reaches(source, _floor) == [
+        (10, "dpp.QUALITY_FLOOR"),
+        (12, "dpp.QUALITY_FLOOR"),
     ]

@@ -19,6 +19,8 @@ def test_streams_validation():
         ViewStreams(features=np.zeros((2, 3, 4)), quality=np.zeros((2, 4)))
     with pytest.raises(ValidationError):
         ViewStreams(features=np.zeros((1, 2, 2)), quality=np.full((1, 2), 1.5))
+    with pytest.raises(ValidationError):
+        ViewStreams(features=np.zeros((1, 2, 2)), quality=np.full((1, 2), -1e-9))
     with pytest.raises(DataError):
         ViewStreams(features=np.full((1, 2, 2), np.nan), quality=np.full((1, 2), 0.5))
 
@@ -74,13 +76,25 @@ def test_zero_pooled_column_rejected():
         multi_dpp.build_joint_kernel(streams)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_log_prob_and_grad_matches_finite_differences(m):
+@pytest.mark.parametrize(
+    "m, floored",
+    [(1, False), (2, False), (3, False), (1, True), (2, True), (3, True)],
+    ids=["1", "2", "3", "1-floored", "2-floored", "3-floored"],
+)
+def test_log_prob_and_grad_matches_finite_differences(m, floored):
     rng = np.random.default_rng(2)
     h = 1e-6
     n, dprime = 5, 3
     streams = _random_streams(rng, m, n, dprime)
     subset = [1, 3]
+    # view 0 scores below QUALITY_FLOOR at a target step and another step;
+    # a step of 1e-7 keeps both sides of their differences below it
+    below = np.zeros((m, n), dtype=bool)
+    if floored:
+        below[0, [1, 4]] = True
+        streams = ViewStreams(
+            features=streams.features, quality=np.where(below, 2e-7, streams.quality)
+        )
 
     logp, gfeat, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, subset)
     assert logp == multi_dpp.multi_dpp_log_prob(streams, subset)
@@ -99,12 +113,14 @@ def test_log_prob_and_grad_matches_finite_differences(m):
         fd = (log_p(plus, streams.quality) - log_p(minus, streams.quality)) / (2 * h)
         worst = max(worst, abs(fd - gfeat[idx]) / max(abs(fd), abs(gfeat[idx]), 1e-3))
     for idx in np.ndindex(m, n):
+        step = 1e-7 if below[idx] else h
         plus, minus = streams.quality.copy(), streams.quality.copy()
-        plus[idx] += h
-        minus[idx] -= h
-        fd = (log_p(streams.features, plus) - log_p(streams.features, minus)) / (2 * h)
+        plus[idx] += step
+        minus[idx] -= step
+        fd = (log_p(streams.features, plus) - log_p(streams.features, minus)) / (2 * step)
         worst = max(worst, abs(fd - gqual[idx]) / max(abs(fd), abs(gqual[idx]), 1e-3))
     assert worst < 1e-4
+    assert (gqual[below] == 0.0).all()
 
 
 def test_backprop_gates_clamped_quality_product():
@@ -117,6 +133,15 @@ def test_backprop_gates_clamped_quality_product():
     )
     _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
     assert (gqual == 0.0).all()
+
+    # a view below the floor enters the product as the floor, so its own
+    # score gets no gradient. Scores in [0, 1] put such a product at or
+    # below the floor, where the product's gate already closes; a co-view
+    # score just above 1 (within the check's tolerance) lifts it over.
+    quality = np.array([[2e-7, 0.5, 0.5, 0.5], [1.0 + 5e-10, 0.5, 0.5, 0.5]])
+    streams = ViewStreams(features=streams.features, quality=quality)
+    _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
+    assert gqual[0, 0] == 0.0 and gqual[1, 0] != 0.0
 
 
 def _repeating_streams(dprime):

@@ -39,8 +39,15 @@ def test_config_rejects_non_finite_values(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "lam"])
+@pytest.mark.parametrize("value", ["0.1", None, True, False])
+def test_config_rejects_non_real_values(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+        TrainConfig(**{name: value})
+
+
 @pytest.mark.parametrize("name", ["batch_size", "iterations"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True])
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         TrainConfig(**{name: value})
