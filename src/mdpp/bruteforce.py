@@ -8,9 +8,9 @@ from-scratch greedy MAP that its incremental Cholesky must match pick for
 pick, the per-(k, end) KTS loop that the blocked DP in ``kts`` must
 reproduce bitwise, the full-cap KTS choice that its level cut must match,
 and the per-pair tolerant-F1 loop that the one-pass sweep in
-``evaluation`` must reproduce bitwise. Only this module builds a
-DppKernel's N x N matrix (``kernel_matrix``). The `check` CLI subcommand
-drives these against the production implementations.
+``evaluation`` must reproduce bitwise. Only this module builds an N x N
+kernel (``kernel_matrix``, and L = B^T B in the greedy MAP oracles). The
+`check` CLI subcommand drives these against the production implementations.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ def all_subsets(n: int):
         yield from itertools.combinations(range(n), size)
 
 
-def kernel_matrix(kernel) -> np.ndarray:
-    """The induced (N, N) kernel L = diag(q) Phi^T Phi diag(q) of a
-    DppKernel, or L = B^T B of a (D', N) factor B."""
-    factor = kernel.phi * kernel.q if isinstance(kernel, DppKernel) else np.asarray(kernel)
+def kernel_matrix(kernel: DppKernel) -> np.ndarray:
+    """The induced (N, N) kernel L = diag(q) Phi^T Phi diag(q) of a DppKernel."""
+    factor = kernel.phi * kernel.q
     return factor.T @ factor
 
 
@@ -112,11 +111,11 @@ def _sorted_subset(subset) -> np.ndarray:
     return np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
 
 
-def exhaustive_map(kernel):
-    """The subset maximizing det(L_y); ties go to the first enumerated
-    (smaller, then lexicographically earlier) subset. Takes a DppKernel or
-    a (D', N) factor B, as ``reference_greedy_map`` does."""
-    mat = kernel_matrix(kernel)
+def exhaustive_map(factor):
+    """The subset maximizing det(L_y) for L = B^T B of a (D', N) factor B;
+    ties go to the first enumerated (smaller, then lexicographically
+    earlier) subset. Takes what ``greedy_map`` takes."""
+    mat = factor.T @ factor
     best, best_det = (), 1.0
     for subset in all_subsets(mat.shape[0]):
         d = subset_det(mat, subset)
@@ -125,13 +124,13 @@ def exhaustive_map(kernel):
     return list(best)
 
 
-def reference_greedy_map(kernel, max_size: int | None = None, fill: bool = False):
+def reference_greedy_map(factor, max_size: int | None = None, fill: bool = False):
     """``dpp.greedy_map`` with every trial subset's determinant recomputed
     from scratch: the gain of item j is logdet(L_{y+j}) - logdet(L_y), item
     j is singular when det(L_{y+j}) / det(L_y) <= 1e-10 L_jj, and ties
     within 1e-12 go to the smallest index. Takes what ``greedy_map`` takes,
-    a DppKernel or a (D', N) factor B, and builds L = B^T B."""
-    mat = kernel_matrix(kernel)
+    a (D', N) factor B, and builds L = B^T B."""
+    mat = factor.T @ factor
     n = mat.shape[0]
     max_size = n if max_size is None else max_size
     selected: list[int] = []
@@ -435,7 +434,7 @@ def check_dpp(n: int = 8, trials: int = 50, seed: int = 0, rel_tol: float = 1e-9
         for dim in (int(rng.integers(1, max(2, n))), int(rng.integers(n, 2 * n + 1))):
             worst_dual = max(worst_dual, _dual_vs_primal(rng, random_kernel(rng, n, dim)))
         diag = DppKernel(phi=np.eye(n), q=rng.uniform(dpp.QUALITY_FLOOR, 1.0, size=n))
-        if sorted(dpp.greedy_map(diag)) != exhaustive_map(diag):
+        if sorted(dpp.greedy_map(diag.phi * diag.q)) != exhaustive_map(diag.phi * diag.q):
             greedy_ok = False
         # L = B^T B with D' < N and D' >= N, column scales that make gains of
         # both signs, and a copy with repeated items, whose gains tie exactly

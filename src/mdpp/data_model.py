@@ -139,9 +139,9 @@ class Summary:
     budget_fraction: float = 0.15
 
     def __post_init__(self):
-        if not (0.0 < self.budget_fraction <= 1.0):
+        if not is_real(self.budget_fraction) or not (0.0 < self.budget_fraction <= 1.0):
             raise ValidationError(
-                f"budget_fraction must lie in (0, 1], got {self.budget_fraction}"
+                f"budget_fraction must be a real number in (0, 1], got {self.budget_fraction!r}"
             )
         sels = sorted({(int(v), int(t)) for v, t in self.selections}, key=lambda p: (p[1], p[0]))
         for v, t in sels:

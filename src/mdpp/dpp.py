@@ -12,11 +12,11 @@ kernel; the primal N x N formulas live in ``bruteforce`` as the reference.
 
 Greedy MAP grows an incremental Cholesky factor (Chen, Zhang & Zhou, NeurIPS
 2018) at O(N k) per pick after k picks, stops at the kernel's numerical rank
-and breaks ties on the smallest index; ``bruteforce`` recomputes it. On a
-DppKernel it reads L only through B = Phi diag(q): the diagonal as squared
-column norms and a picked item's row as B[:, j]^T B, so it never builds the
-N x N kernel either; it also takes a bare (D', N) factor B. The N x N
-kernel is built only in ``bruteforce``.
+and breaks ties on the smallest index; ``bruteforce`` recomputes it. It takes
+a (D', N) factor B (a DppKernel's is ``phi * q``) and reads L = B^T B only
+through it: the diagonal as squared column norms and a picked item's row as
+B[:, j]^T B, so it never builds the N x N kernel either. The N x N kernel is
+built only in ``bruteforce``.
 """
 
 from __future__ import annotations
@@ -25,29 +25,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import is_integer
 from .errors import DataError, NumericError, ValidationError
 
 QUALITY_FLOOR = 1e-6  # keeps log-likelihoods finite when a target item scores ~0
-_UNIT_TOL = 1e-6
 _GAIN_TIE_TOL = 1e-12  # greedy gains closer than this count as tied
 _SINGULAR_TOL = 1e-10  # greedy residual at most this times L_jj: item j is singular
 
 
 @dataclass(frozen=True)
 class DppKernel:
-    """Decomposed DPP kernel over a ground set of N items.
+    """Decomposed DPP kernel over a ground set of N items: the one place a
+    kernel's columns are normalized and its qualities clamped.
 
-    ``phi``: (D', N) feature matrix, columns renormalized to unit length at
-    construction. ``q``: length-N qualities clamped up to QUALITY_FLOOR;
-    values above 1 are rejected, matching the decomposition's q <= 1 regime.
+    ``phi``: (D', N) feature matrix, stored divided by its column norms.
+    ``q``: length-N qualities stored clamped to [QUALITY_FLOOR, 1]; values
+    above 1 are rejected, matching the decomposition's q <= 1 regime.
     """
 
     phi: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.float64)
-        q = np.array(self.q, dtype=np.float64)
+        phi = np.asarray(self.phi, dtype=np.float64)
+        q = np.asarray(self.q, dtype=np.float64)
         if phi.ndim != 2 or q.ndim != 1 or phi.shape[1] != q.shape[0]:
             raise ValidationError(
                 f"phi must be (D', N) with q of length N, got {phi.shape} and {q.shape}"
@@ -56,11 +57,10 @@ class DppKernel:
             raise DataError("kernel contains non-finite entries")
         norms = np.linalg.norm(phi, axis=0)
         if (norms == 0.0).any():
-            raise DataError("zero feature column cannot be normalized")
-        if (np.abs(norms - 1.0) > _UNIT_TOL).any():
-            phi = phi / norms
-        if (q > 1.0 + 1e-9).any():
+            raise DataError(f"feature column {int(np.argmin(norms))} is all zero")
+        if (q > 1.0).any():
             raise ValidationError(f"qualities must not exceed 1, max was {q.max()}")
+        phi = phi / norms
         q = np.clip(q, QUALITY_FLOOR, 1.0)
         phi.flags.writeable = False
         q.flags.writeable = False
@@ -145,20 +145,19 @@ def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.
     return _chol_logdet(sub_chol) - _chol_logdet(chol), grad_b, grad_q
 
 
-def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
+def greedy_map(factor, max_size: int | None = None, fill: bool = False):
     """Greedy MAP: repeatedly add the item with the largest logdet gain.
 
-    ``kernel`` is a DppKernel, read as its factor B = phi diag(q), or a
-    (D', N) factor B itself; either way L = B^T B is never built. Its
-    diagonal is the squared column norms of B and a picked item's row is
-    B[:, j]^T B, O(N D') per pick. The gain of item j is log d2_j, where
-    d2_j = det(L_{y+j}) / det(L_y) is j's Cholesky residual given the
-    selection y. Each pick appends one row of the incremental Cholesky
-    factor for all N candidates at once and downdates every residual, so
-    after k picks the next one costs O(N k).
+    ``factor`` is a (D', N) factor B of the kernel L = B^T B, which is never
+    built; a DppKernel's is ``phi * q``. L's diagonal is the squared column
+    norms of B and a picked item's row is B[:, j]^T B, O(N D') per pick.
+    The gain of item j is log d2_j, where d2_j = det(L_{y+j}) / det(L_y) is
+    j's Cholesky residual given the selection y. Each pick appends one row
+    of the incremental Cholesky factor for all N candidates at once and
+    downdates every residual, so after k picks the next one costs O(N k).
 
     Items are added while the best gain is non-negative (a strictly negative
-    gain means every remaining item shrinks det(L_y)); a decomposed kernel
+    gain means every remaining item shrinks det(L_y)); a DppKernel's factor
     with all q < 1 therefore selects nothing, which matches the exhaustive
     optimum. With ``fill=True`` the negative-gain stop is disabled and
     selection keeps taking the least-redundant item up to ``max_size``;
@@ -171,12 +170,10 @@ def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
 
     Returns the selected indices in selection order.
     """
-    if isinstance(kernel, DppKernel):
-        factor = kernel.phi * kernel.q
-    else:
-        factor = np.asarray(kernel, dtype=np.float64)
-        if factor.ndim != 2:
-            raise ValidationError(f"kernel factor must be (D', N), got shape {factor.shape}")
+    factor = np.asarray(factor)
+    if factor.ndim != 2:
+        raise ValidationError(f"greedy MAP takes a (D', N) factor, got shape {factor.shape}")
+    factor = factor.astype(np.float64, copy=False)
     diag = np.einsum("dn,dn->n", factor, factor)
     n = diag.shape[0]
     if max_size is None:
@@ -206,7 +203,10 @@ def greedy_map(kernel, max_size: int | None = None, fill: bool = False):
 
 
 def _check_subset(kernel: DppKernel, subset) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
+    items = set(subset)
+    if not all(is_integer(i) for i in items):
+        raise ValidationError(f"subset items must be integers, got {items}")
+    idx = np.asarray(sorted(items), dtype=np.intp)
     if idx.size and (idx[0] < 0 or idx[-1] >= kernel.ground_size):
         raise ValidationError(
             f"subset {idx.tolist()} outside ground set of size {kernel.ground_size}"

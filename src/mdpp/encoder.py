@@ -475,7 +475,9 @@ def _check_targets(sequence, target_views):
 
 def _bce_terms(y, quality, num_views):
     scale = 1.0 / num_views
-    loss = -scale * float((y * np.log(quality) + (1.0 - y) * np.log1p(-quality)).sum())
+    # each log only where its weight is 1: a score saturated at its target adds 0, not nan
+    terms = np.log(quality, out=np.zeros_like(quality), where=y == 1.0)
+    loss = -scale * float(np.log1p(-quality, out=terms, where=y == 0.0).sum())
     dlogits = scale * (quality - y)
     return loss, dlogits
 

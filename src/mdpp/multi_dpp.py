@@ -23,8 +23,8 @@ class ViewStreams:
     """Per-view encoder outputs over a shared timeline.
 
     ``features``: (M, N, D') with unit-norm vectors per (view, step).
-    ``quality``: (M, N) scores in [0, 1]; the joint kernel floors each at
-    QUALITY_FLOOR, so a view scoring ~0 keeps the likelihood finite.
+    ``quality``: (M, N) scores in [0, 1]; the joint kernel clamps their
+    product up to QUALITY_FLOOR, so a view scoring ~0 keeps it finite.
     """
 
     features: np.ndarray
@@ -41,7 +41,7 @@ class ViewStreams:
             raise ValidationError("at least one view is required")
         if not (np.isfinite(feats).all() and np.isfinite(qual).all()):
             raise DataError("streams contain non-finite entries")
-        if (qual < 0.0).any() or (qual > 1.0 + 1e-9).any():
+        if (qual < 0.0).any() or (qual > 1.0).any():
             raise ValidationError("per-view qualities must lie in [0, 1]")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "quality", qual)
@@ -56,7 +56,7 @@ class ViewStreams:
 
 
 def build_joint_kernel(streams: ViewStreams) -> DppKernel:
-    """The joint kernel: max-pooled unit features, floored quality product clamped."""
+    """The joint kernel: max-pooled unit features, quality product clamped."""
     return _joint_kernel(streams)[0]
 
 
@@ -74,11 +74,11 @@ def multi_dpp_log_prob_and_grad(
     Max-pooling sends each dimension's gradient to the winning view; L2
     renormalization contributes the usual tangent projection; the quality
     product distributes multiplicatively, gated to zero where its clamp was
-    active and, per view, where a score is at or below QUALITY_FLOOR (the
-    floor, not the score, entered the product). The kernel is freed before
-    the per-view gradient is allocated. A zero-probability subset raises
-    NumericError, naming D' (the kernel's rank bound) when the subset is
-    larger.
+    active: at or below QUALITY_FLOOR, where any view at or below the floor
+    puts it (every score is positive where the gate is open). The kernel is
+    freed before the per-view gradient is allocated. A zero-probability
+    subset raises NumericError, naming D' (the kernel's rank bound) when the
+    subset is larger.
     """
     kernel, argmax_views, norms, raw_quality = _joint_kernel(streams)
     m, n, dprime = streams.features.shape
@@ -102,19 +102,20 @@ def multi_dpp_log_prob_and_grad(
     for view in range(m):
         np.copyto(grad_features[view], grad_pooled.T, where=argmax_views == view)
 
-    passthrough = (raw_quality > dpp.QUALITY_FLOOR) & (raw_quality <= 1.0)
+    passthrough = raw_quality > dpp.QUALITY_FLOOR
     gated = np.where(passthrough, grad_q * raw_quality, 0.0)
     grad_quality = np.zeros((m, n))
-    np.divide(gated, streams.quality, out=grad_quality, where=streams.quality > dpp.QUALITY_FLOOR)
+    np.divide(gated, streams.quality, out=grad_quality, where=passthrough)
     return log_p, grad_features, grad_quality
 
 
 def _joint_kernel(streams: ViewStreams):
     """The joint kernel and the provenance its gradient routes through:
     (kernel, argmax_views (N, D'), the pooled columns' norms (N,), the
-    floored product before the clamp (N,)). Max-pooling records the winning
+    quality product before the clamp (N,)). Max-pooling records the winning
     view per (step, dimension); the strict ``>`` hands a tie to the first
-    view, as ``argmax`` does."""
+    view, as ``argmax`` does. DppKernel normalizes the pooled columns and
+    clamps the product; the norms are taken with the same call it uses."""
     features = streams.features
     pooled = features[0].copy()
     # (N, D'), in the smallest integer type that holds a view index
@@ -124,9 +125,5 @@ def _joint_kernel(streams: ViewStreams):
         np.maximum(pooled, features[view], out=pooled)
     pooled = pooled.T  # (D', N)
     norms = np.linalg.norm(pooled, axis=0)
-    if (norms == 0.0).any():
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DataError(f"max-pooled feature column {bad} is all zero")
-    raw = np.maximum(streams.quality, dpp.QUALITY_FLOOR).prod(axis=0)
-    kernel = DppKernel(phi=pooled / norms, q=np.clip(raw, dpp.QUALITY_FLOOR, 1.0))
-    return kernel, argmax_views, norms, raw
+    raw = streams.quality.prod(axis=0)
+    return DppKernel(phi=pooled, q=raw), argmax_views, norms, raw

@@ -148,7 +148,7 @@ def summarize_unsupervised(
     kernel = build_joint_kernel(streams)
     # fill mode: keep taking the least-redundant step up to the budget (a
     # unit-diagonal kernel would otherwise stop after one pick)
-    steps = dpp.greedy_map(kernel, max_size=budget_frames, fill=True)
+    steps = dpp.greedy_map(kernel.phi * kernel.q, max_size=budget_frames, fill=True)
 
     joint = kernel.phi
     shot_lists = [s.shot_list(n) for s in segment_views(sequence, max_segments, penalty_coeff)]

@@ -195,7 +195,8 @@ def test_criterion_5_exactness_oracles(capsys):
     for _ in range(50):
         n = int(rng.integers(1, 11))
         kernel = DppKernel(phi=np.eye(n), q=rng.uniform(dpp.QUALITY_FLOOR, 1.0, size=n))
-        if sorted(dpp.greedy_map(kernel)) != bruteforce.exhaustive_map(kernel):
+        factor = kernel.phi * kernel.q
+        if sorted(dpp.greedy_map(factor)) != bruteforce.exhaustive_map(factor):
             greedy_ok = False
     # q < 1 makes every MAP above empty; diag(sqrt(d)) factors have MAP {d > 1}
     nonempty = 0

@@ -75,6 +75,12 @@ def test_summary_dedups_and_sorts():
     assert mask.sum() == 3 and mask[1, 3] == 1
 
 
+@pytest.mark.parametrize("fraction", ["0.2", None, True, 0.0, 1.5])
+def test_summary_rejects_bad_budget_fraction(fraction):
+    with pytest.raises(ValidationError, match="budget_fraction must be a real number"):
+        Summary(selections=((0, 1),), budget_fraction=fraction)
+
+
 def test_summary_frame_mask_bounds():
     with pytest.raises(ValidationError):
         Summary(selections=((0, 5),)).frame_mask(1, 5)

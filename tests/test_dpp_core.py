@@ -20,7 +20,9 @@ def test_kernel_rejects_bad_inputs():
         DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5]))
     with pytest.raises(ValidationError):
         DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5, 1.5]))
-    with pytest.raises(DataError):
+    with pytest.raises(ValidationError):
+        DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5, 1.0 + 1e-12]))
+    with pytest.raises(DataError, match="column 0 is all zero"):
         DppKernel(phi=np.zeros((3, 2)), q=np.array([0.5, 0.5]))
     phi = np.eye(2)
     phi_bad = phi.copy()
@@ -77,6 +79,9 @@ def test_log_prob_rejects_out_of_range_subset():
     kernel = DppKernel(phi=np.eye(3), q=np.full(3, 0.5))
     with pytest.raises(ValidationError):
         dpp.log_prob(kernel, [0, 3])
+    for subset in ([1.5], [True]):  # not read as [1]
+        with pytest.raises(ValidationError, match="subset items must be integers"):
+            dpp.log_prob(kernel, subset)
 
 
 def _raw_log_prob(mat: np.ndarray, subset) -> float:
@@ -154,9 +159,10 @@ def test_greedy_fill_stops_at_kernel_rank():
     # rank-4 kernel: past four picks every residual is round-off
     rng = np.random.default_rng(11)
     kernel = DppKernel(phi=rng.normal(size=(4, 12)), q=np.ones(12))
-    picks = dpp.greedy_map(kernel, max_size=8, fill=True)
+    factor = kernel.phi * kernel.q
+    picks = dpp.greedy_map(factor, max_size=8, fill=True)
     assert len(picks) == 4
-    assert picks == bruteforce.reference_greedy_map(kernel, max_size=8, fill=True)
+    assert picks == bruteforce.reference_greedy_map(factor, max_size=8, fill=True)
 
 
 def _eigh_factor(mat):
@@ -167,9 +173,10 @@ def _eigh_factor(mat):
 
 
 def test_greedy_factor_rows_match_kernel_matrix():
-    # a DppKernel's rows, computed from B = phi diag(q) on demand, pick what
-    # other factors of the built N x N kernel pick: an eigh factor on
-    # low-rank (D' < N) kernels, a Cholesky factor on full-rank ones
+    # greedy MAP on another factor of a DppKernel's built N x N kernel (an
+    # eigh factor on low-rank (D' < N) kernels, a Cholesky factor on
+    # full-rank ones) picks what the reference greedy picks from
+    # B = phi diag(q), whose rows it computes from scratch
     rng = np.random.default_rng(12)
     for _ in range(40):
         n = int(rng.integers(2, 30))
@@ -178,8 +185,11 @@ def test_greedy_factor_rows_match_kernel_matrix():
             mat = bruteforce.kernel_matrix(kernel)
             factor = np.linalg.cholesky(mat).T if dim >= n else _eigh_factor(mat)
             for max_size, fill in ((None, False), (n, True), (int(rng.integers(0, n + 1)), True)):
-                picks = dpp.greedy_map(kernel, max_size=max_size, fill=fill)
-                assert picks == dpp.greedy_map(factor, max_size=max_size, fill=fill)
+                picks = dpp.greedy_map(factor, max_size=max_size, fill=fill)
+                reference = bruteforce.reference_greedy_map(
+                    kernel.phi * kernel.q, max_size=max_size, fill=fill
+                )
+                assert picks == reference
 
 
 def test_greedy_on_diagonal_factor():
@@ -191,7 +201,8 @@ def test_greedy_diagonal_matches_exhaustive():
     for _ in range(30):
         n = int(rng.integers(1, 9))
         kernel = DppKernel(phi=np.eye(n), q=rng.uniform(dpp.QUALITY_FLOOR, 1.0, size=n))
-        assert sorted(dpp.greedy_map(kernel)) == bruteforce.exhaustive_map(kernel)
+        factor = kernel.phi * kernel.q
+        assert sorted(dpp.greedy_map(factor)) == bruteforce.exhaustive_map(factor)
 
 
 @pytest.mark.parametrize("never_stops", [False, True])
@@ -213,8 +224,9 @@ def test_greedy_empty_when_all_qualities_below_one():
     # every det(L_y) < 1 = det(L_{}) when q < 1, so the optimum is empty
     rng = np.random.default_rng(9)
     kernel = bruteforce.random_kernel(rng, 6)
-    assert dpp.greedy_map(kernel) == []
-    assert bruteforce.exhaustive_map(kernel) == []
+    factor = kernel.phi * kernel.q
+    assert dpp.greedy_map(factor) == []
+    assert bruteforce.exhaustive_map(factor) == []
 
 
 def test_greedy_max_size_and_tie_break():
@@ -227,10 +239,11 @@ def test_greedy_fill_mode_runs_to_max_size():
     # fill mode keeps selecting the least-redundant items
     rng = np.random.default_rng(10)
     kernel = DppKernel(phi=rng.normal(size=(5, 8)), q=np.ones(8))
-    assert len(dpp.greedy_map(kernel, max_size=4)) == 1
-    filled = dpp.greedy_map(kernel, max_size=4, fill=True)
+    factor = kernel.phi * kernel.q
+    assert len(dpp.greedy_map(factor, max_size=4)) == 1
+    filled = dpp.greedy_map(factor, max_size=4, fill=True)
     assert len(filled) == 4
-    assert bruteforce.reference_greedy_map(kernel, max_size=4, fill=True) == filled
+    assert bruteforce.reference_greedy_map(factor, max_size=4, fill=True) == filled
 
 
 def test_greedy_rejects_bad_arguments():
@@ -240,6 +253,8 @@ def test_greedy_rejects_bad_arguments():
         dpp.greedy_map(np.ones((2, 3, 1)))
     with pytest.raises(ValidationError):
         dpp.greedy_map(np.eye(2), max_size=3)
+    with pytest.raises(ValidationError):  # takes the factor B, not the kernel
+        dpp.greedy_map(DppKernel(phi=np.eye(2), q=np.full(2, 0.5)))
 
 
 def test_logprob_grad_rejects_singular_subset():

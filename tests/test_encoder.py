@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -487,6 +488,17 @@ def test_loss_parts_at_lam_zero():
     assert np.isfinite(val.dpp_nll) and val.total == val.bce == parts.bce
     joint, _ = loss_and_grad(params, seq, y, lam=1.0)
     assert joint.dpp_nll == pytest.approx(val.dpp_nll, rel=1e-12)
+
+
+@pytest.mark.parametrize("qual_b2, target", [(50.0, 1), (-800.0, 0)])
+def test_bce_is_zero_where_scores_saturate_at_the_target(qual_b2, target):
+    # the logistic rounds to exactly 1 (or 0); 0 * log 0 must not make nan
+    rng = np.random.default_rng(14)
+    params = init_params(3, hidden_size=4, output_dim=4, seed=5)
+    params = dataclasses.replace(params, qual_b2=np.full_like(params.qual_b2, qual_b2))
+    seq = _sequence(rng, 2, 6, 3)
+    parts = evaluate_loss(params, seq, np.full((2, 6), target), lam=0.0)
+    assert parts.bce == 0.0
 
 
 def test_evaluate_loss_gives_inf_for_zero_probability_target():

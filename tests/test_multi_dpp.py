@@ -21,6 +21,8 @@ def test_streams_validation():
         ViewStreams(features=np.zeros((1, 2, 2)), quality=np.full((1, 2), 1.5))
     with pytest.raises(ValidationError):
         ViewStreams(features=np.zeros((1, 2, 2)), quality=np.full((1, 2), -1e-9))
+    with pytest.raises(ValidationError):
+        ViewStreams(features=np.zeros((1, 2, 2)), quality=np.full((1, 2), 1.0 + 1e-12))
     with pytest.raises(DataError):
         ViewStreams(features=np.full((1, 2, 2), np.nan), quality=np.full((1, 2), 0.5))
 
@@ -42,6 +44,20 @@ def test_joint_quality_product_and_clamp():
     q = multi_dpp.build_joint_kernel(streams).q
     assert q[0] == 0.25
     assert q[1] == dpp.QUALITY_FLOOR  # 2.5e-7 product clamps back up
+
+
+def test_joint_kernel_is_the_clamped_product_and_unit_pooled_columns():
+    # DppKernel alone clamps the raw product and normalizes the raw pooled
+    # columns; scores at 0, below, at and above the floor, and at 1
+    rng = np.random.default_rng(13)
+    quality = rng.uniform(0.0, 1.0, size=(3, 12))
+    quality[0, :5] = [0.0, 2e-7, dpp.QUALITY_FLOOR, 1.0, 1.0]
+    quality[1, 3:6] = [1.0, dpp.QUALITY_FLOOR, 2e-7]
+    streams = ViewStreams(features=rng.normal(size=(3, 12, 4)), quality=quality)
+    kernel = multi_dpp.build_joint_kernel(streams)
+    pooled = streams.features.max(axis=0).T
+    assert np.array_equal(kernel.q, np.clip(quality.prod(axis=0), dpp.QUALITY_FLOOR, 1.0))
+    assert np.array_equal(kernel.phi, pooled / np.linalg.norm(pooled, axis=0))
 
 
 def test_single_view_reduces_exactly():
@@ -72,7 +88,7 @@ def test_view_permutation_invariance():
 
 def test_zero_pooled_column_rejected():
     streams = ViewStreams(features=np.zeros((1, 1, 2)), quality=np.full((1, 1), 0.5))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="column 0 is all zero"):
         multi_dpp.build_joint_kernel(streams)
 
 
@@ -134,14 +150,12 @@ def test_backprop_gates_clamped_quality_product():
     _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
     assert (gqual == 0.0).all()
 
-    # a view below the floor enters the product as the floor, so its own
-    # score gets no gradient. Scores in [0, 1] put such a product at or
-    # below the floor, where the product's gate already closes; a co-view
-    # score just above 1 (within the check's tolerance) lifts it over.
-    quality = np.array([[2e-7, 0.5, 0.5, 0.5], [1.0 + 5e-10, 0.5, 0.5, 0.5]])
+    # a view scoring exactly 0 zeroes the product, so the clamp is active
+    # and no view gets a gradient at that step (and nothing divides by 0)
+    quality = np.array([[0.0, 0.5, 0.5, 0.5], [1.0, 0.5, 0.5, 0.5]])
     streams = ViewStreams(features=streams.features, quality=quality)
     _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
-    assert gqual[0, 0] == 0.0 and gqual[1, 0] != 0.0
+    assert (gqual[:, 0] == 0.0).all() and (gqual[:, 1:] != 0.0).all()
 
 
 def _repeating_streams(dprime):

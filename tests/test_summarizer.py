@@ -149,7 +149,8 @@ def test_unsupervised_step_selection_spans_clusters():
     feats = _cluster_streams(rng)
     unit = feats / np.linalg.norm(feats, axis=-1, keepdims=True)
     streams = ViewStreams(features=unit, quality=np.ones((1, 10)))
-    steps = dpp.greedy_map(build_joint_kernel(streams), max_size=2, fill=True)
+    kernel = build_joint_kernel(streams)
+    steps = dpp.greedy_map(kernel.phi * kernel.q, max_size=2, fill=True)
     assert len(steps) == 2
     assert min(steps) < 5 <= max(steps)
 
@@ -178,7 +179,8 @@ def test_unsupervised_step_selection_view_permutation_invariant():
 
     def steps(view_order):
         streams = ViewStreams(features=unit[view_order], quality=quality)
-        return dpp.greedy_map(build_joint_kernel(streams), max_size=4, fill=True)
+        kernel = build_joint_kernel(streams)
+        return dpp.greedy_map(kernel.phi * kernel.q, max_size=4, fill=True)
 
     base = steps([0, 1, 2])
     assert steps([2, 0, 1]) == base
