@@ -23,10 +23,21 @@ from fractions import Fraction
 import numpy as np
 
 from . import dpp, encoder, evaluation, synth
-from .data_model import MultiViewSequence, is_integer
+from .data_model import MultiViewSequence, TrainingExample, is_integer
 from .dpp import DppKernel
 from .errors import ConfigError, NumericError, ValidationError
 from .kts import _BLOCK, _as_features, _ScatterTable
+
+
+def param_count(input_dim: int, hidden_size: int, output_dim: int) -> int:
+    """Closed-form trainable parameter count of ``encoder.init_params``'s
+    model; independent of M and N."""
+    d, h, dp = input_dim, hidden_size, output_dim
+    s = d + 2 * h
+    lstm = 2 * (4 * h * d + 4 * h * h + 4 * h)
+    feature_head = h * s + h + dp * h + dp
+    quality_head = h * s + h + 1 * h + 1
+    return lstm + feature_head + quality_head
 
 
 def all_subsets(n: int):
@@ -750,7 +761,7 @@ def check_encoder(trials: int = 50, seed: int = 0):
             f"{trials} inputs, max rel err {worst_bwd:.3e}",
         ),
         (
-            "stacked sequence groups vs per-sequence loss_and_grad (hidden, loss parts, gradient)",
+            "stacked sequence groups vs one-example batch_loss calls (hidden, loss parts, gradient)",
             worst_hidden == 0.0 and worst_loss == 0.0,
             f"{trials} groups, max rel err hidden {worst_hidden:.3e}, loss and grad "
             f"{worst_loss:.3e} (bitwise required)",
@@ -762,12 +773,13 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
     """Worst relative errors of stacked groups against their sequences run
     alone: the LSTM hidden states of the stacked input against each
     sequence's own (a one-view sequence padded by ``encoder._stacked_lstm``),
-    and the group's loss parts and summed gradient against per-sequence
-    ``loss_and_grad``, each parameter array (each LSTM direction) at its own
-    scale. Both must be 0: a group sums each sequence's gradient on its
-    own. Groups hold 1-4 sequences of one length N <= 12 with M in 1..3
-    each, and lam in {0, 0.5, 1}; every other group's model has saturated
-    LSTM gates, as in ``_lstm_inputs``."""
+    and the loss parts and summed gradient of one group forced through
+    ``encoder._loss`` against one-example ``encoder.batch_loss`` calls, each
+    parameter array (each LSTM direction) at its own scale. Both must be 0:
+    a group sums each sequence's gradient on its own. Groups hold 1-4
+    sequences of one length N <= 12 with M in 1..3 each, and lam in
+    {0, 0.5, 1}; every other group's model has saturated LSTM gates, as in
+    ``_lstm_inputs``."""
     worst_hidden = worst_loss = 0.0
     for trial in range(trials):
         n, d, h = (int(rng.integers(1, 13)), int(rng.integers(1, 6)), int(rng.integers(1, 6)))
@@ -790,32 +802,29 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
             for t in steps:
                 y[rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False), t] = 1
             features = rng.normal(size=(m, n, d)).astype(np.float32)
-            group.append((MultiViewSequence("s", features), y))
+            group.append(TrainingExample(MultiViewSequence("s", features), y))
         lam = float(rng.choice((0.0, 0.5, 1.0)))
 
         stacked = per_direction_layout(
-            encoder._stacked_lstm(params, [seq for seq, _ in group])
+            encoder._stacked_lstm(params, [ex.sequence for ex in group])
         )["hidden"]
         start = 0
-        for seq, _ in group:
+        for seq in (ex.sequence for ex in group):
             alone = per_direction_layout(encoder._stacked_lstm(params, [seq]))["hidden"]
             cols = slice(start, start + seq.num_views)
             start = cols.stop
             err = _max_rel_err(stacked[:, :, cols], alone[:, :, : seq.num_views])
             worst_hidden = max(worst_hidden, err)
 
-        grads = encoder._zero_grads(params)
+        _, grads = encoder._zero_grads(params)
         parts = encoder._loss(params, group, lam, grads)
-        alone = [encoder.loss_and_grad(params, *item, lam=lam) for item in group]
-        for part, (ref, _) in zip(parts, alone):
+        alone = [encoder.batch_loss(params, [ex], lam=lam) for ex in group]
+        for part, ([ref], _) in zip(parts, alone):
             for field in ("total", "bce", "dpp_nll"):
                 fast, slow = getattr(part, field), getattr(ref, field)
                 if not (math.isnan(fast) and math.isnan(slow)):
                     worst_loss = max(worst_loss, _max_rel_err(fast, slow))
-        ref_grads = dict(alone[0][1].named_arrays())
-        for _, grad in alone[1:]:
-            for name, arr in grad.named_arrays():
-                ref_grads[name] = ref_grads[name] + arr
+        ref_grads = encoder._split(params, sum(grad for _, grad in alone))
         for name, arr in ref_grads.items():
             # each LSTM direction at its own scale
             pairs = zip(grads[name], arr) if name.startswith("lstm_") else [(grads[name], arr)]

@@ -78,6 +78,35 @@ class MultiViewSequence:
 
 
 @dataclass(frozen=True)
+class TrainingExample:
+    """One sequence with its supervision targets, checked once, here.
+
+    ``target_views`` is the binary (M, N) mask of selected (view, step)
+    pairs, stored as read-only uint8; any other value (0.5, 2, -1, nan)
+    is a ValidationError, not a cast. ``steps`` is the joint DPP's target:
+    the sorted steps some view selects.
+    """
+
+    sequence: MultiViewSequence
+    target_views: np.ndarray
+    steps: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        y = np.asarray(self.target_views)
+        if y.shape != (self.sequence.num_views, self.sequence.num_steps):
+            raise ValidationError(
+                f"target_views shape {y.shape} does not match sequence "
+                f"({self.sequence.num_views}, {self.sequence.num_steps})"
+            )
+        if not np.isin(y, (0, 1)).all():
+            raise ValidationError("target_views must be binary (0 or 1)")
+        y = y.astype(np.uint8)
+        y.flags.writeable = False
+        object.__setattr__(self, "target_views", y)
+        object.__setattr__(self, "steps", tuple(int(t) for t in np.flatnonzero(y.any(axis=0))))
+
+
+@dataclass(frozen=True)
 class AnnotationSet:
     """Per-user shot selections for one sequence at one annotation stage.
 

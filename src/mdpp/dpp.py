@@ -39,8 +39,9 @@ class DppKernel:
     kernel's columns are normalized and its qualities clamped.
 
     ``phi``: (D', N) feature matrix, stored divided by its column norms.
-    ``q``: length-N qualities stored clamped to [QUALITY_FLOOR, 1]; values
-    above 1 are rejected, matching the decomposition's q <= 1 regime.
+    ``q``: length-N qualities in [0, 1], as ``multi_dpp.ViewStreams`` scores
+    are, stored clamped up to QUALITY_FLOOR; values outside [0, 1] are
+    rejected.
     """
 
     phi: np.ndarray
@@ -58,8 +59,8 @@ class DppKernel:
         norms = np.linalg.norm(phi, axis=0)
         if (norms == 0.0).any():
             raise DataError(f"feature column {int(np.argmin(norms))} is all zero")
-        if (q > 1.0).any():
-            raise ValidationError(f"qualities must not exceed 1, max was {q.max()}")
+        if (q < 0.0).any() or (q > 1.0).any():
+            raise ValidationError(f"qualities must lie in [0, 1], got [{q.min()}, {q.max()}]")
         phi = phi / norms
         q = np.clip(q, QUALITY_FLOOR, 1.0)
         phi.flags.writeable = False

@@ -53,10 +53,10 @@ The weight gradients are summed per sequence, so each sequence's gradient
 is bitwise that of the sequence run alone, however it was grouped. A group of
 one view runs with a zero second view, so that its per-step products take
 the matrix-matrix path too and its states do not depend on whether it was
-stacked. ``loss_and_grad`` and ``evaluate_loss`` are groups of one, with
-and without the gradient, on the same loss path; ``mdpp check encoder``
-requires stacked groups to be bitwise the sum of their sequences'
-``loss_and_grad``.
+stacked. ``batch_loss`` is the one loss entry point, with and without the
+gradient, over ``TrainingExample``s, whose targets were checked when they
+were made; ``mdpp check encoder`` requires stacked groups to be bitwise the
+sum of their sequences' one-example ``batch_loss`` calls.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import multi_dpp
 from .data_model import MultiViewSequence, check_seed, is_integer
-from .errors import ConfigError, NumericError, ShapeError, ValidationError
+from .errors import ConfigError, NumericError, ShapeError
 from .multi_dpp import ViewStreams
 
 # views (M summed over a group's sequences) one stacked LSTM loop may hold:
@@ -148,16 +148,6 @@ class ModelParams:
         return sum(arr.size for _, arr in self.named_arrays())
 
 
-def param_count(input_dim: int, hidden_size: int, output_dim: int) -> int:
-    """Closed-form trainable parameter count; independent of M and N."""
-    d, h, dp = input_dim, hidden_size, output_dim
-    s = d + 2 * h
-    lstm = 2 * (4 * h * d + 4 * h * h + 4 * h)
-    feature_head = h * s + h + dp * h + dp
-    quality_head = h * s + h + 1 * h + 1
-    return lstm + feature_head + quality_head
-
-
 def init_params(
     input_dim: int, hidden_size: int = 128, output_dim: int = 128, seed: int = 0
 ) -> ModelParams:
@@ -198,12 +188,17 @@ def to_vector(params: ModelParams) -> np.ndarray:
 def from_vector(like: ModelParams, vec: np.ndarray) -> ModelParams:
     if vec.shape != (like.count(),):
         raise ShapeError(f"vector length {vec.shape} does not match {like.count()} params")
-    values = {}
-    offset = 0
+    return ModelParams(**_split(like, vec))
+
+
+def _split(like: ModelParams, vec: np.ndarray) -> dict:
+    """Views of the flat ``vec``, in ``to_vector`` order, shaped like each
+    of ``like``'s arrays and keyed by name."""
+    views, offset = {}, 0
     for name, arr in like.named_arrays():
-        values[name] = vec[offset : offset + arr.size].reshape(arr.shape)
+        views[name] = vec[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
-    return ModelParams(**values)
+    return views
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -458,21 +453,6 @@ class LossParts:
     dpp_nll: float
 
 
-def _check_targets(sequence, target_views):
-    """Validate a binary (M, N) target mask; return it as floats and the
-    sorted steps some view selects."""
-    y = np.asarray(target_views)
-    if y.shape != (sequence.num_views, sequence.num_steps):
-        raise ValidationError(
-            f"target_views shape {y.shape} does not match "
-            f"({sequence.num_views}, {sequence.num_steps})"
-        )
-    if not np.isin(y, (0, 1)).all():
-        raise ValidationError("target_views must be binary")
-    steps = sorted({int(t) for t in np.flatnonzero(y.any(axis=0))})
-    return y.astype(np.float64), steps
-
-
 def _bce_terms(y, quality, num_views):
     scale = 1.0 / num_views
     # each log only where its weight is 1: a score saturated at its target adds 0, not nan
@@ -482,83 +462,61 @@ def _bce_terms(y, quality, num_views):
     return loss, dlogits
 
 
-def evaluate_loss(
-    params: ModelParams,
-    sequence: MultiViewSequence,
-    target_views,
-    *,
-    lam: float = 1.0,
-) -> LossParts:
-    """Forward-only loss, for validation passes: the no-gradient branch of
-    the path ``loss_and_grad`` takes. The DPP term is evaluated even at
-    lam = 0; a target subset the joint kernel cannot produce gives
-    ``dpp_nll = +inf``."""
-    return _loss(params, [(sequence, target_views)], lam, None)[0]
-
-
-def loss_and_grad(
-    params: ModelParams,
-    sequence: MultiViewSequence,
-    target_views,
-    *,
-    lam: float = 1.0,
-) -> tuple[LossParts, ModelParams]:
-    """Joint loss (binary cross-entropy + lam * joint-DPP negative
-    log-likelihood), split into its parts, and its exact gradient in a
-    ModelParams-shaped bundle. ``target_views`` is the binary (M, N) mask of
-    selected (view, step) pairs; the DPP target is the steps some view
-    selects. At lam = 0 the joint kernel is never built and ``dpp_nll`` is
-    nan; a target subset of zero probability raises NumericError."""
-    grads = _zero_grads(params)
-    parts = _loss(params, [(sequence, target_views)], lam, grads)
-    return parts[0], ModelParams(**grads)
-
-
 def batch_loss(
-    params: ModelParams, batch, lam: float = 1.0, with_grad: bool = True
-) -> tuple[list[LossParts], ModelParams | None]:
-    """Loss parts of every (sequence, target_views) in ``batch``, in order,
-    and the gradient of their sum (None without ``with_grad``). Each item's
-    parts and gradient are those of ``loss_and_grad`` / ``evaluate_loss``;
-    the batch runs in the groups of ``_groups``, one LSTM time loop per
-    group."""
-    grads = _zero_grads(params) if with_grad else None
+    params: ModelParams, examples, *, lam: float = 1.0, with_grad: bool = True
+) -> tuple[list[LossParts], np.ndarray | None]:
+    """The joint loss of each ``TrainingExample`` in ``examples``, in order:
+    binary cross-entropy plus lam times the joint DPP's negative
+    log-likelihood of ``ex.steps``, split into its parts; and the exact
+    gradient of their sum as one flat float64 vector in ``to_vector`` order
+    (None without ``with_grad``). The batch runs in the groups of
+    ``_groups``, one LSTM time loop per group, and each example's parts and
+    gradient are bitwise those it gets alone.
+
+    With the gradient, lam = 0 never builds the joint kernel and gives
+    ``dpp_nll`` nan, and a target subset of zero probability raises
+    NumericError. Without it (validation), the DPP term is evaluated even at
+    lam = 0, and a zero-probability target gives ``dpp_nll = +inf``."""
+    flat, grads = _zero_grads(params) if with_grad else (None, None)
     parts = []
-    for group in _groups(batch):
+    for group in _groups(examples):
         parts += _loss(params, group, lam, grads)
-    return parts, ModelParams(**grads) if with_grad else None
+    return parts, flat
 
 
-def _groups(batch):
-    """Split ``batch`` in order into runs of consecutive sequences of equal
-    length N holding at most _STACK_VIEWS views (M summed) each; a group
-    always holds at least one sequence. The cap bounds the stacked LSTM
-    cache, which lives until the group's backward pass."""
+def _groups(examples):
+    """Split ``examples`` in order into runs of consecutive sequences of
+    equal length N holding at most _STACK_VIEWS views (M summed) each; a
+    group always holds at least one sequence. The cap bounds the stacked
+    LSTM cache, which lives until the group's backward pass."""
     groups, views = [], 0
-    for item in batch:
-        sequence = item[0]
+    for ex in examples:
+        sequence = ex.sequence
         if (
             groups
-            and sequence.num_steps == groups[-1][0][0].num_steps
+            and sequence.num_steps == groups[-1][0].sequence.num_steps
             and views + sequence.num_views <= _STACK_VIEWS
         ):
-            groups[-1].append(item)
+            groups[-1].append(ex)
             views += sequence.num_views
         else:
-            groups.append([item])
+            groups.append([ex])
             views = sequence.num_views
     return groups
 
 
-def _zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+def _zero_grads(params: ModelParams) -> tuple[np.ndarray, dict]:
+    """One zeroed flat gradient buffer in ``to_vector`` order, and the views
+    of it shaped like each weight array (``_split``)."""
+    flat = np.zeros(params.count())
+    return flat, _split(params, flat)
 
 
 def _loss(params, group, lam, grads):
-    """The one loss path, over a group of (sequence, target_views) of equal
-    N: returns each sequence's LossParts and, when ``grads`` is a dict of
-    arrays, adds each sequence's gradient to it in turn, so that the sum's
-    bits do not depend on how the batch was grouped.
+    """The one loss path, over a group of TrainingExamples of equal N:
+    returns each sequence's LossParts and, when ``grads`` holds the views
+    ``_zero_grads`` made, adds each sequence's gradient to them in turn, so
+    that the sum's bits do not depend on how the batch was grouped.
 
     The views of all the group's sequences ride the batch axis of one LSTM
     forward and one backward. In between, each sequence in turn runs the
@@ -569,11 +527,9 @@ def _loss(params, group, lam, grads):
     with the heads' forward arrays. Without ``grads`` the gate and cell
     caches, which only the backward reads, are freed before the heads run.
     """
-    checked = []
-    for sequence, target_views in group:
-        _check_input_dim(params, sequence)
-        checked.append((sequence, *_check_targets(sequence, target_views)))
-    lstm = _stacked_lstm(params, [seq for seq, _, _ in checked])
+    for ex in group:
+        _check_input_dim(params, ex.sequence)
+    lstm = _stacked_lstm(params, [ex.sequence for ex in group])
     if grads is None:
         del lstm["gates"], lstm["cells"]
     batch_views, n, _ = lstm["x"].shape
@@ -581,12 +537,12 @@ def _loss(params, group, lam, grads):
     parts, columns = [], []
     grad_hidden = None
     start = 0
-    for sequence, y, steps in checked:
-        cols = slice(start, start + sequence.num_views)
+    for ex in group:
+        cols = slice(start, start + ex.sequence.num_views)
         columns.append(cols)
         start = cols.stop
         trace = _heads(params, lstm, cols)
-        part, dspatio = _sequence_loss(params, trace, y, steps, lam, grads)
+        part, dspatio = _sequence_loss(params, trace, ex, lam, grads)
         parts.append(part)
         del trace  # free this sequence's head arrays before the next one's
         if grads is None:
@@ -595,7 +551,7 @@ def _loss(params, group, lam, grads):
         if grad_hidden is None:
             grad_hidden = np.empty((n, 2, batch_views, h))
             # a lone view's zero second view (``_stacked_lstm``) gets none
-            grad_hidden[:, :, sum(seq.num_views for seq, _, _ in checked) :] = 0.0
+            grad_hidden[:, :, sum(ex.sequence.num_views for ex in group) :] = 0.0
         grad_hidden[:, 0, cols] = dspatio[:, :, d : d + h].swapaxes(0, 1)
         grad_hidden[:, 1, cols] = dspatio[:, ::-1, d + h :].swapaxes(0, 1)
         del dspatio
@@ -607,13 +563,14 @@ def _loss(params, group, lam, grads):
     return parts
 
 
-def _sequence_loss(params, trace, y, steps, lam, grads):
-    """One sequence's LossParts and, when ``grads`` is given, its head
+def _sequence_loss(params, trace, ex, lam, grads):
+    """One example's LossParts and, when ``grads`` is given, its head
     gradients added to ``grads`` and dLoss/d(spatiotemporal) as (M, N, D + 2H);
     otherwise (parts, None). The DPP term and its per-view gradients are one
     ``multi_dpp.multi_dpp_log_prob_and_grad`` call, the gradients then scaled
     by -lam. The backprop overwrites the trace's head activations, and each
     DPP array is dropped as soon as it is spent."""
+    y = ex.target_views
     m, n = y.shape
     d, h, dp = params.input_dim, params.hidden_size, params.output_dim
 
@@ -623,10 +580,10 @@ def _sequence_loss(params, trace, y, steps, lam, grads):
     grad_features = None  # at lam = 0 the feature head gets no gradient
     dpp_nll = math.nan
     if grads is None:
-        dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, steps)
+        dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, ex.steps)
     elif lam != 0.0:
         log_p, grad_features, grad_stream_q = multi_dpp.multi_dpp_log_prob_and_grad(
-            trace.streams, steps
+            trace.streams, ex.steps
         )
         dpp_nll = -log_p
         grad_features *= -lam

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AnnotationSet, MultiViewSequence, check_seed
+from .data_model import (
+    AnnotationSet, MultiViewSequence, SummaryBudget, check_seed, is_integer, is_real,
+)
 from .errors import ConfigError
 
 OVERLAP_MODES = ("independent", "pairwise", "full")
@@ -47,6 +49,12 @@ class SynthConfig:
     enforce_budget: bool = True
 
     def __post_init__(self):
+        for name in ("num_views", "num_steps", "feature_dim", "num_events",
+                     "event_length_min", "event_length_max"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not is_real(self.noise_sigma):
+            raise ConfigError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
         if min(self.num_views, self.num_steps, self.feature_dim) < 1:
             raise ConfigError("num_views, num_steps and feature_dim must be positive")
         if self.num_events < 0:
@@ -68,8 +76,7 @@ class SynthConfig:
             raise ConfigError(
                 f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
             )
-        if not (0 < self.budget_fraction <= 1):
-            raise ConfigError(f"budget_fraction must be in (0, 1], got {self.budget_fraction}")
+        SummaryBudget(self.budget_fraction)  # ConfigError unless a real in (0, 1]
         check_seed(self.seed)
 
 
@@ -151,7 +158,7 @@ def generate(config: SynthConfig) -> tuple[MultiViewSequence, AnnotationSet]:
             truth.extend((view, t) for t in range(start, end))
 
     if config.enforce_budget:
-        budget = math.ceil(config.budget_fraction * n)
+        budget = SummaryBudget(config.budget_fraction).frame_budget(n)
         if len(truth) > budget:
             raise ConfigError(
                 f"{len(truth)} ground-truth frames exceed the {budget}-frame budget; "

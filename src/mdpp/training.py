@@ -17,9 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import io
-from .data_model import MultiViewSequence, Summary, check_seed, is_integer, is_real
+from .data_model import MultiViewSequence, Summary, TrainingExample, check_seed, is_integer, is_real
 from .encoder import PARAM_FIELDS, LossParts, ModelParams, batch_loss, from_vector, to_vector
-from .errors import ConfigError, FormatError, NumericError, ValidationError
+from .errors import ConfigError, FormatError, NumericError
 
 # Adam's moment decay rates and denominator offset
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
@@ -80,25 +80,6 @@ def adam_step(
     v_hat = state.second_moment / (1 - _BETA2**state.step)
     vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
     return vec
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    """One sequence with its supervision targets: the binary (M, N) mask of
-    selected (view, step) pairs."""
-
-    sequence: MultiViewSequence
-    target_views: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.target_views, dtype=np.uint8)
-        if y.shape != (self.sequence.num_views, self.sequence.num_steps):
-            raise ValidationError(
-                f"target_views shape {y.shape} does not match sequence "
-                f"({self.sequence.num_views}, {self.sequence.num_steps})"
-            )
-        y.flags.writeable = False
-        object.__setattr__(self, "target_views", y)
 
 
 def targets_from_summary(sequence: MultiViewSequence, summary: Summary) -> TrainingExample:
@@ -166,17 +147,13 @@ def _mean_parts(parts: Sequence[LossParts]) -> LossParts:
     )
 
 
-def _items(examples):
-    return [(ex.sequence, ex.target_views) for ex in examples]
-
-
-def _batch_loss_and_grad(params, examples, config):
-    parts, grad = batch_loss(params, _items(examples), lam=config.lam)
-    return _mean_parts(parts), to_vector(grad) / len(examples)
+def _batch_mean(params, examples, config):
+    parts, grad = batch_loss(params, examples, lam=config.lam)
+    return _mean_parts(parts), grad / len(examples)
 
 
 def _val_loss(params, examples, config):
-    parts, _ = batch_loss(params, _items(examples), lam=config.lam, with_grad=False)
+    parts, _ = batch_loss(params, examples, lam=config.lam, with_grad=False)
     return _mean_parts(parts)
 
 
@@ -238,7 +215,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = [train_examples[j] for j in order[start : start + config.batch_size]]
             params = from_vector(initial, vec)
-            loss, grad = _batch_loss_and_grad(params, batch, config)
+            loss, grad = _batch_mean(params, batch, config)
             batch_losses.append(loss)
             grad_norms.append(float(np.linalg.norm(grad)))
             vec = adam_step(state, vec, grad, config)

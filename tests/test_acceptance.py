@@ -4,22 +4,24 @@ The end-to-end criteria train real models on a synthetic corpus; the whole
 file is budgeted to run well under ten minutes on a desktop CPU.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
 
 from mdpp import bruteforce, dpp, evaluation, multi_dpp, summarizer, training
-from mdpp.data_model import AnnotationSet, MultiViewSequence, ShotList, Summary, SummaryBudget
-from mdpp.dpp import DppKernel
-from mdpp.encoder import (
-    evaluate_loss,
-    from_vector,
-    init_params,
-    loss_and_grad,
-    param_count,
-    to_vector,
+from mdpp.bruteforce import param_count
+from mdpp.data_model import (
+    AnnotationSet,
+    MultiViewSequence,
+    ShotList,
+    Summary,
+    SummaryBudget,
+    TrainingExample,
 )
+from mdpp.dpp import DppKernel
+from mdpp.encoder import batch_loss, forward, from_vector, init_params, to_vector
 from mdpp.evaluation import frame_f1, oracle_summary, pairwise_consensus, tolerant_f1
 from mdpp.multi_dpp import ViewStreams
 from mdpp.summarizer import knapsack_shots
@@ -34,6 +36,15 @@ def _report(capsys, number, name, ok, detail):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
+
+
+def _loss_and_grad(params, example, lam):
+    parts, grad = batch_loss(params, [example], lam=lam)
+    return parts[0], grad
+
+
+def _evaluate_loss(params, example, lam):
+    return batch_loss(params, [example], lam=lam, with_grad=False)[0][0]
 
 
 def test_criterion_1_dpp_normalization(capsys):
@@ -92,16 +103,16 @@ def test_criterion_3_gradient_fidelity(capsys):
     )
     y = np.zeros((2, 6), dtype=np.uint8)
     y[0, 1] = y[1, 1] = y[1, 4] = 1
+    ex = TrainingExample(seq, y)
 
-    _, grad_joint = loss_and_grad(params, seq, y, lam=1.0)
-    _, grad_bce = loss_and_grad(params, seq, y, lam=0.0)
-    joint_vec, bce_vec = to_vector(grad_joint), to_vector(grad_bce)
+    _, joint_vec = _loss_and_grad(params, ex, lam=1.0)
+    _, bce_vec = _loss_and_grad(params, ex, lam=0.0)
     dpp_vec = joint_vec - bce_vec
 
     losses = {
-        "bce": (lambda p: evaluate_loss(p, seq, y, lam=0.0).total, bce_vec),
-        "dpp": (lambda p: evaluate_loss(p, seq, y, lam=1.0).dpp_nll, dpp_vec),
-        "joint": (lambda p: evaluate_loss(p, seq, y, lam=1.0).total, joint_vec),
+        "bce": (lambda p: _evaluate_loss(p, ex, lam=0.0).total, bce_vec),
+        "dpp": (lambda p: _evaluate_loss(p, ex, lam=1.0).dpp_nll, dpp_vec),
+        "joint": (lambda p: _evaluate_loss(p, ex, lam=1.0).total, joint_vec),
     }
     h = 1e-5
     vec = to_vector(params)
@@ -134,8 +145,8 @@ def test_criterion_4_parameter_count_invariance(capsys):
         y = np.zeros((m, 5), dtype=np.uint8)
         y[:, 1] = 1
         y[0, 3] = 1
-        _, grad = loss_and_grad(params, seq, y, lam=1.0)
-        counts[m] = grad.count()
+        _, grad = _loss_and_grad(params, TrainingExample(seq, y), lam=1.0)
+        counts[m] = grad.size
     ok = set(counts.values()) == {param_count(d, hidden, dprime)} == {372}
     _report(capsys, 4, "parameter count identical for M in {1,2,3,5}",
             ok, f"counts {sorted(set(counts.values()))}")
@@ -311,12 +322,31 @@ def _mean_test_f1(params, test_pairs):
     return float(np.mean(scores))
 
 
+def _ranked_f1(params, test_pairs):
+    """Mean test F1 of the top SummaryBudget().frame_budget(N) (view, t)
+    pairs by quality score, without KTS: unlike the knapsack F1 at this
+    protocol, it depends on the weights."""
+    scores = []
+    for sequence, gt in test_pairs:
+        quality = forward(params, sequence).streams.quality
+        k = SummaryBudget().frame_budget(sequence.num_steps)
+        top = np.argsort(-quality.ravel(), kind="stable")[:k]
+        picked = Summary(selections=tuple(divmod(int(i), sequence.num_steps) for i in top))
+        scores.append(frame_f1(picked, gt)[2])
+    return float(np.mean(scores))
+
+
+def _untrained_params():
+    return init_params(16, hidden_size=16, output_dim=64, seed=BASE_SEED)
+
+
 def _train_and_score(lam):
+    """(knapsack F1, ranked F1, trained-weight digest, test pairs)."""
     collections, plan, test_pairs = _build_corpus()
-    initial = init_params(16, hidden_size=16, output_dim=64, seed=BASE_SEED)
     config = TrainConfig(seed=BASE_SEED, lam=lam)
-    result = training.train(initial, collections, plan, config)
-    return _mean_test_f1(result.params, test_pairs), test_pairs
+    params = training.train(_untrained_params(), collections, plan, config).params
+    digest = hashlib.sha256(to_vector(params).tobytes()).hexdigest()
+    return _mean_test_f1(params, test_pairs), _ranked_f1(params, test_pairs), digest, test_pairs
 
 
 def _full_model_f1():
@@ -327,22 +357,30 @@ def _full_model_f1():
 
 def test_criterion_8_end_to_end_directional(capsys):
     started = time.monotonic()
-    full_f1, test_pairs = _full_model_f1()
-    ce_f1, _ = _train_and_score(lam=0.0)
+    full_f1, full_ranked, _, test_pairs = _full_model_f1()
+    ce_f1, ce_ranked, _, _ = _train_and_score(lam=0.0)
+    untrained_ranked = _ranked_f1(_untrained_params(), test_pairs)
     random_scores = []
     for i, (sequence, gt) in enumerate(test_pairs):
         predicted = summarizer.baseline_random(sequence, SummaryBudget(), seed=BASE_SEED + i)
         random_scores.append(frame_f1(predicted, gt)[2])
     random_f1 = float(np.mean(random_scores))
     elapsed = time.monotonic() - started
-    ok = full_f1 >= 2.0 * random_f1 and full_f1 >= ce_f1 - 0.02 and elapsed < 600.0
-    _report(capsys, 8, "trained model beats random 2x and CE-only within slack",
-            ok, f"full {full_f1:.4f}, ce-only {ce_f1:.4f}, random {random_f1:.4f}, {elapsed:.0f}s")
+    ok = (
+        full_f1 >= 2.0 * random_f1 and full_f1 >= ce_f1 - 0.02
+        and full_ranked > untrained_ranked and elapsed < 600.0
+    )
+    _report(capsys, 8,
+            "trained model beats random 2x and CE-only within slack, and untrained weights "
+            "in ranked F1",
+            ok, f"full {full_f1:.4f}, ce-only {ce_f1:.4f}, random {random_f1:.4f}; ranked "
+            f"full {full_ranked:.4f}, ce-only {ce_ranked:.4f}, untrained {untrained_ranked:.4f}; "
+            f"{elapsed:.0f}s")
 
 
 def test_criterion_9_determinism(capsys):
-    first, _ = _full_model_f1()
-    repeat, _ = _train_and_score(lam=1.0)  # full rebuild, same seeds
-    ok = f"{first:.4f}" == f"{repeat:.4f}"
-    _report(capsys, 9, "same-seed rerun reproduces the printed F1",
-            ok, f"{first:.4f} vs {repeat:.4f}")
+    first, _, first_digest, _ = _full_model_f1()
+    repeat, _, repeat_digest, _ = _train_and_score(lam=1.0)  # full rebuild, same seeds
+    ok = f"{first:.4f}" == f"{repeat:.4f}" and first_digest == repeat_digest
+    _report(capsys, 9, "same-seed rerun reproduces the printed F1 and the weights bitwise",
+            ok, f"{first:.4f} vs {repeat:.4f}, weights {first_digest[:16]} vs {repeat_digest[:16]}")

@@ -7,6 +7,7 @@ from mdpp.data_model import (
     ShotList,
     Summary,
     SummaryBudget,
+    TrainingExample,
 )
 from mdpp.errors import ConfigError, DataError, ValidationError
 
@@ -127,3 +128,15 @@ def test_seeds_must_be_non_negative_integers(seed):
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             make()
     assert training.TrainConfig(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("value", [0.5, 1.5, 2, -1, -1.0, np.nan])
+def test_training_example_rejects_non_binary_masks(value):
+    # checked before any cast: 0.5 must not become 0, nor -1 overflow uint8
+    y = np.zeros((2, 5), dtype=np.asarray(value).dtype)
+    y[1, 3] = value
+    with pytest.raises(ValidationError, match="binary"):
+        TrainingExample(sequence=_sequence(), target_views=y)
+    y[1, 3] = 1
+    ex = TrainingExample(sequence=_sequence(), target_views=y)
+    assert ex.target_views.dtype == np.uint8 and ex.steps == (3,)

@@ -18,10 +18,9 @@ def test_kernel_renormalizes_columns():
 def test_kernel_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5, 1.5]))
-    with pytest.raises(ValidationError):
-        DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5, 1.0 + 1e-12]))
+    for bad in (1.5, 1.0 + 1e-12, -3.0, -1e-12):
+        with pytest.raises(ValidationError, match="must lie in"):
+            DppKernel(phi=np.eye(3), q=np.array([0.5, 0.5, bad]))
     with pytest.raises(DataError, match="column 0 is all zero"):
         DppKernel(phi=np.zeros((3, 2)), q=np.array([0.5, 0.5]))
     phi = np.eye(2)

@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 
 from mdpp import bruteforce, encoder
-from mdpp.data_model import MultiViewSequence
-from mdpp.encoder import (
-    ModelParams,
-    evaluate_loss,
-    forward,
-    from_vector,
-    init_params,
-    loss_and_grad,
-    param_count,
-    to_vector,
-)
+from mdpp.bruteforce import param_count
+from mdpp.data_model import MultiViewSequence, TrainingExample
+from mdpp.encoder import ModelParams, forward, from_vector, init_params, to_vector
 from mdpp.errors import ConfigError, NumericError, ShapeError, ValidationError
 
 
@@ -33,6 +25,17 @@ def _targets(rng, m, n, steps):
     return y
 
 
+def _loss_and_grad(params, seq, y, *, lam=1.0):
+    """One sequence's loss parts and flat gradient."""
+    parts, grad = encoder.batch_loss(params, [TrainingExample(seq, y)], lam=lam)
+    return parts[0], grad
+
+
+def _evaluate_loss(params, seq, y, *, lam=1.0):
+    """One sequence's loss parts, without the gradient."""
+    return encoder.batch_loss(params, [TrainingExample(seq, y)], lam=lam, with_grad=False)[0][0]
+
+
 def test_param_count_closed_form():
     assert param_count(3, 4, 3) == 372
     assert param_count(2, 3, 2) == 210
@@ -46,8 +49,8 @@ def test_param_count_independent_of_views():
     for m in (1, 2, 3):
         seq = _sequence(rng, m, 5, 3)
         y = _targets(rng, m, 5, (1, 3))
-        _, grad = loss_and_grad(params, seq, y)
-        counts.add(grad.count())
+        _, grad = _loss_and_grad(params, seq, y)
+        counts.add(grad.size)
     assert counts == {372}
 
 
@@ -153,18 +156,19 @@ def test_target_validation():
     params = init_params(3, hidden_size=4, output_dim=4)
     seq = _sequence(rng, 2, 5, 3)
     with pytest.raises(ValidationError):
-        loss_and_grad(params, seq, np.zeros((2, 4), dtype=int))
+        _loss_and_grad(params, seq, np.zeros((2, 4), dtype=int))
     bad = np.zeros((2, 5), dtype=int)
     bad[0, 1] = 2
     with pytest.raises(ValidationError):
-        loss_and_grad(params, seq, bad)
+        _loss_and_grad(params, seq, bad)
     y = np.zeros((2, 5), dtype=int)
     y[0, 1] = 1
-    # lam is keyword-only: a positional step list is not read as lam
+    # lam and with_grad are keyword-only: a positional step list is not read as lam
+    examples = [TrainingExample(seq, y)]
     with pytest.raises(TypeError):
-        loss_and_grad(params, seq, y, (1,))
+        encoder.batch_loss(params, examples, (1,))
     with pytest.raises(TypeError):
-        evaluate_loss(params, seq, y, (1,))
+        encoder.batch_loss(params, examples, 1.0, False)
 
 
 def test_loss_matches_evaluate_loss():
@@ -173,8 +177,8 @@ def test_loss_matches_evaluate_loss():
     seq = _sequence(rng, 2, 6, 3)
     y = _targets(rng, 2, 6, (0, 4))
     for lam in (0.0, 1.0, 0.5):
-        loss, _ = loss_and_grad(params, seq, y, lam=lam)
-        parts = evaluate_loss(params, seq, y, lam=lam)
+        loss, _ = _loss_and_grad(params, seq, y, lam=lam)
+        parts = _evaluate_loss(params, seq, y, lam=lam)
         assert loss.total == pytest.approx(parts.total, rel=1e-12)
         assert parts.total == pytest.approx(parts.bce + lam * parts.dpp_nll, rel=1e-12)
 
@@ -185,20 +189,19 @@ def test_zero_probability_target_raises():
     seq = _sequence(rng, 1, 6, 3)
     y = np.ones((1, 6), dtype=int)  # 6 target steps, rank at most output_dim=2
     with pytest.raises(NumericError):
-        loss_and_grad(params, seq, y)
+        _loss_and_grad(params, seq, y)
 
 
 def _max_rel_err(params, seq, y, h=1e-5, **loss_kwargs):
-    _, grad = loss_and_grad(params, seq, y, **loss_kwargs)
-    gvec = to_vector(grad)
+    _, gvec = _loss_and_grad(params, seq, y, **loss_kwargs)
     vec = to_vector(params)
     worst = 0.0
     for i in range(vec.size):
         plus, minus = vec.copy(), vec.copy()
         plus[i] += h
         minus[i] -= h
-        lp = evaluate_loss(from_vector(params, plus), seq, y, **loss_kwargs).total
-        lm = evaluate_loss(from_vector(params, minus), seq, y, **loss_kwargs).total
+        lp = _evaluate_loss(from_vector(params, plus), seq, y, **loss_kwargs).total
+        lm = _evaluate_loss(from_vector(params, minus), seq, y, **loss_kwargs).total
         fd = (lp - lm) / (2 * h)
         worst = max(worst, abs(fd - gvec[i]) / max(abs(fd), abs(gvec[i]), 1e-3))
     return worst
@@ -357,11 +360,14 @@ def test_encoder_check_fails_when_sequences_read_the_first_columns(monkeypatch):
 
 
 def _shapes(groups):
-    return [[(seq.num_views, seq.num_steps) for seq, _ in group] for group in groups]
+    return [[(ex.sequence.num_views, ex.sequence.num_steps) for ex in group] for group in groups]
 
 
 def _items(shapes):
-    return [(MultiViewSequence("s", np.zeros((m, n, 1), dtype=np.float32)), None) for m, n in shapes]
+    return [
+        TrainingExample(MultiViewSequence("s", np.zeros((m, n, 1), dtype=np.float32)), np.zeros((m, n)))
+        for m, n in shapes
+    ]
 
 
 def test_groups_split_where_length_changes():
@@ -385,20 +391,20 @@ def test_groups_hold_at_most_the_view_cap():
 
 def test_pair_is_bitwise_its_sequences_run_alone():
     # each sequence's LSTM weight gradient is summed over its own views, so
-    # a pair's parts and summed gradient are those of two loss_and_grad calls
+    # a pair's parts and summed gradient are those of two one-example batch_loss calls
     rng = np.random.default_rng(19)
     params = init_params(16, hidden_size=16, output_dim=64, seed=5)
     pair = [
-        (_sequence(rng, 3, 600, 16), _targets(rng, 3, 600, rng.choice(600, 20, replace=False)))
+        TrainingExample(
+            _sequence(rng, 3, 600, 16), _targets(rng, 3, 600, rng.choice(600, 20, replace=False))
+        )
         for _ in range(2)
     ]
-    grads = encoder._zero_grads(params)
+    flat, grads = encoder._zero_grads(params)
     parts = encoder._loss(params, pair, 1.0, grads)
-    alone = [loss_and_grad(params, *item, lam=1.0) for item in pair]
-    assert parts == [part for part, _ in alone]
-    ref = dict(alone[0][1].named_arrays())
-    for name, arr in alone[1][1].named_arrays():
-        np.testing.assert_array_equal(grads[name], ref[name] + arr, err_msg=name)
+    alone = [encoder.batch_loss(params, [ex], lam=1.0) for ex in pair]
+    assert parts == [part for [part], _ in alone]
+    np.testing.assert_array_equal(flat, alone[0][1] + alone[1][1])
 
 
 def test_lstm_backward_holds_at_most_two_blocks():
@@ -430,16 +436,19 @@ def test_batch_loss_matches_per_sequence_calls():
     batch = []
     for m, n in ((2, 6), (1, 6), (3, 6), (2, 9), (1, 6)):
         steps = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
-        batch.append((_sequence(rng, m, n, 3), _targets(rng, m, n, steps)))
+        batch.append(TrainingExample(_sequence(rng, m, n, 3), _targets(rng, m, n, steps)))
     for lam in (0.0, 1.0):
         parts, grad = encoder.batch_loss(params, batch, lam=lam)
-        alone = [loss_and_grad(params, *item, lam=lam) for item in batch]
+        alone = [encoder.batch_loss(params, [ex], lam=lam) for ex in batch]
         # bitwise: every sequence's gradient is summed on its own
-        assert [(p.total, p.bce) for p in parts] == [(p.total, p.bce) for p, _ in alone]
-        np.testing.assert_array_equal(to_vector(grad), sum(to_vector(g) for _, g in alone))
+        assert [(p.total, p.bce) for p in parts] == [(p.total, p.bce) for [p], _ in alone]
+        assert grad.dtype == np.float64 and grad.shape == (params.count(),)
+        np.testing.assert_array_equal(grad, sum(g for _, g in alone))
         val, none = encoder.batch_loss(params, batch, lam=lam, with_grad=False)
         assert none is None
-        assert val == [evaluate_loss(params, *item, lam=lam) for item in batch]
+        assert val == [
+            encoder.batch_loss(params, [ex], lam=lam, with_grad=False)[0][0] for ex in batch
+        ]
 
 
 @pytest.mark.parametrize("n", [50, 300])
@@ -469,8 +478,8 @@ def test_lone_view_gradient_matches_finite_differences():
 def test_zero_probability_target_in_a_group_raises_with_rank_hint():
     rng = np.random.default_rng(5)
     params = init_params(3, hidden_size=4, output_dim=2, seed=0)
-    first = (_sequence(rng, 1, 6, 3), _targets(rng, 1, 6, (2,)))
-    second = (_sequence(rng, 1, 6, 3), np.ones((1, 6), dtype=int))
+    first = TrainingExample(_sequence(rng, 1, 6, 3), _targets(rng, 1, 6, (2,)))
+    second = TrainingExample(_sequence(rng, 1, 6, 3), np.ones((1, 6), dtype=int))
     assert len(encoder._groups([first, second])) == 1
     with pytest.raises(NumericError, match="output_dim=2"):
         encoder.batch_loss(params, [first, second])
@@ -482,11 +491,11 @@ def test_loss_parts_at_lam_zero():
     params = init_params(3, hidden_size=4, output_dim=4, seed=3)
     seq = _sequence(rng, 2, 6, 3)
     y = _targets(rng, 2, 6, (1, 4))
-    parts, _ = loss_and_grad(params, seq, y, lam=0.0)
+    parts, _ = _loss_and_grad(params, seq, y, lam=0.0)
     assert np.isnan(parts.dpp_nll) and parts.total == parts.bce
-    val = evaluate_loss(params, seq, y, lam=0.0)
+    val = _evaluate_loss(params, seq, y, lam=0.0)
     assert np.isfinite(val.dpp_nll) and val.total == val.bce == parts.bce
-    joint, _ = loss_and_grad(params, seq, y, lam=1.0)
+    joint, _ = _loss_and_grad(params, seq, y, lam=1.0)
     assert joint.dpp_nll == pytest.approx(val.dpp_nll, rel=1e-12)
 
 
@@ -497,7 +506,7 @@ def test_bce_is_zero_where_scores_saturate_at_the_target(qual_b2, target):
     params = init_params(3, hidden_size=4, output_dim=4, seed=5)
     params = dataclasses.replace(params, qual_b2=np.full_like(params.qual_b2, qual_b2))
     seq = _sequence(rng, 2, 6, 3)
-    parts = evaluate_loss(params, seq, np.full((2, 6), target), lam=0.0)
+    parts = _evaluate_loss(params, seq, np.full((2, 6), target), lam=0.0)
     assert parts.bce == 0.0
 
 
@@ -506,10 +515,10 @@ def test_evaluate_loss_gives_inf_for_zero_probability_target():
     params = init_params(3, hidden_size=4, output_dim=2, seed=0)
     seq = _sequence(rng, 1, 6, 3)
     y = np.ones((1, 6), dtype=int)  # 6 target steps, rank at most output_dim=2
-    parts = evaluate_loss(params, seq, y)
+    parts = _evaluate_loss(params, seq, y)
     assert parts.dpp_nll == np.inf and parts.total == np.inf
     with pytest.raises(NumericError, match="output_dim=2"):
-        loss_and_grad(params, seq, y)
+        _loss_and_grad(params, seq, y)
 
 
 def test_params_are_the_weight_arrays_alone():

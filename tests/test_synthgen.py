@@ -106,6 +106,12 @@ def test_config_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="finite"):
             _config(noise_sigma=value)
+    for field, value in (
+        ("num_views", True), ("num_steps", 30.5), ("num_events", 1.5),
+        ("noise_sigma", "0.1"), ("budget_fraction", None),
+    ):
+        with pytest.raises(ConfigError, match="integer|real number"):
+            _config(**{field: value})
 
 
 def test_no_events_gives_pure_background():

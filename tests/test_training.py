@@ -5,9 +5,9 @@ import platform
 import numpy as np
 import pytest
 
-from mdpp import synth, training
+from mdpp import encoder, synth, training
 from mdpp.data_model import MultiViewSequence, Summary
-from mdpp.encoder import init_params, loss_and_grad, to_vector
+from mdpp.encoder import batch_loss, init_params, to_vector
 from mdpp.errors import ConfigError, NumericError, ValidationError
 from mdpp.training import (
     AdamState,
@@ -130,6 +130,7 @@ def test_targets_from_summary():
     assert np.flatnonzero(ex.target_views.any(axis=0)).tolist() == [1, 4]
     assert ex.target_views[0, 1] == 1 and ex.target_views[1, 4] == 1
     assert ex.target_views.sum() == 3
+    assert ex.steps == (1, 4)
 
 
 def _collections(seed=0):
@@ -164,14 +165,11 @@ def test_batch_loss_is_the_mean_over_examples():
     examples = [_example(rng) for _ in range(5)]
     params = init_params(4, hidden_size=3, output_dim=4, seed=1)
     config = TrainConfig(lam=0.5)
-    loss, grad = training._batch_loss_and_grad(params, examples, config)
-    alone = [
-        loss_and_grad(params, ex.sequence, ex.target_views, lam=0.5)
-        for ex in examples
-    ]
-    assert loss.total == pytest.approx(np.mean([p.total for p, _ in alone]), rel=1e-12)
-    assert loss.dpp_nll == pytest.approx(np.mean([p.dpp_nll for p, _ in alone]), rel=1e-12)
-    mean_grad = np.mean([to_vector(g) for _, g in alone], axis=0)
+    loss, grad = training._batch_mean(params, examples, config)
+    alone = [batch_loss(params, [ex], lam=0.5) for ex in examples]
+    assert loss.total == pytest.approx(np.mean([p.total for [p], _ in alone]), rel=1e-12)
+    assert loss.dpp_nll == pytest.approx(np.mean([p.dpp_nll for [p], _ in alone]), rel=1e-12)
+    mean_grad = np.mean([g for _, g in alone], axis=0)
     np.testing.assert_allclose(grad, mean_grad, rtol=0, atol=1e-12 * np.abs(mean_grad).max())
     val = training._val_loss(params, examples, config)
     assert val.total == pytest.approx(loss.total, rel=1e-12)
@@ -204,6 +202,27 @@ def test_train_rejects_bad_plans():
         train(initial, collections,
               SplitPlan(train_collections=(), val_collection="c1", test_collection="c2"),
               config)
+
+
+def test_nan_gradient_stops_train_at_adam_with_its_flat_index(monkeypatch):
+    # the gradient is one flat vector, not weights: a nan in qual_b2, the
+    # last weight, reaches adam_step, which names its flat index
+    original = encoder._sequence_loss
+
+    def poisoned(*args):
+        out = original(*args)
+        grads = args[-1]
+        if grads is not None:
+            grads["qual_b2"][0] = np.nan
+        return out
+
+    monkeypatch.setattr(encoder, "_sequence_loss", poisoned)
+    collections = _collections()
+    plan = round_robin_splits(sorted(collections))[0]
+    initial = init_params(4, hidden_size=3, output_dim=4, seed=5)
+    index = initial.count() - 1
+    with pytest.raises(NumericError, match=f"non-finite gradient at flat index {index} on Adam step 1"):
+        train(initial, collections, plan, TrainConfig(iterations=1, seed=5))
 
 
 def _synth_training_args(num_steps=600):
