@@ -35,7 +35,7 @@ def check_seed(seed) -> int:
     return seed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiViewSequence:
     """M temporally aligned views of N time-steps with D-dim features each.
 
@@ -77,7 +77,7 @@ class MultiViewSequence:
         return self.features[m]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingExample:
     """One sequence with its supervision targets, checked once, here.
 
@@ -172,7 +172,10 @@ class Summary:
             raise ValidationError(
                 f"budget_fraction must be a real number in (0, 1], got {self.budget_fraction!r}"
             )
-        sels = sorted({(int(v), int(t)) for v, t in self.selections}, key=lambda p: (p[1], p[0]))
+        pairs = tuple(self.selections)
+        if not all(is_integer(v) and is_integer(t) for v, t in pairs):
+            raise ValidationError(f"selection indices must be integers, got {pairs!r}")
+        sels = sorted({(int(v), int(t)) for v, t in pairs}, key=lambda p: (p[1], p[0]))
         for v, t in sels:
             if v < 0 or t < 0:
                 raise ValidationError(f"negative selection index ({v}, {t})")
@@ -204,7 +207,10 @@ class ShotList:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        bounds = tuple(int(b) for b in self.boundaries)
+        bounds = tuple(self.boundaries)
+        if not all(is_integer(b) for b in bounds):
+            raise ValidationError(f"boundaries must be integers, got {bounds!r}")
+        bounds = tuple(int(b) for b in bounds)
         if not bounds:
             raise ValidationError("a shot list needs at least one boundary")
         prev = 0

@@ -33,7 +33,7 @@ _GAIN_TIE_TOL = 1e-12  # greedy gains closer than this count as tied
 _SINGULAR_TOL = 1e-10  # greedy residual at most this times L_jj: item j is singular
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DppKernel:
     """Decomposed DPP kernel over a ground set of N items: the one place a
     kernel's columns are normalized and its qualities clamped.

@@ -89,7 +89,7 @@ PARAM_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """All trainable weights, and nothing else. Both heads use a hidden layer
     of width H.
@@ -360,7 +360,7 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
     ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardTrace:
     """The heads' activations for one sequence, enough for their backprop.
 

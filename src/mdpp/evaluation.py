@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import AnnotationSet, MultiViewSequence, ShotList, Summary, SummaryBudget
+from .data_model import AnnotationSet, MultiViewSequence, ShotList, Summary, SummaryBudget, is_real
 from .errors import ValidationError
 
 Selection = tuple[int, int]
@@ -68,8 +68,9 @@ def tolerant_f1(
 def _tolerant_sweep(predicted, truth, sequence, taus) -> list[float]:
     """``tolerant_f1`` at every tau of ``taus``. The distances are computed
     once; each tau only compares them with 2*tau."""
-    if any(tau < 0 for tau in taus):
-        raise ValidationError(f"tau must be non-negative, got {min(taus)}")
+    for tau in taus:
+        if not is_real(tau) or not tau >= 0.0:  # nan fails the comparison
+            raise ValidationError(f"tau must be a non-negative real number, got {tau!r}")
     if not truth.selections:
         raise ValidationError("truth summary is empty; recall is undefined")
     if not predicted.selections:

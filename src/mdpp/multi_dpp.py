@@ -18,7 +18,7 @@ from .dpp import DppKernel
 from .errors import DataError, NumericError, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewStreams:
     """Per-view encoder outputs over a shared timeline.
 
@@ -71,14 +71,14 @@ def multi_dpp_log_prob_and_grad(
     """log P(y) under the joint kernel and its gradients with respect to the
     per-view features (M, N, D') and qualities (M, N).
 
-    Max-pooling sends each dimension's gradient to the winning view; L2
-    renormalization contributes the usual tangent projection; the quality
-    product distributes multiplicatively, gated to zero where its clamp was
-    active: at or below QUALITY_FLOOR, where any view at or below the floor
-    puts it (every score is positive where the gate is open). The kernel is
-    freed before the per-view gradient is allocated. A zero-probability
-    subset raises NumericError, naming D' (the kernel's rank bound) when the
-    subset is larger.
+    Max-pooling sends each dimension's gradient to the winning view, as a
+    product with the win mask (so a losing view's entry can be -0.0); L2
+    renormalization adds the usual tangent projection; the quality product
+    distributes multiplicatively, gated to zero where its clamp was active:
+    at or below QUALITY_FLOOR, where any view at or below the floor puts it
+    (every score is positive where the gate is open). The kernel is freed
+    before the per-view gradient is allocated. A zero-probability subset
+    raises NumericError, naming D' (the kernel's rank bound) when larger.
     """
     kernel, argmax_views, norms, raw_quality = _joint_kernel(streams)
     m, n, dprime = streams.features.shape
@@ -98,9 +98,9 @@ def multi_dpp_log_prob_and_grad(
     grad_pooled /= norms
     del kernel, phi
 
-    grad_features = np.zeros((m, n, dprime))
+    grad_features = np.empty((m, n, dprime))
     for view in range(m):
-        np.copyto(grad_features[view], grad_pooled.T, where=argmax_views == view)
+        np.multiply(grad_pooled.T, argmax_views == view, out=grad_features[view])
 
     passthrough = raw_quality > dpp.QUALITY_FLOOR
     gated = np.where(passthrough, grad_q * raw_quality, 0.0)
@@ -111,17 +111,19 @@ def multi_dpp_log_prob_and_grad(
 
 def _joint_kernel(streams: ViewStreams):
     """The joint kernel and the provenance its gradient routes through:
-    (kernel, argmax_views (N, D'), the pooled columns' norms (N,), the
-    quality product before the clamp (N,)). Max-pooling records the winning
-    view per (step, dimension); the strict ``>`` hands a tie to the first
-    view, as ``argmax`` does. DppKernel normalizes the pooled columns and
-    clamps the product; the norms are taken with the same call it uses."""
+    (kernel, argmax_views (N, D'), the pooled columns' norms (N,) by the
+    call DppKernel normalizes with, the quality product before its clamp
+    (N,)). Pooling records the winning view per (step, dimension) without
+    branches: each view's strict ``>`` win is folded in by a maximum, in
+    view order, so a tie goes to the first view, as ``argmax`` does."""
     features = streams.features
     pooled = features[0].copy()
     # (N, D'), in the smallest integer type that holds a view index
     argmax_views = np.zeros(pooled.shape, dtype=np.min_scalar_type(features.shape[0] - 1))
+    wins = np.empty_like(argmax_views)
     for view in range(1, features.shape[0]):
-        np.copyto(argmax_views, view, where=features[view] > pooled)
+        np.multiply(features[view] > pooled, wins.dtype.type(view), out=wins)
+        np.maximum(argmax_views, wins, out=argmax_views)
         np.maximum(pooled, features[view], out=pooled)
     pooled = pooled.T  # (D', N)
     norms = np.linalg.norm(pooled, axis=0)

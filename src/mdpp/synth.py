@@ -55,6 +55,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not is_real(self.noise_sigma):
             raise ConfigError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
+        if not isinstance(self.enforce_budget, bool):
+            raise ConfigError(f"enforce_budget must be a bool, got {self.enforce_budget!r}")
         if min(self.num_views, self.num_steps, self.feature_dim) < 1:
             raise ConfigError("num_views, num_steps and feature_dim must be positive")
         if self.num_events < 0:

@@ -53,7 +53,7 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdpp import dpp, encoder, multi_dpp, training
 from mdpp.data_model import (
     AnnotationSet,
     MultiViewSequence,
@@ -82,6 +83,16 @@ def test_summary_rejects_bad_budget_fraction(fraction):
         Summary(selections=((0, 1),), budget_fraction=fraction)
 
 
+@pytest.mark.parametrize("pair", [(0.5, 1), (0, 1.0), (True, 1), (0, False), ("0", 1)])
+def test_summary_rejects_non_integer_indices(pair):
+    with pytest.raises(ValidationError, match="selection indices must be integers"):
+        Summary(selections=((0, 2), pair))
+
+
+def test_summary_accepts_numpy_integer_indices():
+    assert Summary(selections=((np.int64(1), np.uint16(2)),)).selections == ((1, 2),)
+
+
 def test_summary_frame_mask_bounds():
     with pytest.raises(ValidationError):
         Summary(selections=((0, 5),)).frame_mask(1, 5)
@@ -100,6 +111,10 @@ def test_shot_list_rejects_bad_boundaries():
         ShotList(boundaries=(5, 5, 10))
     with pytest.raises(ValidationError):
         ShotList(boundaries=())
+    for bounds in ((True, 3), (2.0, 3), (2, 3.5), ("2", 3)):
+        with pytest.raises(ValidationError, match="boundaries must be integers"):
+            ShotList(boundaries=bounds)
+    assert ShotList(boundaries=(np.int64(2), np.uint8(3))).boundaries == (2, 3)
 
 
 def test_budget_frame_count():
@@ -140,3 +155,24 @@ def test_training_example_rejects_non_binary_masks(value):
     y[1, 3] = 1
     ex = TrainingExample(sequence=_sequence(), target_views=y)
     assert ex.target_views.dtype == np.uint8 and ex.steps == (3,)
+
+
+def test_array_holding_types_compare_by_identity():
+    # a field-wise == would compare arrays and raise "truth value of an
+    # array ... is ambiguous"; these types compare by identity instead
+    def sequence():
+        return MultiViewSequence("s", np.zeros((2, 3, 1)))
+
+    makers = (
+        sequence,
+        lambda: TrainingExample(sequence(), np.zeros((2, 3))),
+        lambda: multi_dpp.ViewStreams(np.ones((2, 3, 2)), np.full((2, 3), 0.5)),
+        lambda: dpp.DppKernel(phi=np.ones((2, 3)), q=np.full(3, 0.5)),
+        lambda: encoder.init_params(1, hidden_size=2, output_dim=2),
+        lambda: encoder.forward(encoder.init_params(1, hidden_size=2, output_dim=2), sequence()),
+        lambda: training.AdamState.zeros(3),
+    )
+    for make in makers:
+        a = make()
+        assert a == a
+        assert (a == make()) is False

@@ -113,6 +113,20 @@ def test_tolerant_f1_rejects_negative_tau():
         tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), -0.1)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), "0.1", None, True])
+def test_tolerant_f1_rejects_nan_and_non_real_tau(tau):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValidationError, match="tau must be a non-negative real number"):
+        tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), tau)
+
+
+def test_tolerant_f1_accepts_infinite_tau():
+    # every cross-view distance is below 2 * inf: each frame matches its step
+    rng = np.random.default_rng(4)
+    predicted, truth = _interval_summary(0, 0, 1), _interval_summary(1, 0, 1)
+    assert tolerant_f1(predicted, truth, _sequence(rng), float("inf")) == 1.0
+
+
 def test_pairwise_consensus_fixture():
     annotations = AnnotationSet(
         sequence_id="s", stage=3,

@@ -181,15 +181,37 @@ def test_singular_subset_within_the_rank_raises_without_the_hint():
 
 def test_pool_features_matches_max_and_argmax():
     # small integer features tie across views everywhere; a tie must go to
-    # the first view, as argmax does
+    # the first view, as argmax does; 300 views store their index as uint16
     rng = np.random.default_rng(12)
-    for m, n, dprime in ((1, 4, 3), (2, 7, 5), (3, 40, 8), (5, 9, 4)):
+    for m, n, dprime in ((1, 4, 3), (2, 7, 5), (3, 40, 8), (5, 9, 4), (300, 3, 2)):
         untied = rng.normal(size=(m, n, dprime))
         tied = rng.integers(1, 4, size=(m, n, dprime)).astype(float)
         for feats in (untied, tied):
             streams = ViewStreams(features=feats, quality=np.full((m, n), 0.5))
             kernel, argmax_views, norms, _ = multi_dpp._joint_kernel(streams)
             expected = feats.max(axis=0).T
+            assert argmax_views.dtype == (np.uint16 if m > 256 else np.uint8)
             assert np.array_equal(argmax_views, feats.argmax(axis=0))
             assert np.array_equal(norms, np.linalg.norm(expected, axis=0))
             assert np.array_equal(kernel.phi, expected / norms)
+
+
+def test_feature_gradient_reaches_only_the_first_winning_view():
+    # integer features tie across views: each (step, dimension) sends its
+    # whole pooled gradient to the first view holding the maximum, zero to
+    # every other view
+    rng = np.random.default_rng(15)
+    m, n, dprime = 4, 12, 5
+    feats = rng.integers(1, 4, size=(m, n, dprime)).astype(float)
+    streams = ViewStreams(features=feats, quality=rng.uniform(0.2, 0.9, size=(m, n)))
+    subset = [1, 4, 8]
+    _, grad_features, _ = multi_dpp.multi_dpp_log_prob_and_grad(streams, subset)
+
+    kernel, _, norms, _ = multi_dpp._joint_kernel(streams)
+    _, grad_pooled, _ = dpp.log_prob_and_grad(kernel, subset)
+    grad_pooled -= kernel.phi * np.einsum("dn,dn->n", kernel.phi, grad_pooled)
+    grad_pooled /= norms
+    first = feats.argmax(axis=0)
+    assert (feats == feats.max(axis=0)).sum(axis=0).max() > 1  # some ties
+    for view in range(m):
+        assert np.array_equal(grad_features[view], np.where(first == view, grad_pooled.T, 0))

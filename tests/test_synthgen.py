@@ -112,6 +112,9 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError, match="integer|real number"):
             _config(**{field: value})
+    for value in ("no", None, 0, 1):
+        with pytest.raises(ConfigError, match="enforce_budget must be a bool"):
+            _config(enforce_budget=value)
 
 
 def test_no_events_gives_pure_background():
