@@ -121,9 +121,10 @@ class AnnotationSet:
     def __post_init__(self):
         if self.stage not in (1, 2, 3):
             raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage}")
-        users = tuple(
-            (uid, tuple((int(v), int(t)) for v, t in sels)) for uid, sels in self.users
-        )
+        users = tuple((uid, tuple(sels)) for uid, sels in self.users)
+        if not all(is_integer(v) and is_integer(t) for _, sels in users for v, t in sels):
+            raise ValidationError(f"selection indices must be integers, got {users!r}")
+        users = tuple((uid, tuple((int(v), int(t)) for v, t in sels)) for uid, sels in users)
         for uid, sels in users:
             if not isinstance(uid, str):
                 raise ValidationError(f"user ids must be strings, got {uid!r}")

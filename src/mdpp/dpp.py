@@ -179,8 +179,8 @@ def greedy_map(factor, max_size: int | None = None, fill: bool = False):
     n = diag.shape[0]
     if max_size is None:
         max_size = n
-    if not (0 <= max_size <= n):
-        raise ValidationError(f"max_size must lie in [0, {n}], got {max_size}")
+    if not (is_integer(max_size) and 0 <= max_size <= n):
+        raise ValidationError(f"max_size must be an integer in [0, {n}], got {max_size!r}")
     residual = diag.copy()
     rows = np.zeros((max_size, n))  # rows[i] is the i-th pick's Cholesky row
     live = np.ones(n, dtype=bool)  # neither picked nor singular

@@ -10,11 +10,15 @@ the single-segment (m = 0) alternative.
 
 The DP runs over blocks of ``_BLOCK`` end frames. Each block computes
 the scatter of every segment ending in it as one (block x starts) array
-around one matrix product, then relaxes the segment counts level by level:
-level k - 1 of the block is final before level k reads it. Every level
-adds into one C-contiguous scratch whose base is 64-byte aligned; a full
-block's width is a multiple of 64, so each of its rows starts on a cache
-line.
+around one matrix product, whose operands carry the two squared norms as
+extra columns, so the product already holds the whole |S_e - S_a|^2. The
+segment lengths and the a >= e mask are slices of two Toeplitz views the
+table builds once per view. The block then relaxes the segment counts level
+by level: level k - 1 of the block is final before level k reads it. Level
+1 is read off the block's column 0 (dp[0] is finite only at 0); every other
+level adds into one C-contiguous scratch whose base is 64-byte aligned; a
+full block's width is a multiple of 64, so each of its rows starts on a
+cache line.
 
 ``kts`` relaxes only the levels whose change-point count can still win,
 and its result is the full-cap one: a level's cells read only the level
@@ -107,30 +111,41 @@ class _ScatterTable:
         self.sq[1:] = np.cumsum(np.einsum("nd,nd->n", x, x))
         self.sums = np.zeros((n + 1, d))
         self.sums[1:] = np.cumsum(x, axis=0)
+        # (N + 1) x N Toeplitz views over one 2N vector each, indexed [e, a]:
+        # the length max(e - a, 1) and whether a >= e
+        steps = np.arange(n, -n, -1)
+        self.lengths = sliding_window_view(np.maximum(steps, 1.0), n)[::-1]
+        self.past_end = sliding_window_view(steps <= 0, n)[::-1]
 
     def block_costs(self, lo: int, hi: int) -> np.ndarray:
         """Scatter of every segment [a, e) with end lo <= e < hi and start
         a < hi - 1, as a (hi - lo) x (hi - 1) array; cells with a >= e hold
         +inf. Around the block's first end (u_e = S_e - S_lo, w_a = S_lo - S_a),
-        |S_e - S_a|^2 = |u_e|^2 + |w_a|^2 + 2 u_e . w_a takes one matrix
-        product. On integer features the product's terms are exact, but the
-        cost is rounded twice, by the division by the length and by the
-        subtraction from the energy, so segments of equal exact scatter can
-        get different floats."""
-        width, rows = hi - 1, hi - lo
-        u = self.sums[lo:hi] - self.sums[lo]
-        w = self.sums[lo] - self.sums[:width]
-        mean_part = (2.0 * u) @ w.T
-        mean_part += np.einsum("ed,ed->e", u, u)[:, None]
-        mean_part += np.einsum("ad,ad->a", w, w)
-        # lengths e - a (clamped at 1) as a Toeplitz view of one vector
-        lengths = np.maximum(np.arange(hi - 1, lo - width, -1, dtype=float), 1.0)
-        mean_part /= sliding_window_view(lengths, width)[::-1]
+        |S_e - S_a|^2 = 2 u_e . w_a + |u_e|^2 + |w_a|^2 is one matrix product
+        [2u, |u|^2, 1] . [w, 1, |w|^2]^T. A gemm that sums each dot product in
+        k order adds the norm terms last, as two separate additions would;
+        OpenBLAS does while D + 2 fits its K panel (a few hundred columns),
+        past that they join a partial sum. The lengths and the a >= e mask
+        are slices of the table's views. On integer features the product's
+        terms are exact, but the cost is rounded twice, by the division by
+        the length and by the subtraction from the energy, so segments of
+        equal exact scatter can get different floats."""
+        width, d = hi - 1, self.sums.shape[1]
+        u = np.empty((hi - lo, d + 2))
+        np.subtract(self.sums[lo:hi], self.sums[lo], out=u[:, :d])
+        u[:, d] = np.einsum("ed,ed->e", u[:, :d], u[:, :d])
+        u[:, :d] *= 2.0
+        u[:, d + 1] = 1.0
+        w = np.empty((width, d + 2))
+        np.subtract(self.sums[lo], self.sums[:width], out=w[:, :d])
+        w[:, d] = 1.0
+        w[:, d + 1] = np.einsum("ad,ad->a", w[:, :d], w[:, :d])
+        mean_part = u @ w.T
+        mean_part /= self.lengths[lo:hi, :width]
         out = self.sq[lo:hi, None] - self.sq[:width]
         out -= mean_part
         np.maximum(out, 0.0, out=out)
-        # a >= e only among the last rows - 1 starts, where a - lo >= e - lo
-        out[:, lo:][~np.tri(rows, rows - 1, -1, dtype=bool)] = np.inf
+        np.copyto(out[:, lo:], np.inf, where=self.past_end[lo:hi, lo:width])
         return out
 
 
@@ -168,9 +183,14 @@ def _relax_block(dp, bp, levels: range, lo: int, costs, totals) -> None:
     """Relax ``levels`` over the ends lo <= e < hi of one block's (hi - lo,
     hi - 1) ``costs``. Level k - 1 of the block is final before level k
     reads it; inf cells (a >= e, or dp[k - 1][a] unreachable) never win the
-    argmin; no level above the block's width reaches its ends."""
+    argmin; no level above the block's width reaches its ends. Level 1 has
+    one finite start, 0, so it is column 0 plus dp[0][0], the sum the
+    argmin would pick (a -0.0 cost becomes +0.0), with bp left at 0."""
     count, width = costs.shape
     hi, rows = lo + count, np.arange(count)
+    if levels and levels.start == 1:
+        np.add(costs[:, 0], dp[0, 0], out=dp[1, lo:hi])
+        levels = levels[1:]
     for k in levels[: max(0, width - levels.start + 1)]:
         np.add(dp[k - 1, :width], costs, out=totals)
         best = np.argmin(totals, axis=1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dpp
-from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed
+from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed, is_integer
 from .encoder import ModelParams, forward
 from .errors import DataError, ValidationError
 from .kts import SegmentationResult, kts
@@ -43,16 +43,17 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
     exact: the DP runs on Python integers, each score scaled by the largest
     denominator of the scores' ``as_integer_ratio``, so a tie never depends
     on the order in which float additions round."""
-    lens = [int(v) for v in lengths]
+    lens = list(lengths)
     vals = [float(v) for v in scores]
     if len(lens) != len(vals):
         raise ValidationError(f"{len(lens)} lengths but {len(vals)} scores")
-    if any(v < 1 for v in lens):
-        raise ValidationError("shot lengths must be positive")
+    if not all(is_integer(v) and v >= 1 for v in lens):
+        raise ValidationError(f"shot lengths must be positive integers, got {lens!r}")
     if not all(math.isfinite(v) for v in vals):
         raise ValidationError("shot scores must be finite")
-    if budget_frames < 0:
-        raise ValidationError(f"budget must be non-negative, got {budget_frames}")
+    if not is_integer(budget_frames) or budget_frames < 0:
+        raise ValidationError(f"budget must be a non-negative integer, got {budget_frames!r}")
+    lens = [int(v) for v in lens]
     ratios = [v.as_integer_ratio() for v in vals]
     scale = max((den for _, den in ratios), default=1)  # a power of two
     ints = [num * (scale // den) for num, den in ratios]
@@ -73,6 +74,8 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
 
 def default_max_segments(num_steps: int) -> int:
     # targets shots of roughly 15 frames
+    if not is_integer(num_steps):
+        raise ValidationError(f"num_steps must be an integer, got {num_steps!r}")
     return max(2, -(-num_steps // 15))
 
 
@@ -92,6 +95,12 @@ def _pick_shots(shots: list[tuple[int, int, int, float]], budget_frames: int):
         budget_frames,
     )
     return [shots[i] for i in chosen]
+
+
+def _frame_budget(budget, num_steps: int) -> int:
+    if not isinstance(budget, SummaryBudget):
+        raise ValidationError(f"budget must be a SummaryBudget, got {budget!r}")
+    return budget.frame_budget(num_steps)
 
 
 def _shots_to_summary(chosen, fraction: float) -> Summary:
@@ -122,7 +131,7 @@ def summarize_supervised(
     penalty_coeff: float = 1.0,
 ) -> Summary:
     """Quality-head scores + per-view KTS shots + global knapsack."""
-    frame_budget = budget.frame_budget(sequence.num_steps)
+    frame_budget = _frame_budget(budget, sequence.num_steps)
     chosen = _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff)
     return _shots_to_summary(chosen, budget.fraction)
 
@@ -142,7 +151,7 @@ def summarize_unsupervised(
 ) -> Summary:
     """Diversity-only summary from the joint kernel with uniform qualities."""
     n = sequence.num_steps
-    budget_frames = budget.frame_budget(n)
+    budget_frames = _frame_budget(budget, n)
     unit = _unit_rows(sequence.features.astype(np.float64))
     streams = ViewStreams(features=unit, quality=np.ones((sequence.num_views, n)))
     kernel = build_joint_kernel(streams)

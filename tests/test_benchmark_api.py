@@ -4,9 +4,13 @@
 at a fixed seed, runs one op of each kind, and must report no failures from
 ``check`` and ``finish``. A change that breaks a name, signature or option
 the benchmark uses fails here, not only in a full benchmark run.
+
+``golden.json`` pins the summaries of every ``summarize_long`` request at
+two seeds. A change that moves one must update the file and say why.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -39,3 +43,16 @@ def test_one_op_of_each_kind_checks_clean(name, tmp_path):
         assert checked.digest
     _, failures = workload.finish()
     assert failures == []
+
+
+GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN["summarize_long"], key=int))
+def test_summarize_long_digests_are_the_golden_ones(seed, tmp_path):
+    # sha256 of repr(summary.selections) for every request, in request order;
+    # selections are discrete, so they are compared exactly
+    workload = workloads.make("summarize_long", int(seed))
+    workload.setup(tmp_path)
+    digests = [workload.check(op, op.run()).digest for op in workload.ops()]
+    assert digests == GOLDEN["summarize_long"][seed]

@@ -55,6 +55,17 @@ def test_annotations_reject_non_string_user_ids():
             AnnotationSet(sequence_id="s", stage=2, users=((uid, ((0, 1),)),))
 
 
+@pytest.mark.parametrize("pair", [(0.5, 1), (0, 2.9), (True, 1), (0, False), ("0", 1)])
+def test_annotations_reject_non_integer_indices(pair):
+    with pytest.raises(ValidationError, match="selection indices must be integers"):
+        AnnotationSet(sequence_id="s", stage=2, users=(("u", ((0, 2), pair)),))
+
+
+def test_annotations_accept_numpy_integer_indices():
+    users = (("u", ((np.int64(1), np.uint16(2)),)),)
+    assert AnnotationSet(sequence_id="s", stage=2, users=users).users == (("u", ((1, 2),)),)
+
+
 def test_annotations_stage1_single_view():
     AnnotationSet(sequence_id="s", stage=1, users=(("u", ((1, 0), (1, 3))),))
     with pytest.raises(ValidationError):

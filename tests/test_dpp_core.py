@@ -256,6 +256,16 @@ def test_greedy_rejects_bad_arguments():
         dpp.greedy_map(DppKernel(phi=np.eye(2), q=np.full(2, 0.5)))
 
 
+@pytest.mark.parametrize("max_size", [2.5, 2.0, True, "2"])
+def test_greedy_rejects_non_integer_max_size(max_size):
+    with pytest.raises(ValidationError, match="max_size must be an integer"):
+        dpp.greedy_map(np.eye(3), max_size=max_size)
+
+
+def test_greedy_accepts_numpy_integer_max_size():
+    assert dpp.greedy_map(np.eye(3), max_size=np.int64(2)) == [0, 1]
+
+
 def test_logprob_grad_rejects_singular_subset():
     kernel = DppKernel(phi=np.array([[1.0, 1.0], [0.0, 0.0]]), q=np.array([0.5, 0.5]))
     with pytest.raises(NumericError):

@@ -68,10 +68,38 @@ def test_knapsack_validation():
         knapsack_shots([1], [1.0], -1)
 
 
+@pytest.mark.parametrize("lengths, budget", [
+    ([1.5, 2], 3), ([True, 2], 3), ([1, 2], True), ([1, 2], 2.5), ([1, 2], "3"),
+])
+def test_knapsack_rejects_non_integer_lengths_and_budget(lengths, budget):
+    with pytest.raises(ValidationError, match="must be (positive|a non-negative) integer"):
+        knapsack_shots(lengths, [0.1, 0.2], budget)
+
+
+def test_knapsack_accepts_numpy_integers():
+    assert knapsack_shots(np.array([1, 2]), [0.1, 0.2], np.int64(3)) == [0, 1]
+
+
 def test_default_max_segments():
     assert default_max_segments(10) == 2
     assert default_max_segments(30) == 2
     assert default_max_segments(300) == 20
+    assert default_max_segments(np.int64(300)) == 20
+
+
+@pytest.mark.parametrize("num_steps", [2.5, 300.0, True, None])
+def test_default_max_segments_rejects_non_integers(num_steps):
+    with pytest.raises(ValidationError, match="num_steps must be an integer"):
+        default_max_segments(num_steps)
+
+
+def test_pipelines_reject_a_bare_budget_fraction():
+    sequence = _synth_sequence()
+    params = init_params(8, hidden_size=4, output_dim=8, seed=0)
+    with pytest.raises(ValidationError, match="budget must be a SummaryBudget"):
+        summarize_supervised(params, sequence, 0.15)
+    with pytest.raises(ValidationError, match="budget must be a SummaryBudget"):
+        summarize_unsupervised(sequence, 0.15)
 
 
 def _synth_sequence(seed=0):
