@@ -24,18 +24,25 @@ on a contiguous block: the sigmoid gates (o, i, f) are one slab and the
 gates the backward scales by dc (i, f, g) another. Its last row is spare.
 The cell and hidden caches are (N + 1, 2, M, H) and start from a zero row,
 so no step is a special case. The input is held once, as (M, N, D).
-Forward: X Wx^T + b for all steps, gates and directions is one batched
-product straight into the gate cache; a step adds h_{t-1} Wh^T as one
-batched product with the (4, 2, H, H) Wh blocks and takes one tanh over the
-step's block, the sigmoid gates' rows having been pre-scaled by 1/2 so that
-sigmoid(z) = 0.5 (1 + tanh(z / 2)). Backward: the dh-independent factors
-of dz are computed for all steps at once over whole slabs of the gate
-cache, with a copy of f and one gate block of scratch, and one loop writes
-step t's dz, for both directions, into row t + 1 of the gate cache in the
-weights' gate order, so that rows 1..N end as dz, (N, 2, M, 4H), and the
-backward needs no dz array of its own; dh_{t-1} = dz_t Wh and the weight
-gradients are then products against the unpermuted weights. Each step
-reuses preallocated buffers. The backward pass consumes its forward cache.
+Both loops run over time chunks of at least _TIME_CHUNK steps
+(``_time_chunks``), and the vectorized work around the steps is done one
+chunk at a time, just before the chunk's steps read it, so that at long N
+it stays in cache.
+Forward: X Wx^T + b for a chunk's steps, gates and directions is one
+batched product from a chunk-sized copy of the input straight into the
+chunk's gate rows; a step adds h_{t-1} Wh^T as one batched product with the
+(4, 2, H, H) Wh blocks and takes one tanh over the step's block, the sigmoid
+gates' rows having been pre-scaled by 1/2 so that sigmoid(z) = 0.5 (1 +
+tanh(z / 2)). Backward: the chunks run in reverse, and the dh-independent
+factors of dz are computed for a chunk's steps at once over whole slabs of
+its gate rows, with a chunk-sized copy of f and one chunk-sized gate block
+of scratch; the loop writes step t's dz, for both directions, into row
+t + 1 of the gate cache in the weights' gate order, so that rows 1..N end
+as dz, (N, 2, M, 4H), and the backward needs no dz array of its own;
+dh_{t-1} = dz_t Wh and the weight gradients are then products over all N
+steps against the unpermuted weights. Every value is bitwise that of one
+chunk of N steps. Each step reuses preallocated buffers. The backward pass
+consumes its forward cache.
 ``bruteforce.reference_lstm_forward`` / ``_backward`` are per-direction,
 per-step loops, and ``mdpp check encoder`` compares the stacked loops with
 one reference call per direction (``bruteforce.reference_bilstm``), after
@@ -81,6 +88,15 @@ _STACK_VIEWS = 6
 _GATE_ORDER = (3, 0, 1, 2)
 # sigmoid(z) = 0.5 (1 + tanh(z / 2)) on o, i and f; g is tanh(z)
 _GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+
+# a time chunk's fewest loop steps (``_time_chunks``; at least 2): the
+# forward projects a chunk's inputs, and the backward builds a chunk's gate
+# factors, just before the chunk's steps. At N = 2000 an M = 6 group's
+# 166-step chunk of gate rows, states and scratch about fills a 2 MB L2;
+# 64, 128 and 256 measured no faster there. A chunk costs about 90 us of
+# numpy calls per group and saved nothing at N = 300, so sequences shorter
+# than 320 steps are not split
+_TIME_CHUNK = 160
 
 PARAM_FIELDS = (
     "lstm_wx", "lstm_wh", "lstm_b",
@@ -217,14 +233,28 @@ def _gate_blocks(w, h_size):
     return blocks.transpose(1, 0, 3, 2)
 
 
-def _both_directions(x):
-    """(M, N, D) inputs as (2, M, N, D): direction 1 reads them in reversed
-    time. Made where the input product and dWx need it; the cache holds x
-    once."""
-    xt = np.empty((2, *x.shape))
-    xt[0] = x
-    xt[1] = x[:, ::-1]
-    return xt
+def _time_chunks(n):
+    """The loop steps 0..N-1 as N // _TIME_CHUNK (at least one) consecutive
+    (lo, hi) chunks of near-equal length, so each holds _TIME_CHUNK to
+    2 _TIME_CHUNK - 1 steps (all N when N < _TIME_CHUNK). No chunk is one
+    step long unless N is: a one-row input product takes numpy's
+    vector-matrix path, which rounds differently from the matrix-matrix
+    one, so every chunk's gate rows are bitwise those of one chunk of N
+    steps."""
+    k = max(n // _TIME_CHUNK, 1)
+    bounds = [n * j // k for j in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _both_directions(x, lo, hi, out):
+    """Loop steps lo..hi-1 of the (M, N, D) inputs for both directions,
+    written into ``out``, (2, M, hi - lo, D): direction 1 reads the input in
+    reversed time. Made where the input product and dWx need it; the cache
+    holds x once."""
+    n = x.shape[1]
+    out[0] = x[:, lo:hi]
+    out[1] = x[:, n - hi : n - lo][:, ::-1]
+    return out
 
 
 def _lstm_forward(x, wx, wh, b):
@@ -236,78 +266,61 @@ def _lstm_forward(x, wx, wh, b):
     direction 1; the views ride the batch axis. The gate cache is
     gate-major, (N + 1, 4, 2, M, H) in the gate order (o, i, f, g), so each
     step's sigmoid gates are one contiguous (3, 2, M, H) slab; row t holds
-    step t and row N is spare room for the backward. The sigmoid gates' rows
-    of Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so a
-    step is one batched product of h_{t-1} with the (4, 2, H, H) Wh blocks,
-    one add, one tanh and a scalar affine map of the slab to the sigmoids
-    0.5 (1 + tanh(z / 2)), then five ``out=`` ops for c_t and h_t. ``cells``
-    and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the zero
-    state and row t + 1 holds step t. ``x`` is the (M, N, D) input itself.
+    step t and row N is spare room for the backward. The loop runs in the
+    chunks of ``_time_chunks``: each chunk's two-direction input is copied
+    into one chunk-sized buffer and projected, X Wx^T + b, into that chunk's
+    gate rows by one batched (chunk x D)(D x H) product per gate, direction
+    and view, just before the chunk's steps read them. The sigmoid gates'
+    rows of Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so
+    a step is one batched product of h_{t-1} with the (4, 2, H, H) Wh
+    blocks, one add, one tanh and a scalar affine map of the slab to the
+    sigmoids 0.5 (1 + tanh(z / 2)), then five ``out=`` ops for c_t and h_t.
+    ``cells`` and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the
+    zero state and row t + 1 holds step t. ``x`` is the (M, N, D) input
+    itself.
     """
-    m, n, _ = x.shape
+    m, n, d = x.shape
     h_size = wh.shape[2]
     gates = np.empty((n + 1, 4, 2, m, h_size))
-    steps = gates[:n]
-    # one (N x D)(D x H) product per gate, direction and view, into the cache
-    np.matmul(
-        _both_directions(x), _gate_blocks(wx, h_size)[:, :, None],
-        out=steps.transpose(1, 2, 3, 0, 4),
-    )
-    steps += _gate_blocks(b[..., None], h_size)
+    wx_blocks = _gate_blocks(wx, h_size)[:, :, None]
+    b_blocks = _gate_blocks(b[..., None], h_size)
     wh_blocks = np.ascontiguousarray(_gate_blocks(wh, h_size))
     cells = np.zeros((n + 1, 2, m, h_size))
     hidden = np.zeros((n + 1, 2, m, h_size))
     recurrent = np.empty((4, 2, m, h_size))
     product = np.empty((2, m, h_size))
-    for z, sig, o, i, f, g, c_prev, c, h_prev, h in zip(
-        steps, steps[:, :3], steps[:, 0], steps[:, 1], steps[:, 2], steps[:, 3],
-        cells[:-1], cells[1:], hidden[:-1], hidden[1:],
-    ):
-        np.matmul(h_prev, wh_blocks, out=recurrent)
-        z += recurrent
-        np.tanh(z, out=z)
-        sig *= 0.5
-        sig += 0.5
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=product)
-        np.add(c, product, out=c)
-        np.tanh(c, out=h)
-        np.multiply(h, o, out=h)
+    chunks = _time_chunks(n)
+    inputs = np.empty((2, m, max(hi - lo for lo, hi in chunks), d))
+    for lo, hi in chunks:
+        steps = gates[lo:hi]
+        np.matmul(
+            _both_directions(x, lo, hi, inputs[:, :, : hi - lo]), wx_blocks,
+            out=steps.transpose(1, 2, 3, 0, 4),
+        )
+        steps += b_blocks
+        for z, sig, o, i, f, g, c_prev, c, h_prev, h in zip(
+            steps, steps[:, :3], steps[:, 0], steps[:, 1], steps[:, 2], steps[:, 3],
+            cells[lo:hi], cells[lo + 1 : hi + 1], hidden[lo:hi], hidden[lo + 1 : hi + 1],
+        ):
+            np.matmul(h_prev, wh_blocks, out=recurrent)
+            z += recurrent
+            np.tanh(z, out=z)
+            sig *= 0.5
+            sig += 0.5
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=product)
+            np.add(c, product, out=c)
+            np.tanh(c, out=h)
+            np.multiply(h, o, out=h)
     return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
 
 
-def _lstm_backward(cache, wh, grad_hidden, cols):
-    """Backprop both directions in one time loop. Returns one stacked
-    (dwx, dwh, db), shaped like the weights, per slice of batch columns in
-    ``cols``: the gradient of that sequence's views alone. Consumes
-    ``cache``.
-
-    ``grad_hidden`` is dLoss/dh in the (N, 2, M, H) loop-time layout. With
-    dz = dLoss/d(pre-activation), every factor of dz that does not depend on
-    the incoming gradient is computed for all steps at once, over whole
-    slabs of the gate-major cache, and written over it:
-
-        dz = [dc, dc, dc, dh] * [g i(1-i), c_{t-1} f(1-f), i(1-g^2), tanh(c) o(1-o)]
-
-    for (i, f, g, o), with c_{-1} the cell cache's zero row and
-    dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
-    overwrites the cell cache. A copy of f, kept for the dc carry, and one
-    gate block of scratch are all the factors need. The time loop
-    multiplies the (i, f, g) slab by dc and the o block by dh and writes
-    step t's dz, for both directions, into row t + 1 of the gate cache, in
-    the weights' gate order: that row's factors were read one step earlier,
-    and row N is the forward's spare row. So the cache's rows 1..N end as
-    dz, (N, 2, M, 4H). dh_{t-1} = dz_t Wh is one batched product against
-    the unpermuted Wh; after the loop dWx and dWh are one batched product
-    per direction and view against the inputs and the hidden states shifted
-    by a step, summed over each slice's views, and db is one sum per slice.
-    Summing per sequence keeps each sequence's gradient bits those of the
-    sequence run alone.
-    """
-    x, gates, cells, hidden = (cache[k] for k in ("x", "gates", "cells", "hidden"))
-    n = gates.shape[0] - 1
-    m, h_size = gates.shape[3:]
-    o, i, f, g = gates[:n].swapaxes(0, 1)
+def _gate_factors(steps, cells):
+    """Write the dh-independent factors of dz over one chunk's rows of the
+    gate cache, ``steps``, and o (1 - tanh(c)^2) over ``cells[1:]``, where
+    ``cells`` is the cell cache's rows lo..hi: row 0 is c_{lo-1}. Returns a
+    copy of the chunk's f, kept for the dc carry."""
+    o, i, f, g = steps.swapaxes(0, 1)
     forget = f.copy()
     # f block: c_{t-1} f (1 - f), c_{-1} being the cell cache's zero row
     np.subtract(1.0, f, out=f)
@@ -315,8 +328,8 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
     f *= cells[:-1]
     scratch = np.empty_like(forget)
     # o block: tanh(c) o (1 - o); cell cache: o (1 - tanh(c)^2)
-    np.tanh(cells, out=cells)
     tanh_c = cells[1:]
+    np.tanh(tanh_c, out=tanh_c)
     np.subtract(1.0, o, out=scratch)
     scratch *= o
     scratch *= tanh_c
@@ -332,27 +345,63 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
     np.subtract(1.0, i, out=i)
     i *= g
     g[...] = scratch
-    del scratch
+    return forget
 
+
+def _lstm_backward(cache, wh, grad_hidden, cols):
+    """Backprop both directions in one time loop. Returns one stacked
+    (dwx, dwh, db), shaped like the weights, per slice of batch columns in
+    ``cols``: the gradient of that sequence's views alone. Consumes
+    ``cache``.
+
+    ``grad_hidden`` is dLoss/dh in the (N, 2, M, H) loop-time layout. With
+    dz = dLoss/d(pre-activation), every factor of dz that does not depend on
+    the incoming gradient is written over the gate-major cache:
+
+        dz = [dc, dc, dc, dh] * [g i(1-i), c_{t-1} f(1-f), i(1-g^2), tanh(c) o(1-o)]
+
+    for (i, f, g, o), with c_{-1} the cell cache's zero row and
+    dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
+    overwrites the cell cache. The loop walks the chunks of ``_time_chunks``
+    in reverse and ``_gate_factors`` builds each chunk's factors, over whole
+    slabs of its rows, just before its steps, so a chunk-sized copy of f and
+    one chunk-sized gate block of scratch are all the factors need. The time
+    loop multiplies the (i, f, g) slab by dc and the o block by dh and
+    writes step t's dz, for both directions, into row t + 1 of the gate
+    cache, in the weights' gate order: that row's factors were read one step
+    earlier, and row N is the forward's spare row. So the cache's rows 1..N
+    end as dz, (N, 2, M, 4H). dh_{t-1} = dz_t Wh is one batched product
+    against the unpermuted Wh; after the loop dWx and dWh are one batched
+    product per direction and view against the inputs and the hidden states
+    shifted by a step, summed over each slice's views, and db is one sum per
+    slice. Summing per sequence keeps each sequence's gradient bits those of
+    the sequence run alone.
+    """
+    x, gates, cells, hidden = (cache[k] for k in ("x", "gates", "cells", "hidden"))
+    n = gates.shape[0] - 1
+    m, h_size = gates.shape[3:]
     dz = gates[1:].reshape(n, 2, m, 4 * h_size)
     dz_blocks = dz.reshape(n, 2, m, 4, h_size).transpose(0, 3, 1, 2, 4)
     dh, dh_next, dc, product = (np.zeros((2, m, h_size)) for _ in range(4))
-    for grad, cell, fac_o, fac_ifg, dz_t, out_ifg, out_o, f_t in zip(
-        grad_hidden[::-1], cells[:0:-1], gates[-2::-1, 0], gates[-2::-1, 1:],
-        dz[::-1], dz_blocks[::-1, :3], dz_blocks[::-1, 3], forget[::-1],
-    ):
-        np.add(grad, dh_next, out=dh)
-        np.multiply(dh, cell, out=product)
-        dc += product
-        np.multiply(fac_ifg, dc, out=out_ifg)
-        np.multiply(fac_o, dh, out=out_o)
-        np.matmul(dz_t, wh, out=dh_next)
-        dc *= f_t
-    del forget
+    for lo, hi in reversed(_time_chunks(n)):
+        steps, blocks = gates[lo:hi][::-1], dz_blocks[lo:hi][::-1]
+        forget = _gate_factors(gates[lo:hi], cells[lo : hi + 1])
+        for grad, cell, fac_o, fac_ifg, dz_t, out_ifg, out_o, f_t in zip(
+            grad_hidden[lo:hi][::-1], cells[hi:lo:-1], steps[:, 0], steps[:, 1:],
+            dz[lo:hi][::-1], blocks[:, :3], blocks[:, 3], forget[::-1],
+        ):
+            np.add(grad, dh_next, out=dh)
+            np.multiply(dh, cell, out=product)
+            dc += product
+            np.multiply(fac_ifg, dc, out=out_ifg)
+            np.multiply(fac_o, dh, out=out_o)
+            np.matmul(dz_t, wh, out=dh_next)
+            dc *= f_t
+        del forget
 
     # (4H x N)(N x .) per direction and view, summed over each slice's views
     dz_t = dz.transpose(1, 2, 3, 0)
-    dwx = np.matmul(dz_t, _both_directions(x))
+    dwx = np.matmul(dz_t, _both_directions(x, 0, n, np.empty((2, *x.shape))))
     dwh = np.matmul(dz_t[..., 1:], hidden[1:-1].transpose(1, 2, 0, 3))
     return [
         (dwx[:, c].sum(axis=1), dwh[:, c].sum(axis=1), dz[:, :, c].sum(axis=(0, 2)))

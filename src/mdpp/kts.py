@@ -108,7 +108,14 @@ class _ScatterTable:
         n, d = x.shape
         self.n = n
         self.sq = np.zeros(n + 1)
-        self.sq[1:] = np.cumsum(np.einsum("nd,nd->n", x, x))
+        with np.errstate(over="ignore"):  # an overflow is caught below
+            self.sq[1:] = np.cumsum(np.einsum("nd,nd->n", x, x))
+        # every partial sum of a cost block's product is at most 4 N sq[N]
+        # (Cauchy-Schwarz), so past that a block would hold inf - inf
+        if not self.sq[n] <= np.finfo(np.float64).max / (4 * n):
+            raise DataError(
+                "features too large: 4 N times their total squared norm passes the float64 range"
+            )
         self.sums = np.zeros((n + 1, d))
         self.sums[1:] = np.cumsum(x, axis=0)
         # (N + 1) x N Toeplitz views over one 2N vector each, indexed [e, a]:

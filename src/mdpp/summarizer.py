@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dpp
-from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed, is_integer
+from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed, is_integer, is_real
 from .encoder import ModelParams, forward
 from .errors import DataError, ValidationError
 from .kts import SegmentationResult, kts
@@ -43,18 +43,17 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
     exact: the DP runs on Python integers, each score scaled by the largest
     denominator of the scores' ``as_integer_ratio``, so a tie never depends
     on the order in which float additions round."""
-    lens = list(lengths)
-    vals = [float(v) for v in scores]
+    lens, vals = list(lengths), list(scores)
     if len(lens) != len(vals):
         raise ValidationError(f"{len(lens)} lengths but {len(vals)} scores")
     if not all(is_integer(v) and v >= 1 for v in lens):
         raise ValidationError(f"shot lengths must be positive integers, got {lens!r}")
-    if not all(math.isfinite(v) for v in vals):
-        raise ValidationError("shot scores must be finite")
+    if not all(is_real(v) and math.isfinite(v) for v in vals):
+        raise ValidationError(f"shot scores must be finite real numbers, got {vals!r}")
     if not is_integer(budget_frames) or budget_frames < 0:
         raise ValidationError(f"budget must be a non-negative integer, got {budget_frames!r}")
     lens = [int(v) for v in lens]
-    ratios = [v.as_integer_ratio() for v in vals]
+    ratios = [float(v).as_integer_ratio() for v in vals]
     scale = max((den for _, den in ratios), default=1)  # a power of two
     ints = [num * (scale // den) for num, den in ratios]
 
@@ -74,8 +73,8 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
 
 def default_max_segments(num_steps: int) -> int:
     # targets shots of roughly 15 frames
-    if not is_integer(num_steps):
-        raise ValidationError(f"num_steps must be an integer, got {num_steps!r}")
+    if not is_integer(num_steps) or num_steps < 1:
+        raise ValidationError(f"num_steps must be an integer >= 1, got {num_steps!r}")
     return max(2, -(-num_steps // 15))
 
 

@@ -6,14 +6,19 @@ at a fixed seed, runs one op of each kind, and must report no failures from
 the benchmark uses fails here, not only in a full benchmark run.
 
 ``golden.json`` pins the summaries of every ``summarize_long`` request at
-two seeds. A change that moves one must update the file and say why.
+two seeds, and the best validation loss and trained-weight digest of one
+``train_short`` and one ``train_long`` op. A change that moves one must
+update the file and say why.
 """
 
 import importlib.util
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -56,3 +61,31 @@ def test_summarize_long_digests_are_the_golden_ones(seed, tmp_path):
     workload.setup(tmp_path)
     digests = [workload.check(op, op.run()).digest for op in workload.ops()]
     assert digests == GOLDEN["summarize_long"][seed]
+
+
+def _environment():
+    """What the trained weights' bits depend on besides the code: Python,
+    numpy and the BLAS thread pin (the CPU's gemm kernels too, unrecorded)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["train"]["cases"]))
+def test_train_results_are_the_golden_ones(case, tmp_path):
+    # best_val_loss holds to 1e-9 relative at any BLAS thread count; the
+    # weights' digest moves with it, so it must match only where the
+    # recorded environment does, and is printed elsewhere
+    name, seed = case.split("/")
+    expected = GOLDEN["train"]["cases"][case]
+    workload = workloads.make(name, int(seed))
+    workload.setup(tmp_path)
+    [op] = workload.ops()
+    digest = workload.check(op, op.run()).digest
+    assert workload.result.best_val_loss == pytest.approx(expected["best_val_loss"], rel=1e-9)
+    if _environment() == GOLDEN["train"]["environment"]:
+        assert digest == expected["weights_sha256"]
+    else:
+        print(f"{case}: weights {digest}, recorded in {GOLDEN['train']['environment']}")

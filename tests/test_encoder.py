@@ -407,27 +407,104 @@ def test_pair_is_bitwise_its_sequences_run_alone():
     np.testing.assert_array_equal(flat, alone[0][1] + alone[1][1])
 
 
+def _traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` held at its peak above what was held on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
 def test_lstm_backward_holds_at_most_two_blocks():
-    # dz is written into the gate cache; the factors take a copy of f and
-    # one block of scratch
+    # dz is written into the gate cache; each time chunk's factors take a
+    # copy of its f and one chunk-sized gate block of scratch, and dWx one
+    # two-direction copy of the input after the loop
     rng = np.random.default_rng(3)
-    m, n, d, h = 6, 300, 4, 16
+    m, n, d, h = 6, 1000, 4, 16
     x = rng.normal(size=(m, n, d))
     wx, wh, b = _stacked_weights(rng, d, h, 0.4)
     cache = encoder._lstm_forward(x, wx, wh, b)
     grad_hidden = rng.normal(size=(n, 2, m, h))
     block = grad_hidden.nbytes
+    chunk_block = max(hi - lo for lo, hi in encoder._time_chunks(n)) * 2 * m * h * 8
     # per-step buffers, numpy's iterator buffers for three strided operands,
     # and the per-view dWx and dWh products before their sums
     allowance = 4 * 2 * m * h * 8 + 3 * np.getbufsize() * 8 + 2 * m * 4 * h * (d + h) * 8
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        encoder._lstm_backward(cache, wh, grad_hidden, [slice(0, 3), slice(3, 6)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry <= 2 * block + allowance, (peak - entry) / block
+    peak = _traced_peak(
+        encoder._lstm_backward, cache, wh, grad_hidden, [slice(0, 3), slice(3, 6)]
+    )
+    assert peak <= 2 * chunk_block + 2 * x.nbytes + allowance, peak / block
+
+
+def test_lstm_forward_holds_its_cache_and_one_chunk_of_input():
+    # each time chunk's two-direction input is copied into one chunk-sized
+    # buffer; no copy of the whole input lives beside the cache
+    rng = np.random.default_rng(4)
+    m, n, d, h = 6, 1000, 16, 16
+    x = rng.normal(size=(m, n, d))
+    wx, wh, b = _stacked_weights(rng, d, h, 0.4)
+    peak = _traced_peak(encoder._lstm_forward, x, wx, wh, b)
+    cache = (n + 1) * (4 + 2) * 2 * m * h * 8  # gates, cells and hidden states
+    buffer = 2 * m * max(hi - lo for lo, hi in encoder._time_chunks(n)) * d * 8
+    # per-step buffers, the permuted weight blocks and their temporaries,
+    # and one numpy iterator buffer
+    allowance = 5 * 2 * m * h * 8 + 2 * (wx.nbytes + wh.nbytes) + np.getbufsize() * 8
+    assert peak <= cache + buffer + allowance, (peak - cache) / buffer
+
+
+def _lstm_case(rng, m, n):
+    """One LSTM group's (x, weights, dLoss/dh, column slices) at D = H = 16;
+    m = 1 is a lone view with ``_stacked_lstm``'s zero second view, and 6
+    views are two 3-view sequences."""
+    d = h = 16
+    x = rng.normal(size=(m, n, d))
+    cols = {1: [slice(0, 1)], 3: [slice(0, 3)], 6: [slice(0, 3), slice(3, 6)]}[m]
+    if m == 1:
+        x = np.concatenate([x, np.zeros_like(x)])
+    return x, _stacked_weights(rng, d, h, 0.4), rng.normal(size=(n, 2, x.shape[0], h)), cols
+
+
+def _run_lstm(x, weights, grad_hidden, cols):
+    wx, wh, b = weights
+    cache = encoder._lstm_forward(x, wx, wh, b)
+    # row N of the gate cache is spare: its bits are never read
+    states = [cache["gates"][:-1].copy(), cache["cells"].copy(), cache["hidden"].copy()]
+    return states, encoder._lstm_backward(cache, wh, grad_hidden, cols)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("chunk", [2, 7, 64, 300])
+def test_time_chunks_are_bitwise_one_chunk(monkeypatch, chunk, n, m):
+    # the chunks change only when each step's gate rows and factors are
+    # made, not their bits; chunk 2 is the smallest, as a one-step input
+    # product would round differently (``_time_chunks``)
+    case = _lstm_case(np.random.default_rng(1000 * n + m), m, n)
+    monkeypatch.setattr(encoder, "_TIME_CHUNK", n + 1)
+    states, grads = _run_lstm(*case)
+    monkeypatch.setattr(encoder, "_TIME_CHUNK", chunk)
+    chunked_states, chunked_grads = _run_lstm(*case)
+    for whole, chunked in zip(states, chunked_states):
+        np.testing.assert_array_equal(chunked, whole)
+    for whole, chunked in zip(grads, chunked_grads):
+        for a, c in zip(whole, chunked):
+            np.testing.assert_array_equal(c, a)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 128])
+def test_time_chunks_split_the_steps_evenly(monkeypatch, chunk):
+    # no chunk is one step long unless N is (``_time_chunks``)
+    monkeypatch.setattr(encoder, "_TIME_CHUNK", chunk)
+    for n in range(1, 3 * chunk + 3):
+        chunks = encoder._time_chunks(n)
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == n
+        lengths = {hi - lo for lo, hi in chunks}
+        assert max(lengths) - min(lengths) <= 1
+        assert lengths == {n} if n < chunk else chunk <= min(lengths) <= max(lengths) < 2 * chunk
 
 
 def test_batch_loss_matches_per_sequence_calls():

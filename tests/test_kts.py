@@ -434,6 +434,17 @@ def test_shot_list_conversion():
     assert shots.num_shots == 3
 
 
+@pytest.mark.parametrize("scale, n", [(1e200, 10), (1e153, 100)])
+def test_kts_rejects_features_whose_scatter_sums_overflow(scale, n):
+    # at 1e200 the squared norms overflow, at 1e153 only the cost blocks'
+    # products would: both gave a nan or inf - inf block, and 1e200 an
+    # objective of nan
+    x = np.full((n, 1), scale)
+    x[n // 2 :] = -scale
+    with pytest.raises(DataError, match="features too large"):
+        kts(x, 3, 1.0)
+
+
 def test_kts_validation():
     with pytest.raises(ConfigError):
         kts(np.zeros((5, 2)), max_segments=0)

@@ -80,6 +80,18 @@ def test_knapsack_accepts_numpy_integers():
     assert knapsack_shots(np.array([1, 2]), [0.1, 0.2], np.int64(3)) == [0, 1]
 
 
+@pytest.mark.parametrize("scores", [["0.5", True], ["0.5", 0.2], [0.1, True], [0.1, None]])
+def test_knapsack_rejects_non_real_scores(scores):
+    # float() took "0.5" and True as scores
+    with pytest.raises(ValidationError, match="shot scores must be finite real numbers"):
+        knapsack_shots([1, 2], scores, 3)
+
+
+def test_knapsack_accepts_numpy_and_integer_scores():
+    assert knapsack_shots([1, 2], np.array([0.1, 0.2], dtype=np.float32), 3) == [0, 1]
+    assert knapsack_shots([1, 2], [np.int64(1), 2], 2) == [1]
+
+
 def test_default_max_segments():
     assert default_max_segments(10) == 2
     assert default_max_segments(30) == 2
@@ -90,6 +102,13 @@ def test_default_max_segments():
 @pytest.mark.parametrize("num_steps", [2.5, 300.0, True, None])
 def test_default_max_segments_rejects_non_integers(num_steps):
     with pytest.raises(ValidationError, match="num_steps must be an integer"):
+        default_max_segments(num_steps)
+
+
+@pytest.mark.parametrize("num_steps", [0, -5, np.int64(-1)])
+def test_default_max_segments_rejects_no_steps(num_steps):
+    # a sequence has N >= 1; 0 and -5 returned 2
+    with pytest.raises(ValidationError, match="num_steps must be an integer >= 1"):
         default_max_segments(num_steps)
 
 
