@@ -294,7 +294,6 @@ def reference_kts(tables, max_segments: int, penalty_coeff: float):
             best_m, best_penalized = m, penalized
     return SegmentationResult(
         change_points=_reconstruct(bp, best_m + 1, n),
-        num_segments=best_m + 1,
         objective=float(dp[best_m + 1][n]),
         levels_relaxed=min(max_segments, n),
     )

@@ -27,12 +27,46 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _bounds(low, high, above: bool) -> str:
+    if high is None:
+        return "" if low is None else f" {'>' if above else '>='} {low}"
+    return f" in {'(' if above else '['}{low}, {high}]"
+
+
+def check_int(value, name: str, low: int, high: int | None = None, error=ValidationError):
+    """``value`` unchanged if it is an integer (``is_integer``) in [low,
+    high], with no upper bound when ``high`` is None; otherwise ``error``."""
+    if not (is_integer(value) and low <= value and (high is None or value <= high)):
+        raise error(f"{name} must be an integer{_bounds(low, high, False)}, got {value!r}")
+    return value
+
+
+def check_real(value, name: str, low, high, *, above: bool = False, finite: bool = True,
+               error=ValidationError):
+    """``value`` unchanged if it is a real number (``is_real``), not nan,
+    and at least ``low`` (above it with ``above``) and at most ``high``,
+    where None is no bound; with ``finite``, +-inf is rejected too.
+    Otherwise ``error``."""
+    ok = (is_real(value) and value == value  # nan fails every comparison
+          and (not finite or -math.inf < value < math.inf)
+          and (low is None or (low < value if above else low <= value))
+          and (high is None or value <= high))
+    if not ok:
+        kind = "a finite real number" if finite and high is None else "a real number"
+        raise error(f"{name} must be {kind}{_bounds(low, high, above)}, got {value!r}")
+    return value
+
+
 def check_seed(seed) -> int:
     """``seed`` if it is a non-negative integer (not a bool); otherwise a
     ConfigError, where numpy's generators would raise a bare ValueError."""
-    if not is_integer(seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return check_int(seed, "seed", 0, error=ConfigError)
+
+
+def _selections(pairs) -> tuple[Selection, ...]:
+    """``pairs`` as (view, t) tuples of ints, each index an integer >= 0."""
+    return tuple((int(check_int(v, "selection index", 0)), int(check_int(t, "selection index", 0)))
+                 for v, t in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +108,7 @@ class MultiViewSequence:
 
     def view(self, m: int) -> np.ndarray:
         """The (N, D) feature matrix of view ``m``."""
-        return self.features[m]
+        return self.features[check_int(m, "view", 0, self.num_views - 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +153,13 @@ class AnnotationSet:
     users: tuple[tuple[str, tuple[Selection, ...]], ...]
 
     def __post_init__(self):
-        if self.stage not in (1, 2, 3):
-            raise ValidationError(f"stage must be 1, 2 or 3, got {self.stage}")
-        users = tuple((uid, tuple(sels)) for uid, sels in self.users)
-        if not all(is_integer(v) and is_integer(t) for _, sels in users for v, t in sels):
-            raise ValidationError(f"selection indices must be integers, got {users!r}")
-        users = tuple((uid, tuple((int(v), int(t)) for v, t in sels)) for uid, sels in users)
+        check_int(self.stage, "stage", 1, 3)
+        users = tuple((uid, _selections(sels)) for uid, sels in self.users)
         for uid, sels in users:
             if not isinstance(uid, str):
                 raise ValidationError(f"user ids must be strings, got {uid!r}")
             if len(set(sels)) != len(sels):
                 raise ValidationError(f"user {uid!r} has duplicate (view, t) selections")
-            for v, t in sels:
-                if v < 0 or t < 0:
-                    raise ValidationError(f"negative selection index ({v}, {t})")
         if self.stage == 1:
             views = {v for _, sels in users for v, _ in sels}
             if len(views) > 1:
@@ -143,6 +170,8 @@ class AnnotationSet:
 
     def validate_shape(self, num_views: int, num_steps: int) -> None:
         """Check every selection against a sequence's (M, N) bounds."""
+        check_int(num_views, "num_views", 1)
+        check_int(num_steps, "num_steps", 1)
         for uid, sels in self.users:
             for v, t in sels:
                 if v >= num_views:
@@ -169,17 +198,8 @@ class Summary:
     budget_fraction: float = 0.15
 
     def __post_init__(self):
-        if not is_real(self.budget_fraction) or not (0.0 < self.budget_fraction <= 1.0):
-            raise ValidationError(
-                f"budget_fraction must be a real number in (0, 1], got {self.budget_fraction!r}"
-            )
-        pairs = tuple(self.selections)
-        if not all(is_integer(v) and is_integer(t) for v, t in pairs):
-            raise ValidationError(f"selection indices must be integers, got {pairs!r}")
-        sels = sorted({(int(v), int(t)) for v, t in pairs}, key=lambda p: (p[1], p[0]))
-        for v, t in sels:
-            if v < 0 or t < 0:
-                raise ValidationError(f"negative selection index ({v}, {t})")
+        check_real(self.budget_fraction, "budget_fraction", 0, 1, above=True)
+        sels = sorted(set(_selections(self.selections)), key=lambda p: (p[1], p[0]))
         object.__setattr__(self, "selections", tuple(sels))
 
     @property
@@ -188,6 +208,8 @@ class Summary:
 
     def frame_mask(self, num_views: int, num_steps: int) -> np.ndarray:
         """Binary (M, N) mask of the selected frames."""
+        check_int(num_views, "num_views", 1)
+        check_int(num_steps, "num_steps", 1)
         mask = np.zeros((num_views, num_steps), dtype=bool)
         for v, t in self.selections:
             if v >= num_views or t >= num_steps:
@@ -208,18 +230,13 @@ class ShotList:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        bounds = tuple(self.boundaries)
-        if not all(is_integer(b) for b in bounds):
-            raise ValidationError(f"boundaries must be integers, got {bounds!r}")
-        bounds = tuple(int(b) for b in bounds)
+        bounds, prev = [], 0
+        for b in self.boundaries:  # strictly increasing from 0
+            prev = int(check_int(b, "boundary", prev + 1))
+            bounds.append(prev)
         if not bounds:
             raise ValidationError("a shot list needs at least one boundary")
-        prev = 0
-        for b in bounds:
-            if b <= prev:
-                raise ValidationError(f"boundaries must be strictly increasing from 0, got {bounds}")
-            prev = b
-        object.__setattr__(self, "boundaries", bounds)
+        object.__setattr__(self, "boundaries", tuple(bounds))
 
     @property
     def num_steps(self) -> int:
@@ -231,14 +248,13 @@ class ShotList:
 
     def shot_span(self, i: int) -> tuple[int, int]:
         """Half-open [start, end) of shot ``i``."""
+        check_int(i, "shot index", 0, self.num_shots - 1)
         start = self.boundaries[i - 1] if i > 0 else 0
         return start, self.boundaries[i]
 
     def shot_of(self, t: int) -> int:
         """Index of the shot containing time-step ``t``."""
-        if not (0 <= t < self.num_steps):
-            raise ValidationError(f"t={t} outside [0, {self.num_steps})")
-        return bisect.bisect_right(self.boundaries, t)
+        return bisect.bisect_right(self.boundaries, check_int(t, "t", 0, self.num_steps - 1))
 
 
 @dataclass(frozen=True)
@@ -248,10 +264,14 @@ class SummaryBudget:
     fraction: float = 0.15
 
     def __post_init__(self):
-        if not is_real(self.fraction) or not (0.0 < self.fraction <= 1.0):
-            raise ConfigError(
-                f"budget fraction must be a real number in (0, 1], got {self.fraction!r}"
-            )
+        check_real(self.fraction, "budget fraction", 0, 1, above=True, error=ConfigError)
 
     def frame_budget(self, num_steps: int) -> int:
-        return math.ceil(self.fraction * num_steps)
+        return math.ceil(self.fraction * check_int(num_steps, "num_steps", 1))
+
+
+def check_budget(budget) -> SummaryBudget:
+    """``budget`` if it is a SummaryBudget; a bare fraction is a ValidationError."""
+    if not isinstance(budget, SummaryBudget):
+        raise ValidationError(f"budget must be a SummaryBudget, got {budget!r}")
+    return budget

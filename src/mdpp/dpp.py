@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import is_integer
+from .data_model import check_int
 from .errors import DataError, NumericError, ValidationError
 
 QUALITY_FLOOR = 1e-6  # keeps log-likelihoods finite when a target item scores ~0
@@ -177,10 +177,7 @@ def greedy_map(factor, max_size: int | None = None, fill: bool = False):
     factor = factor.astype(np.float64, copy=False)
     diag = np.einsum("dn,dn->n", factor, factor)
     n = diag.shape[0]
-    if max_size is None:
-        max_size = n
-    if not (is_integer(max_size) and 0 <= max_size <= n):
-        raise ValidationError(f"max_size must be an integer in [0, {n}], got {max_size!r}")
+    max_size = n if max_size is None else check_int(max_size, "max_size", 0, n)
     residual = diag.copy()
     rows = np.zeros((max_size, n))  # rows[i] is the i-th pick's Cholesky row
     live = np.ones(n, dtype=bool)  # neither picked nor singular
@@ -204,12 +201,5 @@ def greedy_map(factor, max_size: int | None = None, fill: bool = False):
 
 
 def _check_subset(kernel: DppKernel, subset) -> np.ndarray:
-    items = set(subset)
-    if not all(is_integer(i) for i in items):
-        raise ValidationError(f"subset items must be integers, got {items}")
-    idx = np.asarray(sorted(items), dtype=np.intp)
-    if idx.size and (idx[0] < 0 or idx[-1] >= kernel.ground_size):
-        raise ValidationError(
-            f"subset {idx.tolist()} outside ground set of size {kernel.ground_size}"
-        )
-    return idx
+    last = kernel.ground_size - 1
+    return np.asarray(sorted({check_int(i, "subset item", 0, last) for i in subset}), dtype=np.intp)

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multi_dpp
-from .data_model import MultiViewSequence, check_seed, is_integer
+from .data_model import MultiViewSequence, check_int, check_real, check_seed
 from .errors import ConfigError, NumericError, ShapeError
 from .multi_dpp import ViewStreams
 
@@ -175,9 +175,9 @@ def init_params(
     drawn one direction at a time (forward Wx, Wh, b, then reverse) and
     stacked afterwards.
     """
-    d, h, dp = input_dim, hidden_size, output_dim
-    if not all(is_integer(v) for v in (d, h, dp)) or min(d, h, dp) < 1:
-        raise ConfigError(f"dimensions must be positive integers, got ({d!r}, {h!r}, {dp!r})")
+    d = check_int(input_dim, "input_dim", 1, error=ConfigError)
+    h = check_int(hidden_size, "hidden_size", 1, error=ConfigError)
+    dp = check_int(output_dim, "output_dim", 1, error=ConfigError)
     rng = np.random.default_rng(check_seed(seed))
 
     def draw(shape, fan_in):
@@ -526,6 +526,7 @@ def batch_loss(
     ``dpp_nll`` nan, and a target subset of zero probability raises
     NumericError. Without it (validation), the DPP term is evaluated even at
     lam = 0, and a zero-probability target gives ``dpp_nll = +inf``."""
+    check_real(lam, "lam", 0, None, error=ConfigError)
     flat, grads = _zero_grads(params) if with_grad else (None, None)
     parts = []
     for group in _groups(examples):

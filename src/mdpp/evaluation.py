@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import AnnotationSet, MultiViewSequence, ShotList, Summary, SummaryBudget, is_real
+from .data_model import (
+    AnnotationSet, MultiViewSequence, ShotList, Summary, SummaryBudget, check_budget, check_real,
+)
 from .errors import ValidationError
 
 Selection = tuple[int, int]
@@ -69,8 +71,7 @@ def _tolerant_sweep(predicted, truth, sequence, taus) -> list[float]:
     """``tolerant_f1`` at every tau of ``taus``. The distances are computed
     once; each tau only compares them with 2*tau."""
     for tau in taus:
-        if not is_real(tau) or not tau >= 0.0:  # nan fails the comparison
-            raise ValidationError(f"tau must be a non-negative real number, got {tau!r}")
+        check_real(tau, "tau", 0, None, finite=False)
     if not truth.selections:
         raise ValidationError("truth summary is empty; recall is undefined")
     if not predicted.selections:
@@ -152,7 +153,7 @@ def oracle_summary(
         )
     num_views = len(shot_lists)
     num_steps = lengths[0]
-    budget_frames = budget.frame_budget(num_steps)
+    budget_frames = check_budget(budget).frame_budget(num_steps)
 
     candidates = sorted(
         (shot, view)

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data_model import ShotList, is_integer, is_real
+from .data_model import ShotList, check_int, check_real
 from .errors import ConfigError, DataError, ValidationError
 
 _BLOCK = 64  # end frames per DP block
@@ -311,9 +311,12 @@ class SegmentationResult:
     cost, not part of the result, so equality ignores it."""
 
     change_points: tuple[int, ...]
-    num_segments: int
     objective: float
     levels_relaxed: int = field(default=0, compare=False)
+
+    @property
+    def num_segments(self) -> int:
+        return len(self.change_points) + 1
 
     def shot_list(self, num_steps: int) -> ShotList:
         return ShotList(boundaries=(*self.change_points, num_steps))
@@ -334,14 +337,8 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     max(0, G - beta m) + pen(m) <= U + margin. The result is the full-cap
     one, and its ``levels_relaxed`` counts the levels filled."""
     x = _as_features(features)
-    if not is_integer(max_segments):
-        raise ConfigError(f"max_segments must be an integer, got {max_segments!r}")
-    if max_segments < 1:
-        raise ConfigError(f"max_segments must be at least 1, got {max_segments}")
-    if not is_real(penalty_coeff):
-        raise ConfigError(f"penalty_coeff must be a real number, got {penalty_coeff!r}")
-    if not (penalty_coeff >= 0 and math.isfinite(penalty_coeff)):
-        raise ConfigError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")
+    check_int(max_segments, "max_segments", 1, error=ConfigError)
+    check_real(penalty_coeff, "penalty_coeff", 0, None, error=ConfigError)
     n = x.shape[0]
     parts_cap = min(max_segments, n)
     table = _ScatterTable(x)
@@ -370,7 +367,6 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     best_m = int(np.argmin(dp[1 : relaxed + 1, n] + penalties[:relaxed]))
     return SegmentationResult(
         change_points=_reconstruct(bp, best_m + 1, n),
-        num_segments=best_m + 1,
         objective=float(dp[best_m + 1][n]),
         levels_relaxed=relaxed,
     )

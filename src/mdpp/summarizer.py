@@ -21,14 +21,15 @@ inject planted scorers.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dpp
-from .data_model import MultiViewSequence, Summary, SummaryBudget, check_seed, is_integer, is_real
+from .data_model import (
+    MultiViewSequence, Summary, SummaryBudget, check_budget, check_int, check_real, check_seed,
+)
 from .encoder import ModelParams, forward
 from .errors import DataError, ValidationError
 from .kts import SegmentationResult, kts
@@ -46,14 +47,9 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
     lens, vals = list(lengths), list(scores)
     if len(lens) != len(vals):
         raise ValidationError(f"{len(lens)} lengths but {len(vals)} scores")
-    if not all(is_integer(v) and v >= 1 for v in lens):
-        raise ValidationError(f"shot lengths must be positive integers, got {lens!r}")
-    if not all(is_real(v) and math.isfinite(v) for v in vals):
-        raise ValidationError(f"shot scores must be finite real numbers, got {vals!r}")
-    if not is_integer(budget_frames) or budget_frames < 0:
-        raise ValidationError(f"budget must be a non-negative integer, got {budget_frames!r}")
-    lens = [int(v) for v in lens]
-    ratios = [float(v).as_integer_ratio() for v in vals]
+    lens = [int(check_int(v, "shot length", 1)) for v in lens]
+    ratios = [float(check_real(v, "shot score", None, None)).as_integer_ratio() for v in vals]
+    check_int(budget_frames, "budget_frames", 0)
     scale = max((den for _, den in ratios), default=1)  # a power of two
     ints = [num * (scale // den) for num, den in ratios]
 
@@ -73,9 +69,7 @@ def knapsack_shots(lengths, scores, budget_frames: int) -> list[int]:
 
 def default_max_segments(num_steps: int) -> int:
     # targets shots of roughly 15 frames
-    if not is_integer(num_steps) or num_steps < 1:
-        raise ValidationError(f"num_steps must be an integer >= 1, got {num_steps!r}")
-    return max(2, -(-num_steps // 15))
+    return max(2, -(-check_int(num_steps, "num_steps", 1) // 15))
 
 
 def segment_views(sequence: MultiViewSequence, max_segments: int | None = None,
@@ -94,12 +88,6 @@ def _pick_shots(shots: list[tuple[int, int, int, float]], budget_frames: int):
         budget_frames,
     )
     return [shots[i] for i in chosen]
-
-
-def _frame_budget(budget, num_steps: int) -> int:
-    if not isinstance(budget, SummaryBudget):
-        raise ValidationError(f"budget must be a SummaryBudget, got {budget!r}")
-    return budget.frame_budget(num_steps)
 
 
 def _shots_to_summary(chosen, fraction: float) -> Summary:
@@ -130,7 +118,7 @@ def summarize_supervised(
     penalty_coeff: float = 1.0,
 ) -> Summary:
     """Quality-head scores + per-view KTS shots + global knapsack."""
-    frame_budget = _frame_budget(budget, sequence.num_steps)
+    frame_budget = check_budget(budget).frame_budget(sequence.num_steps)
     chosen = _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff)
     return _shots_to_summary(chosen, budget.fraction)
 
@@ -150,7 +138,7 @@ def summarize_unsupervised(
 ) -> Summary:
     """Diversity-only summary from the joint kernel with uniform qualities."""
     n = sequence.num_steps
-    budget_frames = _frame_budget(budget, n)
+    budget_frames = check_budget(budget).frame_budget(n)
     unit = _unit_rows(sequence.features.astype(np.float64))
     streams = ViewStreams(features=unit, quality=np.ones((sequence.num_views, n)))
     kernel = build_joint_kernel(streams)
@@ -199,7 +187,7 @@ def baseline_merge_views(
     n = sequence.num_steps
     merged = sequence.features.reshape(sequence.num_views * n, sequence.feature_dim)
     selections = []
-    for start, end, _ in single_view_summarizer(merged, budget.frame_budget(n)):
+    for start, end, _ in single_view_summarizer(merged, check_budget(budget).frame_budget(n)):
         for t in range(start, end):
             selections.append((t // n, t % n))
     return Summary(selections=tuple(selections), budget_fraction=budget.fraction)
@@ -213,7 +201,7 @@ def baseline_merge_summaries(
     """Summarize each view independently at the full budget, then trim the
     union back to the budget keeping the highest-scoring shots."""
     n = sequence.num_steps
-    budget_frames = budget.frame_budget(n)
+    budget_frames = check_budget(budget).frame_budget(n)
     pool = []
     for m in range(sequence.num_views):
         for start, end, score in single_view_summarizer(sequence.view(m), budget_frames):
@@ -235,6 +223,6 @@ def baseline_random(
     """Uniform sample of frame_budget (view, t) pairs without replacement."""
     m, n = sequence.num_views, sequence.num_steps
     rng = np.random.default_rng(check_seed(seed))
-    flat = rng.choice(m * n, size=min(budget.frame_budget(n), m * n), replace=False)
+    flat = rng.choice(m * n, size=min(check_budget(budget).frame_budget(n), m * n), replace=False)
     selections = tuple((int(i) // n, int(i) % n) for i in flat)
     return Summary(selections=selections, budget_fraction=budget.fraction)

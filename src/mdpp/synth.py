@@ -14,13 +14,12 @@ distance (must exceed 3 sigma).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import (
-    AnnotationSet, MultiViewSequence, SummaryBudget, check_seed, is_integer, is_real,
+    AnnotationSet, MultiViewSequence, SummaryBudget, check_int, check_real, check_seed,
 )
 from .errors import ConfigError
 
@@ -49,22 +48,14 @@ class SynthConfig:
     enforce_budget: bool = True
 
     def __post_init__(self):
-        for name in ("num_views", "num_steps", "feature_dim", "num_events",
-                     "event_length_min", "event_length_max"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not is_real(self.noise_sigma):
-            raise ConfigError(f"noise_sigma must be a real number, got {self.noise_sigma!r}")
+        for name in ("num_views", "num_steps", "feature_dim", "event_length_min"):
+            check_int(getattr(self, name), name, 1, error=ConfigError)
+        check_int(self.num_events, "num_events", 0, error=ConfigError)
+        check_int(self.event_length_max, "event_length_max", self.event_length_min,
+                  error=ConfigError)
+        check_real(self.noise_sigma, "noise_sigma", 0, None, error=ConfigError)
         if not isinstance(self.enforce_budget, bool):
             raise ConfigError(f"enforce_budget must be a bool, got {self.enforce_budget!r}")
-        if min(self.num_views, self.num_steps, self.feature_dim) < 1:
-            raise ConfigError("num_views, num_steps and feature_dim must be positive")
-        if self.num_events < 0:
-            raise ConfigError(f"num_events must be non-negative, got {self.num_events}")
-        if not (1 <= self.event_length_min <= self.event_length_max):
-            raise ConfigError(
-                f"bad event length range [{self.event_length_min}, {self.event_length_max}]"
-            )
         if self.num_events * self.event_length_max > self.num_steps:
             raise ConfigError(
                 f"{self.num_events} events of up to {self.event_length_max} frames "
@@ -74,10 +65,6 @@ class SynthConfig:
             raise ConfigError(f"overlap_mode must be one of {OVERLAP_MODES}")
         if self.overlap_mode == "pairwise" and self.num_views < 2:
             raise ConfigError("pairwise overlap needs at least 2 views")
-        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
-            raise ConfigError(
-                f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
-            )
         SummaryBudget(self.budget_fraction)  # ConfigError unless a real in (0, 1]
         check_seed(self.seed)
 

@@ -10,14 +10,15 @@ from the epoch with the lowest validation loss.
 from __future__ import annotations
 
 import ctypes
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import io
-from .data_model import MultiViewSequence, Summary, TrainingExample, check_seed, is_integer, is_real
+from .data_model import (
+    MultiViewSequence, Summary, TrainingExample, check_int, check_real, check_seed,
+)
 from .encoder import PARAM_FIELDS, LossParts, ModelParams, batch_loss, from_vector, to_vector
 from .errors import ConfigError, FormatError, NumericError
 
@@ -34,22 +35,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "lam"):
-            if not is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("batch_size", "iterations"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be non-negative, got {self.lam}")
+        check_real(self.learning_rate, "learning_rate", 0, None, above=True, error=ConfigError)
+        check_int(self.batch_size, "batch_size", 1, error=ConfigError)
+        check_int(self.iterations, "iterations", 1, error=ConfigError)
+        check_real(self.lam, "lam", 0, None, error=ConfigError)
         check_seed(self.seed)
 
 
@@ -59,8 +48,12 @@ class AdamState:
     second_moment: np.ndarray
     step: int = 0
 
+    def __post_init__(self):
+        check_int(self.step, "step", 0)
+
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
+        check_int(size, "size", 0)
         return cls(first_moment=np.zeros(size), second_moment=np.zeros(size))
 
 

@@ -307,7 +307,7 @@ def test_train_with_non_finite_learning_rate_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert run(["train", "--features-dir", str(root), "--lr", "nan", "--out", str(ckpt)]) == 1
     err = capsys.readouterr().err
-    assert "ConfigError" in err and "learning_rate must be finite, got nan" in err
+    assert "ConfigError" in err and "learning_rate must be a finite real number > 0, got nan" in err
     assert not ckpt.exists()
 
 
@@ -328,7 +328,7 @@ def test_negative_seed_exits_1(tmp_path, capsys):
     for argv in commands:
         assert run([*argv, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
-        assert "ConfigError" in err and "seed must be a non-negative integer, got -1" in err
+        assert "ConfigError" in err and "seed must be an integer >= 0, got -1" in err
     assert not out.exists()
 
 
@@ -337,7 +337,7 @@ def test_segment_with_non_finite_penalty_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert run(["segment", "--features", str(features), "--penalty", "nan"]) == 1
     err = capsys.readouterr().err
-    assert "ConfigError" in err and "penalty_coeff must be finite and non-negative" in err
+    assert "ConfigError" in err and "penalty_coeff must be a finite real number >= 0, got nan" in err
 
 
 def test_train_history_columns_parse_as_floats(tmp_path):

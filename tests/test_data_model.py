@@ -57,13 +57,20 @@ def test_annotations_reject_non_string_user_ids():
 
 @pytest.mark.parametrize("pair", [(0.5, 1), (0, 2.9), (True, 1), (0, False), ("0", 1)])
 def test_annotations_reject_non_integer_indices(pair):
-    with pytest.raises(ValidationError, match="selection indices must be integers"):
+    with pytest.raises(ValidationError, match="selection index must be an integer >= 0"):
         AnnotationSet(sequence_id="s", stage=2, users=(("u", ((0, 2), pair)),))
 
 
 def test_annotations_accept_numpy_integer_indices():
     users = (("u", ((np.int64(1), np.uint16(2)),)),)
     assert AnnotationSet(sequence_id="s", stage=2, users=users).users == (("u", ((1, 2),)),)
+
+
+@pytest.mark.parametrize("stage", [True, 2.0, 0, 4, "2"])
+def test_annotations_reject_a_bad_stage(stage):
+    # True and 2.0 were accepted, since they compare equal to 1 and 2
+    with pytest.raises(ValidationError, match=r"stage must be an integer in \[1, 3\]"):
+        AnnotationSet(sequence_id="s", stage=stage, users=())
 
 
 def test_annotations_stage1_single_view():
@@ -96,7 +103,7 @@ def test_summary_rejects_bad_budget_fraction(fraction):
 
 @pytest.mark.parametrize("pair", [(0.5, 1), (0, 1.0), (True, 1), (0, False), ("0", 1)])
 def test_summary_rejects_non_integer_indices(pair):
-    with pytest.raises(ValidationError, match="selection indices must be integers"):
+    with pytest.raises(ValidationError, match="selection index must be an integer >= 0"):
         Summary(selections=((0, 2), pair))
 
 
@@ -117,13 +124,32 @@ def test_shot_list_spans_and_lookup():
     assert [shots.shot_of(t) for t in (0, 2, 3, 9)] == [0, 0, 1, 2]
 
 
+BAD_INDEX_CALLS = {
+    "shot_span(-1)": lambda: ShotList((10, 30)).shot_span(-1),  # was (0, 30): every frame
+    "shot_span(2)": lambda: ShotList((10, 30)).shot_span(2),  # a raw IndexError
+    "shot_span(True)": lambda: ShotList((10, 30)).shot_span(True),  # was (10, 30)
+    "shot_of(1.5)": lambda: ShotList((10, 30)).shot_of(1.5),  # was 0
+    "shot_of(30)": lambda: ShotList((10, 30)).shot_of(30),
+    "frame_budget(2.5)": lambda: SummaryBudget().frame_budget(2.5),  # was 1
+    "frame_budget(0)": lambda: SummaryBudget().frame_budget(0),  # was 0
+    "frame_mask(2.5, 3)": lambda: Summary(((0, 1),)).frame_mask(2.5, 3),  # a raw TypeError
+    "frame_mask(1, 0)": lambda: Summary(()).frame_mask(1, 0),  # was an empty mask
+}
+
+
+@pytest.mark.parametrize("call", BAD_INDEX_CALLS)
+def test_indices_and_counts_must_be_in_range_integers(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        BAD_INDEX_CALLS[call]()
+
+
 def test_shot_list_rejects_bad_boundaries():
     with pytest.raises(ValidationError):
         ShotList(boundaries=(5, 5, 10))
     with pytest.raises(ValidationError):
         ShotList(boundaries=())
     for bounds in ((True, 3), (2.0, 3), (2, 3.5), ("2", 3)):
-        with pytest.raises(ValidationError, match="boundaries must be integers"):
+        with pytest.raises(ValidationError, match="boundary must be an integer >= [13]"):
             ShotList(boundaries=bounds)
     assert ShotList(boundaries=(np.int64(2), np.uint8(3))).boundaries == (2, 3)
 
@@ -151,7 +177,7 @@ def test_seeds_must_be_non_negative_integers(seed):
         lambda: summarizer.baseline_random(_sequence(), seed=seed),
     )
     for make in makers:
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             make()
     assert training.TrainConfig(seed=np.int64(3)).seed == 3
 

@@ -79,7 +79,7 @@ def test_log_prob_rejects_out_of_range_subset():
     with pytest.raises(ValidationError):
         dpp.log_prob(kernel, [0, 3])
     for subset in ([1.5], [True]):  # not read as [1]
-        with pytest.raises(ValidationError, match="subset items must be integers"):
+        with pytest.raises(ValidationError, match="subset item must be an integer in \\[0, 2\\]"):
             dpp.log_prob(kernel, subset)
 
 

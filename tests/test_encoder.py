@@ -93,7 +93,7 @@ def test_init_rejects_bad_dimensions():
     with pytest.raises(ConfigError):
         init_params(0, hidden_size=4, output_dim=3)
     for dims in [(16.0, 16, 64), ("16", 16, 64), (16, 16, None), (True, 16, 64)]:
-        with pytest.raises(ConfigError, match="dimensions must be positive integers"):
+        with pytest.raises(ConfigError, match="(input_dim|output_dim) must be an integer >= 1"):
             init_params(*dims)
 
 

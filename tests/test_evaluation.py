@@ -116,7 +116,7 @@ def test_tolerant_f1_rejects_negative_tau():
 @pytest.mark.parametrize("tau", [float("nan"), "0.1", None, True])
 def test_tolerant_f1_rejects_nan_and_non_real_tau(tau):
     rng = np.random.default_rng(4)
-    with pytest.raises(ValidationError, match="tau must be a non-negative real number"):
+    with pytest.raises(ValidationError, match="tau must be a real number >= 0"):
         tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), tau)
 
 

@@ -354,8 +354,8 @@ def test_row_pays_applies_the_rule_to_the_first_cost_blocks_pairs(kind, beta):
 
 
 def test_levels_relaxed_is_not_part_of_equality():
-    a = SegmentationResult(change_points=(3,), num_segments=2, objective=1.5, levels_relaxed=4)
-    b = SegmentationResult(change_points=(3,), num_segments=2, objective=1.5, levels_relaxed=20)
+    a = SegmentationResult(change_points=(3,), objective=1.5, levels_relaxed=4)
+    b = SegmentationResult(change_points=(3,), objective=1.5, levels_relaxed=20)
     assert a == b and hash(a) == hash(b)
 
 
@@ -428,7 +428,8 @@ def test_penalized_objective_is_unpenalized_scatter():
 
 
 def test_shot_list_conversion():
-    result = SegmentationResult(change_points=(3, 7), num_segments=3, objective=0.0)
+    result = SegmentationResult(change_points=(3, 7), objective=0.0)
+    assert result.num_segments == 3  # read off the change points, not stored beside them
     shots = result.shot_list(10)
     assert shots.boundaries == (3, 7, 10)
     assert shots.num_shots == 3
@@ -454,7 +455,7 @@ def test_kts_validation():
         with pytest.raises(ConfigError, match="finite"):
             kts(np.zeros((5, 2)), max_segments=5, penalty_coeff=value)
     for value in ("1", None, True, np.bool_(True), [1.0], 1j, np.complex128(1.0)):
-        with pytest.raises(ConfigError, match="penalty_coeff must be a real number"):
+        with pytest.raises(ConfigError, match="penalty_coeff must be a finite real number >= 0"):
             kts(np.zeros((5, 2)), max_segments=3, penalty_coeff=value)
     x = np.arange(10.0).reshape(5, 2)
     assert kts(x, 3, 1) == kts(x, 3, np.float64(1.0)) == kts(x, 3, 1.0)

@@ -4,7 +4,12 @@ fast paths' internals.
 
 Only the DPP modules read ``dpp.QUALITY_FLOOR``: it keeps the joint kernel's
 log-likelihood finite, and ``multi_dpp`` applies it to the per-view scores
-and their product, so no other module decides it."""
+and their product, so no other module decides it.
+
+No module but ``data_model`` reads ``is_integer`` or ``is_real``: the others
+check a scalar argument through ``check_int`` and ``check_real``, so the
+rule for what counts as an integer or a real, and the message that rejects
+one, stays in one place."""
 
 import ast
 from pathlib import Path
@@ -32,6 +37,10 @@ def _mdpp_module(node: ast.ImportFrom):
 
 def _floor(name):
     return name == "QUALITY_FLOOR"
+
+
+def _type_rule(name):
+    return name in ("is_integer", "is_real")
 
 
 def reaches(path: Path, wanted) -> list[tuple[int, str]]:
@@ -79,6 +88,15 @@ def test_only_the_dpp_modules_read_the_quality_floor():
     assert readers == []
 
 
+def test_only_data_model_applies_the_scalar_type_rules():
+    readers = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name not in EXEMPT
+        for line, name in reaches(path, _type_rule)
+    ]
+    assert readers == []
+
+
 def test_the_check_sees_imports_and_attribute_reads(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text(
@@ -94,6 +112,9 @@ def test_the_check_sees_imports_and_attribute_reads(tmp_path):
         "from .dpp import QUALITY_FLOOR\n"
         "from . import dpp\n"
         "dpp.QUALITY_FLOOR\n"
+        "from .data_model import check_int, is_integer\n"
+        "import mdpp.data_model as dm\n"
+        "dm.is_real\n"
     )
     assert reaches(source, _private) == [
         (3, "kts._BLOCK"),
@@ -104,4 +125,8 @@ def test_the_check_sees_imports_and_attribute_reads(tmp_path):
     assert reaches(source, _floor) == [
         (10, "dpp.QUALITY_FLOOR"),
         (12, "dpp.QUALITY_FLOOR"),
+    ]
+    assert reaches(source, _type_rule) == [
+        (13, "data_model.is_integer"),
+        (15, "dm.is_real"),
     ]

@@ -3,9 +3,10 @@ import pytest
 
 from mdpp import summarizer
 from mdpp.bruteforce import exhaustive_knapsack
-from mdpp.data_model import MultiViewSequence, SummaryBudget
+from mdpp.data_model import AnnotationSet, MultiViewSequence, ShotList, SummaryBudget
 from mdpp.encoder import init_params
 from mdpp.errors import ValidationError
+from mdpp.evaluation import oracle_summary
 from mdpp.kts import kts
 from mdpp.summarizer import (
     baseline_merge_summaries,
@@ -72,7 +73,8 @@ def test_knapsack_validation():
     ([1.5, 2], 3), ([True, 2], 3), ([1, 2], True), ([1, 2], 2.5), ([1, 2], "3"),
 ])
 def test_knapsack_rejects_non_integer_lengths_and_budget(lengths, budget):
-    with pytest.raises(ValidationError, match="must be (positive|a non-negative) integer"):
+    expected = "(shot length must be an integer >= 1|budget_frames must be an integer >= 0)"
+    with pytest.raises(ValidationError, match=expected):
         knapsack_shots(lengths, [0.1, 0.2], budget)
 
 
@@ -83,7 +85,7 @@ def test_knapsack_accepts_numpy_integers():
 @pytest.mark.parametrize("scores", [["0.5", True], ["0.5", 0.2], [0.1, True], [0.1, None]])
 def test_knapsack_rejects_non_real_scores(scores):
     # float() took "0.5" and True as scores
-    with pytest.raises(ValidationError, match="shot scores must be finite real numbers"):
+    with pytest.raises(ValidationError, match="shot score must be a finite real number"):
         knapsack_shots([1, 2], scores, 3)
 
 
@@ -112,13 +114,26 @@ def test_default_max_segments_rejects_no_steps(num_steps):
         default_max_segments(num_steps)
 
 
-def test_pipelines_reject_a_bare_budget_fraction():
+@pytest.mark.parametrize("entry", [
+    "summarize_supervised", "summarize_unsupervised", "baseline_merge_views",
+    "baseline_merge_summaries", "baseline_random", "oracle_summary",
+])
+def test_budgeted_entry_points_reject_a_bare_fraction(entry):
+    # the three baselines and the oracle raised a raw AttributeError
     sequence = _synth_sequence()
     params = init_params(8, hidden_size=4, output_dim=8, seed=0)
-    with pytest.raises(ValidationError, match="budget must be a SummaryBudget"):
-        summarize_supervised(params, sequence, 0.15)
-    with pytest.raises(ValidationError, match="budget must be a SummaryBudget"):
-        summarize_unsupervised(sequence, 0.15)
+    single_view = summarizer.single_view_supervised(params)
+    annotations = AnnotationSet("s", 3, (("u", ((0, 1),)),))
+    calls = {
+        "summarize_supervised": lambda: summarize_supervised(params, sequence, 0.15),
+        "summarize_unsupervised": lambda: summarize_unsupervised(sequence, 0.15),
+        "baseline_merge_views": lambda: baseline_merge_views(single_view, sequence, 0.15),
+        "baseline_merge_summaries": lambda: baseline_merge_summaries(single_view, sequence, 0.15),
+        "baseline_random": lambda: baseline_random(sequence, 0.15),
+        "oracle_summary": lambda: oracle_summary(annotations, [ShotList((30, 60))] * 3, 0.15),
+    }
+    with pytest.raises(ValidationError, match="budget must be a SummaryBudget, got 0.15"):
+        calls[entry]()
 
 
 def _synth_sequence(seed=0):

@@ -35,14 +35,14 @@ def test_config_validation():
 @pytest.mark.parametrize("name", ["learning_rate", "lam"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_values(name, value):
-    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite real number"):
         TrainConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["learning_rate", "lam"])
 @pytest.mark.parametrize("value", ["0.1", None, True, False])
 def test_config_rejects_non_real_values(name, value):
-    with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite real number"):
         TrainConfig(**{name: value})
 
 
