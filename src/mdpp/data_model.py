@@ -46,9 +46,13 @@ def check_real(value, name: str, low, high, *, above: bool = False, finite: bool
     """``value`` unchanged if it is a real number (``is_real``), not nan,
     and at least ``low`` (above it with ``above``) and at most ``high``,
     where None is no bound; with ``finite``, +-inf is rejected too.
-    Otherwise ``error``."""
-    ok = (is_real(value) and value == value  # nan fails every comparison
-          and (not finite or -math.inf < value < math.inf)
+    Otherwise ``error``, also for an int beyond the float range."""
+    try:
+        number = float(value) if is_real(value) else math.nan
+    except OverflowError:
+        number = math.nan
+    ok = (number == number  # nan fails every comparison
+          and (not finite or -math.inf < number < math.inf)
           and (low is None or (low < value if above else low <= value))
           and (high is None or value <= high))
     if not ok:
@@ -63,8 +67,21 @@ def check_seed(seed) -> int:
     return check_int(seed, "seed", 0, error=ConfigError)
 
 
+def _items(value, name: str, size: int | None = None) -> tuple:
+    """``value`` as a tuple, if it is iterable and, with ``size``, has that
+    many items; otherwise a ValidationError."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+    if size is not None and len(items) != size:
+        raise ValidationError(f"{name} must have {size} items, got {value!r}")
+    return items
+
+
 def _selections(pairs) -> tuple[Selection, ...]:
     """``pairs`` as (view, t) tuples of ints, each index an integer >= 0."""
+    pairs = (_items(pair, "a selection", 2) for pair in _items(pairs, "selections"))
     return tuple((int(check_int(v, "selection index", 0)), int(check_int(t, "selection index", 0)))
                  for v, t in pairs)
 
@@ -154,7 +171,8 @@ class AnnotationSet:
 
     def __post_init__(self):
         check_int(self.stage, "stage", 1, 3)
-        users = tuple((uid, _selections(sels)) for uid, sels in self.users)
+        users = tuple((uid, _selections(sels)) for uid, sels in
+                      (_items(user, "a user entry", 2) for user in _items(self.users, "users")))
         for uid, sels in users:
             if not isinstance(uid, str):
                 raise ValidationError(f"user ids must be strings, got {uid!r}")
@@ -231,7 +249,7 @@ class ShotList:
 
     def __post_init__(self):
         bounds, prev = [], 0
-        for b in self.boundaries:  # strictly increasing from 0
+        for b in _items(self.boundaries, "boundaries"):  # strictly increasing from 0
             prev = int(check_int(b, "boundary", prev + 1))
             bounds.append(prev)
         if not bounds:

@@ -274,13 +274,19 @@ def _lstm_forward(x, wx, wh, b):
     rows of Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so
     a step is one batched product of h_{t-1} with the (4, 2, H, H) Wh
     blocks, one add, one tanh and a scalar affine map of the slab to the
-    sigmoids 0.5 (1 + tanh(z / 2)), then five ``out=`` ops for c_t and h_t.
+    sigmoids 0.5 (1 + tanh(z / 2)), then five ufunc calls for c_t and h_t.
     ``cells`` and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the
     zero state and row t + 1 holds step t. ``x`` is the (M, N, D) input
     itself.
     """
     m, n, d = x.shape
     h_size = wh.shape[2]
+    # a step's (2, M, H) blocks are so small that per-call dispatch dominates
+    # it, so the step loops call their ufuncs through local names with
+    # positional outputs, in-place updates included: on a (2, 6, 16) block
+    # an ``np.<name>`` lookup and an ``out=`` keyword add about 70 ns to a
+    # 330 ns call
+    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
     gates = np.empty((n + 1, 4, 2, m, h_size))
     wx_blocks = _gate_blocks(wx, h_size)[:, :, None]
     b_blocks = _gate_blocks(b[..., None], h_size)
@@ -302,16 +308,16 @@ def _lstm_forward(x, wx, wh, b):
             steps, steps[:, :3], steps[:, 0], steps[:, 1], steps[:, 2], steps[:, 3],
             cells[lo:hi], cells[lo + 1 : hi + 1], hidden[lo:hi], hidden[lo + 1 : hi + 1],
         ):
-            np.matmul(h_prev, wh_blocks, out=recurrent)
-            z += recurrent
-            np.tanh(z, out=z)
-            sig *= 0.5
-            sig += 0.5
-            np.multiply(f, c_prev, out=c)
-            np.multiply(i, g, out=product)
-            np.add(c, product, out=c)
-            np.tanh(c, out=h)
-            np.multiply(h, o, out=h)
+            matmul(h_prev, wh_blocks, recurrent)
+            add(z, recurrent, z)
+            tanh(z, z)
+            multiply(sig, 0.5, sig)
+            add(sig, 0.5, sig)
+            multiply(f, c_prev, c)
+            multiply(i, g, product)
+            add(c, product, c)
+            tanh(c, h)
+            multiply(h, o, h)
     return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
 
 
@@ -383,6 +389,7 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
     dz = gates[1:].reshape(n, 2, m, 4 * h_size)
     dz_blocks = dz.reshape(n, 2, m, 4, h_size).transpose(0, 3, 1, 2, 4)
     dh, dh_next, dc, product = (np.zeros((2, m, h_size)) for _ in range(4))
+    matmul, add, multiply = np.matmul, np.add, np.multiply  # as in _lstm_forward
     for lo, hi in reversed(_time_chunks(n)):
         steps, blocks = gates[lo:hi][::-1], dz_blocks[lo:hi][::-1]
         forget = _gate_factors(gates[lo:hi], cells[lo : hi + 1])
@@ -390,13 +397,13 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
             grad_hidden[lo:hi][::-1], cells[hi:lo:-1], steps[:, 0], steps[:, 1:],
             dz[lo:hi][::-1], blocks[:, :3], blocks[:, 3], forget[::-1],
         ):
-            np.add(grad, dh_next, out=dh)
-            np.multiply(dh, cell, out=product)
-            dc += product
-            np.multiply(fac_ifg, dc, out=out_ifg)
-            np.multiply(fac_o, dh, out=out_o)
-            np.matmul(dz_t, wh, out=dh_next)
-            dc *= f_t
+            add(grad, dh_next, dh)
+            multiply(dh, cell, product)
+            add(dc, product, dc)
+            multiply(fac_ifg, dc, out_ifg)
+            multiply(fac_o, dh, out_o)
+            matmul(dz_t, wh, dh_next)
+            multiply(dc, f_t, dc)
         del forget
 
     # (4H x N)(N x .) per direction and view, summed over each slice's views

@@ -60,7 +60,8 @@ N = 2000 it is 2e-12 of the scale, so it keeps no level in practice.
 With K the levels relaxed, time is O(N^2 (D + K)): the row costs about one
 level plus in-block passes of at most _BLOCK^2 cells each, and a second
 sweep recomputes the O(N^2 D) cost blocks once. Extra memory is
-O(K N + _BLOCK N + N D); no N x N cost table is ever built. A cell's
+O(K N + _BLOCK N + N D): the dp and bp tables hold the K levels relaxed,
+grown before a second sweep, and no N x N cost table is ever built. A cell's
 round-off depends on its block, so ``bruteforce.reference_dp_tables`` keeps
 the per-(k, end) loop but reads each end's costs from the same
 ``_ScatterTable.block_costs`` grid, and ``mdpp check kts`` requires the two
@@ -347,7 +348,6 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     # the table is non-negative, so m's penalized value is at least
     # penalties[m]; once that reaches dp[1][n], m cannot win
     parts = 1 + max((m for m in range(1, parts_cap) if penalties[m] < single), default=0)
-    dp, bp = _empty_tables(n, parts)
     # the plan: one sweep of every level, or _FIRST_LEVELS levels with the
     # row, then the levels the row's bound keeps
     row = None
@@ -356,11 +356,15 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
         if _row_pays(x, beta, parts_cap):
             row = _LinearPenaltyRow(n, beta)
     relaxed = parts if row is None else _FIRST_LEVELS
+    # the tables hold the levels the plan relaxes, not the cap's
+    dp, bp = _empty_tables(n, relaxed)
     _relax(table, dp, bp, range(1, relaxed + 1), last_costs, row)
     if row is not None:
         upper = float(np.min(dp[1 : relaxed + 1, n] + penalties[:relaxed]))
         kept = _levels_that_can_win(row, parts_cap, penalties[:parts], upper, penalty_coeff)
         if kept > relaxed:
+            more = ((0, kept - relaxed), (0, 0))  # the new levels' rows
+            dp, bp = np.pad(dp, more, constant_values=np.inf), np.pad(bp, more)
             _relax(table, dp, bp, range(relaxed + 1, kept + 1), last_costs)
             relaxed = kept
     # the penalized values' first minimum: the fewest change points

@@ -11,8 +11,9 @@ A row covers one scalar argument (a number or a flag; a budget too, since a
 bare fraction is the usual mistake there). It gives a call that passes the
 argument a value, the error class that call must raise, and the values to
 try: a bool, a str, None, nan, inf, a float where an integer is expected,
-and values out of range. A value the argument accepts on purpose is listed
-with the reason, and the test checks that it is accepted.
+an int too large for a float where a real is expected, and values out of
+range. A value the argument accepts on purpose is listed with the reason,
+and the test checks that it is accepted.
 
 Exempt modules:
 - ``cli``: argparse types check its options, and
@@ -44,7 +45,8 @@ from mdpp.errors import ConfigError, MdppError, ValidationError
 EXEMPT = {"__init__", "cli", "io", "bruteforce"}
 NAN, INF = math.nan, math.inf
 NOT_INT = (True, "1", None, NAN, INF, 1.5, 2.0)
-NOT_REAL = (True, "1", None, NAN, INF)
+HUGE = 10**400  # a real number that does not fit a float
+NOT_REAL = (True, "1", None, NAN, INF, HUGE)
 NOT_FLAG = ("1", None, NAN, INF, 1.5, 0, 1)
 NOT_BUDGET = (0.15, True, None, "0.15", NAN)
 FLAG = "a flag: read for its truth value, as any Python condition is"
@@ -323,7 +325,8 @@ def _cases(kind):
         for arg, row in args.items():
             values = row.bad if kind == "bad" else row.accepted
             for value in values:
-                yield pytest.param(row, value, id=f"{name}:{arg}={value!r}")
+                shown = "10**400" if value is HUGE else repr(value)
+                yield pytest.param(row, value, id=f"{name}:{arg}={shown}")
 
 
 def test_every_public_name_has_a_row():

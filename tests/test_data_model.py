@@ -154,6 +154,23 @@ def test_shot_list_rejects_bad_boundaries():
     assert ShotList(boundaries=(np.int64(2), np.uint8(3))).boundaries == (2, 3)
 
 
+MALFORMED_CONTAINERS = {
+    "a 3-item selection": lambda: Summary(selections=((1, 2, 3),)),  # raw ValueError
+    "a bare-int selection": lambda: Summary(selections=(5,)),  # raw TypeError
+    "bare-int selections": lambda: Summary(selections=5),
+    "a user's bare-int pair": lambda: AnnotationSet("s", 2, (("u", (1,)),)),  # raw TypeError
+    "a 1-item user entry": lambda: AnnotationSet("s", 2, ("u",)),  # raw ValueError
+    "bare-int users": lambda: AnnotationSet("s", 2, 5),
+    "bare-int boundaries": lambda: ShotList(5),  # raw TypeError
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CONTAINERS)
+def test_containers_reject_a_malformed_shape(call):
+    with pytest.raises(ValidationError, match="must (be a sequence|have 2 items)"):
+        MALFORMED_CONTAINERS[call]()
+
+
 def test_budget_frame_count():
     assert SummaryBudget().frame_budget(300) == 45
     assert SummaryBudget().frame_budget(7) == 2  # ceil(1.05)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,27 @@ def test_plan_with_the_row_sweeps_the_first_levels_then_the_kept_ones(monkeypatc
     assert sweeps == [(range(1, first + 1), True),
                       (range(first + 1, result.levels_relaxed + 1), False)]
     assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), 20), 20, 0.05)
+
+
+def test_kts_tables_hold_the_levels_relaxed_not_the_cap():
+    # at N = 4000 the cap's 267 dp and bp levels alone would take 16 MiB;
+    # the plan relaxes 8 levels, then grows the tables to the 11 the bound
+    # keeps, so the peak is the few 64 x N arrays of one DP block
+    n = 4000
+    config = synth.SynthConfig(
+        num_views=1, num_steps=n, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, noise_sigma=0.05, seed=201,
+    )
+    x = synth.generate(config)[0].view(0).astype(float)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = kts(x, math.ceil(n / 15), 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert kts_module._FIRST_LEVELS < result.levels_relaxed < math.ceil(n / 15)
+    assert peak < 8 * 64 * n * 8
 
 
 def _first_block_views():
