@@ -18,13 +18,23 @@ Selection = tuple[int, int]  # (view, time-step)
 
 
 def is_integer(value) -> bool:
-    """Whether a config value is an int or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether a config value is an int or numpy integer in int64, and not a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and -2**63 <= int(value) < 2**63)
 
 
 def is_real(value) -> bool:
     """Whether a config value is an int, float or numpy real, and not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    """``repr(value)`` cut to 40 characters, for a check's message."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int of more than 4300 digits
+        text = f"an int of {value.bit_length()} bits"
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _bounds(low, high, above: bool) -> str:
@@ -37,7 +47,7 @@ def check_int(value, name: str, low: int, high: int | None = None, error=Validat
     """``value`` unchanged if it is an integer (``is_integer``) in [low,
     high], with no upper bound when ``high`` is None; otherwise ``error``."""
     if not (is_integer(value) and low <= value and (high is None or value <= high)):
-        raise error(f"{name} must be an integer{_bounds(low, high, False)}, got {value!r}")
+        raise error(f"{name} must be an integer{_bounds(low, high, False)}, got {_shown(value)}")
     return value
 
 
@@ -57,7 +67,15 @@ def check_real(value, name: str, low, high, *, above: bool = False, finite: bool
           and (high is None or value <= high))
     if not ok:
         kind = "a finite real number" if finite and high is None else "a real number"
-        raise error(f"{name} must be {kind}{_bounds(low, high, above)}, got {value!r}")
+        raise error(f"{name} must be {kind}{_bounds(low, high, above)}, got {_shown(value)}")
+    return value
+
+
+def check_str(value, name: str, error=ValidationError) -> str:
+    """``value`` unchanged if it is a str; None, a number, a bool, a list or
+    any other type raises ``error``, so an id is never read as its text."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {_shown(value)}")
     return value
 
 
@@ -73,9 +91,9 @@ def _items(value, name: str, size: int | None = None) -> tuple:
     try:
         items = tuple(value)
     except TypeError:
-        raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+        raise ValidationError(f"{name} must be a sequence, got {_shown(value)}") from None
     if size is not None and len(items) != size:
-        raise ValidationError(f"{name} must have {size} items, got {value!r}")
+        raise ValidationError(f"{name} must have {size} items, got {_shown(value)}")
     return items
 
 
@@ -84,6 +102,15 @@ def _selections(pairs) -> tuple[Selection, ...]:
     pairs = (_items(pair, "a selection", 2) for pair in _items(pairs, "selections"))
     return tuple((int(check_int(v, "selection index", 0)), int(check_int(t, "selection index", 0)))
                  for v, t in pairs)
+
+
+def _check_within(selections, num_views: int, num_steps: int) -> None:
+    """ValidationError unless each (view, t) of ``selections`` fits (M, N)."""
+    check_int(num_views, "num_views", 1)
+    check_int(num_steps, "num_steps", 1)
+    for v, t in selections:
+        if v >= num_views or t >= num_steps:
+            raise ValidationError(f"selection ({v}, {t}) outside ({num_views}, {num_steps})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +126,8 @@ class MultiViewSequence:
     fps_note: str = ""
 
     def __post_init__(self):
+        check_str(self.sequence_id, "sequence_id")
+        check_str(self.fps_note, "fps_note")
         feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 3:
             raise ValidationError(
@@ -170,12 +199,11 @@ class AnnotationSet:
     users: tuple[tuple[str, tuple[Selection, ...]], ...]
 
     def __post_init__(self):
+        check_str(self.sequence_id, "sequence_id")
         check_int(self.stage, "stage", 1, 3)
-        users = tuple((uid, _selections(sels)) for uid, sels in
+        users = tuple((check_str(uid, "user_id"), _selections(sels)) for uid, sels in
                       (_items(user, "a user entry", 2) for user in _items(self.users, "users")))
         for uid, sels in users:
-            if not isinstance(uid, str):
-                raise ValidationError(f"user ids must be strings, got {uid!r}")
             if len(set(sels)) != len(sels):
                 raise ValidationError(f"user {uid!r} has duplicate (view, t) selections")
         if self.stage == 1:
@@ -188,18 +216,7 @@ class AnnotationSet:
 
     def validate_shape(self, num_views: int, num_steps: int) -> None:
         """Check every selection against a sequence's (M, N) bounds."""
-        check_int(num_views, "num_views", 1)
-        check_int(num_steps, "num_steps", 1)
-        for uid, sels in self.users:
-            for v, t in sels:
-                if v >= num_views:
-                    raise ValidationError(
-                        f"user {uid!r} selects view {v} but sequence has {num_views} views"
-                    )
-                if t >= num_steps:
-                    raise ValidationError(
-                        f"user {uid!r} selects t={t} but sequence has {num_steps} steps"
-                    )
+        _check_within((s for _, sels in self.users for s in sels), num_views, num_steps)
 
     def user_selections(self) -> dict[str, set[Selection]]:
         return {uid: set(sels) for uid, sels in self.users}
@@ -209,29 +226,32 @@ class AnnotationSet:
 class Summary:
     """A set of (view, time-step) selections under a length budget.
 
-    Selections are deduplicated and stored sorted by (t, view).
+    Selections are deduplicated and stored sorted by (t, view), and the
+    budget fraction as a float.
     """
 
     selections: tuple[Selection, ...]
     budget_fraction: float = 0.15
 
     def __post_init__(self):
-        check_real(self.budget_fraction, "budget_fraction", 0, 1, above=True)
+        fraction = float(check_real(self.budget_fraction, "budget_fraction", 0, 1, above=True))
         sels = sorted(set(_selections(self.selections)), key=lambda p: (p[1], p[0]))
         object.__setattr__(self, "selections", tuple(sels))
+        object.__setattr__(self, "budget_fraction", fraction)
 
     @property
     def selection_set(self) -> set[Selection]:
         return set(self.selections)
 
+    def validate_shape(self, num_views: int, num_steps: int) -> None:
+        """Check every selection against a sequence's (M, N) bounds."""
+        _check_within(self.selections, num_views, num_steps)
+
     def frame_mask(self, num_views: int, num_steps: int) -> np.ndarray:
         """Binary (M, N) mask of the selected frames."""
-        check_int(num_views, "num_views", 1)
-        check_int(num_steps, "num_steps", 1)
+        self.validate_shape(num_views, num_steps)
         mask = np.zeros((num_views, num_steps), dtype=bool)
         for v, t in self.selections:
-            if v >= num_views or t >= num_steps:
-                raise ValidationError(f"selection ({v}, {t}) outside ({num_views}, {num_steps})")
             mask[v, t] = True
         return mask
 
@@ -291,5 +311,5 @@ class SummaryBudget:
 def check_budget(budget) -> SummaryBudget:
     """``budget`` if it is a SummaryBudget; a bare fraction is a ValidationError."""
     if not isinstance(budget, SummaryBudget):
-        raise ValidationError(f"budget must be a SummaryBudget, got {budget!r}")
+        raise ValidationError(f"budget must be a SummaryBudget, got {_shown(budget)}")
     return budget

@@ -8,7 +8,8 @@ Annotations and summaries are JSON (structured text, diffable, lossless for
 non-ASCII ids). Checkpoints carry two text header lines (magic, then a JSON
 object) followed by a raw little-endian float64 blob of the weights.
 
-All writers go through an atomic temp-file + rename.
+Readers check only the format; the ``data_model`` containers they build
+check the content. All writers go through an atomic temp-file + rename.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import AnnotationSet, MultiViewSequence, Summary
+from .data_model import AnnotationSet, MultiViewSequence, Summary, check_int, check_str
 from .errors import DataError, FormatError, ValidationError
 
 FEATURE_MAGIC = b"MDV1"
@@ -70,8 +72,6 @@ def read_feature_file(path) -> MultiViewSequence:
     magic, m, n, d = _HEADER.unpack_from(raw, 0)
     if magic != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-    if min(m, n, d) < 1:
-        raise FormatError(f"{path}: non-positive dimensions ({m}, {n}, {d})")
     (meta_len,) = struct.unpack_from("<I", raw, _HEADER.size)
     body = _HEADER.size + 4
     if len(raw) < body + meta_len:
@@ -82,18 +82,18 @@ def read_feature_file(path) -> MultiViewSequence:
         raise FormatError(f"{path}: unreadable metadata block: {exc}") from exc
     if not isinstance(meta, dict) or "sequence_id" not in meta:
         raise FormatError(f"{path}: metadata block must be a JSON object with a sequence_id")
-    sequence_id = read_string(meta["sequence_id"], f"{path}: sequence_id")
-    fps_note = read_string(meta.get("fps_note", ""), f"{path}: fps_note")
     payload = raw[body + meta_len :]
     expected = m * n * d * 4
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload holds {len(payload)} bytes, header declares {expected}"
         )
-    feats = np.frombuffer(payload, dtype="<f4").reshape(m, n, d)
-    if not np.isfinite(feats).all():
-        raise DataError(f"{path}: payload contains non-finite values")
-    return MultiViewSequence(sequence_id=sequence_id, features=feats, fps_note=fps_note)
+    with _malformed(path, "malformed feature file"):
+        return MultiViewSequence(
+            sequence_id=meta["sequence_id"],
+            features=np.frombuffer(payload, dtype="<f4").reshape(m, n, d),
+            fps_note=meta.get("fps_note", ""),
+        )
 
 
 # -- annotations -------------------------------------------------------------
@@ -115,22 +115,16 @@ def write_annotations(annotations: AnnotationSet, path) -> None:
 def read_annotations(path, sequence: MultiViewSequence | None = None) -> AnnotationSet:
     """Parse an annotation file, optionally validating indices against a sequence."""
     doc = _load_json(path, "mdpp-annotations-1")
-    try:
+    with _malformed(path, "malformed annotation document"):
         annotations = AnnotationSet(
-            sequence_id=read_string(doc["sequence_id"], f"{path}: sequence_id"),
-            stage=read_index(doc["stage"], f"{path}: stage"),
-            users=tuple(
-                (
-                    read_string(u["user_id"], f"{path}: user_id"),
-                    _read_selections(u["selections"], path),
-                )
-                for u in doc["users"]
-            ),
+            sequence_id=doc["sequence_id"],
+            stage=doc["stage"],
+            users=tuple((u["user_id"], _list(u["selections"], "selections"))
+                        for u in _list(doc["users"], "users")),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed annotation document: {exc}") from exc
     if sequence is not None:
-        annotations.validate_shape(sequence.num_views, sequence.num_steps)
+        with _malformed(path, "checked against the sequence", ValidationError):
+            annotations.validate_shape(sequence.num_views, sequence.num_steps)
     return annotations
 
 
@@ -147,54 +141,38 @@ def write_summary(summary: Summary, path) -> None:
 
 
 def read_summary(path, sequence: MultiViewSequence | None = None) -> Summary:
+    """Parse a summary file, optionally validating indices against a sequence."""
     doc = _load_json(path, "mdpp-summary-1")
-    try:
-        budget = doc["budget_fraction"]
-        if isinstance(budget, bool) or not isinstance(budget, (int, float)):
-            raise FormatError(f"{path}: budget_fraction must be a number, got {budget!r}")
+    with _malformed(path, "malformed summary document"):
         summary = Summary(
-            selections=_read_selections(doc["selections"], path),
-            budget_fraction=float(budget),
+            selections=_list(doc["selections"], "selections"),
+            budget_fraction=doc["budget_fraction"],
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed summary document: {exc}") from exc
     if sequence is not None:
-        for v, t in summary.selections:
-            if v >= sequence.num_views or t >= sequence.num_steps:
-                raise ValidationError(
-                    f"{path}: selection ({v}, {t}) outside sequence shape"
-                )
+        with _malformed(path, "checked against the sequence", ValidationError):
+            summary.validate_shape(sequence.num_views, sequence.num_steps)
     return summary
 
 
-def read_index(value, what: str) -> int:
-    """``value`` as a non-negative integer index or size. A bool, a
-    non-integral number or any other type raises FormatError naming
-    ``what``, so a malformed field is never coerced."""
-    if type(value) is not int or value < 0:
-        raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
+def _list(value, what: str) -> list:
+    """``value`` if it is a JSON list: a container would read an object's
+    keys, or a string's characters, as its items."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON list, got {type(value).__name__}")
     return value
 
 
-def read_string(value, what: str) -> str:
-    """``value`` if it is a JSON string; any other type raises FormatError
-    naming ``what``, so ``null``, numbers, booleans, lists and objects are
-    never coerced to their text."""
-    if not isinstance(value, str):
-        raise FormatError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _read_selections(items, path) -> tuple[tuple[int, int], ...]:
-    """A JSON list of [view, t] pairs as a tuple of index pairs."""
-    if not isinstance(items, list):
-        raise FormatError(f"{path}: selections must be a list, got {items!r}")
-    pairs = []
-    for item in items:
-        if not isinstance(item, list) or len(item) != 2:
-            raise FormatError(f"{path}: a selection must be a [view, t] pair, got {item!r}")
-        pairs.append(tuple(read_index(i, f"{path}: selection index") for i in item))
-    return tuple(pairs)
+@contextmanager
+def _malformed(path, what: str, error=FormatError):
+    """Name ``path`` in what a container raises while it is built from, or
+    checked against, the file's values: a DataError stays one; a
+    ValidationError, missing key or wrong JSON kind becomes ``error``."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except (ValidationError, KeyError, TypeError) as exc:
+        raise error(f"{path}: {what}: {exc}") from exc
 
 
 def _load_json(path, expected_format: str) -> dict:
@@ -240,10 +218,11 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError(f"{path}: checkpoint header must be a JSON object")
         layout = [
             (
-                read_string(name, f"{path}: an array name"),
-                tuple(read_index(s, f"{path}: a dimension of {name}") for s in shape),
+                check_str(name, f"{path}: an array name", error=FormatError),
+                tuple(check_int(s, f"{path}: a dimension of {name}", 0, error=FormatError)
+                      for s in _list(shape, f"the shape of {name}")),
             )
-            for name, shape in doc.pop("layout")
+            for name, shape in _list(doc.pop("layout"), "layout")
         ]
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc

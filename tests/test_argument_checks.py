@@ -8,18 +8,23 @@ walks their sources. Each one needs an entry in ``ROWS`` or in
 ``NO_SCALARS``, so a new public name without one fails the test.
 
 A row covers one scalar argument (a number or a flag; a budget too, since a
-bare fraction is the usual mistake there). It gives a call that passes the
-argument a value, the error class that call must raise, and the values to
-try: a bool, a str, None, nan, inf, a float where an integer is expected,
-an int too large for a float where a real is expected, and values out of
-range. A value the argument accepts on purpose is listed with the reason,
-and the test checks that it is accepted.
+bare fraction is the usual mistake there; an id or a note, which must be a
+str). It gives a call that passes the argument a value, the error class
+that call must raise, and the values to try: a bool, a str, None, nan, inf,
+a float where an integer is expected, an int too large for a float where a
+real is expected, an int too long to print (which also does not fit
+int64), and values out of range; an id is tried with None, a bool, a
+number, bytes and a list. A value the argument accepts on purpose is listed
+with the reason, and the test checks that it is accepted.
+
+``io``'s public names take a path and a container to write, or a sequence
+to check what is read against: its readers hand what they decode to the
+``data_model`` containers, which check it, so they have ``NO_SCALARS``
+entries.
 
 Exempt modules:
 - ``cli``: argparse types check its options, and
   ``tests/test_malformed_inputs.py`` mutates every input file it reads;
-- ``io``: its readers check what they read and raise ``FormatError``
-  (``tests/test_io.py``);
 - ``bruteforce``: exhaustive oracles for the tests and ``mdpp check``,
   called with the fast paths' own arguments.
 """
@@ -42,11 +47,13 @@ from mdpp import (
 )
 from mdpp.errors import ConfigError, MdppError, ValidationError
 
-EXEMPT = {"__init__", "cli", "io", "bruteforce"}
+EXEMPT = {"__init__", "cli", "bruteforce"}
 NAN, INF = math.nan, math.inf
-NOT_INT = (True, "1", None, NAN, INF, 1.5, 2.0)
 HUGE = 10**400  # a real number that does not fit a float
-NOT_REAL = (True, "1", None, NAN, INF, HUGE)
+LONG = 10**5000  # too long for repr(), so a message must show it bounded; beyond int64
+NOT_INT = (True, "1", None, NAN, INF, 1.5, 2.0, LONG)
+NOT_REAL = (True, "1", None, NAN, INF, HUGE, LONG)
+NOT_STR = (None, True, 5, NAN, LONG, b"s", ["s"])
 NOT_FLAG = ("1", None, NAN, INF, 1.5, 0, 1)
 NOT_BUDGET = (0.15, True, None, "0.15", NAN)
 FLAG = "a flag: read for its truth value, as any Python condition is"
@@ -71,6 +78,10 @@ def ints(call, error, *out_of_range, accepted=None):
 
 def reals(call, error, *out_of_range, accepted=None):
     return _row(call, error, NOT_REAL + out_of_range, accepted)
+
+
+def strs(call):
+    return Row(call, ValidationError, NOT_STR)
 
 
 def budgets(call):
@@ -118,11 +129,18 @@ ROWS = {
         lambda v: data_model.check_int(v, "x", 0, 3), ValidationError, -1, 4)},
     "data_model.check_real": {"value": reals(
         lambda v: data_model.check_real(v, "x", 0, 1), ValidationError, -0.5, 1.5)},
+    "data_model.check_str": {"value": strs(lambda v: data_model.check_str(v, "x"))},
     "data_model.check_seed": {"seed": ints(lambda v: data_model.check_seed(v), ConfigError, -1)},
     "data_model.check_budget": {"budget": budgets(lambda v: data_model.check_budget(v))},
+    "data_model.MultiViewSequence": {
+        "sequence_id": strs(lambda v: data_model.MultiViewSequence(v, np.zeros((1, 1, 1)))),
+        "fps_note": strs(lambda v: data_model.MultiViewSequence("s", np.zeros((1, 1, 1)), v)),
+    },
     "data_model.MultiViewSequence.view": {"m": ints(
         lambda v: fx().seq.view(v), ValidationError, -1, 2)},
     "data_model.AnnotationSet": {
+        "sequence_id": strs(lambda v: data_model.AnnotationSet(v, 2, ())),
+        "user_id": strs(lambda v: data_model.AnnotationSet("s", 2, ((v, ()),))),
         "stage": ints(lambda v: data_model.AnnotationSet("s", v, ()), ValidationError, 0, 4),
         "users": ints(lambda v: data_model.AnnotationSet("s", 2, (("u", ((0, v),)),)),
                       ValidationError, -1),
@@ -134,6 +152,10 @@ ROWS = {
     "data_model.Summary": {
         "selections": ints(lambda v: data_model.Summary(((0, v),)), ValidationError, -1),
         "budget_fraction": reals(lambda v: data_model.Summary((), v), ValidationError, 0, 1.5),
+    },
+    "data_model.Summary.validate_shape": {
+        "num_views": ints(lambda v: fx().summary.validate_shape(v, 30), ValidationError, 0),
+        "num_steps": ints(lambda v: fx().summary.validate_shape(2, v), ValidationError, 0),
     },
     "data_model.Summary.frame_mask": {
         "num_views": ints(lambda v: fx().summary.frame_mask(v, 30), ValidationError, 0),
@@ -264,10 +286,11 @@ ROWS = {
 
 RESULT = "a result record that the library fills in"
 NO_ARGS = "takes no argument"
+WRITER = "a container and a path"
+READER = "a path: the container it builds checks what is read (tests/test_io.py)"
 NO_SCALARS = {
     "data_model.is_integer": "a predicate: a bad value gives False, which is its answer",
     "data_model.is_real": "a predicate: a bad value gives False, which is its answer",
-    "data_model.MultiViewSequence": "an id, a note and a feature array (tests/test_data_model.py)",
     "data_model.TrainingExample": "a sequence and a mask array (tests/test_data_model.py)",
     "data_model.AnnotationSet.user_selections": NO_ARGS,
     "dpp.DppKernel": "a factor and a quality array (tests/test_dpp_core.py)",
@@ -296,6 +319,16 @@ NO_SCALARS = {
     "training.train": "ModelParams, examples, a SplitPlan and a TrainConfig",
     "training.save_checkpoint": "a path, ModelParams and a JSON-able dict",
     "training.load_checkpoint": "a path (tests/test_malformed_inputs.py)",
+    "io.atomic_write_bytes": "a path and bytes",
+    "io.atomic_write_text": "a path and text",
+    "io.write_feature_file": WRITER,
+    "io.write_annotations": WRITER,
+    "io.write_summary": WRITER,
+    "io.write_checkpoint": "a path, a JSON-able dict and named arrays",
+    "io.read_feature_file": READER,
+    "io.read_annotations": READER + ", and a sequence or None",
+    "io.read_summary": READER + ", and a sequence or None",
+    "io.read_checkpoint": "a path (tests/test_io.py, tests/test_malformed_inputs.py)",
 }
 
 
@@ -325,7 +358,7 @@ def _cases(kind):
         for arg, row in args.items():
             values = row.bad if kind == "bad" else row.accepted
             for value in values:
-                shown = "10**400" if value is HUGE else repr(value)
+                shown = "10**400" if value is HUGE else "10**5000" if value is LONG else repr(value)
                 yield pytest.param(row, value, id=f"{name}:{arg}={shown}")
 
 

@@ -230,3 +230,32 @@ def test_array_holding_types_compare_by_identity():
         a = make()
         assert a == a
         assert (a == make()) is False
+
+
+def test_check_messages_show_a_bounded_value():
+    from mdpp import summarizer
+    from mdpp.data_model import check_int, check_str
+
+    with pytest.raises(ValidationError, match=r"got an int of 16610 bits$"):
+        summarizer.knapsack_shots([1], [10**5000], 1)  # repr() refuses 5001 digits
+    with pytest.raises(ValidationError, match=r"must be an integer >= 0, got an int of"):
+        check_int(-(10**5000), "x", 0)
+    with pytest.raises(ValidationError) as info:
+        check_str(list(range(100)), "x")
+    assert str(info.value) == "x must be a string, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11..."
+
+
+def test_integers_fit_int64():
+    from mdpp.data_model import check_int
+
+    assert check_int(2**63 - 1, "x", 0) == 2**63 - 1
+    assert check_int(np.uint64(2**63 - 1), "x", 0) == 2**63 - 1
+    for value in (2**63, np.uint64(2**63), -(2**63) - 1):
+        with pytest.raises(ValidationError):
+            check_int(value, "x", None if value < 0 else 0)
+
+
+def test_summary_budget_fraction_is_a_float():
+    assert type(Summary((), 1).budget_fraction) is float
+    assert type(Summary((), np.float32(0.5)).budget_fraction) is float
+    assert Summary((), 1) == Summary((), 1.0)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(arrays[name], arr)
 
 
+@pytest.mark.parametrize("layout", [[["w", {}]], [["w", ""]], {"w": [1]}],
+                         ids=["shape-object", "shape-string", "layout-object"])
+def test_checkpoint_layout_must_be_json_lists(tmp_path, layout):
+    # a shape of {} or "" was read as (), which a one-float blob matches
+    path = tmp_path / "m.ckpt"
+    io.write_checkpoint(path, {}, [("w", np.array(2.5))])
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    doc = {**json.loads(header), "layout": layout}
+    path.write_bytes(b"\n".join([magic, json.dumps(doc).encode(), blob]))
+    with pytest.raises(FormatError, match="must be a JSON list"):
+        io.read_checkpoint(path)
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     path = tmp_path / "m.ckpt"
     io.write_checkpoint(path, {}, [("w", np.ones((2, 2)))])
@@ -174,3 +188,64 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_bytes(bytes(bad))
     with pytest.raises(DataError):
         io.read_checkpoint(path)
+
+
+ANNOTATIONS = {"format": "mdpp-annotations-1", "sequence_id": "seq-a", "stage": 2,
+               "users": [{"user_id": "alice", "selections": [[0, 1], [1, 4]]}]}
+SUMMARY = {"format": "mdpp-summary-1", "budget_fraction": 0.2, "selections": [[0, 3]]}
+# content the containers reject; each was a bare ValidationError, or read
+# silently as no users, before the readers built the containers directly
+MALFORMED_CONTENT = {
+    "stage-5": (ANNOTATIONS, {"stage": 5}),
+    "stage-1-two-views": (ANNOTATIONS, {"stage": 1}),
+    "duplicate-selection": (ANNOTATIONS,
+                            {"users": [{"user_id": "a", "selections": [[0, 1], [0, 1]]}]}),
+    "users-object": (ANNOTATIONS, {"users": {}}),
+    "users-string": (ANNOTATIONS, {"users": ""}),
+    "user-selections-object": (ANNOTATIONS, {"users": [{"user_id": "a", "selections": {}}]}),
+    "missing-user-id": (ANNOTATIONS, {"users": [{"selections": []}]}),
+    "budget-0": (SUMMARY, {"budget_fraction": 0}),
+    "budget-2": (SUMMARY, {"budget_fraction": 2}),
+    "budget-nan": (SUMMARY, {"budget_fraction": float("nan")}),
+    "selections-object": (SUMMARY, {"selections": {}}),  # would be read as its keys
+    "selections-string": (SUMMARY, {"selections": "01"}),  # would be read as its characters
+}
+
+
+@pytest.mark.parametrize("base, change", MALFORMED_CONTENT.values(), ids=MALFORMED_CONTENT)
+def test_malformed_content_is_a_format_error_naming_the_path(tmp_path, base, change):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({**base, **change}))
+    read = io.read_annotations if base is ANNOTATIONS else io.read_summary
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["annotations", "summary"])
+def test_selection_outside_the_sequence_names_the_path(tmp_path, kind):
+    path = tmp_path / f"a.{kind}.json"
+    path.write_text(json.dumps(ANNOTATIONS if kind == "annotations" else SUMMARY))
+    read = io.read_annotations if kind == "annotations" else io.read_summary
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}.* outside"):
+        read(path, _sequence(n=3))
+
+
+def test_summary_budget_is_stored_as_a_float(tmp_path):
+    path = tmp_path / "a.summary.json"
+    path.write_text(json.dumps({**SUMMARY, "budget_fraction": 1}))
+    back = io.read_summary(path)
+    assert type(back.budget_fraction) is float and back == Summary(((0, 3),), 1.0)
+    io.write_summary(back, path)
+    assert '"budget_fraction": 1.0' in path.read_text()
+
+
+def test_feature_file_content_errors_name_the_path(tmp_path):
+    path = tmp_path / "a.mdv"
+    io.write_feature_file(_sequence(m=1, n=1, d=1), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + (0).to_bytes(4, "little") + raw[8:-4])  # M = 0, no payload
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}.*positive"):
+        io.read_feature_file(path)
+    path.write_bytes(raw[:-4] + np.array([np.inf], dtype="<f4").tobytes())
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}.*non-finite"):
+        io.read_feature_file(path)

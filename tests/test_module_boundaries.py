@@ -9,7 +9,10 @@ and their product, so no other module decides it.
 No module but ``data_model`` reads ``is_integer`` or ``is_real``: the others
 check a scalar argument through ``check_int`` and ``check_real``, so the
 rule for what counts as an integer or a real, and the message that rejects
-one, stays in one place."""
+one, stays in one place. For the same reason no other module names
+``int``, ``float`` or ``str`` in an ``isinstance`` or ``type(...) is``
+test: ``io`` hands the values it decodes to the ``data_model`` containers
+and checks only a JSON container's kind (``list``, ``dict``)."""
 
 import ast
 from pathlib import Path
@@ -19,6 +22,8 @@ import mdpp
 PACKAGE = Path(mdpp.__file__).parent
 EXEMPT = {"bruteforce.py"}
 FLOOR_READERS = {"dpp.py", "multi_dpp.py", "bruteforce.py"}
+SCALAR_TYPE_TESTERS = {"data_model.py", "bruteforce.py"}
+SCALAR_TYPES = {"int", "float", "str"}
 
 
 def _private(name):
@@ -70,6 +75,36 @@ def reaches(path: Path, wanted) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _names_scalar_type(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_scalar_type(item) for item in node.elts)
+    return isinstance(node, ast.Name) and node.id in SCALAR_TYPES
+
+
+def _is_call(node, *names) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def scalar_type_tests(path: Path) -> list[tuple[int, str]]:
+    """(line, source) for each ``isinstance``/``issubclass`` call and each
+    comparison with a ``type(...)`` call in ``path`` that names int, float
+    or str."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if _is_call(node, "isinstance", "issubclass"):
+            hit = len(node.args) == 2 and _names_scalar_type(node.args[1])
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            hit = (any(_is_call(o, "type") for o in operands)
+                   and any(_names_scalar_type(o) for o in operands))
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_no_module_reaches_into_another_modules_private_names():
     offences = [
         f"{path.name}:{line} {name}"
@@ -95,6 +130,38 @@ def test_only_data_model_applies_the_scalar_type_rules():
         for line, name in reaches(path, _type_rule)
     ]
     assert readers == []
+
+
+def test_only_data_model_tests_for_scalar_types():
+    tests = [
+        f"{path.name}:{line} {text}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name not in SCALAR_TYPE_TESTERS
+        for line, text in scalar_type_tests(path)
+    ]
+    assert tests == []
+
+
+def test_the_scalar_type_check_sees_isinstance_and_type_tests(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "isinstance(x, int)\n"
+        "isinstance(x, bool) or not isinstance(x, (int, float))\n"
+        "type(x) is not str\n"
+        "type(x) in [int, list]\n"
+        "issubclass(t, float)\n"
+        "isinstance(x, bool)\n"  # a flag's type: not a scalar rule
+        "isinstance(x, Path)\n"
+        "isinstance(x, list)\n"  # a JSON container's kind
+        "type(x) is dict\n"
+        "int(x) is y\n"
+    )
+    assert scalar_type_tests(source) == [
+        (1, "isinstance(x, int)"),
+        (2, "isinstance(x, (int, float))"),
+        (3, "type(x) is not str"),
+        (4, "type(x) in [int, list]"),
+        (5, "issubclass(t, float)"),
+    ]
 
 
 def test_the_check_sees_imports_and_attribute_reads(tmp_path):
