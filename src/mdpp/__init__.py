@@ -12,6 +12,7 @@ Public API lives in the submodules:
 - ``summarizer``: supervised/unsupervised pipelines and baselines
 - ``evaluation``: F1 protocol, consensus, oracle summaries
 - ``synth``: deterministic synthetic corpus generator
+- ``runtime``: the process-wide allocator policy every pipeline applies
 - ``bruteforce``: exhaustive oracles backing the check suites
 
 Submodules import lazily so that process-level knobs (MDPP_THREADS) can be
@@ -34,7 +35,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = (
     "bruteforce", "cli", "data_model", "dpp", "encoder", "evaluation",
-    "io", "kts", "multi_dpp", "summarizer", "synth", "training",
+    "io", "kts", "multi_dpp", "runtime", "summarizer", "synth", "training",
 )
 
 __all__ = [

@@ -42,7 +42,9 @@ as dz, (N, 2, M, 4H), and the backward needs no dz array of its own;
 dh_{t-1} = dz_t Wh and the weight gradients are then products over all N
 steps against the unpermuted weights. Every value is bitwise that of one
 chunk of N steps. Each step reuses preallocated buffers. The backward pass
-consumes its forward cache.
+consumes its forward cache; a forward that no backward reads keeps one
+chunk of gate rows. Supervised inference runs the quality head alone
+(``quality_scores``).
 ``bruteforce.reference_lstm_forward`` / ``_backward`` are per-direction,
 per-step loops, and ``mdpp check encoder`` compares the stacked loops with
 one reference call per direction (``bruteforce.reference_bilstm``), after
@@ -257,7 +259,7 @@ def _both_directions(x, lo, hi, out):
     return out
 
 
-def _lstm_forward(x, wx, wh, b):
+def _lstm_forward(x, wx, wh, b, backward=True):
     """Run both directions over (M, N, D) inputs in one time loop.
 
     ``wx``, ``wh`` and ``b`` stack the two directions' weights: (2, 4H, D),
@@ -278,6 +280,11 @@ def _lstm_forward(x, wx, wh, b):
     ``cells`` and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the
     zero state and row t + 1 holds step t. ``x`` is the (M, N, D) input
     itself.
+
+    Without ``backward`` no backward will read the gate and cell caches, so
+    the gate rows are one chunk-sized buffer that each chunk reuses from its
+    row 0, and the result holds only ``x`` and ``hidden``; the loop is the
+    same, and the hidden states are bitwise those of the full cache.
     """
     m, n, d = x.shape
     h_size = wh.shape[2]
@@ -287,7 +294,9 @@ def _lstm_forward(x, wx, wh, b):
     # an ``np.<name>`` lookup and an ``out=`` keyword add about 70 ns to a
     # 330 ns call
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
-    gates = np.empty((n + 1, 4, 2, m, h_size))
+    chunks = _time_chunks(n)
+    longest = max(hi - lo for lo, hi in chunks)
+    gates = np.empty((n + 1 if backward else longest, 4, 2, m, h_size))
     wx_blocks = _gate_blocks(wx, h_size)[:, :, None]
     b_blocks = _gate_blocks(b[..., None], h_size)
     wh_blocks = np.ascontiguousarray(_gate_blocks(wh, h_size))
@@ -295,10 +304,9 @@ def _lstm_forward(x, wx, wh, b):
     hidden = np.zeros((n + 1, 2, m, h_size))
     recurrent = np.empty((4, 2, m, h_size))
     product = np.empty((2, m, h_size))
-    chunks = _time_chunks(n)
-    inputs = np.empty((2, m, max(hi - lo for lo, hi in chunks), d))
+    inputs = np.empty((2, m, longest, d))
     for lo, hi in chunks:
-        steps = gates[lo:hi]
+        steps = gates[lo:hi] if backward else gates[: hi - lo]
         np.matmul(
             _both_directions(x, lo, hi, inputs[:, :, : hi - lo]), wx_blocks,
             out=steps.transpose(1, 2, 3, 0, 4),
@@ -318,6 +326,8 @@ def _lstm_forward(x, wx, wh, b):
             add(c, product, c)
             tanh(c, h)
             multiply(h, o, h)
+    if not backward:
+        return {"x": x, "hidden": hidden}
     return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}
 
 
@@ -424,7 +434,7 @@ class ForwardTrace:
     feature vectors and the quality head's logistic outputs in [0, 1], which
     are both the classification scores and the per-view kernel qualities
     (``multi_dpp`` applies the quality floor). The LSTM cache is not kept:
-    ``forward`` drops it and the loss path owns it.
+    ``forward`` runs the LSTM without a backward's caches.
     """
 
     spatiotemporal: np.ndarray
@@ -441,7 +451,7 @@ def _check_input_dim(params: ModelParams, sequence: MultiViewSequence) -> None:
         )
 
 
-def _stacked_lstm(params: ModelParams, sequences) -> dict:
+def _stacked_lstm(params: ModelParams, sequences, backward: bool = True) -> dict:
     """One ``_lstm_forward`` over the views of ``sequences``, in order. A
     lone view gets a zero second view, so that its per-step products take
     the same matrix-matrix path as a stacked group's (a one-row product
@@ -451,32 +461,55 @@ def _stacked_lstm(params: ModelParams, sequences) -> dict:
     x = np.concatenate([seq.features for seq in sequences], dtype=np.float64)
     if x.shape[0] == 1:
         x = np.concatenate([x, np.zeros_like(x)])
-    return _lstm_forward(x, params.lstm_wx, params.lstm_wh, params.lstm_b)
+    return _lstm_forward(x, params.lstm_wx, params.lstm_wh, params.lstm_b, backward)
 
 
 def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
-    """Apply the shared encoder to every view of a sequence."""
+    """Apply the shared encoder, both heads, to every view of a sequence."""
     _check_input_dim(params, sequence)
-    lstm = _stacked_lstm(params, [sequence])
-    del lstm["gates"], lstm["cells"]  # only a backward reads them; the heads do not
+    lstm = _stacked_lstm(params, [sequence], backward=False)
     return _heads(params, lstm, slice(0, sequence.num_views))
+
+
+def quality_scores(params: ModelParams, sequence: MultiViewSequence) -> np.ndarray:
+    """The quality head's (M, N) scores alone, bitwise
+    ``forward(params, sequence).streams.quality``: the feature head, which
+    only the joint kernel reads, does not run."""
+    _check_input_dim(params, sequence)
+    lstm = _stacked_lstm(params, [sequence], backward=False)
+    spatio = _spatiotemporal(lstm, slice(0, sequence.num_views))
+    m, n, width = spatio.shape
+    return _quality_head(params, spatio.reshape(m * n, width))[1].reshape(m, n)
+
+
+def _spatiotemporal(lstm: dict, cols: slice) -> np.ndarray:
+    """The (M, N, D + 2H) features [x, h_forward, h_reverse] of the batch
+    columns ``cols`` of an LSTM cache, in time order."""
+    x, hidden = lstm["x"][cols], lstm["hidden"][1:, :, cols]
+    m, n, d = x.shape
+    # ``out`` keeps it C-ordered (M, N, .): concatenate would follow the
+    # hidden states' time-major strides, and a (M N, .) reshape would copy
+    return np.concatenate(
+        [x, hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)],
+        axis=2, out=np.empty((m, n, d + 2 * hidden.shape[-1])),
+    )
+
+
+def _quality_head(params: ModelParams, flat: np.ndarray):
+    """The quality head over spatiotemporal rows: its tanh hidden layer and
+    its logistic scores, (rows, 1)."""
+    qual_hidden = _affine(flat, params.qual_w1, params.qual_b1)
+    np.tanh(qual_hidden, out=qual_hidden)
+    return qual_hidden, _sigmoid(_affine(qual_hidden, params.qual_w2, params.qual_b2))
 
 
 def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
     """Both heads over the batch columns ``cols`` of an LSTM cache: the
     views of one sequence. Each layer's bias and activation are applied in
     place on its product."""
-    x, hidden = lstm["x"][cols], lstm["hidden"][1:, :, cols]
-    m, n, d = x.shape
-    h = params.hidden_size
-    # ``out`` keeps it C-ordered (M, N, .): concatenate would follow the
-    # hidden states' time-major strides, and ``flat`` would then be a copy
-    spatio = np.concatenate(
-        [x, hidden[:, 0].swapaxes(0, 1), hidden[::-1, 1].swapaxes(0, 1)],
-        axis=2, out=np.empty((m, n, d + 2 * h)),
-    )
-
-    flat = spatio.reshape(m * n, d + 2 * h)
+    spatio = _spatiotemporal(lstm, cols)
+    m, n, width = spatio.shape
+    flat = spatio.reshape(m * n, width)
     feat_hidden = _affine(flat, params.feat_w1, params.feat_b1)
     np.tanh(feat_hidden, out=feat_hidden)
     features = _affine(feat_hidden, params.feat_w2, params.feat_b2)
@@ -485,11 +518,11 @@ def _heads(params: ModelParams, lstm: dict, cols: slice) -> ForwardTrace:
         raise NumericError("feature head produced a zero vector; cannot normalize")
     features /= norms[:, None]
 
-    qual_hidden = _affine(flat, params.qual_w1, params.qual_b1)
-    np.tanh(qual_hidden, out=qual_hidden)
-    quality = _sigmoid(_affine(qual_hidden, params.qual_w2, params.qual_b2)).reshape(m, n)
+    qual_hidden, quality = _quality_head(params, flat)
 
-    streams = ViewStreams(features=features.reshape(m, n, params.output_dim), quality=quality)
+    streams = ViewStreams(
+        features=features.reshape(m, n, params.output_dim), quality=quality.reshape(m, n)
+    )
     return ForwardTrace(
         spatiotemporal=spatio, feat_hidden=feat_hidden, feat_norms=norms,
         qual_hidden=qual_hidden, streams=streams,
@@ -581,14 +614,12 @@ def _loss(params, group, lam, grads):
     writes dLoss/dh into them; its head arrays are freed before the next
     sequence's are made. ``grad_hidden`` is allocated after the first
     sequence's heads backprop, so a group of one never holds it together
-    with the heads' forward arrays. Without ``grads`` the gate and cell
-    caches, which only the backward reads, are freed before the heads run.
+    with the heads' forward arrays. Without ``grads`` the LSTM keeps no gate
+    or cell cache, which only the backward reads.
     """
     for ex in group:
         _check_input_dim(params, ex.sequence)
-    lstm = _stacked_lstm(params, [ex.sequence for ex in group])
-    if grads is None:
-        del lstm["gates"], lstm["cells"]
+    lstm = _stacked_lstm(params, [ex.sequence for ex in group], backward=grads is not None)
     batch_views, n, _ = lstm["x"].shape
     d, h = params.input_dim, params.hidden_size
     parts, columns = [], []

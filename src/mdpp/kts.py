@@ -201,7 +201,7 @@ def _relax_block(dp, bp, levels: range, lo: int, costs, totals) -> None:
         levels = levels[1:]
     for k in levels[: max(0, width - levels.start + 1)]:
         np.add(dp[k - 1, :width], costs, out=totals)
-        best = np.argmin(totals, axis=1)
+        best = totals.argmin(axis=1)
         bp[k, lo:hi] = best
         dp[k, lo:hi] = totals[rows, best]
 
@@ -225,7 +225,7 @@ class _LinearPenaltyRow:
     def relax(self, lo: int, hi: int, costs: np.ndarray, totals: np.ndarray) -> None:
         # starts before the block are settled: sum into the shared scratch
         np.add(self.shifted[: hi - 1], costs, out=totals)
-        start, rows = np.argmin(totals, axis=1), np.arange(hi - lo)
+        start, rows = totals.argmin(axis=1), np.arange(hi - lo)
         value = totals[rows, start]
         self.shifted[lo:hi] = value + self.beta
         self._settle_in_block(lo, hi, costs, value, start)
@@ -244,7 +244,7 @@ class _LinearPenaltyRow:
         first = 0
         while first < width - lo:
             candidates = self.shifted[lo + first : width] + costs[first + 1 :, lo + first :]
-            j = np.argmin(candidates, axis=1)
+            j = candidates.argmin(axis=1)
             best = candidates[np.arange(len(j)), j]
             better = best < value[first + 1 :]
             if not better.any():
@@ -258,7 +258,7 @@ class _LinearPenaltyRow:
                 break
         for r in range(first + 1, hi - lo):
             candidates = self.shifted[lo + first : lo + r] + costs[r, lo + first : lo + r]
-            a = int(np.argmin(candidates))
+            a = int(candidates.argmin())
             if candidates[a] < value[r]:
                 value[r], start[r] = candidates[a], lo + first + a
                 self.shifted[lo + r] = value[r] + self.beta

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dpp
+from . import dpp, runtime
 from .data_model import (
     MultiViewSequence, Summary, SummaryBudget, check_budget, check_int, check_real, check_seed,
 )
-from .encoder import ModelParams, forward
+from .encoder import ModelParams, quality_scores
 from .errors import DataError, ValidationError
 from .kts import SegmentationResult, kts
 from .multi_dpp import ViewStreams, build_joint_kernel
@@ -100,7 +100,7 @@ def _shots_to_summary(chosen, fraction: float) -> Summary:
 def _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff):
     """The knapsack's choice, as (view, start, end, score), among each view's
     KTS shots scored by their mean quality-head score."""
-    quality = forward(params, sequence).streams.quality
+    quality = quality_scores(params, sequence)
     shots = []
     for m, segmentation in enumerate(segment_views(sequence, max_segments, penalty_coeff)):
         shot_list = segmentation.shot_list(sequence.num_steps)
@@ -117,7 +117,12 @@ def summarize_supervised(
     max_segments: int | None = None,
     penalty_coeff: float = 1.0,
 ) -> Summary:
-    """Quality-head scores + per-view KTS shots + global knapsack."""
+    """Quality-head scores + per-view KTS shots + global knapsack.
+
+    On glibc, first applies the process-wide allocator policy of
+    ``runtime.keep_freed_memory_mapped``, as ``training.train`` does, so a
+    request reuses the memory the last one freed instead of faulting it in."""
+    runtime.keep_freed_memory_mapped()
     frame_budget = check_budget(budget).frame_budget(sequence.num_steps)
     chosen = _supervised_shots(params, sequence, frame_budget, max_segments, penalty_coeff)
     return _shots_to_summary(chosen, budget.fraction)
@@ -136,7 +141,12 @@ def summarize_unsupervised(
     max_segments: int | None = None,
     penalty_coeff: float = 1.0,
 ) -> Summary:
-    """Diversity-only summary from the joint kernel with uniform qualities."""
+    """Diversity-only summary from the joint kernel with uniform qualities.
+
+    On glibc, first applies the process-wide allocator policy of
+    ``runtime.keep_freed_memory_mapped``, as ``training.train`` does, so a
+    request reuses the memory the last one freed instead of faulting it in."""
+    runtime.keep_freed_memory_mapped()
     n = sequence.num_steps
     budget_frames = check_budget(budget).frame_budget(n)
     unit = _unit_rows(sequence.features.astype(np.float64))

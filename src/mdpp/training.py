@@ -9,13 +9,12 @@ from the epoch with the lowest validation loss.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import io
+from . import io, runtime
 from .data_model import (
     MultiViewSequence, Summary, TrainingExample, check_int, check_real, check_seed,
 )
@@ -150,22 +149,6 @@ def _val_loss(params, examples, config):
     return _mean_parts(parts)
 
 
-def _keep_freed_memory_mapped() -> None:
-    """Set glibc malloc's mmap threshold to 32 MiB and its trim threshold to
-    64 MiB, the ceilings its dynamic thresholds reach on 64-bit, so the
-    working set a training step frees stays mapped for the next step instead
-    of going back to the OS and faulting in again. Without glibc's
-    ``mallopt`` this does nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # no process handle (Windows), no mallopt
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def train(
     initial: ModelParams,
     collections: Mapping[str, Sequence[TrainingExample]],
@@ -177,13 +160,14 @@ def train(
     Validation runs after every epoch; ties keep the earliest epoch so a
     rerun with the same seed reproduces the same selected weights.
 
-    On glibc, training keeps up to 64 MiB of freed heap mapped and serves
-    arrays up to 32 MiB from the heap, so steps reuse their working memory
-    instead of faulting it in again; the setting is process-wide, so the
-    process's resident memory stays near its training peak after ``train``
-    returns.
+    On glibc, training first applies the process-wide allocator policy of
+    ``runtime.keep_freed_memory_mapped``, as the summarizers do: up to
+    64 MiB of freed heap stays mapped and arrays up to 32 MiB come from the
+    heap, so steps reuse their working memory instead of faulting it in
+    again, and the process's resident memory stays near its training peak
+    after ``train`` returns.
     """
-    _keep_freed_memory_mapped()
+    runtime.keep_freed_memory_mapped()
     for cid in (*plan.train_collections, plan.val_collection, plan.test_collection):
         if cid not in collections:
             raise ConfigError(f"split plan references unknown collection {cid!r}")

@@ -301,6 +301,7 @@ NO_SCALARS = {
     "encoder.from_vector": "ModelParams and a flat array (tests/test_encoder.py)",
     "encoder.ForwardTrace": RESULT,
     "encoder.forward": "ModelParams and a sequence",
+    "encoder.quality_scores": "ModelParams and a sequence",
     "encoder.LossParts": RESULT,
     "evaluation.frame_f1": "two Summaries",
     "evaluation.pairwise_consensus": "an AnnotationSet",
@@ -309,6 +310,7 @@ NO_SCALARS = {
     "kts.SegmentationResult": RESULT,
     "multi_dpp.ViewStreams": "two arrays (tests/test_multi_dpp.py)",
     "multi_dpp.build_joint_kernel": "ViewStreams",
+    "runtime.keep_freed_memory_mapped": NO_ARGS,
     "synth.generate": "a SynthConfig",
     "training.adam_step": "AdamState, two arrays and a TrainConfig",
     "training.targets_from_summary": "a sequence and a Summary",

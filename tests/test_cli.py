@@ -382,22 +382,20 @@ def test_baseline_summarize_modes(tmp_path):
         assert len(io.read_summary(out).selections) <= 6
 
 
-def test_numeric_failure_exits_2(tmp_path):
-    # a checkpoint whose feature head always outputs the zero vector cannot
-    # be row-normalized; the CLI maps the NumericError to exit code 2
-    from mdpp import training
-    from mdpp.encoder import ModelParams, init_params
-
-    features, _ = _synth(tmp_path, "a", seed=5)
-    params = init_params(8, hidden_size=3, output_dim=4, seed=0)
-    values = dict(params.named_arrays())
-    values["feat_w2"] = np.zeros_like(values["feat_w2"])
-    values["feat_b2"] = np.zeros_like(values["feat_b2"])
-    broken = ModelParams(**values)
-    ckpt = tmp_path / "broken.ckpt"
-    training.save_checkpoint(ckpt, broken)
-    assert run(["summarize", "--features", str(features), "--checkpoint", str(ckpt),
-                "--out", str(tmp_path / "s.summary.json")]) == 2
+def test_numeric_failure_exits_2(tmp_path, capsys):
+    # at output_dim 1 the joint kernel has rank 1, so a target of more than
+    # one step has zero probability; the CLI maps the NumericError to exit
+    # code 2 and writes no checkpoint
+    root = _training_dir(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    assert run([
+        "train", "--features-dir", str(root), "--hidden", "4", "--output-dim", "1",
+        "--iterations", "1", "--out", str(ckpt),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "numeric: target subset of size" in err and "exceed output_dim=1" in err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("layout", ["missing", "per_direction"])

@@ -302,10 +302,10 @@ def test_fused_lstm_saturated_gates_are_exact():
 def test_encoder_check_fails_on_wrong_gate_order(monkeypatch):
     fused_forward = encoder._lstm_forward
 
-    def swapped_forward(x, wx, wh, b):  # input and forget gate blocks exchanged
+    def swapped_forward(x, wx, wh, b, backward=True):  # input and forget gate blocks exchanged
         h = wh.shape[2]
         perm = np.r_[h : 2 * h, 0:h, 2 * h : 4 * h]
-        return fused_forward(x, wx[:, perm], wh[:, perm], b[:, perm])
+        return fused_forward(x, wx[:, perm], wh[:, perm], b[:, perm], backward)
 
     monkeypatch.setattr(encoder, "_lstm_forward", swapped_forward)
     rows = bruteforce.check_encoder(trials=10, seed=0)
@@ -314,10 +314,10 @@ def test_encoder_check_fails_on_wrong_gate_order(monkeypatch):
 
 
 def _without_time_reversal(fused_forward):
-    def forward(x, wx, wh, b):  # direction 1 reads the input in forward time
-        cache = fused_forward(x, wx, wh, b)
-        unreversed = fused_forward(x[:, ::-1], wx, wh, b)
-        for key in ("gates", "cells", "hidden"):
+    def forward(x, wx, wh, b, backward=True):  # direction 1 reads the input in forward time
+        cache = fused_forward(x, wx, wh, b, backward)
+        unreversed = fused_forward(x[:, ::-1], wx, wh, b, backward)
+        for key in cache.keys() - {"x"}:
             arr = cache[key]
             direction = (slice(None), slice(None), 1) if key == "gates" else (slice(None), 1)
             arr[direction] = unreversed[key][direction]
@@ -327,8 +327,8 @@ def _without_time_reversal(fused_forward):
 
 
 def _forward_weights_only(fused_forward):
-    def forward(x, wx, wh, b):  # both directions run on the forward weights
-        return fused_forward(x, wx[[0, 0]], wh[[0, 0]], b[[0, 0]])
+    def forward(x, wx, wh, b, backward=True):  # both directions run on the forward weights
+        return fused_forward(x, wx[[0, 0]], wh[[0, 0]], b[[0, 0]], backward)
 
     return forward
 
@@ -439,20 +439,49 @@ def test_lstm_backward_holds_at_most_two_blocks():
     assert peak <= 2 * chunk_block + 2 * x.nbytes + allowance, peak / block
 
 
-def test_lstm_forward_holds_its_cache_and_one_chunk_of_input():
+@pytest.mark.parametrize("backward", [True, False])
+def test_lstm_forward_holds_its_cache_and_one_chunk_of_input(backward):
     # each time chunk's two-direction input is copied into one chunk-sized
-    # buffer; no copy of the whole input lives beside the cache
+    # buffer; no copy of the whole input lives beside the cache. Without a
+    # backward the gate rows are one chunk long
     rng = np.random.default_rng(4)
     m, n, d, h = 6, 1000, 16, 16
     x = rng.normal(size=(m, n, d))
     wx, wh, b = _stacked_weights(rng, d, h, 0.4)
-    peak = _traced_peak(encoder._lstm_forward, x, wx, wh, b)
-    cache = (n + 1) * (4 + 2) * 2 * m * h * 8  # gates, cells and hidden states
-    buffer = 2 * m * max(hi - lo for lo, hi in encoder._time_chunks(n)) * d * 8
+    peak = _traced_peak(encoder._lstm_forward, x, wx, wh, b, backward)
+    longest = max(hi - lo for lo, hi in encoder._time_chunks(n))
+    gate_rows = n + 1 if backward else longest
+    cache = (4 * gate_rows + 2 * (n + 1)) * 2 * m * h * 8  # gates, cells and hidden states
+    buffer = 2 * m * longest * d * 8
     # per-step buffers, the permuted weight blocks and their temporaries,
     # and one numpy iterator buffer
     allowance = 5 * 2 * m * h * 8 + 2 * (wx.nbytes + wh.nbytes) + np.getbufsize() * 8
     assert peak <= cache + buffer + allowance, (peak - cache) / buffer
+
+
+@pytest.mark.parametrize("n", [159, 160, 320, 481, 2000])
+def test_no_grad_forward_is_bitwise_the_cached_one(n):
+    # without a backward the gate rows share one chunk-sized buffer and only
+    # x and the hidden states are returned; chunks of 159-319 steps, one or
+    # several, and a buffer longer than the last chunk give the same bits
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, n, 16))
+    wx, wh, b = _stacked_weights(rng, 16, 16, 0.4)
+    cached = encoder._lstm_forward(x, wx, wh, b)
+    no_grad = encoder._lstm_forward(x, wx, wh, b, backward=False)
+    assert no_grad.keys() == {"x", "hidden"}
+    np.testing.assert_array_equal(no_grad["hidden"], cached["hidden"])
+
+
+@pytest.mark.parametrize("m, n", [(1, 7), (3, 600), (2, 481)])
+def test_quality_scores_are_bitwise_the_forward_quality(m, n):
+    rng = np.random.default_rng(m * n)
+    params = init_params(16, hidden_size=16, output_dim=64, seed=m)
+    sequence = _sequence(rng, m, n, 16)
+    scores = encoder.quality_scores(params, sequence)
+    np.testing.assert_array_equal(scores, forward(params, sequence).streams.quality)
+    with pytest.raises(ShapeError):
+        encoder.quality_scores(params, _sequence(rng, m, n, 8))
 
 
 def _lstm_case(rng, m, n):

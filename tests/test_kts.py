@@ -199,7 +199,8 @@ def test_kts_check_fails_when_the_cut_reads_an_end_anchored_block(monkeypatch):
 
 
 class _SpyNumpy:
-    """numpy, except that ``argmin`` records the array it is given."""
+    """numpy, except that ``add`` records the 2-D arrays it writes: the
+    relaxation's ``totals`` scratch, whose rows the argmin then reads."""
 
     def __init__(self):
         self.seen = {}
@@ -207,10 +208,11 @@ class _SpyNumpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def argmin(self, a, axis=None):
-        self.seen.setdefault(a.shape, []).append(
-            (a.flags.c_contiguous, a.ctypes.data % 64, a.strides))
-        return np.argmin(a, axis=axis)
+    def add(self, *args, out=None, **kwargs):
+        if out is not None and out.ndim == 2:
+            self.seen.setdefault(out.shape, []).append(
+                (out.flags.c_contiguous, out.ctypes.data % 64, out.strides))
+        return np.add(*args, out=out, **kwargs)
 
 
 def test_relaxation_block_is_contiguous_and_cache_line_aligned(monkeypatch):

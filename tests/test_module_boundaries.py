@@ -12,7 +12,10 @@ rule for what counts as an integer or a real, and the message that rejects
 one, stays in one place. For the same reason no other module names
 ``int``, ``float`` or ``str`` in an ``isinstance`` or ``type(...) is``
 test: ``io`` hands the values it decodes to the ``data_model`` containers
-and checks only a JSON container's kind (``list``, ``dict``)."""
+and checks only a JSON container's kind (``list``, ``dict``).
+
+Only ``runtime`` names ``mallopt``: the process-wide allocator policy has
+one owner, which every pipeline calls."""
 
 import ast
 from pathlib import Path
@@ -139,6 +142,19 @@ def test_only_data_model_tests_for_scalar_types():
         for line, text in scalar_type_tests(path)
     ]
     assert tests == []
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier and attribute name ``path``'s code uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_only_runtime_sets_the_allocator_policy():
+    owners = [path.name for path in sorted(PACKAGE.glob("*.py")) if "mallopt" in _names(path)]
+    assert owners == ["runtime.py"]
 
 
 def test_the_scalar_type_check_sees_isinstance_and_type_tests(tmp_path):

@@ -1,11 +1,15 @@
+import ctypes
+import platform
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mdpp import summarizer
 from mdpp.bruteforce import exhaustive_knapsack
 from mdpp.data_model import AnnotationSet, MultiViewSequence, ShotList, SummaryBudget
-from mdpp.encoder import init_params
-from mdpp.errors import ValidationError
+from mdpp.encoder import ModelParams, forward, init_params
+from mdpp.errors import NumericError, ValidationError
 from mdpp.evaluation import oracle_summary
 from mdpp.kts import kts
 from mdpp.summarizer import (
@@ -303,3 +307,86 @@ def test_single_view_supervised_respects_budget():
     assert 0 < total <= 8
     for start, end, _ in shots:
         assert 0 <= start < end <= 40
+
+
+def test_supervised_summary_never_reads_the_feature_head():
+    # a feature head that outputs the zero vector cannot be row-normalized,
+    # so ``forward`` raises; the summarizer runs the quality head alone
+    params, sequence = _request_sequence(300)
+    values = dict(params.named_arrays())
+    values["feat_w2"] = np.zeros_like(values["feat_w2"])
+    values["feat_b2"] = np.zeros_like(values["feat_b2"])
+    broken = ModelParams(**values)
+    with pytest.raises(NumericError):
+        forward(broken, sequence)
+    summary = summarize_supervised(broken, sequence, penalty_coeff=0.05)
+    assert summary == summarize_supervised(params, sequence, penalty_coeff=0.05)
+    single = summarizer.single_view_supervised(broken, penalty_coeff=0.05)
+    assert single(sequence.view(0), 45) == summarizer.single_view_supervised(
+        params, penalty_coeff=0.05)(sequence.view(0), 45)
+
+
+def _request_sequence(num_steps):
+    """A synth sequence and a model at the benchmark's shape: M = 3, D = H = 16, D' = 64."""
+    config = SynthConfig(
+        num_views=3, num_steps=num_steps, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, seed=201,
+    )
+    return init_params(16, hidden_size=16, output_dim=64, seed=0), generate(config)[0]
+
+
+def _requests(num_steps):
+    params, sequence = _request_sequence(num_steps)
+    return [
+        lambda: summarize_supervised(params, sequence, penalty_coeff=0.05),
+        lambda: summarize_unsupervised(sequence, penalty_coeff=0.05),
+    ]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_repeated_requests_reuse_their_freed_memory():
+    # both pipelines apply the allocator policy ``training.train`` applies, so
+    # a second request of each kind, after one of the other, touches no new
+    # pages (600-900 faults per supervised request at N = 600 without it)
+    import resource
+
+    requests = _requests(600)
+    for request in requests:
+        request()
+    for request in requests:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        request()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+
+
+def test_requests_without_mallopt_return_the_same_summaries(monkeypatch):
+    requests = _requests(300)
+    expected = [request() for request in requests]
+
+    def no_c_library(*_args, **_kwargs):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_c_library)
+    assert [request() for request in requests] == expected
+
+
+def test_supervised_request_peaks_in_its_segmentation():
+    # scoring runs the quality head alone, so it holds neither the feature
+    # head's (M N, D') output nor the LSTM gate cache and stays below the
+    # segmentation's peak (22.2 MiB at N = 4000 with both heads, against
+    # 11.0 MiB for ``segment_views``)
+    params, sequence = _request_sequence(4000)
+    peaks = []
+    for run in (
+        lambda: segment_views(sequence, penalty_coeff=0.05),
+        lambda: summarize_supervised(params, sequence, penalty_coeff=0.05),
+    ):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        finally:
+            tracemalloc.stop()
+    segmentation, request = peaks
+    assert request < segmentation + (1 << 20), (request / 2**20, segmentation / 2**20)
