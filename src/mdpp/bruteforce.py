@@ -216,10 +216,10 @@ def dp_tables(table, max_parts: int):
     segments; bp holds the matching last-segment start (the earliest on
     ties). Cells with n < k stay inf with bp 0. ``kts``'s blocked sweep over
     every level, which ``kts`` itself cuts short."""
-    from .kts import _empty_tables, _relax, _single_segment
+    from .kts import _CostBlocks, _empty_tables, _relax, _single_segment
 
     dp, bp = _empty_tables(table.n, max_parts)
-    _relax(table, dp, bp, range(1, max_parts + 1), _single_segment(table)[0])
+    _relax(dp, bp, range(1, max_parts + 1), _CostBlocks(table, _single_segment(table)[0]))
     return dp, bp
 
 
@@ -608,11 +608,12 @@ def _check_kts_cuts(cases):
     reference tables, the cut's dp[1][N] must have the reference table's
     bytes, and, where the bound path runs, the linear-penalty row's G the
     bytes of ``reference_linear_penalty`` at the same beta."""
-    from .kts import (_FIRST_LEVELS, _ROW_COST_LEVELS, _LinearPenaltyRow, _empty_tables,
-                      _penalty, _relax, _single_segment, kts)
+    from .kts import (_FIRST_LEVELS, _KEEP_MAX_N, _ROW_COST_LEVELS, _CostBlocks,
+                      _LinearPenaltyRow, _empty_tables, _penalty, _plan, _relax,
+                      _single_segment, kts)
 
     ok = True
-    runs = cut_runs = bound_runs = bound_levels = bound_k15 = 0
+    runs = cut_runs = bound_runs = bound_levels = bound_k15 = row_runs = kept_runs = 0
     for feats, max_parts, ref in cases:
         table = _ScatterTable(feats)
         n, cap = table.n, min(max_parts, table.n)
@@ -626,6 +627,9 @@ def _check_kts_cuts(cases):
             if result != reference_kts(ref, max_parts, penalty):
                 ok = False
             cut_runs += result.levels_relaxed < cap
+            row, keep = _plan(feats, penalties[:k15], cap, penalty)
+            row_runs += row is not None
+            kept_runs += row is not None and keep
             if penalty > 0 and k15 > _FIRST_LEVELS + _ROW_COST_LEVELS:
                 bound_runs += 1
                 bound_levels += result.levels_relaxed
@@ -633,7 +637,8 @@ def _check_kts_cuts(cases):
                 # the row alone, whether or not kts's plan runs it
                 beta = min(b - a for a, b in zip(penalties, penalties[1:k15]))
                 row = _LinearPenaltyRow(n, beta)
-                _relax(table, *_empty_tables(n, 0), range(1, 1), _single_segment(table)[0], row)
+                _relax(*_empty_tables(n, 0), range(1, 1),
+                       _CostBlocks(table, _single_segment(table)[0]), row)
                 if np.float64(row.total).tobytes() != \
                         np.float64(reference_linear_penalty(table, beta)).tobytes():
                     ok = False
@@ -642,7 +647,8 @@ def _check_kts_cuts(cases):
             f"at penalties {_KTS_CUT_PENALTIES}, {cut_runs} with levels cut; "
             f"{bound_runs} on the bound path (K15 > {_FIRST_LEVELS + _ROW_COST_LEVELS}, "
             f"penalty > 0) "
-            f"relaxed {bound_levels} of their {bound_k15} K15 levels; "
+            f"relaxed {bound_levels} of their {bound_k15} K15 levels; {row_runs} ran the row, "
+            f"{kept_runs} of them keeping the cost blocks (N <= {_KEEP_MAX_N}); "
             f"equal results, bitwise dp[1][N] and G")
 
 
@@ -650,18 +656,26 @@ def _kts_long_views(rng: np.random.Generator, seed: int):
     """(features, default cap) at N = 300 and 600, where the bound path
     runs at penalty 0.05: planted-event synth views, integer runs with exact
     ties (10-20 constant runs of integer frames, zero-cost splits), and
-    normal noise, on which the linear-penalty row gives up."""
-    for n in (300, 600):
-        cap = -(-n // 15)
+    normal noise, on which the linear-penalty row gives up. Then planted
+    events on both sides of ``kts._KEEP_MAX_N``, the longest view whose
+    cost blocks the plan with the row keeps."""
+    from .kts import _KEEP_MAX_N
+
+    def planted(n):
         config = synth.SynthConfig(num_views=1, num_steps=n, feature_dim=16, num_events=5,
                                    event_length_min=6, event_length_max=9,
                                    noise_sigma=0.05, seed=seed + n)
-        yield synth.generate(config)[0].view(0).astype(float), cap
+        return synth.generate(config)[0].view(0).astype(float), -(-n // 15)
+
+    for n in (300, 600):
+        yield planted(n)
         runs = int(rng.integers(10, 21))
         values = rng.integers(-2, 3, size=(runs, 3)).astype(float)
         lengths = rng.multinomial(n - 5 * runs, np.ones(runs) / runs) + 5
-        yield np.repeat(values, lengths, axis=0), cap
+        yield np.repeat(values, lengths, axis=0), -(-n // 15)
     yield rng.normal(size=(300, 4)), 20
+    yield planted(_KEEP_MAX_N)
+    yield planted(_KEEP_MAX_N + 1)
 
 
 def _block_cost_error(x: np.ndarray, ends=None) -> float:

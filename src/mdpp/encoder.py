@@ -457,8 +457,10 @@ def _stacked_lstm(params: ModelParams, sequences, backward: bool = True) -> dict
     the same matrix-matrix path as a stacked group's (a one-row product
     takes the vector path, which rounds differently) and its states are
     bitwise those it gets stacked with others. No sequence's columns
-    include the extra one, and its gradient stays zero."""
-    x = np.concatenate([seq.features for seq in sequences], dtype=np.float64)
+    include the extra one, and its gradient stays zero. The input stays
+    float32, the sequences' own type: the loops and ``_spatiotemporal``
+    copy it into float64 buffers, which holds it exactly."""
+    x = np.concatenate([seq.features for seq in sequences], dtype=np.float32)
     if x.shape[0] == 1:
         x = np.concatenate([x, np.zeros_like(x)])
     return _lstm_forward(x, params.lstm_wx, params.lstm_wh, params.lstm_b, backward)
@@ -655,26 +657,26 @@ def _sequence_loss(params, trace, ex, lam, grads):
     """One example's LossParts and, when ``grads`` is given, its head
     gradients added to ``grads`` and dLoss/d(spatiotemporal) as (M, N, D + 2H);
     otherwise (parts, None). The DPP term and its per-view gradients are one
-    ``multi_dpp.multi_dpp_log_prob_and_grad`` call, the gradients then scaled
-    by -lam. The backprop overwrites the trace's head activations, and each
-    DPP array is dropped as soon as it is spent."""
+    ``multi_dpp.multi_dpp_log_prob_and_view_grads`` call, the gradients then
+    scaled by -lam; the feature gradients reach the head one view at a time
+    (``_feature_output_grad``). The backprop overwrites the trace's head
+    activations, and each DPP array is dropped as soon as it is spent."""
     y = ex.target_views
     m, n = y.shape
-    d, h, dp = params.input_dim, params.hidden_size, params.output_dim
+    d, h = params.input_dim, params.hidden_size
 
     quality = trace.streams.quality
     bce, dlogits = _bce_terms(y, quality, m)
 
-    grad_features = None  # at lam = 0 the feature head gets no gradient
+    view_grads = None  # at lam = 0 the feature head gets no gradient
     dpp_nll = math.nan
     if grads is None:
         dpp_nll = -multi_dpp.multi_dpp_log_prob(trace.streams, ex.steps)
     elif lam != 0.0:
-        log_p, grad_features, grad_stream_q = multi_dpp.multi_dpp_log_prob_and_grad(
+        log_p, view_grads, grad_stream_q = multi_dpp.multi_dpp_log_prob_and_view_grads(
             trace.streams, ex.steps
         )
         dpp_nll = -log_p
-        grad_features *= -lam
         grad_stream_q *= -lam
         dlogits = dlogits + grad_stream_q * quality * (1.0 - quality)
     parts = LossParts(total=bce if lam == 0.0 else bce + lam * dpp_nll, bce=bce, dpp_nll=dpp_nll)
@@ -692,18 +694,12 @@ def _sequence_loss(params, trace, ex, lam, grads):
     grads["qual_b1"] += dq_hidden.sum(axis=0)
 
     df_hidden = None
-    if grad_features is not None:
-        # feature head (through the row normalization): graw in the routed
-        # gradient's memory, its projection term in the unit features'
-        graw = grad_features.reshape(m * n, dp)
-        unit = trace.streams.features.reshape(m * n, dp)
-        unit *= np.einsum("rd,rd->r", unit, graw)[:, None]
-        graw -= unit
-        graw /= trace.feat_norms[:, None]
+    if view_grads is not None:
+        graw = _feature_output_grad(trace, view_grads, lam)
         grads["feat_w2"] += graw.T @ trace.feat_hidden
         grads["feat_b2"] += graw.sum(axis=0)
         df_hidden = _tanh_backward(graw @ params.feat_w2, trace.feat_hidden)
-        del grad_features, graw
+        del graw
         grads["feat_w1"] += df_hidden.T @ flat
         grads["feat_b1"] += df_hidden.sum(axis=0)
 
@@ -712,6 +708,23 @@ def _sequence_loss(params, trace, ex, lam, grads):
     if df_hidden is not None:
         dflat += df_hidden @ params.feat_w1
     return parts, trace.spatiotemporal
+
+
+def _feature_output_grad(trace: ForwardTrace, view_grads, lam: float) -> np.ndarray:
+    """dLoss/d(the feature head's output) as (M N, D'), through the row
+    normalization: (g - u (u . g)) / norm per row, u the unit feature and g
+    its view's routed gradient times -lam. Built one view at a time from
+    ``view_grads``, over the unit features, so no (M, N, D') gradient is
+    ever held beside them."""
+    unit = trace.streams.features
+    m, n, dp = unit.shape
+    norms = trace.feat_norms.reshape(m, n, 1)
+    for view, grad in enumerate(view_grads):
+        grad *= -lam
+        unit[view] *= np.einsum("nd,nd->n", unit[view], grad)[:, None]
+        np.subtract(grad, unit[view], out=unit[view])
+        unit[view] /= norms[view]
+    return unit.reshape(m * n, dp)
 
 
 def _tanh_backward(upstream, hidden):

@@ -16,9 +16,9 @@ segment lengths and the a >= e mask are slices of two Toeplitz views the
 table builds once per view. The block then relaxes the segment counts level
 by level: level k - 1 of the block is final before level k reads it. Level
 1 is read off the block's column 0 (dp[0] is finite only at 0); every other
-level adds into one C-contiguous scratch whose base is 64-byte aligned; a
-full block's width is a multiple of 64, so each of its rows starts on a
-cache line.
+level adds into one C-contiguous scratch whose base is 64-byte aligned (the
+block's matrix product is computed there too); a full block's width is a
+multiple of 64, so each of its rows starts on a cache line.
 
 ``kts`` relaxes only the levels whose change-point count can still win,
 and its result is the full-cap one: a level's cells read only the level
@@ -30,20 +30,26 @@ run holds, and a level that is cut cannot hold the winner. Two bounds cut:
   levels, and reads dp[1][N] from the final block's own grid, the value
   the table holds bit for bit.
 - When K15 > _FIRST_LEVELS + _ROW_COST_LEVELS, the penalty is positive and
-  ``_row_pays``, the first sweep relaxes _FIRST_LEVELS levels and, on the
-  same cost blocks, the linear-penalty row F[0] = -beta, F[e] = min_a
-  (F[a] + beta) + c(a, e), beta the least increment pen(m) - pen(m - 1)
-  over m < K15. G = F[N] = min_j (dp[j][N] + beta (j - 1)) <= dp[m + 1][N]
-  + beta m for every m and any beta >= 0, so with dp >= 0 m's penalized
-  value is at least max(0, G - beta m) + pen(m). m can win only if that is
-  at most U + margin, U the least penalized value known: the relaxed
-  levels', and the row's own segmentation's (its summed costs plus pen)
-  when it has fewer than cap change points. A second sweep recomputes the
-  cost blocks, which are deterministic, for the levels above _FIRST_LEVELS
-  the bound keeps. Since pen's increments are at least beta, the bound
-  grows with m, and it meets the winner where the row's segmentation is
-  the winner. ``kts`` fixes the plan (the levels, and the row or not)
-  before sweeping.
+  ``_row_pays``, the first sweep runs, on its cost blocks, the
+  linear-penalty row F[0] = -beta, F[e] = min_a (F[a] + beta) + c(a, e),
+  beta the least increment pen(m) - pen(m - 1) over m < K15. G = F[N] =
+  min_j (dp[j][N] + beta (j - 1)) <= dp[m + 1][N] + beta m for every m and
+  any beta >= 0, so with dp >= 0 m's penalized value is at least
+  max(0, G - beta m) + pen(m). m can win only if that is at most
+  U + margin, U the least penalized value known: the relaxed levels', and
+  the row's own segmentation's (its summed costs plus pen) when it has
+  fewer than cap change points. A second sweep relaxes the levels above
+  the first sweep's that the bound keeps. Since pen's increments are at
+  least beta, the bound grows with m, and it meets the winner where the
+  row's segmentation is the winner (on 48 planted-event views at N = 600
+  it kept exactly the winner's segment count). Up to N = _KEEP_MAX_N the
+  first sweep writes each cost block once into one kept buffer and
+  relaxes only level 1 beside the row, and the second sweep reads the
+  kept blocks. Longer views would keep O(N^2) cells, so their first sweep
+  relaxes _FIRST_LEVELS levels, and their second sweep computes the cost
+  blocks, which are deterministic, again. ``kts`` fixes the plan
+  (``_plan``: the row or not, and whether its blocks are kept) before
+  sweeping.
 
 The margin bounds summation round-off. Every dp cell, F value and
 penalized value is a sum of non-negative float terms taken left to right
@@ -58,14 +64,17 @@ than (2N + 8) u U + 3 N u G + 3 u (G + beta m + pen(m)). The margin,
 N = 2000 it is 2e-12 of the scale, so it keeps no level in practice.
 
 With K the levels relaxed, time is O(N^2 (D + K)): the row costs about one
-level plus in-block passes of at most _BLOCK^2 cells each, and a second
-sweep recomputes the O(N^2 D) cost blocks once. Extra memory is
-O(K N + _BLOCK N + N D): the dp and bp tables hold the K levels relaxed,
-grown before a second sweep, and no N x N cost table is ever built. A cell's
-round-off depends on its block, so ``bruteforce.reference_dp_tables`` keeps
-the per-(k, end) loop but reads each end's costs from the same
-``_ScatterTable.block_costs`` grid, and ``mdpp check kts`` requires the two
-to agree bitwise and the cuts to match a full-cap selection.
+level plus in-block passes of at most _BLOCK^2 cells each, and past
+_KEEP_MAX_N a second sweep computes the O(N^2 D) cost blocks once more.
+Extra memory is O(K N + _BLOCK N + N D): the dp and bp tables hold the K
+levels relaxed, grown before a second sweep; the kept blocks, about N^2 / 2
+cells, are at most 5.5 blocks of _BLOCK x N, since only views up to
+_KEEP_MAX_N = 10 _BLOCK keep them; and no N x N cost table is ever built.
+A cell's round-off depends on its block, so
+``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop but reads
+each end's costs from the same ``_ScatterTable.block_costs`` grid, and
+``mdpp check kts`` requires the two to agree bitwise and the cuts to match
+a full-cap selection.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -88,6 +97,10 @@ _FIRST_LEVELS = 8
 # the bound's row costs about as much as 2 (N = 2000) to 5 (N = 300) levels,
 # so it runs only when the levels it may save outnumber that
 _ROW_COST_LEVELS = 4
+# the longest view whose cost blocks the plan with the row keeps for its
+# second sweep: at N = 640 they are 5.5 blocks of 64 x N (about N^2 / 2
+# cells), so with the relaxation scratch a call holds under 8 such blocks
+_KEEP_MAX_N = 10 * _BLOCK
 # ends a pass of the row's in-block relaxation must settle to be repeated
 _SETTLE_PASS_MIN = 8
 _EPS = float(np.finfo(np.float64).eps)
@@ -125,7 +138,7 @@ class _ScatterTable:
         self.lengths = sliding_window_view(np.maximum(steps, 1.0), n)[::-1]
         self.past_end = sliding_window_view(steps <= 0, n)[::-1]
 
-    def block_costs(self, lo: int, hi: int) -> np.ndarray:
+    def block_costs(self, lo: int, hi: int, out=None, scratch=None) -> np.ndarray:
         """Scatter of every segment [a, e) with end lo <= e < hi and start
         a < hi - 1, as a (hi - lo) x (hi - 1) array; cells with a >= e hold
         +inf. Around the block's first end (u_e = S_e - S_lo, w_a = S_lo - S_a),
@@ -137,7 +150,9 @@ class _ScatterTable:
         are slices of the table's views. On integer features the product's
         terms are exact, but the cost is rounded twice, by the division by
         the length and by the subtraction from the energy, so segments of
-        equal exact scatter can get different floats."""
+        equal exact scatter can get different floats. ``out`` receives the
+        costs and ``scratch`` the product, when given: C-contiguous arrays of
+        the block's shape, which leave every bit as fresh ones would."""
         width, d = hi - 1, self.sums.shape[1]
         u = np.empty((hi - lo, d + 2))
         np.subtract(self.sums[lo:hi], self.sums[lo], out=u[:, :d])
@@ -148,13 +163,64 @@ class _ScatterTable:
         np.subtract(self.sums[lo], self.sums[:width], out=w[:, :d])
         w[:, d] = 1.0
         w[:, d + 1] = np.einsum("ad,ad->a", w[:, :d], w[:, :d])
-        mean_part = u @ w.T
+        mean_part = np.matmul(u, w.T, out=scratch)
         mean_part /= self.lengths[lo:hi, :width]
-        out = self.sq[lo:hi, None] - self.sq[:width]
+        out = np.subtract(self.sq[lo:hi, None], self.sq[:width], out=out)
         out -= mean_part
         np.maximum(out, 0.0, out=out)
         np.copyto(out[:, lo:], np.inf, where=self.past_end[lo:hi, lo:width])
         return out
+
+
+def _cells_before(lo: int) -> int:
+    """Cells of the cost blocks that end before ``lo`` (1 modulo _BLOCK):
+    the block at lo' is _BLOCK x (lo' + _BLOCK - 1)."""
+    return (lo - 1) * (lo - 1 + _BLOCK) // 2
+
+
+def _final_lo(n: int) -> int:
+    return 1 + (n - 1) // _BLOCK * _BLOCK
+
+
+class _CostBlocks:
+    """One view's cost blocks, in end order, for the sweeps of one plan.
+    Each block comes with its relaxation scratch: the first cells of one
+    flat buffer whose base is on a 64-byte cache line (8 spare doubles
+    absorb the allocator's 16-byte alignment), in the block's shape, so
+    C-contiguous; a full block's width is a multiple of 64, so each of its
+    rows starts on a cache line and no 64-byte store straddles two.
+    ``block_costs`` computes its product in that scratch too. The final
+    block is ``last_costs``, from ``_single_segment``. With ``keep``, every
+    other block is written once, back to back, into one buffer that later
+    sweeps read; without, each sweep computes it again."""
+
+    def __init__(self, table: _ScatterTable, last_costs: np.ndarray, keep: bool = False):
+        n = table.n
+        self.table, self.last_costs = table, last_costs
+        flat = np.empty(min(_BLOCK, n) * n + 8)
+        self.scratch = flat[-flat.ctypes.data % 64 // 8 :]
+        self.kept = np.empty(_cells_before(_final_lo(n))) if keep else None
+        self.filled = 0  # cells of ``kept`` written
+
+    def __iter__(self):
+        """(lo, costs, totals) per block: its first end, its (hi - lo, hi - 1)
+        costs and the scratch in that shape."""
+        n = self.table.n
+        for lo in range(1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            shape = (hi - lo, hi - 1)
+            totals = self.scratch[: shape[0] * shape[1]].reshape(shape)
+            if hi == n + 1:
+                costs = self.last_costs
+            elif self.kept is None:
+                costs = self.table.block_costs(lo, hi, scratch=totals)
+            else:
+                start = _cells_before(lo)
+                costs = self.kept[start : start + totals.size].reshape(shape)
+                if self.filled < start + totals.size:
+                    self.table.block_costs(lo, hi, out=costs, scratch=totals)
+                    self.filled = start + totals.size
+            yield lo, costs, totals
 
 
 def _empty_tables(n: int, max_parts: int):
@@ -164,27 +230,16 @@ def _empty_tables(n: int, max_parts: int):
     return dp, bp
 
 
-def _relax(table: _ScatterTable, dp, bp, levels: range, last_costs: np.ndarray, row=None):
+def _relax(dp, bp, levels: range, blocks: _CostBlocks, row=None):
     """Fill the consecutive dp and bp levels ``levels`` (the level below
     the first is final) block by block, and ``row``, if given, on the same
-    cost blocks; ``last_costs`` is the final block, from ``_single_segment``.
-    A level's cells depend only on the level below and the deterministic
-    cost blocks, so splitting the levels over sweeps leaves every bit as one
-    sweep would."""
-    n = table.n
-    # one scratch for every block's relaxation, its base on a 64-byte cache
-    # line: 8 spare doubles absorb the allocator's 16-byte alignment
-    flat = np.empty(min(_BLOCK, n) * n + 8)
-    scratch = flat[-flat.ctypes.data % 64 // 8 :]
-    for lo in range(1, n + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n + 1)
-        costs = last_costs if hi == n + 1 else table.block_costs(lo, hi)
-        # C-contiguous, so each row of a full block (width 64 j) starts on a
-        # cache line and no 64-byte store straddles two
-        totals = scratch[: costs.size].reshape(costs.shape)
+    cost blocks. A level's cells depend only on the level below and the
+    deterministic cost blocks, so splitting the levels over sweeps leaves
+    every bit as one sweep would."""
+    for lo, costs, totals in blocks:
         _relax_block(dp, bp, levels, lo, costs, totals)
         if row is not None:
-            row.relax(lo, hi, costs, totals)
+            row.relax(lo, lo + len(costs), costs, totals)
 
 
 def _relax_block(dp, bp, levels: range, lo: int, costs, totals) -> None:
@@ -285,12 +340,28 @@ def _row_pays(x: np.ndarray, beta: float, cap: int) -> bool:
     return n <= _BLOCK or int(np.count_nonzero(pairs > beta)) * n <= cap * len(pairs)
 
 
+def _plan(x: np.ndarray, penalties, cap: int, penalty_coeff: float):
+    """``kts``'s sweep plan for the K15 = len(penalties) levels left: the
+    linear-penalty row, or None for one sweep of every level, and whether
+    the row's sweeps keep the cost blocks. The row runs when more than
+    _FIRST_LEVELS + _ROW_COST_LEVELS levels are left, the penalty is
+    positive and ``_row_pays``; its first sweep relaxes level 1 when the
+    blocks are kept (N <= _KEEP_MAX_N), else _FIRST_LEVELS levels."""
+    k15 = len(penalties)
+    if k15 <= _FIRST_LEVELS + _ROW_COST_LEVELS or penalty_coeff == 0:
+        return None, False
+    beta = min(b - a for a, b in zip(penalties, penalties[1:]))
+    if not _row_pays(x, beta, cap):
+        return None, False
+    return _LinearPenaltyRow(x.shape[0], beta), x.shape[0] <= _KEEP_MAX_N
+
+
 def _single_segment(table: _ScatterTable) -> tuple[np.ndarray, float]:
     """The final DP block's ``block_costs`` and, read from that grid, the
     cost of the one segment [0, n): bitwise the table's dp[1][n]. A block
     anchored elsewhere (``block_costs(n, n + 1)``) rounds differently."""
     n = table.n
-    lo = 1 + (n - 1) // _BLOCK * _BLOCK
+    lo = _final_lo(n)
     costs = table.block_costs(lo, n + 1)
     return costs, float(costs[n - lo, 0])
 
@@ -336,7 +407,9 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     count can still win are relaxed (see the module docstring): those with
     pen(m) < dp[1][N], and, when the linear-penalty bound runs, those with
     max(0, G - beta m) + pen(m) <= U + margin. The result is the full-cap
-    one, and its ``levels_relaxed`` counts the levels filled."""
+    one, and its ``levels_relaxed`` counts the levels filled: one sweep's,
+    or the first sweep's (1 with kept cost blocks, else _FIRST_LEVELS) and
+    then the bound's, if more."""
     x = _as_features(features)
     check_int(max_segments, "max_segments", 1, error=ConfigError)
     check_real(penalty_coeff, "penalty_coeff", 0, None, error=ConfigError)
@@ -348,24 +421,19 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
     # the table is non-negative, so m's penalized value is at least
     # penalties[m]; once that reaches dp[1][n], m cannot win
     parts = 1 + max((m for m in range(1, parts_cap) if penalties[m] < single), default=0)
-    # the plan: one sweep of every level, or _FIRST_LEVELS levels with the
-    # row, then the levels the row's bound keeps
-    row = None
-    if parts > _FIRST_LEVELS + _ROW_COST_LEVELS and penalty_coeff > 0:
-        beta = min(b - a for a, b in zip(penalties, penalties[1:parts]))
-        if _row_pays(x, beta, parts_cap):
-            row = _LinearPenaltyRow(n, beta)
-    relaxed = parts if row is None else _FIRST_LEVELS
+    row, keep = _plan(x, penalties[:parts], parts_cap, penalty_coeff)
+    blocks = _CostBlocks(table, last_costs, keep)
+    relaxed = parts if row is None else 1 if keep else _FIRST_LEVELS
     # the tables hold the levels the plan relaxes, not the cap's
     dp, bp = _empty_tables(n, relaxed)
-    _relax(table, dp, bp, range(1, relaxed + 1), last_costs, row)
+    _relax(dp, bp, range(1, relaxed + 1), blocks, row)
     if row is not None:
         upper = float(np.min(dp[1 : relaxed + 1, n] + penalties[:relaxed]))
         kept = _levels_that_can_win(row, parts_cap, penalties[:parts], upper, penalty_coeff)
         if kept > relaxed:
             more = ((0, kept - relaxed), (0, 0))  # the new levels' rows
             dp, bp = np.pad(dp, more, constant_values=np.inf), np.pad(bp, more)
-            _relax(table, dp, bp, range(relaxed + 1, kept + 1), last_costs)
+            _relax(dp, bp, range(relaxed + 1, kept + 1), blocks)
             relaxed = kept
     # the penalized values' first minimum: the fewest change points
     best_m = int(np.argmin(dp[1 : relaxed + 1, n] + penalties[:relaxed]))

@@ -69,7 +69,20 @@ def multi_dpp_log_prob_and_grad(
     streams: ViewStreams, subset
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """log P(y) under the joint kernel and its gradients with respect to the
-    per-view features (M, N, D') and qualities (M, N).
+    per-view features (M, N, D') and qualities (M, N): the feature gradient
+    is ``multi_dpp_log_prob_and_view_grads``' views, stacked."""
+    log_p, view_grads, grad_quality = multi_dpp_log_prob_and_view_grads(streams, subset)
+    grad_features = np.empty(streams.features.shape)
+    for view, grad in enumerate(view_grads):
+        grad_features[view] = grad
+    return log_p, grad_features, grad_quality
+
+
+def multi_dpp_log_prob_and_view_grads(streams: ViewStreams, subset):
+    """log P(y) under the joint kernel, an iterator over the views' (N, D')
+    feature gradients, in view order, and the (M, N) quality gradient. The
+    iterator writes each view's gradient over the last one's, in one
+    buffer, so a caller holds one view's at a time.
 
     Max-pooling sends each dimension's gradient to the winning view, as a
     product with the win mask (so a losing view's entry can be -0.0); L2
@@ -77,8 +90,8 @@ def multi_dpp_log_prob_and_grad(
     distributes multiplicatively, gated to zero where its clamp was active:
     at or below QUALITY_FLOOR, where any view at or below the floor puts it
     (every score is positive where the gate is open). The kernel is freed
-    before the per-view gradient is allocated. A zero-probability subset
-    raises NumericError, naming D' (the kernel's rank bound) when larger.
+    before it returns. A zero-probability subset raises NumericError,
+    naming D' (the kernel's rank bound) when larger.
     """
     kernel, argmax_views, norms, raw_quality = _joint_kernel(streams)
     m, n, dprime = streams.features.shape
@@ -98,15 +111,18 @@ def multi_dpp_log_prob_and_grad(
     grad_pooled /= norms
     del kernel, phi
 
-    grad_features = np.empty((m, n, dprime))
-    for view in range(m):
-        np.multiply(grad_pooled.T, argmax_views == view, out=grad_features[view])
-
     passthrough = raw_quality > dpp.QUALITY_FLOOR
     gated = np.where(passthrough, grad_q * raw_quality, 0.0)
     grad_quality = np.zeros((m, n))
     np.divide(gated, streams.quality, out=grad_quality, where=passthrough)
-    return log_p, grad_features, grad_quality
+    return log_p, _routed(grad_pooled.T, argmax_views, m), grad_quality
+
+
+def _routed(grad_pooled, argmax_views, num_views):
+    """Each view's share of the (N, D') pooled gradient, in one buffer."""
+    out = np.empty(grad_pooled.shape)
+    for view in range(num_views):
+        yield np.multiply(grad_pooled, argmax_views == view, out=out)
 
 
 def _joint_kernel(streams: ViewStreams):

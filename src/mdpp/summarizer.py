@@ -149,6 +149,8 @@ def summarize_unsupervised(
     runtime.keep_freed_memory_mapped()
     n = sequence.num_steps
     budget_frames = check_budget(budget).frame_budget(n)
+    # segmented first, so KTS's cost blocks and the kernel are never alive together
+    shot_lists = [s.shot_list(n) for s in segment_views(sequence, max_segments, penalty_coeff)]
     unit = _unit_rows(sequence.features.astype(np.float64))
     streams = ViewStreams(features=unit, quality=np.ones((sequence.num_views, n)))
     kernel = build_joint_kernel(streams)
@@ -157,7 +159,6 @@ def summarize_unsupervised(
     steps = dpp.greedy_map(kernel.phi * kernel.q, max_size=budget_frames, fill=True)
 
     joint = kernel.phi
-    shot_lists = [s.shot_list(n) for s in segment_views(sequence, max_segments, penalty_coeff)]
     attributed = [
         (int(np.argmax(unit[:, t] @ joint[:, t])), int(t)) for t in steps
     ]

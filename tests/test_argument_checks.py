@@ -211,6 +211,9 @@ ROWS = {
     "multi_dpp.multi_dpp_log_prob_and_grad": {"subset": ints(
         lambda v: multi_dpp.multi_dpp_log_prob_and_grad(fx().streams, [0, v]),
         ValidationError, -1, 4)},
+    "multi_dpp.multi_dpp_log_prob_and_view_grads": {"subset": ints(
+        lambda v: multi_dpp.multi_dpp_log_prob_and_view_grads(fx().streams, [0, v]),
+        ValidationError, -1, 4)},
     "summarizer.knapsack_shots": {
         "lengths": ints(lambda v: summarizer.knapsack_shots([1, v], [0.1, 0.2], 3),
                         ValidationError, 0),

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdpp import bruteforce, encoder
+from mdpp import bruteforce, encoder, multi_dpp, synth, training
 from mdpp.bruteforce import param_count
-from mdpp.data_model import MultiViewSequence, TrainingExample
+from mdpp.data_model import MultiViewSequence, Summary, TrainingExample
 from mdpp.encoder import ModelParams, forward, from_vector, init_params, to_vector
 from mdpp.errors import ConfigError, NumericError, ShapeError, ValidationError
 
@@ -635,3 +635,46 @@ def test_params_are_the_weight_arrays_alone():
     assert (params.input_dim, params.hidden_size, params.output_dim) == (3, 4, 5)
     with pytest.raises(ShapeError, match="feat_w2 has shape"):
         ModelParams(**{**dict(params.named_arrays()), "feat_w2": np.zeros(5)})
+
+
+def _planted_example(n, seed):
+    """A 3-view, D = 16 synth sequence with its planted summary as targets,
+    the benchmark's protocol."""
+    config = synth.SynthConfig(
+        num_views=3, num_steps=n, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, overlap_mode="independent", noise_sigma=0.05, seed=seed,
+    )
+    sequence, annotations = synth.generate(config)
+    return training.targets_from_summary(sequence, Summary(selections=annotations.users[0][1]))
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+@pytest.mark.parametrize("lam", [1.0, 0.3])
+def test_feature_output_gradient_per_view_is_bitwise_the_dense_route(n, lam):
+    ex = _planted_example(n, seed=n)
+    params = init_params(16, 16, 64, seed=4)
+    trace = forward(params, ex.sequence)
+    m, dp = ex.sequence.num_views, params.output_dim
+    # the dense route: every view's routed gradient at once, (M, N, D')
+    _, dense, _ = multi_dpp.multi_dpp_log_prob_and_grad(trace.streams, ex.steps)
+    graw = dense.reshape(m * n, dp)
+    graw *= -lam
+    unit = trace.streams.features.reshape(m * n, dp).copy()
+    unit *= np.einsum("rd,rd->r", unit, graw)[:, None]
+    graw -= unit
+    graw /= trace.feat_norms[:, None]
+    _, view_grads, _ = multi_dpp.multi_dpp_log_prob_and_view_grads(trace.streams, ex.steps)
+    per_view = encoder._feature_output_grad(trace, view_grads, lam)
+    assert per_view.shape == graw.shape and per_view.tobytes() == graw.tobytes()
+
+
+def test_long_batch_holds_no_dense_routed_gradient():
+    # two 3-view N = 2000 sequences, one stacked group: 33.1 MiB at the
+    # peak with the dense (M, N, D') routed gradient (2.9 MiB) and a
+    # float64 copy of the input; 31.3 MiB without
+    batch = [_planted_example(2000, seed) for seed in (1000, 1001)]
+    params = init_params(16, 16, 64, seed=3)
+    assert len(encoder._groups(batch)) == 1
+    encoder.batch_loss(params, batch)  # warm: numpy's first-call caches
+    peak = _traced_peak(encoder.batch_loss, params, batch)
+    assert peak < 32 * 2**20, peak / 2**20

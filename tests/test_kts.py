@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -139,8 +140,13 @@ def test_kts_check_fails_on_wrong_costs(monkeypatch):
     # the exhaustive and direct-scatter rows read no production cost, so a
     # cost error shows there even though the reference tables share it
     block_costs = _ScatterTable.block_costs
-    monkeypatch.setattr(_ScatterTable, "block_costs",
-                        lambda self, lo, hi: block_costs(self, lo, hi) * (1 + 1e-6))
+
+    def wrong_costs(self, lo, hi, out=None, scratch=None):
+        costs = block_costs(self, lo, hi, out, scratch)
+        costs *= 1 + 1e-6
+        return costs
+
+    monkeypatch.setattr(_ScatterTable, "block_costs", wrong_costs)
     rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
     assert rows == {
         "KTS dynamic program vs exhaustive segmentation": False,
@@ -150,12 +156,36 @@ def test_kts_check_fails_on_wrong_costs(monkeypatch):
     }
 
 
-def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
+def test_kts_check_fails_on_wrong_kept_costs(monkeypatch):
+    # only the blocks kts keeps are wrong: the reference loop and the other
+    # rows read blocks computed afresh, so only the level cut row sees it
+    block_costs = _ScatterTable.block_costs
+
+    def wrong_kept_costs(self, lo, hi, out=None, scratch=None):
+        costs = block_costs(self, lo, hi, out, scratch)
+        if out is not None:
+            costs *= 1 + 1e-6
+        return costs
+
+    monkeypatch.setattr(_ScatterTable, "block_costs", wrong_kept_costs)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows == {
+        "KTS dynamic program vs exhaustive segmentation": True,
+        "KTS tables vs reference loop": True,
+        "KTS level cut vs full cap": False,
+        "KTS cost blocks vs direct scatter": True,
+    }
+
+
+def _relaxing_one_level_fewer(monkeypatch, kept):
+    """kts, patched so that its sweeps without the row, on kept cost blocks
+    or on blocks computed per sweep as ``kept`` says, relax one level fewer:
+    the one-sweep plan (the dp[1][N] cut) and either plan's second sweep."""
     relax, segment = kts_module._relax, kts_module.kts
 
-    def one_level_fewer(table, dp, bp, levels, last_costs, row=None):
-        # kts's one-sweep path (the dp[1][N] cut) and its second sweep
-        relax(table, dp, bp, levels if row else levels[:-1], last_costs, row)
+    def one_level_fewer(dp, bp, levels, blocks, row=None):
+        fewer = row is None and (blocks.kept is not None) == kept
+        relax(dp, bp, levels[:-1] if fewer else levels, blocks, row)
 
     def kts_relaxing_one_level_fewer(*args):
         # only inside kts: dp_tables, which the check compares with the
@@ -165,14 +195,54 @@ def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
             return segment(*args)
 
     monkeypatch.setattr(kts_module, "kts", kts_relaxing_one_level_fewer)
+
+
+def test_kts_check_fails_when_the_cut_relaxes_one_level_fewer(monkeypatch):
+    _relaxing_one_level_fewer(monkeypatch, kept=False)
     rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
     assert rows["KTS level cut vs full cap"] is False
     assert rows["KTS tables vs reference loop"] is True
 
 
+def test_kts_check_fails_when_the_kept_blocks_relax_one_level_fewer(monkeypatch):
+    _relaxing_one_level_fewer(monkeypatch, kept=True)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
+    assert rows["KTS tables vs reference loop"] is True
+
+
+def test_kts_check_fails_when_the_unkept_second_sweep_relaxes_one_level_fewer(monkeypatch):
+    # the plan with the row on a view too long to keep its cost blocks: only
+    # _KEEP_MAX_N + 1 in the check's views
+    relax = kts_module._relax
+
+    def one_level_fewer(dp, bp, levels, blocks, row=None):
+        second = row is None and blocks.kept is None and levels.start > kts_module._FIRST_LEVELS
+        relax(dp, bp, levels[:-1] if second else levels, blocks, row)
+
+    monkeypatch.setattr(kts_module, "_relax", one_level_fewer)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
+
+
 def test_kts_check_fails_when_the_bound_keeps_one_level_fewer(monkeypatch):
     bound = kts_module._levels_that_can_win
     monkeypatch.setattr(kts_module, "_levels_that_can_win", lambda *args: bound(*args) - 1)
+    rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
+    assert rows["KTS level cut vs full cap"] is False
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_kts_check_fails_when_the_bound_keeps_one_level_fewer_on_one_plan(monkeypatch, kept):
+    # on the views of one plan only; on kept blocks the bound can drop to 0
+    # levels, and level 1, relaxed before it, still holds
+    bound = kts_module._levels_that_can_win
+
+    def one_fewer(row, *args):
+        n = len(row.start) - 1
+        return bound(row, *args) - ((n <= kts_module._KEEP_MAX_N) == kept)
+
+    monkeypatch.setattr(kts_module, "_levels_that_can_win", one_fewer)
     rows = {name: ok for name, ok, _ in bruteforce.check_kts(trials=5)}
     assert rows["KTS level cut vs full cap"] is False
 
@@ -283,8 +353,8 @@ def test_linear_penalty_row_matches_reference_bitwise(n, beta):
     x += 0.2 * rng.normal(size=x.shape)
     table = _ScatterTable(x)
     row = kts_module._LinearPenaltyRow(n, beta)
-    kts_module._relax(table, *kts_module._empty_tables(n, 0), range(1, 1),
-                      kts_module._single_segment(table)[0], row)
+    kts_module._relax(*kts_module._empty_tables(n, 0), range(1, 1),
+                      kts_module._CostBlocks(table, kts_module._single_segment(table)[0]), row)
     assert np.float64(row.total).tobytes() == np.float64(
         bruteforce.reference_linear_penalty(table, beta)).tobytes()
     change_points, cost = row.segmentation()
@@ -296,9 +366,9 @@ def _record_sweeps(monkeypatch):
     sweeps = []
     relax = kts_module._relax
 
-    def recording(table, dp, bp, levels, last_costs, row=None):
+    def recording(dp, bp, levels, blocks, row=None):
         sweeps.append((levels, row is not None))
-        relax(table, dp, bp, levels, last_costs, row)
+        relax(dp, bp, levels, blocks, row)
 
     monkeypatch.setattr(kts_module, "_relax", recording)
     return sweeps
@@ -316,19 +386,114 @@ def test_row_gives_up_on_noise_and_the_one_sweep_relaxes_every_level(monkeypatch
     assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), cap), cap, 0.05)
 
 
-def test_plan_with_the_row_sweeps_the_first_levels_then_the_kept_ones(monkeypatch):
+def _count_block_costs(monkeypatch):
+    """A Counter that each ``block_costs`` call adds its (lo, hi) to."""
+    calls = Counter()
+    block_costs = _ScatterTable.block_costs
+
+    def counting(self, lo, hi, out=None, scratch=None):
+        calls[lo, hi] += 1
+        return block_costs(self, lo, hi, out, scratch)
+
+    monkeypatch.setattr(_ScatterTable, "block_costs", counting)
+    return calls
+
+
+def _planted_view(n, seed=300):
     config = synth.SynthConfig(
-        num_views=1, num_steps=300, feature_dim=16, num_events=5, event_length_min=6,
-        event_length_max=9, noise_sigma=0.05, seed=300,
+        num_views=1, num_steps=n, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, noise_sigma=0.05, seed=seed,
     )
-    x = synth.generate(config)[0].view(0).astype(float)
+    return synth.generate(config)[0].view(0).astype(float)
+
+
+def test_plan_with_the_row_sweeps_the_first_levels_then_the_kept_ones(monkeypatch):
+    # a view too long to keep its cost blocks: the second sweep computes
+    # every block but the final one again
+    n = 700
+    assert n > kts_module._KEEP_MAX_N
+    x = _planted_view(n)
     sweeps = _record_sweeps(monkeypatch)
+    calls = _count_block_costs(monkeypatch)
     result = kts(x, 20, 0.05)
     first = kts_module._FIRST_LEVELS
     assert first < result.levels_relaxed < 20
     assert sweeps == [(range(1, first + 1), True),
                       (range(first + 1, result.levels_relaxed + 1), False)]
+    final = kts_module._final_lo(n)
+    assert calls == {**{(lo, lo + 64): 2 for lo in range(1, final, 64)}, (final, n + 1): 1}
     assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), 20), 20, 0.05)
+
+
+def test_kept_plan_sweeps_level_one_with_the_row_then_the_kept_levels(monkeypatch):
+    # the same planted events on a view short enough to keep its cost
+    # blocks: each is computed once, and the second sweep reads them
+    n = 300
+    x = _planted_view(n)
+    sweeps = _record_sweeps(monkeypatch)
+    calls = _count_block_costs(monkeypatch)
+    result = kts(x, 20, 0.05)
+    assert 1 < result.levels_relaxed < 20
+    assert sweeps == [(range(1, 2), True), (range(2, result.levels_relaxed + 1), False)]
+    assert calls == {(lo, min(lo + 64, n + 1)): 1 for lo in range(1, n + 1, 64)}
+    assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), 20), 20, 0.05)
+
+
+def _final_tables(monkeypatch):
+    """A list that each ``_relax`` call kts makes appends its (dp, bp) to:
+    the last pair holds the levels relaxed."""
+    tables = []
+    relax = kts_module._relax
+
+    def recording(dp, bp, levels, blocks, row=None):
+        relax(dp, bp, levels, blocks, row)
+        tables.append((dp, bp))
+
+    monkeypatch.setattr(kts_module, "_relax", recording)
+    return tables
+
+
+@pytest.mark.parametrize("n", [300, 600, kts_module._KEEP_MAX_N, kts_module._KEEP_MAX_N + 1])
+def test_every_plan_relaxes_levels_bitwise_the_reference_loops(monkeypatch, n):
+    # the benchmark's protocol around the keep bound: at 0.05 and 1.0 the
+    # plan with the row runs, kept up to _KEEP_MAX_N; 1e-9 takes one sweep
+    config = synth.SynthConfig(
+        num_views=1, num_steps=n, feature_dim=16, num_events=5, event_length_min=6,
+        event_length_max=9, overlap_mode="independent", noise_sigma=0.05, seed=n,
+    )
+    x = np.asarray(synth.generate(config)[0].view(0), dtype=float)
+    cap = default_max_segments(n)
+    ref = bruteforce.reference_dp_tables(_ScatterTable(x), cap)
+    tables, plans = _final_tables(monkeypatch), []
+    plan = kts_module._plan
+    monkeypatch.setattr(kts_module, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+    for penalty in (1e-9, 0.05, 1.0):
+        tables.clear()
+        result = kts(x, cap, penalty)
+        assert result == bruteforce.reference_kts(ref, cap, penalty)
+        dp, bp = tables[-1]
+        levels = slice(1, result.levels_relaxed + 1)
+        assert np.array_equal(dp[levels], ref[0][levels])
+        assert np.array_equal(bp[levels], ref[1][levels])
+    keep = n <= kts_module._KEEP_MAX_N
+    assert [(row is not None, kept) for row, kept in plans] == [
+        (False, False), (True, keep), (True, keep)]
+
+
+def test_kept_blocks_hold_a_call_within_eight_blocks():
+    # the longest view that keeps its cost blocks: 5.5 blocks of 64 x N,
+    # the relaxation scratch and the final block's copy make the rest
+    n = kts_module._KEEP_MAX_N
+    x = _planted_view(n, seed=201)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = kts(x, math.ceil(n / 15), 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert 1 < result.levels_relaxed < math.ceil(n / 15)
+    assert 6 * 64 * n * 8 < peak < 8 * 64 * n * 8
 
 
 def test_kts_tables_hold_the_levels_relaxed_not_the_cap():
