@@ -6,8 +6,9 @@ segmentations, and exhaustive knapsacks, plus the primal N x N likelihood
 formulas that the dual-form fast path in ``dpp`` must reproduce, the
 from-scratch greedy MAP that its incremental Cholesky must match pick for
 pick, the per-(k, end) KTS loop that the blocked DP in ``kts`` must
-reproduce bitwise, the full-cap KTS choice that its level cut must match,
-and the per-pair tolerant-F1 loop that the one-pass sweep in
+reproduce bitwise, the broadcast cost block whose bytes its rank-2 energy
+product must reproduce, the full-cap KTS choice that its level cut must
+match, and the per-pair tolerant-F1 loop that the one-pass sweep in
 ``evaluation`` must reproduce bitwise. Only this module builds an N x N
 kernel (``kernel_matrix``, and L = B^T B in the greedy MAP oracles). The
 `check` CLI subcommand drives these against the production implementations.
@@ -239,6 +240,30 @@ def kts_fixed_m(features, num_change_points: int) -> tuple[list[int], float]:
     parts = num_change_points + 1
     dp, bp = dp_tables(table, parts)
     return list(_reconstruct(bp, parts, n)), float(dp[parts][n])
+
+
+def reference_block_costs(table, lo: int, hi: int) -> np.ndarray:
+    """``_ScatterTable.block_costs(lo, hi)`` with the energy difference
+    sq[e] - sq[a] as numpy's broadcast subtract of the prefix energies,
+    which rounds it once, as the fast block's rank-2 product must: the same
+    bits, cell for cell."""
+    width, d = hi - 1, table.sums.shape[1]
+    u = np.empty((hi - lo, d + 2))
+    np.subtract(table.sums[lo:hi], table.sums[lo], out=u[:, :d])
+    u[:, d] = np.einsum("ed,ed->e", u[:, :d], u[:, :d])
+    u[:, :d] *= 2.0
+    u[:, d + 1] = 1.0
+    w = np.empty((width, d + 2))
+    np.subtract(table.sums[lo], table.sums[:width], out=w[:, :d])
+    w[:, d] = 1.0
+    w[:, d + 1] = np.einsum("ad,ad->a", w[:, :d], w[:, :d])
+    mean_part = u @ w.T
+    mean_part /= table.lengths[lo:hi, :width]
+    out = table.sq[lo:hi, None] - table.sq[:width]
+    out -= mean_part
+    np.maximum(out, 0.0, out=out)
+    out[:, lo:][table.past_end[lo:hi, lo:width]] = np.inf
+    return out
 
 
 def reference_dp_tables(table, max_parts: int):
@@ -579,12 +604,17 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
     cost_err = max(_block_cost_error(feats) for feats, _ in inputs)
     config = synth.SynthConfig(num_views=1, num_steps=2000, feature_dim=16, num_events=5,
                                event_length_min=6, event_length_max=9, seed=seed)
-    for x in (synth.generate(config)[0].view(0), rng.normal(size=(600, 16)) + 50.0):
+    views = [synth.generate(config)[0].view(0), rng.normal(size=(600, 16)) + 50.0]
+    for x in views:
         # the first and last end of the first, a middle and the last block
         n = x.shape[0]
         los = {1, 1 + (n - 1) // _BLOCK // 2 * _BLOCK, 1 + (n - 1) // _BLOCK * _BLOCK}
         ends = {e for lo in los for e in (lo, min(lo + _BLOCK - 1, n))}
         cost_err = max(cost_err, _block_cost_error(x, ends))
+    # integer frames (exact products), a large common offset, all zeros
+    views += [rng.integers(-3, 4, size=(300, 5)).astype(float),
+              rng.normal(size=(300, 4)) + 1e6, np.zeros((130, 3))]
+    bits = _check_block_bits([feats for feats, _, _ in cases] + views)
     return [
         ("KTS dynamic program vs exhaustive segmentation", ok, f"{trials} trials"),
         ("KTS tables vs reference loop", tables_ok,
@@ -593,7 +623,24 @@ def check_kts(trials: int = 50, max_steps: int = 12, seed: int = 0):
         ("KTS cost blocks vs direct scatter", cost_err <= 1e-11,
          f"{len(inputs)} inputs plus N=2000 synth and N=600 normal + 50 views; "
          f"max |cost - direct| / prefix energy = {cost_err:.1e}"),
+        bits,
     ]
+
+
+def _check_block_bits(views):
+    """The "KTS cost blocks vs reference bits" row: every cost block of
+    every view must have the bytes of ``reference_block_costs``."""
+    ok, blocks = True, 0
+    for x in views:
+        table = _ScatterTable(x)
+        for lo in range(1, table.n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, table.n + 1)
+            blocks += 1
+            if table.block_costs(lo, hi).tobytes() != reference_block_costs(table, lo, hi).tobytes():
+                ok = False
+    return ("KTS cost blocks vs reference bits", ok,
+            f"{blocks} blocks of {len(views)} views (N <= {max(x.shape[0] for x in views)}; "
+            f"the KTS inputs plus integer, +1e6 offset and all-zero views); bitwise")
 
 
 # zero (nothing is cut on views with scatter), tiny, the benchmark's, the

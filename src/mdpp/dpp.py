@@ -21,7 +21,7 @@ built only in ``bruteforce``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,12 @@ class DppKernel:
     ``q``: length-N qualities in [0, 1], as ``multi_dpp.ViewStreams`` scores
     are, stored clamped up to QUALITY_FLOOR; values outside [0, 1] are
     rejected.
+    ``norms``: the length-N column norms ``phi`` was divided by.
     """
 
     phi: np.ndarray
     q: np.ndarray
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
@@ -63,10 +65,9 @@ class DppKernel:
             raise ValidationError(f"qualities must lie in [0, 1], got [{q.min()}, {q.max()}]")
         phi = phi / norms
         q = np.clip(q, QUALITY_FLOOR, 1.0)
-        phi.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "q", q)
+        for name, value in (("phi", phi), ("q", q), ("norms", norms)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def ground_size(self) -> int:

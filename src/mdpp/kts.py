@@ -12,13 +12,18 @@ The DP runs over blocks of ``_BLOCK`` end frames. Each block computes
 the scatter of every segment ending in it as one (block x starts) array
 around one matrix product, whose operands carry the two squared norms as
 extra columns, so the product already holds the whole |S_e - S_a|^2. The
-segment lengths and the a >= e mask are slices of two Toeplitz views the
-table builds once per view. The block then relaxes the segment counts level
-by level: level k - 1 of the block is final before level k reads it. Level
-1 is read off the block's column 0 (dp[0] is finite only at 0); every other
-level adds into one C-contiguous scratch whose base is 64-byte aligned (the
-block's matrix product is computed there too); a full block's width is a
-multiple of 64, so each of its rows starts on a cache line.
+energy term sq[e] - sq[a] is a second, rank-2 product [sq, 1] . [1, -sq]^T
+of two arrays the table builds once: both of a cell's products are exact
+(x * 1), so the cell is their sum rounded once, in either order, which is
+bitwise numpy's broadcast subtract at any BLAS thread count, and several
+times faster. The segment lengths and the a >= e mask are slices of two
+Toeplitz views the table builds once per view. The block then relaxes the
+segment counts level by level: level k - 1 of the block is final before
+level k reads it. Level 1 is read off the block's column 0 (dp[0] is
+finite only at 0); every other level copies the dp row into one
+C-contiguous scratch whose base is 64-byte aligned (the block's matrix
+product is computed there too) and adds the block to it; a full block's
+width is a multiple of 64, so each of its rows starts on a cache line.
 
 ``kts`` relaxes only the levels whose change-point count can still win,
 and its result is the full-cap one: a level's cells read only the level
@@ -73,8 +78,9 @@ _KEEP_MAX_N = 10 _BLOCK keep them; and no N x N cost table is ever built.
 A cell's round-off depends on its block, so
 ``bruteforce.reference_dp_tables`` keeps the per-(k, end) loop but reads
 each end's costs from the same ``_ScatterTable.block_costs`` grid, and
-``mdpp check kts`` requires the two to agree bitwise and the cuts to match
-a full-cap selection.
+``mdpp check kts`` requires the two to agree bitwise, the cuts to match a
+full-cap selection, and every block to have the bits of
+``bruteforce.reference_block_costs``, the broadcast form.
 
 Segmentation for evaluation always runs on raw input features so shot
 boundaries never depend on the trained model.
@@ -132,6 +138,9 @@ class _ScatterTable:
             )
         self.sums = np.zeros((n + 1, d))
         self.sums[1:] = np.cumsum(x, axis=0)
+        # the energy difference sq[e] - sq[a] is [sq, 1][e] . [1, -sq][:, a]
+        self.energy_ends = np.stack((self.sq, np.ones(n + 1)), axis=1)
+        self.energy_starts = np.stack((np.ones(n), -self.sq[:n]))
         # (N + 1) x N Toeplitz views over one 2N vector each, indexed [e, a]:
         # the length max(e - a, 1) and whether a >= e
         steps = np.arange(n, -n, -1)
@@ -147,12 +156,15 @@ class _ScatterTable:
         k order adds the norm terms last, as two separate additions would;
         OpenBLAS does while D + 2 fits its K panel (a few hundred columns),
         past that they join a partial sum. The lengths and the a >= e mask
-        are slices of the table's views. On integer features the product's
-        terms are exact, but the cost is rounded twice, by the division by
-        the length and by the subtraction from the energy, so segments of
-        equal exact scatter can get different floats. ``out`` receives the
-        costs and ``scratch`` the product, when given: C-contiguous arrays of
-        the block's shape, which leave every bit as fresh ones would."""
+        are slices of the table's views. The energy sq[e] - sq[a] is the
+        rank-2 product [sq_e, 1] . [1, -sq_a], whose two products are exact,
+        so it is rounded once, as a subtraction would round it. On integer
+        features the product's terms are exact, but the cost is rounded
+        twice more, by the division by the length and by the subtraction
+        from the energy, so segments of equal exact scatter can get
+        different floats. ``out`` receives the costs and ``scratch`` the
+        product, when given: C-contiguous arrays of the block's shape, which
+        leave every bit as fresh ones would."""
         width, d = hi - 1, self.sums.shape[1]
         u = np.empty((hi - lo, d + 2))
         np.subtract(self.sums[lo:hi], self.sums[lo], out=u[:, :d])
@@ -165,7 +177,7 @@ class _ScatterTable:
         w[:, d + 1] = np.einsum("ad,ad->a", w[:, :d], w[:, :d])
         mean_part = np.matmul(u, w.T, out=scratch)
         mean_part /= self.lengths[lo:hi, :width]
-        out = np.subtract(self.sq[lo:hi, None], self.sq[:width], out=out)
+        out = np.matmul(self.energy_ends[lo:hi], self.energy_starts[:, :width], out=out)
         out -= mean_part
         np.maximum(out, 0.0, out=out)
         np.copyto(out[:, lo:], np.inf, where=self.past_end[lo:hi, lo:width])
@@ -255,7 +267,9 @@ def _relax_block(dp, bp, levels: range, lo: int, costs, totals) -> None:
         np.add(costs[:, 0], dp[0, 0], out=dp[1, lo:hi])
         levels = levels[1:]
     for k in levels[: max(0, width - levels.start + 1)]:
-        np.add(dp[k - 1, :width], costs, out=totals)
+        # copy, then add: the same sums, without numpy's slow broadcast loop
+        np.copyto(totals, dp[k - 1, :width])
+        np.add(totals, costs, out=totals)
         best = totals.argmin(axis=1)
         bp[k, lo:hi] = best
         dp[k, lo:hi] = totals[rows, best]
@@ -279,7 +293,8 @@ class _LinearPenaltyRow:
 
     def relax(self, lo: int, hi: int, costs: np.ndarray, totals: np.ndarray) -> None:
         # starts before the block are settled: sum into the shared scratch
-        np.add(self.shifted[: hi - 1], costs, out=totals)
+        np.copyto(totals, self.shifted[: hi - 1])
+        np.add(totals, costs, out=totals)
         start, rows = totals.argmin(axis=1), np.arange(hi - lo)
         value = totals[rows, start]
         self.shifted[lo:hi] = value + self.beta
@@ -431,8 +446,9 @@ def kts(features, max_segments: int, penalty_coeff: float = 1.0) -> Segmentation
         upper = float(np.min(dp[1 : relaxed + 1, n] + penalties[:relaxed]))
         kept = _levels_that_can_win(row, parts_cap, penalties[:parts], upper, penalty_coeff)
         if kept > relaxed:
-            more = ((0, kept - relaxed), (0, 0))  # the new levels' rows
-            dp, bp = np.pad(dp, more, constant_values=np.inf), np.pad(bp, more)
+            grown_dp, grown_bp = _empty_tables(n, kept)
+            grown_dp[: relaxed + 1], grown_bp[: relaxed + 1] = dp, bp
+            dp, bp = grown_dp, grown_bp
             _relax(dp, bp, range(relaxed + 1, kept + 1), blocks)
             relaxed = kept
     # the penalized values' first minimum: the fewest change points

@@ -93,7 +93,7 @@ def multi_dpp_log_prob_and_view_grads(streams: ViewStreams, subset):
     before it returns. A zero-probability subset raises NumericError,
     naming D' (the kernel's rank bound) when larger.
     """
-    kernel, argmax_views, norms, raw_quality = _joint_kernel(streams)
+    kernel, argmax_views, raw_quality = _joint_kernel(streams)
     m, n, dprime = streams.features.shape
     try:
         log_p, grad_pooled, grad_q = dpp.log_prob_and_grad(kernel, subset)
@@ -108,7 +108,7 @@ def multi_dpp_log_prob_and_view_grads(streams: ViewStreams, subset):
         ) from exc
     phi = kernel.phi  # unit columns, (D', N)
     grad_pooled -= phi * np.einsum("dn,dn->n", phi, grad_pooled)
-    grad_pooled /= norms
+    grad_pooled /= kernel.norms
     del kernel, phi
 
     passthrough = raw_quality > dpp.QUALITY_FLOOR
@@ -126,12 +126,12 @@ def _routed(grad_pooled, argmax_views, num_views):
 
 
 def _joint_kernel(streams: ViewStreams):
-    """The joint kernel and the provenance its gradient routes through:
-    (kernel, argmax_views (N, D'), the pooled columns' norms (N,) by the
-    call DppKernel normalizes with, the quality product before its clamp
-    (N,)). Pooling records the winning view per (step, dimension) without
-    branches: each view's strict ``>`` win is folded in by a maximum, in
-    view order, so a tie goes to the first view, as ``argmax`` does."""
+    """The joint kernel, which keeps the pooled columns' norms, and the
+    provenance its gradient routes through: (kernel, argmax_views (N, D'),
+    the quality product before its clamp (N,)). Pooling records the winning
+    view per (step, dimension) without branches: each view's strict ``>``
+    win is folded in by a maximum, in view order, so a tie goes to the
+    first view, as ``argmax`` does."""
     features = streams.features
     pooled = features[0].copy()
     # (N, D'), in the smallest integer type that holds a view index
@@ -141,7 +141,5 @@ def _joint_kernel(streams: ViewStreams):
         np.multiply(features[view] > pooled, wins.dtype.type(view), out=wins)
         np.maximum(argmax_views, wins, out=argmax_views)
         np.maximum(pooled, features[view], out=pooled)
-    pooled = pooled.T  # (D', N)
-    norms = np.linalg.norm(pooled, axis=0)
     raw = streams.quality.prod(axis=0)
-    return DppKernel(phi=pooled, q=raw), argmax_views, norms, raw
+    return DppKernel(phi=pooled.T, q=raw), argmax_views, raw

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -112,6 +115,38 @@ def test_block_costs_are_direct_scatter_with_inf_past_the_end():
             assert costs[i, :end] == pytest.approx(direct, abs=1e-9)
 
 
+# sizes around the block edges, the kept plan's limit and the benchmark's
+# long view; d = 1500 passes the BLAS K panel of the cost block's product
+_BITS_SCRIPT = """
+import numpy as np
+from mdpp.bruteforce import reference_block_costs
+from mdpp.kts import _ScatterTable
+
+rng = np.random.default_rng(34)
+blocks = mismatches = 0
+for n, d in ((1, 3), (2, 3), (63, 4), (64, 4), (65, 4), (300, 16), (641, 16), (2000, 16),
+             (641, 1500)):
+    x = rng.normal(size=(n, d))
+    for view in (x, x + 1e3, np.round(4 * x), np.zeros((n, d))):
+        table = _ScatterTable(view)
+        for lo in range(1, n + 1, 64):
+            hi = min(lo + 64, n + 1)
+            blocks += 1
+            fast = table.block_costs(lo, hi).tobytes()
+            mismatches += fast != reference_block_costs(table, lo, hi).tobytes()
+print(blocks, mismatches)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_block_costs_have_the_reference_bits_at_one_and_two_blas_threads(threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    proc = subprocess.run([sys.executable, "-c", _BITS_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["260", "0"]
+
+
 def test_dp_tables_match_reference_loop_bitwise_on_ties():
     _assert_tables_match_reference(np.zeros((40, 3)), 12)
     blocks = np.repeat([[1.0, -2.0], [1.0, -2.0], [3.0, 0.0], [-1.0, 1.0]], [5, 7, 1, 9], axis=0)
@@ -153,6 +188,7 @@ def test_kts_check_fails_on_wrong_costs(monkeypatch):
         "KTS tables vs reference loop": True,
         "KTS level cut vs full cap": True,
         "KTS cost blocks vs direct scatter": False,
+        "KTS cost blocks vs reference bits": False,
     }
 
 
@@ -174,6 +210,7 @@ def test_kts_check_fails_on_wrong_kept_costs(monkeypatch):
         "KTS tables vs reference loop": True,
         "KTS level cut vs full cap": False,
         "KTS cost blocks vs direct scatter": True,
+        "KTS cost blocks vs reference bits": True,
     }
 
 

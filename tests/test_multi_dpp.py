@@ -188,12 +188,12 @@ def test_pool_features_matches_max_and_argmax():
         tied = rng.integers(1, 4, size=(m, n, dprime)).astype(float)
         for feats in (untied, tied):
             streams = ViewStreams(features=feats, quality=np.full((m, n), 0.5))
-            kernel, argmax_views, norms, _ = multi_dpp._joint_kernel(streams)
+            kernel, argmax_views, _ = multi_dpp._joint_kernel(streams)
             expected = feats.max(axis=0).T
             assert argmax_views.dtype == (np.uint16 if m > 256 else np.uint8)
             assert np.array_equal(argmax_views, feats.argmax(axis=0))
-            assert np.array_equal(norms, np.linalg.norm(expected, axis=0))
-            assert np.array_equal(kernel.phi, expected / norms)
+            assert np.array_equal(kernel.norms, np.linalg.norm(expected, axis=0))
+            assert np.array_equal(kernel.phi, expected / kernel.norms)
 
 
 def test_feature_gradient_reaches_only_the_first_winning_view():
@@ -207,10 +207,10 @@ def test_feature_gradient_reaches_only_the_first_winning_view():
     subset = [1, 4, 8]
     _, grad_features, _ = multi_dpp.multi_dpp_log_prob_and_grad(streams, subset)
 
-    kernel, _, norms, _ = multi_dpp._joint_kernel(streams)
+    kernel = multi_dpp.build_joint_kernel(streams)
     _, grad_pooled, _ = dpp.log_prob_and_grad(kernel, subset)
     grad_pooled -= kernel.phi * np.einsum("dn,dn->n", kernel.phi, grad_pooled)
-    grad_pooled /= norms
+    grad_pooled /= kernel.norms
     first = feats.argmax(axis=0)
     assert (feats == feats.max(axis=0)).sum(axis=0).max() > 1  # some ties
     for view in range(m):
