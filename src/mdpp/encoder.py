@@ -22,29 +22,33 @@ each call permutes them once into the loops' gate-major order (o, i, f, g).
 The gate cache is (N + 1, 4, 2, M, H), so every per-step numpy call works
 on a contiguous block: the sigmoid gates (o, i, f) are one slab and the
 gates the backward scales by dc (i, f, g) another. Its last row is spare.
-The cell and hidden caches are (N + 1, 2, M, H) and start from a zero row,
-so no step is a special case. The input is held once, as (M, N, D).
+The cell and hidden caches are (N + 1, 2, M, H); only row 0, the zero
+state, is filled before the loop, so no step is a special case, and each
+step hands its c_t and h_t to the next. The input is held once, as
+(M, N, D).
 Both loops run over time chunks of at least _TIME_CHUNK steps
 (``_time_chunks``), and the vectorized work around the steps is done one
 chunk at a time, just before the chunk's steps read it, so that at long N
 it stays in cache.
-Forward: X Wx^T + b for a chunk's steps, gates and directions is one
-batched product from a chunk-sized copy of the input straight into the
-chunk's gate rows; a step adds h_{t-1} Wh^T as one batched product with the
-(4, 2, H, H) Wh blocks and takes one tanh over the step's block, the sigmoid
-gates' rows having been pre-scaled by 1/2 so that sigmoid(z) = 0.5 (1 +
-tanh(z / 2)). Backward: the chunks run in reverse, and the dh-independent
-factors of dz are computed for a chunk's steps at once over whole slabs of
-its gate rows, with a chunk-sized copy of f and one chunk-sized gate block
-of scratch; the loop writes step t's dz, for both directions, into row
-t + 1 of the gate cache in the weights' gate order, so that rows 1..N end
-as dz, (N, 2, M, 4H), and the backward needs no dz array of its own;
-dh_{t-1} = dz_t Wh and the weight gradients are then products over all N
-steps against the unpermuted weights. Every value is bitwise that of one
-chunk of N steps. Each step reuses preallocated buffers. The backward pass
-consumes its forward cache; a forward that no backward reads keeps one
-chunk of gate rows. Supervised inference runs the quality head alone
-(``quality_scores``).
+Forward: X Wx^T for a chunk's steps, gates and directions is one batched
+product from a chunk-sized copy of the input straight into the chunk's gate
+rows, and b is added as one (4, 2, M, H) block per row; a step adds h_{t-1}
+Wh^T as one batched product with the (4, 2, H, H) Wh blocks and takes one
+tanh over the step's block, the sigmoid gates' rows having been pre-scaled
+by 1/2 so that sigmoid(z) = 0.5 (1 + tanh(z / 2)), a multiply and an add by
+a 0-d array 0.5 (a Python-float or NumPy-scalar operand takes numpy's
+slower scalar path). Backward: the chunks run in reverse, and the
+dh-independent factors of dz are computed for a chunk's steps at once over
+whole slabs of its gate rows, with a chunk-sized copy of f and one
+chunk-sized gate block of scratch; the loop writes step t's dz, for both
+directions, into row t + 1 of the gate cache in the weights' gate order, so
+that rows 1..N end as dz, (N, 2, M, 4H), and the backward needs no dz array
+of its own; dh_{t-1} = dz_t Wh and the weight gradients are then products
+over all N steps against the unpermuted weights. Every value is bitwise
+that of one chunk of N steps. Each step reuses preallocated buffers. The
+backward pass consumes its forward cache; a forward that no backward reads
+keeps one chunk of gate rows. Supervised inference runs the quality head
+alone (``quality_scores``).
 ``bruteforce.reference_lstm_forward`` / ``_backward`` are per-direction,
 per-step loops, and ``mdpp check encoder`` compares the stacked loops with
 one reference call per direction (``bruteforce.reference_bilstm``), after
@@ -270,16 +274,19 @@ def _lstm_forward(x, wx, wh, b, backward=True):
     step's sigmoid gates are one contiguous (3, 2, M, H) slab; row t holds
     step t and row N is spare room for the backward. The loop runs in the
     chunks of ``_time_chunks``: each chunk's two-direction input is copied
-    into one chunk-sized buffer and projected, X Wx^T + b, into that chunk's
+    into one chunk-sized buffer and projected, X Wx^T, into that chunk's
     gate rows by one batched (chunk x D)(D x H) product per gate, direction
-    and view, just before the chunk's steps read them. The sigmoid gates'
-    rows of Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so
-    a step is one batched product of h_{t-1} with the (4, 2, H, H) Wh
-    blocks, one add, one tanh and a scalar affine map of the slab to the
-    sigmoids 0.5 (1 + tanh(z / 2)), then five ufunc calls for c_t and h_t.
-    ``cells`` and ``hidden`` are (N + 1, 2, M, H) in loop time: row 0 is the
-    zero state and row t + 1 holds step t. ``x`` is the (M, N, D) input
-    itself.
+    and view, just before the chunk's steps read them; b is then added as
+    one contiguous (4, 2, M, H) block per row. The sigmoid gates' rows of
+    Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so a step
+    is one batched product of h_{t-1} with the (4, 2, H, H) Wh blocks, one
+    add, one tanh and an affine map of the slab to the sigmoids
+    0.5 (1 + tanh(z / 2)), a multiply and an add by one read-only 0-d array
+    0.5, then five ufunc calls for c_t and h_t, which the next step reads as
+    it was written. ``cells`` and ``hidden`` are (N + 1, 2, M, H) in loop
+    time: row 0 is the zero state and row t + 1 holds step t; they are
+    allocated unfilled and only row 0 is zeroed. ``x`` is the (M, N, D)
+    input itself.
 
     Without ``backward`` no backward will read the gate and cell caches, so
     the gate rows are one chunk-sized buffer that each chunk reuses from its
@@ -290,18 +297,28 @@ def _lstm_forward(x, wx, wh, b, backward=True):
     h_size = wh.shape[2]
     # a step's (2, M, H) blocks are so small that per-call dispatch dominates
     # it, so the step loops call their ufuncs through local names with
-    # positional outputs, in-place updates included: on a (2, 6, 16) block
-    # an ``np.<name>`` lookup and an ``out=`` keyword add about 70 ns to a
-    # 330 ns call
+    # positional outputs, in-place updates included, and ndarray operands
+    # only: on a (2, 6, 16) block an ``np.<name>`` lookup and an ``out=``
+    # keyword add about 70 ns to a 330 ns call, and a Python-float or NumPy
+    # scalar operand takes numpy's scalar path, about 0.2 us per call more
+    # than the 0-d array ``half``
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
+    half = np.array(0.5)
+    half.flags.writeable = False
     chunks = _time_chunks(n)
     longest = max(hi - lo for lo, hi in chunks)
     gates = np.empty((n + 1 if backward else longest, 4, 2, m, h_size))
     wx_blocks = _gate_blocks(wx, h_size)[:, :, None]
-    b_blocks = _gate_blocks(b[..., None], h_size)
+    # b as a full (4, 2, M, H) gate block: a chunk's add then runs over
+    # contiguous rows instead of broadcasting over the views
+    b_block = np.ascontiguousarray(
+        np.broadcast_to(_gate_blocks(b[..., None], h_size), (4, 2, m, h_size)))
     wh_blocks = np.ascontiguousarray(_gate_blocks(wh, h_size))
-    cells = np.zeros((n + 1, 2, m, h_size))
-    hidden = np.zeros((n + 1, 2, m, h_size))
+    # every row but the zero state is written by its step
+    cells = np.empty((n + 1, 2, m, h_size))
+    hidden = np.empty((n + 1, 2, m, h_size))
+    cells[0] = hidden[0] = 0.0
+    c_prev, h_prev = cells[0], hidden[0]
     recurrent = np.empty((4, 2, m, h_size))
     product = np.empty((2, m, h_size))
     inputs = np.empty((2, m, longest, d))
@@ -311,21 +328,22 @@ def _lstm_forward(x, wx, wh, b, backward=True):
             _both_directions(x, lo, hi, inputs[:, :, : hi - lo]), wx_blocks,
             out=steps.transpose(1, 2, 3, 0, 4),
         )
-        steps += b_blocks
-        for z, sig, o, i, f, g, c_prev, c, h_prev, h in zip(
+        steps += b_block
+        for z, sig, o, i, f, g, c, h in zip(
             steps, steps[:, :3], steps[:, 0], steps[:, 1], steps[:, 2], steps[:, 3],
-            cells[lo:hi], cells[lo + 1 : hi + 1], hidden[lo:hi], hidden[lo + 1 : hi + 1],
+            cells[lo + 1 : hi + 1], hidden[lo + 1 : hi + 1],
         ):
             matmul(h_prev, wh_blocks, recurrent)
             add(z, recurrent, z)
             tanh(z, z)
-            multiply(sig, 0.5, sig)
-            add(sig, 0.5, sig)
+            multiply(sig, half, sig)
+            add(sig, half, sig)
             multiply(f, c_prev, c)
             multiply(i, g, product)
             add(c, product, c)
             tanh(c, h)
             multiply(h, o, h)
+            c_prev, h_prev = c, h
     if not backward:
         return {"x": x, "hidden": hidden}
     return {"x": x, "gates": gates, "cells": cells, "hidden": hidden}

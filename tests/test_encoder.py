@@ -299,6 +299,44 @@ def test_fused_lstm_saturated_gates_are_exact():
             assert bruteforce._max_rel_err(fast[k], slow[k]) <= 1e-12
 
 
+class _SpyNumpy:
+    """numpy, except that the step loops' ufuncs record each call's name and
+    the types of its operands and outputs."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        func = getattr(np, name)
+        if name not in ("add", "multiply", "tanh", "matmul"):
+            return func
+
+        def call(*args, **kwargs):
+            self.calls.append((name, {type(a) for a in (*args, *kwargs.values())}))
+            return func(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("backward", [True, False])
+@pytest.mark.parametrize("m", [2, 3])
+def test_lstm_forward_ufuncs_take_ndarray_operands_only(monkeypatch, m, backward):
+    # a Python-float or NumPy-scalar operand takes numpy's slower scalar path;
+    # N = 350 runs two time chunks
+    rng = np.random.default_rng(m)
+    d, h, n = 5, 4, 350
+    x = rng.normal(size=(m, n, d))
+    wx, wh, b = _stacked_weights(rng, d, h, 0.5)
+    expected = encoder._lstm_forward(x, wx, wh, b, backward)["hidden"]
+    spy = _SpyNumpy()
+    monkeypatch.setattr(encoder, "np", spy)
+    hidden = encoder._lstm_forward(x, wx, wh, b, backward)["hidden"]
+    assert np.array_equal(hidden, expected)
+    assert {name for name, _ in spy.calls} == {"add", "multiply", "tanh", "matmul"}
+    assert len(spy.calls) > 10 * n  # ten per step
+    assert set().union(*(kinds for _, kinds in spy.calls)) == {np.ndarray}
+
+
 def test_encoder_check_fails_on_wrong_gate_order(monkeypatch):
     fused_forward = encoder._lstm_forward
 
