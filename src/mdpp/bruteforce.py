@@ -403,9 +403,10 @@ def reference_bilstm(x, wx, wh, b, grad_hidden):
 
 
 def reference_tolerant_f1(predicted, truth, sequence, tau: float) -> float:
-    """``evaluation.tolerant_f1`` one frame at a time: each source frame the
-    target lacks is compared, view by view, with the target frames at its
-    step, through ``np.linalg.norm`` of the unit-feature difference."""
+    """``evaluation.tolerant_f1`` at one tau, one frame at a time: each
+    source frame the target lacks is compared, view by view, with the
+    target frames at its step, through ``np.linalg.norm`` of the
+    unit-feature difference."""
     truth_set, pred_set = truth.selection_set, predicted.selection_set
     if not pred_set:
         return 0.0
@@ -772,6 +773,15 @@ def _kts_table_inputs(rng: np.random.Generator, trials: int):
         for feats in kinds(n, int(rng.integers(1, 6))):
             yield feats, int(rng.integers(1, n))
             yield feats, n + int(rng.integers(1, 4))
+
+
+def both_heads(params: encoder.ModelParams, sequence: MultiViewSequence) -> encoder.ForwardTrace:
+    """The shared encoder and both heads over every view of one sequence,
+    as the loss runs them; ``encoder.quality_scores`` must reproduce its
+    ``streams.quality`` bitwise."""
+    encoder._check_input_dim(params, sequence)
+    lstm = encoder._stacked_lstm(params, [sequence], backward=False)
+    return encoder._heads(params, lstm, slice(0, sequence.num_views))
 
 
 def per_direction_layout(cache: dict) -> dict:

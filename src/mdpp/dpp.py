@@ -128,9 +128,9 @@ def log_prob_and_grad(kernel: DppKernel, subset) -> tuple[float, np.ndarray, np.
 
     With B = phi diag(q), dlogP/dB is 2 B_y L_y^{-1} on the subset's columns
     minus 2 (I + B B^T)^{-1} B everywhere; it is then split into its phi and q
-    factors. ``multi_dpp.multi_dpp_log_prob_and_grad`` owns the gradient
-    through phi's column normalization. A numerically singular L_y (where
-    log_prob gives -inf) has no gradient and raises NumericError.
+    factors. ``multi_dpp.multi_dpp_log_prob_and_view_grads`` owns the
+    gradient through phi's column normalization. A numerically singular L_y
+    (where log_prob gives -inf) has no gradient and raises NumericError.
     """
     idx = _check_subset(kernel, subset)
     scaled, chol, sub_chol = _dual_factors(kernel, idx)

@@ -451,8 +451,8 @@ class ForwardTrace:
     ``spatiotemporal`` is (M, N, D + 2H); ``streams`` holds the unit
     feature vectors and the quality head's logistic outputs in [0, 1], which
     are both the classification scores and the per-view kernel qualities
-    (``multi_dpp`` applies the quality floor). The LSTM cache is not kept:
-    ``forward`` runs the LSTM without a backward's caches.
+    (``multi_dpp`` applies the quality floor). The LSTM cache is not part
+    of it: the loss holds the cache beside it, for the backward.
     """
 
     spatiotemporal: np.ndarray
@@ -484,17 +484,10 @@ def _stacked_lstm(params: ModelParams, sequences, backward: bool = True) -> dict
     return _lstm_forward(x, params.lstm_wx, params.lstm_wh, params.lstm_b, backward)
 
 
-def forward(params: ModelParams, sequence: MultiViewSequence) -> ForwardTrace:
-    """Apply the shared encoder, both heads, to every view of a sequence."""
-    _check_input_dim(params, sequence)
-    lstm = _stacked_lstm(params, [sequence], backward=False)
-    return _heads(params, lstm, slice(0, sequence.num_views))
-
-
 def quality_scores(params: ModelParams, sequence: MultiViewSequence) -> np.ndarray:
-    """The quality head's (M, N) scores alone, bitwise
-    ``forward(params, sequence).streams.quality``: the feature head, which
-    only the joint kernel reads, does not run."""
+    """The quality head's (M, N) scores alone, bitwise the ``streams.quality``
+    that ``_heads`` computes beside the feature head: the feature head,
+    which only the joint kernel reads, does not run."""
     _check_input_dim(params, sequence)
     lstm = _stacked_lstm(params, [sequence], backward=False)
     spatio = _spatiotemporal(lstm, slice(0, sequence.num_views))

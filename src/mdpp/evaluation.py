@@ -5,15 +5,16 @@ All matching is on exact (view, time-step) pairs; the tolerant variant
 additionally credits a prediction whose frame coincides in time with a truth
 frame on another view when the two L2-normalized input features are closer
 than 2*tau (unit vectors are never farther apart than 2, so tau is a
-fraction of the maximum possible distance). ``build_report`` computes a
-sequence's cross-view distances once and compares them with every 2*tau
-of its sweep; ``bruteforce.reference_tolerant_f1`` is the per-pair loop.
+fraction of the maximum possible distance). ``tolerant_f1`` takes a sweep
+of taus: it computes a sequence's cross-view distances once and compares
+them with every 2*tau; ``bruteforce.reference_tolerant_f1`` is the
+per-pair loop at one tau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,18 +61,13 @@ def tolerant_f1(
     predicted: Summary,
     truth: Summary,
     sequence: MultiViewSequence,
-    tau: float,
-) -> float:
-    """F1 where a (v, t) counts as matching (v', t) when the normalized
-    features are within 2*tau. Non-decreasing in tau; tau=0 is exact."""
-    return _tolerant_sweep(predicted, truth, sequence, (tau,))[0]
-
-
-def _tolerant_sweep(predicted, truth, sequence, taus) -> list[float]:
-    """``tolerant_f1`` at every tau of ``taus``. The distances are computed
-    once; each tau only compares them with 2*tau."""
-    for tau in taus:
-        check_real(tau, "tau", 0, None, finite=False)
+    taus: Iterable[float],
+) -> list[float]:
+    """F1 at every tau of ``taus``, where a (v, t) counts as matching
+    (v', t) when the normalized features are within 2*tau. Non-decreasing
+    in tau; tau=0 is exact. The distances are computed once; each tau only
+    compares them with 2*tau."""
+    taus = _checked_taus(taus)
     if not truth.selections:
         raise ValidationError("truth summary is empty; recall is undefined")
     if not predicted.selections:
@@ -93,6 +89,18 @@ def _tolerant_sweep(predicted, truth, sequence, taus) -> list[float]:
         recall = (hits + int((true_near < 2.0 * tau).sum())) / int(true.sum())
         sweep.append(_f1(precision, recall))
     return sweep
+
+
+def _checked_taus(taus) -> tuple:
+    """``taus`` as a tuple, read once, of taus >= 0 (inf included). A bare
+    tau is a ValidationError, not a TypeError; a str is read as its
+    characters, which are not taus."""
+    if not hasattr(taus, "__iter__"):
+        raise ValidationError(f"taus must be an iterable of taus, got a {type(taus).__name__}")
+    taus = tuple(taus)
+    for tau in taus:
+        check_real(tau, "tau", 0, None, finite=False)
+    return taus
 
 
 def _cross_view_distances(sequence: MultiViewSequence) -> np.ndarray:
@@ -211,12 +219,14 @@ DEFAULT_THRESHOLDS = (0.0, 0.1, 0.2, 0.3)
 
 
 def build_report(entries, thresholds=DEFAULT_THRESHOLDS) -> EvalReport:
-    """entries: iterable of (sequence_id, predicted, truth, sequence)."""
+    """entries: iterable of (sequence_id, predicted, truth, sequence);
+    thresholds: iterable of the taus of ``tolerant_f1``, read once."""
+    thresholds = _checked_taus(thresholds)
     rows = []
     for sequence_id, predicted, truth, sequence in entries:
         precision, recall, f1 = frame_f1(predicted, truth)
         sweep = tuple(
-            zip(map(float, thresholds), _tolerant_sweep(predicted, truth, sequence, thresholds))
+            zip(map(float, thresholds), tolerant_f1(predicted, truth, sequence, thresholds))
         )
         rows.append(
             SequenceEval(

@@ -107,8 +107,6 @@ _ROW_COST_LEVELS = 4
 # second sweep: at N = 640 they are 5.5 blocks of 64 x N (about N^2 / 2
 # cells), so with the relaxation scratch a call holds under 8 such blocks
 _KEEP_MAX_N = 10 * _BLOCK
-# ends a pass of the row's in-block relaxation must settle to be repeated
-_SETTLE_PASS_MIN = 8
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -279,9 +277,10 @@ class _LinearPenaltyRow:
     """The linear-penalty DP F[0] = -beta, F[e] = min_a (F[a] + beta) +
     c(a, e) over every segment count: F[N] = min_j (dp[j][N] + beta (j - 1)),
     so F[N] <= dp[m + 1][N] + beta m for every m. It runs on ``_relax``'s
-    cost blocks. Starts inside a block are settled by repeating the in-block
-    relaxation until no end improves. ``start`` and ``cost`` hold each end's
-    last segment, so the row's own segmentation can be read back."""
+    cost blocks. Starts inside a block are settled by whole-block passes of
+    the in-block relaxation until no end improves. ``start`` and ``cost``
+    hold each end's last segment, so the row's own segmentation can be read
+    back."""
 
     def __init__(self, n: int, beta: float):
         self.beta = beta
@@ -306,10 +305,9 @@ class _LinearPenaltyRow:
 
     def _settle_in_block(self, lo, hi, costs, value, start) -> None:
         """Relax the block's ends ``value`` / ``start`` from the starts
-        inside it, lo <= a < hi - 1, until no end improves. Ends up to the
-        first one that improved are final, so the next pass reads only the
-        ends after it and the starts from it on. Once a pass settles few
-        ends, the rest are settled one end at a time."""
+        inside it, lo <= a < hi - 1, in whole-block passes until no end
+        improves. Ends up to the first one that improved are final, so the
+        next pass reads only the ends after it and the starts from it on."""
         width = hi - 1
         first = 0
         while first < width - lo:
@@ -322,16 +320,7 @@ class _LinearPenaltyRow:
             value[first + 1 :][better] = best[better]
             start[first + 1 :][better] = lo + first + j[better]
             self.shifted[lo:hi] = value + self.beta
-            settled = 1 + int(np.argmax(better))
-            first += settled
-            if settled < _SETTLE_PASS_MIN:
-                break
-        for r in range(first + 1, hi - lo):
-            candidates = self.shifted[lo + first : lo + r] + costs[r, lo + first : lo + r]
-            a = int(candidates.argmin())
-            if candidates[a] < value[r]:
-                value[r], start[r] = candidates[a], lo + first + a
-                self.shifted[lo + r] = value[r] + self.beta
+            first += 1 + int(np.argmax(better))
 
     def segmentation(self) -> tuple[int, float]:
         """Change points and summed scatter of the row's segmentation."""

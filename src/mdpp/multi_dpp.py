@@ -65,19 +65,6 @@ def multi_dpp_log_prob(streams: ViewStreams, subset) -> float:
     return dpp.log_prob(build_joint_kernel(streams), subset)
 
 
-def multi_dpp_log_prob_and_grad(
-    streams: ViewStreams, subset
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """log P(y) under the joint kernel and its gradients with respect to the
-    per-view features (M, N, D') and qualities (M, N): the feature gradient
-    is ``multi_dpp_log_prob_and_view_grads``' views, stacked."""
-    log_p, view_grads, grad_quality = multi_dpp_log_prob_and_view_grads(streams, subset)
-    grad_features = np.empty(streams.features.shape)
-    for view, grad in enumerate(view_grads):
-        grad_features[view] = grad
-    return log_p, grad_features, grad_quality
-
-
 def multi_dpp_log_prob_and_view_grads(streams: ViewStreams, subset):
     """log P(y) under the joint kernel, an iterator over the views' (N, D')
     feature gradients, in view order, and the (M, N) quality gradient. The

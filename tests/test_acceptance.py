@@ -21,7 +21,7 @@ from mdpp.data_model import (
     TrainingExample,
 )
 from mdpp.dpp import DppKernel
-from mdpp.encoder import batch_loss, forward, from_vector, init_params, to_vector
+from mdpp.encoder import batch_loss, from_vector, init_params, quality_scores, to_vector
 from mdpp.evaluation import frame_f1, oracle_summary, pairwise_consensus, tolerant_f1
 from mdpp.multi_dpp import ViewStreams
 from mdpp.summarizer import knapsack_shots
@@ -256,7 +256,7 @@ def test_criterion_6_protocol_fixtures(capsys):
             return Summary(selections=tuple((int(i) // n, int(i) % n) for i in flat))
 
         predicted, truth = pick(), pick()
-        scores = [tolerant_f1(predicted, truth, seq, float(t)) for t in taus]
+        scores = tolerant_f1(predicted, truth, seq, [float(t) for t in taus])
         if not all(a <= b + 1e-12 for a, b in zip(scores, scores[1:])):
             monotone_ok = False
 
@@ -328,7 +328,7 @@ def _ranked_f1(params, test_pairs):
     protocol, it depends on the weights."""
     scores = []
     for sequence, gt in test_pairs:
-        quality = forward(params, sequence).streams.quality
+        quality = quality_scores(params, sequence)
         k = SummaryBudget().frame_budget(sequence.num_steps)
         top = np.argsort(-quality.ravel(), kind="stable")[:k]
         picked = Summary(selections=tuple(divmod(int(i), sequence.num_steps) for i in top))

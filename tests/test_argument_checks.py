@@ -8,8 +8,8 @@ walks their sources. Each one needs an entry in ``ROWS`` or in
 ``NO_SCALARS``, so a new public name without one fails the test.
 
 A row covers one scalar argument (a number or a flag; a budget too, since a
-bare fraction is the usual mistake there; an id or a note, which must be a
-str). It gives a call that passes the argument a value, the error class
+bare fraction is the usual mistake there, and a sweep of taus, where a bare
+tau is; an id or a note, which must be a str). It gives a call that passes the argument a value, the error class
 that call must raise, and the values to try: a bool, a str, None, nan, inf,
 a float where an integer is expected, an int too large for a float where a
 real is expected, an int too long to print (which also does not fit
@@ -56,6 +56,7 @@ NOT_REAL = (True, "1", None, NAN, INF, HUGE, LONG)
 NOT_STR = (None, True, 5, NAN, LONG, b"s", ["s"])
 NOT_FLAG = ("1", None, NAN, INF, 1.5, 0, 1)
 NOT_BUDGET = (0.15, True, None, "0.15", NAN)
+NOT_TAUS = (0.1, 0, True, None, NAN, INF, LONG, "0.1")
 FLAG = "a flag: read for its truth value, as any Python condition is"
 
 
@@ -191,10 +192,14 @@ ROWS = {
                      ConfigError, -1.0),
         "with_grad": flags(lambda v: encoder.batch_loss(fx().params, [fx().example], with_grad=v)),
     },
-    "evaluation.tolerant_f1": {"tau": reals(
-        lambda v: evaluation.tolerant_f1(fx().summary, fx().summary, fx().seq, v),
-        ValidationError, -0.1,
-        accepted={INF: "every frame with a counterpart at its step matches, the limit of tau"})},
+    "evaluation.tolerant_f1": {
+        "tau": reals(
+            lambda v: evaluation.tolerant_f1(fx().summary, fx().summary, fx().seq, (v,)),
+            ValidationError, -0.1,
+            accepted={INF: "every frame with a counterpart at its step matches, the limit of tau"}),
+        "taus": Row(lambda v: evaluation.tolerant_f1(fx().summary, fx().summary, fx().seq, v),
+                    ValidationError, NOT_TAUS),
+    },
     "evaluation.oracle_summary": {"budget": budgets(
         lambda v: evaluation.oracle_summary(fx().annotations, fx().shots, v))},
     "evaluation.build_report": {"thresholds": reals(
@@ -208,9 +213,6 @@ ROWS = {
     },
     "multi_dpp.multi_dpp_log_prob": {"subset": ints(
         lambda v: multi_dpp.multi_dpp_log_prob(fx().streams, [0, v]), ValidationError, -1, 4)},
-    "multi_dpp.multi_dpp_log_prob_and_grad": {"subset": ints(
-        lambda v: multi_dpp.multi_dpp_log_prob_and_grad(fx().streams, [0, v]),
-        ValidationError, -1, 4)},
     "multi_dpp.multi_dpp_log_prob_and_view_grads": {"subset": ints(
         lambda v: multi_dpp.multi_dpp_log_prob_and_view_grads(fx().streams, [0, v]),
         ValidationError, -1, 4)},
@@ -303,7 +305,6 @@ NO_SCALARS = {
     "encoder.to_vector": "ModelParams",
     "encoder.from_vector": "ModelParams and a flat array (tests/test_encoder.py)",
     "encoder.ForwardTrace": RESULT,
-    "encoder.forward": "ModelParams and a sequence",
     "encoder.quality_scores": "ModelParams and a sequence",
     "encoder.LossParts": RESULT,
     "evaluation.frame_f1": "two Summaries",

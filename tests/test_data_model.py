@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdpp import dpp, encoder, multi_dpp, training
+from mdpp import bruteforce, dpp, encoder, multi_dpp, training
 from mdpp.data_model import (
     AnnotationSet,
     MultiViewSequence,
@@ -223,7 +223,9 @@ def test_array_holding_types_compare_by_identity():
         lambda: multi_dpp.ViewStreams(np.ones((2, 3, 2)), np.full((2, 3), 0.5)),
         lambda: dpp.DppKernel(phi=np.ones((2, 3)), q=np.full(3, 0.5)),
         lambda: encoder.init_params(1, hidden_size=2, output_dim=2),
-        lambda: encoder.forward(encoder.init_params(1, hidden_size=2, output_dim=2), sequence()),
+        lambda: bruteforce.both_heads(
+            encoder.init_params(1, hidden_size=2, output_dim=2), sequence()
+        ),
         lambda: training.AdamState.zeros(3),
     )
     for make in makers:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mdpp import bruteforce, encoder, multi_dpp, synth, training
-from mdpp.bruteforce import param_count
+from mdpp.bruteforce import both_heads, param_count
 from mdpp.data_model import MultiViewSequence, Summary, TrainingExample
-from mdpp.encoder import ModelParams, forward, from_vector, init_params, to_vector
+from mdpp.encoder import ModelParams, from_vector, init_params, to_vector
 from mdpp.errors import ConfigError, NumericError, ShapeError, ValidationError
 
 
@@ -120,7 +120,7 @@ def test_forward_output_shapes_and_ranges():
     rng = np.random.default_rng(1)
     params = init_params(3, hidden_size=4, output_dim=5, seed=0)
     seq = _sequence(rng, 2, 7, 3)
-    trace = forward(params, seq)
+    trace = both_heads(params, seq)
     assert trace.streams.features.shape == (2, 7, 5)
     assert trace.streams.quality.shape == (2, 7)
     assert trace.spatiotemporal.shape == (2, 7, 3 + 2 * 4)
@@ -134,7 +134,7 @@ def test_forward_rejects_dim_mismatch():
     params = init_params(3, hidden_size=4, output_dim=5)
     seq = _sequence(np.random.default_rng(0), 1, 4, 2)
     with pytest.raises(ShapeError):
-        forward(params, seq)
+        both_heads(params, seq)
 
 
 def test_views_share_weights():
@@ -143,11 +143,11 @@ def test_views_share_weights():
     params = init_params(3, hidden_size=4, output_dim=4, seed=0)
     view = rng.normal(size=(1, 6, 3)).astype(np.float32)
     seq = MultiViewSequence(sequence_id="dup", features=np.concatenate([view, view]))
-    trace = forward(params, seq)
+    trace = both_heads(params, seq)
     np.testing.assert_array_equal(trace.streams.features[0], trace.streams.features[1])
     np.testing.assert_array_equal(trace.streams.quality[0], trace.streams.quality[1])
 
-    solo = forward(params, MultiViewSequence(sequence_id="one", features=view))
+    solo = both_heads(params, MultiViewSequence(sequence_id="one", features=view))
     np.testing.assert_array_equal(solo.streams.quality[0], trace.streams.quality[0])
 
 
@@ -517,7 +517,7 @@ def test_quality_scores_are_bitwise_the_forward_quality(m, n):
     params = init_params(16, hidden_size=16, output_dim=64, seed=m)
     sequence = _sequence(rng, m, n, 16)
     scores = encoder.quality_scores(params, sequence)
-    np.testing.assert_array_equal(scores, forward(params, sequence).streams.quality)
+    np.testing.assert_array_equal(scores, both_heads(params, sequence).streams.quality)
     with pytest.raises(ShapeError):
         encoder.quality_scores(params, _sequence(rng, m, n, 8))
 
@@ -606,7 +606,7 @@ def test_lone_view_states_are_bitwise_those_of_a_stack(n):
     stacked = encoder._stacked_lstm(params, [lone, pair])
     assert alone["hidden"].shape[2] == 2
     np.testing.assert_array_equal(alone["hidden"][:, :, :1], stacked["hidden"][:, :, :1])
-    trace = forward(params, lone)
+    trace = both_heads(params, lone)
     assert trace.streams.quality.shape == (1, n) and trace.spatiotemporal.shape == (1, n, 48)
 
 
@@ -691,10 +691,11 @@ def _planted_example(n, seed):
 def test_feature_output_gradient_per_view_is_bitwise_the_dense_route(n, lam):
     ex = _planted_example(n, seed=n)
     params = init_params(16, 16, 64, seed=4)
-    trace = forward(params, ex.sequence)
+    trace = both_heads(params, ex.sequence)
     m, dp = ex.sequence.num_views, params.output_dim
     # the dense route: every view's routed gradient at once, (M, N, D')
-    _, dense, _ = multi_dpp.multi_dpp_log_prob_and_grad(trace.streams, ex.steps)
+    _, routed, _ = multi_dpp.multi_dpp_log_prob_and_view_grads(trace.streams, ex.steps)
+    dense = np.stack([grad.copy() for grad in routed])
     graw = dense.reshape(m * n, dp)
     graw *= -lam
     unit = trace.streams.features.reshape(m * n, dp).copy()

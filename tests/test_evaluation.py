@@ -44,7 +44,7 @@ def test_tolerant_f1_zero_tau_equals_exact():
     predicted = Summary(selections=((0, 1), (1, 5), (0, 9)))
     truth = Summary(selections=((0, 1), (0, 5), (1, 9)))
     _, _, exact = frame_f1(predicted, truth)
-    assert tolerant_f1(predicted, truth, seq, 0.0) == pytest.approx(exact)
+    assert tolerant_f1(predicted, truth, seq, (0.0,)) == [pytest.approx(exact)]
 
 
 def test_tolerant_f1_credits_identical_cross_view_features():
@@ -55,7 +55,7 @@ def test_tolerant_f1_credits_identical_cross_view_features():
     predicted = Summary(selections=((0, 3),))
     truth = Summary(selections=((1, 3),))
     assert frame_f1(predicted, truth)[2] == 0.0
-    assert tolerant_f1(predicted, truth, seq, 0.1) == 1.0
+    assert tolerant_f1(predicted, truth, seq, (0.1,)) == [1.0]
 
 
 def test_tolerant_f1_ignores_other_steps():
@@ -65,12 +65,12 @@ def test_tolerant_f1_ignores_other_steps():
     seq = MultiViewSequence(sequence_id="s", features=feats)
     predicted = Summary(selections=((0, 3),))
     truth = Summary(selections=((1, 4),))
-    assert tolerant_f1(predicted, truth, seq, 0.3) == 0.0
+    assert tolerant_f1(predicted, truth, seq, (0.3,)) == [0.0]
 
 
 def test_tolerant_f1_monotone_in_tau():
     rng = np.random.default_rng(3)
-    taus = np.linspace(0.0, 1.0, 11)
+    taus = [float(t) for t in np.linspace(0.0, 1.0, 11)]
     for _ in range(20):
         seq = _sequence(rng, m=3, n=10)
         def pick():
@@ -78,7 +78,7 @@ def test_tolerant_f1_monotone_in_tau():
             flat = rng.choice(30, size=k, replace=False)
             return Summary(selections=tuple((int(i) // 10, int(i) % 10) for i in flat))
         predicted, truth = pick(), pick()
-        scores = [tolerant_f1(predicted, truth, seq, float(t)) for t in taus]
+        scores = tolerant_f1(predicted, truth, seq, taus)
         assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
 
@@ -104,27 +104,28 @@ def test_report_sweep_equals_reference_loop_bitwise():
         report = build_report([("s", predicted, truth, seq)], thresholds=taus)
         expected = [bruteforce.reference_tolerant_f1(predicted, truth, seq, t) for t in taus]
         assert [f1 for _, f1 in report.sequences[0].threshold_f1] == expected
-        assert [tolerant_f1(predicted, truth, seq, t) for t in taus] == expected
+        assert tolerant_f1(predicted, truth, seq, taus) == expected
+        assert [tolerant_f1(predicted, truth, seq, (t,))[0] for t in taus] == expected
 
 
 def test_tolerant_f1_rejects_negative_tau():
     rng = np.random.default_rng(4)
     with pytest.raises(ValidationError):
-        tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), -0.1)
+        tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), (-0.1,))
 
 
 @pytest.mark.parametrize("tau", [float("nan"), "0.1", None, True])
 def test_tolerant_f1_rejects_nan_and_non_real_tau(tau):
     rng = np.random.default_rng(4)
     with pytest.raises(ValidationError, match="tau must be a real number >= 0"):
-        tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), tau)
+        tolerant_f1(_interval_summary(0, 0, 1), _interval_summary(0, 0, 1), _sequence(rng), (tau,))
 
 
 def test_tolerant_f1_accepts_infinite_tau():
     # every cross-view distance is below 2 * inf: each frame matches its step
     rng = np.random.default_rng(4)
     predicted, truth = _interval_summary(0, 0, 1), _interval_summary(1, 0, 1)
-    assert tolerant_f1(predicted, truth, _sequence(rng), float("inf")) == 1.0
+    assert tolerant_f1(predicted, truth, _sequence(rng), (float("inf"),)) == [1.0]
 
 
 def test_pairwise_consensus_fixture():
@@ -227,3 +228,28 @@ def test_build_report_aggregates():
     assert [tau for tau, _ in report.threshold_f1] == [0.0, 0.5]
     with pytest.raises(ValidationError):
         build_report([])
+
+
+def test_report_refuses_a_bare_threshold():
+    # the sweep's items are taus; one bare tau is not a sweep of one
+    rng = np.random.default_rng(7)
+    entries = [("one", _interval_summary(0, 1, 10), _interval_summary(1, 6, 15), _sequence(rng))]
+    for thresholds in (0.1, 0, None):
+        with pytest.raises(ValidationError, match="taus must be an iterable"):
+            build_report(entries, thresholds=thresholds)
+
+
+def test_report_and_sweep_read_one_shot_taus_once():
+    # a generator of thresholds gives the report its tuple gives, not an
+    # empty sweep
+    rng = np.random.default_rng(7)
+    seq = _sequence(rng)
+    entries = [("one", _interval_summary(0, 1, 10), _interval_summary(1, 6, 15), seq)]
+    taus = (0.0, 0.1, 2.0)
+    report = build_report(entries, thresholds=taus)
+    assert len(report.threshold_f1) == 3
+    assert build_report(entries, thresholds=(t for t in taus)) == report
+    predicted, truth = entries[0][1:3]
+    assert tolerant_f1(predicted, truth, seq, (t for t in taus)) == tolerant_f1(
+        predicted, truth, seq, taus
+    )

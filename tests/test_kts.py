@@ -382,8 +382,8 @@ def test_long_view_at_the_benchmark_penalty_relaxes_the_first_levels_only():
 
 @pytest.mark.parametrize("n, beta", [(40, 0.3), (200, 0.3), (200, 1e-9), (130, 2.0)])
 def test_linear_penalty_row_matches_reference_bitwise(n, beta):
-    # one block and several; beta = 1e-9 splits every frame, so the
-    # in-block passes hand over to settling one end at a time
+    # one block and several; beta = 1e-9 splits every frame, so an
+    # in-block pass may settle only one end
     rng = np.random.default_rng(n)
     centers = rng.normal(size=(6, 3)) * 3
     x = np.repeat(centers, np.diff(np.linspace(0, n, 7).astype(int)), axis=0)
@@ -474,6 +474,29 @@ def test_kept_plan_sweeps_level_one_with_the_row_then_the_kept_levels(monkeypatc
     assert sweeps == [(range(1, 2), True), (range(2, result.levels_relaxed + 1), False)]
     assert calls == {(lo, min(lo + 64, n + 1)): 1 for lo in range(1, n + 1, 64)}
     assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), 20), 20, 0.05)
+
+
+def test_long_view_at_the_default_penalty_sweeps_its_first_levels_once(monkeypatch):
+    # past _KEEP_MAX_N at penalty 1.0, the CLI default: the bound keeps more
+    # than level 1 but no more than the first sweep's _FIRST_LEVELS, so one
+    # sweep computes each cost block once; a first sweep of level 1 alone
+    # would need a second sweep that computes them again
+    n = 1000
+    assert n > kts_module._KEEP_MAX_N
+    x = _planted_view(n, seed=301)
+    cap = default_max_segments(n)
+    sweeps = _record_sweeps(monkeypatch)
+    calls = _count_block_costs(monkeypatch)
+    bound, kept = kts_module._levels_that_can_win, []
+    monkeypatch.setattr(kts_module, "_levels_that_can_win",
+                        lambda *args: kept.append(bound(*args)) or kept[-1])
+    result = kts(x, cap, 1.0)
+    first = kts_module._FIRST_LEVELS
+    assert len(kept) == 1 and 1 < kept[0] <= first
+    assert sweeps == [(range(1, first + 1), True)]
+    assert result.levels_relaxed == first
+    assert calls == {(lo, min(lo + 64, n + 1)): 1 for lo in range(1, n + 1, 64)}
+    assert result == bruteforce.reference_kts(dp_tables(_ScatterTable(x), cap), cap, 1.0)
 
 
 def _final_tables(monkeypatch):

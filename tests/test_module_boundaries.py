@@ -15,7 +15,14 @@ test: ``io`` hands the values it decodes to the ``data_model`` containers
 and checks only a JSON container's kind (``list``, ``dict``).
 
 Only ``runtime`` names ``mallopt``: the process-wide allocator policy has
-one owner, which every pipeline calls."""
+one owner, which every pipeline calls.
+
+Every public function a module outside ``bruteforce`` defines has a
+production caller: another mdpp module outside ``bruteforce`` imports it or
+reads it as a module attribute, or its own module names it outside its own
+body. The only exceptions are the entry points in ``ENTRY_POINTS``. A
+helper that only tests or oracles call belongs in ``bruteforce`` or the
+tests."""
 
 import ast
 from pathlib import Path
@@ -27,6 +34,8 @@ EXEMPT = {"bruteforce.py"}
 FLOOR_READERS = {"dpp.py", "multi_dpp.py", "bruteforce.py"}
 SCALAR_TYPE_TESTERS = {"data_model.py", "bruteforce.py"}
 SCALAR_TYPES = {"int", "float", "str"}
+# public functions that outside callers run, so no module need call them
+ENTRY_POINTS = {"cli.main"}  # the ``mdpp`` console script (pyproject.toml)
 
 
 def _private(name):
@@ -149,6 +158,70 @@ def _names(path: Path) -> set[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def public_functions(path: Path) -> set[str]:
+    """module.name for each public top-level function ``path`` defines."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def references(path: Path) -> set[str]:
+    """module.name for each mdpp name ``path``'s code refers to: each name
+    a ``from`` import of an mdpp module takes, each attribute read of an
+    imported mdpp module, and each of ``path``'s own top-level functions
+    named outside its own body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}  # local name -> the mdpp module it is bound to
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _mdpp_module(node) == "":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and _mdpp_module(node):
+            found.update(f"{_mdpp_module(node)}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name[len("mdpp."):]) for a in node.names
+                           if a.asname and a.name.startswith("mdpp."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
+    own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for top in tree.body:
+        found.update(f"{path.stem}.{node.id}" for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id in own
+                     and node.id != getattr(top, "name", None))
+    return found
+
+
+def test_every_public_function_has_a_production_caller():
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name not in EXEMPT]
+    defined = set().union(*map(public_functions, sources))
+    called = set().union(*map(references, sources))
+    assert defined - called - ENTRY_POINTS == set()
+    assert ENTRY_POINTS <= defined
+
+
+def test_the_caller_check_sees_imports_attributes_and_own_names(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from . import encoder\n"
+        "import mdpp.kts as k\n"
+        "from .evaluation import frame_f1\n"
+        "def used():\n"
+        "    return encoder.quality_scores, k.kts, frame_f1\n"
+        "def recursive():\n"
+        "    return recursive()\n"
+        "def caller():\n"
+        "    return used()\n"
+        "def _helper():\n"
+        "    pass\n"
+    )
+    assert public_functions(source) == {"probe.used", "probe.recursive", "probe.caller"}
+    assert references(source) == {
+        "encoder.quality_scores", "kts.kts", "evaluation.frame_f1", "probe.used",
     }
 
 

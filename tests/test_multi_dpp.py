@@ -14,6 +14,16 @@ def _random_streams(rng, m, n, dprime, q_low=0.2, q_high=0.9):
     )
 
 
+def _log_prob_and_grad(streams, subset):
+    """log P(y) and its gradients with respect to the per-view features
+    (M, N, D'), the view gradients stacked, and the qualities (M, N). The
+    views share one buffer, so each is copied as it comes."""
+    log_p, view_grads, grad_quality = multi_dpp.multi_dpp_log_prob_and_view_grads(
+        streams, subset
+    )
+    return log_p, np.stack([grad.copy() for grad in view_grads]), grad_quality
+
+
 def test_streams_validation():
     with pytest.raises(ValidationError):
         ViewStreams(features=np.zeros((2, 3, 4)), quality=np.zeros((2, 4)))
@@ -112,7 +122,7 @@ def test_log_prob_and_grad_matches_finite_differences(m, floored):
             features=streams.features, quality=np.where(below, 2e-7, streams.quality)
         )
 
-    logp, gfeat, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, subset)
+    logp, gfeat, gqual = _log_prob_and_grad(streams, subset)
     assert logp == multi_dpp.multi_dpp_log_prob(streams, subset)
     assert gfeat.shape == (m, n, dprime) and gqual.shape == (m, n)
 
@@ -147,14 +157,14 @@ def test_backprop_gates_clamped_quality_product():
         features=rng.normal(size=(2, 4, 3)),
         quality=np.full((2, 4), 5e-4),  # product 2.5e-7 < floor everywhere
     )
-    _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
+    _, _, gqual = multi_dpp.multi_dpp_log_prob_and_view_grads(streams, [0, 2])
     assert (gqual == 0.0).all()
 
     # a view scoring exactly 0 zeroes the product, so the clamp is active
     # and no view gets a gradient at that step (and nothing divides by 0)
     quality = np.array([[0.0, 0.5, 0.5, 0.5], [1.0, 0.5, 0.5, 0.5]])
     streams = ViewStreams(features=streams.features, quality=quality)
-    _, _, gqual = multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
+    _, _, gqual = multi_dpp.multi_dpp_log_prob_and_view_grads(streams, [0, 2])
     assert (gqual[:, 0] == 0.0).all() and (gqual[:, 1:] != 0.0).all()
 
 
@@ -168,13 +178,13 @@ def _repeating_streams(dprime):
 
 def test_subset_larger_than_output_dim_raises_with_rank_hint():
     with pytest.raises(NumericError, match="3 target steps exceed output_dim=2"):
-        multi_dpp.multi_dpp_log_prob_and_grad(_repeating_streams(2), [0, 1, 2])
+        multi_dpp.multi_dpp_log_prob_and_view_grads(_repeating_streams(2), [0, 1, 2])
 
 
 def test_singular_subset_within_the_rank_raises_without_the_hint():
     streams = _repeating_streams(3)
     with pytest.raises(NumericError, match="subset of size 2 has zero probability") as info:
-        multi_dpp.multi_dpp_log_prob_and_grad(streams, [0, 2])
+        multi_dpp.multi_dpp_log_prob_and_view_grads(streams, [0, 2])
     assert "output_dim" not in str(info.value)
     assert multi_dpp.multi_dpp_log_prob(streams, [0, 2]) == -np.inf
 
@@ -205,7 +215,7 @@ def test_feature_gradient_reaches_only_the_first_winning_view():
     feats = rng.integers(1, 4, size=(m, n, dprime)).astype(float)
     streams = ViewStreams(features=feats, quality=rng.uniform(0.2, 0.9, size=(m, n)))
     subset = [1, 4, 8]
-    _, grad_features, _ = multi_dpp.multi_dpp_log_prob_and_grad(streams, subset)
+    _, grad_features, _ = _log_prob_and_grad(streams, subset)
 
     kernel = multi_dpp.build_joint_kernel(streams)
     _, grad_pooled, _ = dpp.log_prob_and_grad(kernel, subset)

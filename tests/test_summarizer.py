@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mdpp import summarizer
-from mdpp.bruteforce import exhaustive_knapsack
+from mdpp.bruteforce import both_heads, exhaustive_knapsack
 from mdpp.data_model import AnnotationSet, MultiViewSequence, ShotList, SummaryBudget
-from mdpp.encoder import ModelParams, forward, init_params
+from mdpp.encoder import ModelParams, init_params
 from mdpp.errors import NumericError, ValidationError
 from mdpp.evaluation import oracle_summary
 from mdpp.kts import kts
@@ -311,14 +311,14 @@ def test_single_view_supervised_respects_budget():
 
 def test_supervised_summary_never_reads_the_feature_head():
     # a feature head that outputs the zero vector cannot be row-normalized,
-    # so ``forward`` raises; the summarizer runs the quality head alone
+    # so running both heads raises; the summarizer runs the quality head alone
     params, sequence = _request_sequence(300)
     values = dict(params.named_arrays())
     values["feat_w2"] = np.zeros_like(values["feat_w2"])
     values["feat_b2"] = np.zeros_like(values["feat_b2"])
     broken = ModelParams(**values)
     with pytest.raises(NumericError):
-        forward(broken, sequence)
+        both_heads(broken, sequence)
     summary = summarize_supervised(broken, sequence, penalty_coeff=0.05)
     assert summary == summarize_supervised(params, sequence, penalty_coeff=0.05)
     single = summarizer.single_view_supervised(broken, penalty_coeff=0.05)
