@@ -849,7 +849,9 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
     parameter array (each LSTM direction) at its own scale. Both must be 0:
     a group sums each sequence's gradient on its own. Groups hold 1-4
     sequences of one length N <= 12 with M in 1..3 each, and lam in
-    {0, 0.5, 1}; every other group's model has saturated LSTM gates, as in
+    {0, 0.5, 1}; the first group is four 3-view sequences, the largest that
+    ``encoder._groups`` makes, which random sizes would reach in 1 trial of
+    324. Every other group's model has saturated LSTM gates, as in
     ``_lstm_inputs``."""
     worst_hidden = worst_loss = 0.0
     for trial in range(trials):
@@ -863,8 +865,9 @@ def _check_groups(rng: np.random.Generator, trials: int) -> tuple[float, float]:
             )
             params = dataclasses.replace(params, lstm_b=b)
         group = []
-        for _ in range(int(rng.integers(1, 5))):
-            m = int(rng.integers(1, 4))
+        count = 4 if trial == 0 else int(rng.integers(1, 5))
+        for _ in range(count):
+            m = 3 if trial == 0 else int(rng.integers(1, 4))
             # the feature head has H hidden units, so the joint kernel's
             # rank may be H + 1 and no more: target at most H steps
             size = int(rng.integers(0, min(n, h, 3) + 1))
@@ -909,7 +912,7 @@ def _lstm_inputs(rng: np.random.Generator, trials: int):
     its own weights, with M <= 3, N <= 12, D <= 5 and H <= 5, the first with
     M = N = 1; then two with N = C and N = 2C + 1 for the loops' least time
     chunk C = ``encoder._TIME_CHUNK``: one chunk, and two, whose rows cross a
-    chunk boundary. Every
+    chunk boundary (two and four of the backward's chunks). Every
     other input gives about half of each direction's gate units a bias of
     magnitude 45-60, so their pre-activations pass |z| = 40, where
     tanh(z / 2) is exactly +-1 and the exp-form sigmoid is not exactly 0 or

@@ -26,10 +26,10 @@ The cell and hidden caches are (N + 1, 2, M, H); only row 0, the zero
 state, is filled before the loop, so no step is a special case, and each
 step hands its c_t and h_t to the next. The input is held once, as
 (M, N, D).
-Both loops run over time chunks of at least _TIME_CHUNK steps
-(``_time_chunks``), and the vectorized work around the steps is done one
-chunk at a time, just before the chunk's steps read it, so that at long N
-it stays in cache.
+Both loops run over time chunks (``_time_chunks``), of at least
+_TIME_CHUNK steps forward and _FACTOR_CHUNK steps backward, and the
+vectorized work around the steps is done one chunk at a time, just before
+the chunk's steps read it, so that at long N it stays in cache.
 Forward: X Wx^T for a chunk's steps, gates and directions is one batched
 product from a chunk-sized copy of the input straight into the chunk's gate
 rows, and b is added as one (4, 2, M, H) block per row; a step adds h_{t-1}
@@ -37,11 +37,13 @@ Wh^T as one batched product with the (4, 2, H, H) Wh blocks and takes one
 tanh over the step's block, the sigmoid gates' rows having been pre-scaled
 by 1/2 so that sigmoid(z) = 0.5 (1 + tanh(z / 2)), a multiply and an add by
 a 0-d array 0.5 (a Python-float or NumPy-scalar operand takes numpy's
-slower scalar path). Backward: the chunks run in reverse, and the
+slower scalar path). Backward: its chunks run in reverse, and the
 dh-independent factors of dz are computed for a chunk's steps at once over
 whole slabs of its gate rows, with a chunk-sized copy of f and one
-chunk-sized gate block of scratch; the loop writes step t's dz, for both
-directions, into row t + 1 of the gate cache in the weights' gate order, so
+chunk-sized gate block of scratch, so that at every N these two
+temporaries span at most 2 _FACTOR_CHUNK - 1 steps; the loop writes step
+t's dz, for both directions, into row t + 1 of the gate cache in the
+weights' gate order, so
 that rows 1..N end as dz, (N, 2, M, 4H), and the backward needs no dz array
 of its own; dh_{t-1} = dz_t Wh and the weight gradients are then products
 over all N steps against the unpermuted weights. Every value is bitwise
@@ -56,12 +58,15 @@ one reference call per direction (``bruteforce.reference_bilstm``), after
 
 The views ride the batch axis of those loops, and so do the sequences of a
 training batch: ``batch_loss`` splits the batch in order into groups of
-consecutive equal-length sequences of at most _STACK_VIEWS views, so
-3-view sequences train in pairs, and each group's views share one LSTM
-forward and one backward. The heads, the loss and the heads' backprop run
-one sequence at a time on its own columns and write over their own
+consecutive equal-length sequences of at most _STACK_VIEWS views up to
+_SHORT_STEPS steps and half as many past it, so 3-view sequences train in
+fours up to N = 1000 and in pairs past it, and each group's views share one
+LSTM forward and one backward. The heads, the loss and the heads' backprop
+run one sequence at a time on its own columns and write over their own
 activations, so the cap bounds the memory that stacking adds: the LSTM
-cache of at most _STACK_VIEWS views. A sequence of more views runs alone.
+cache of at most _STACK_VIEWS x _SHORT_STEPS view-steps up to
+_SHORT_STEPS, and of _STACK_VIEWS / 2 views past it. A sequence of more
+views than its cap runs alone.
 The weight gradients are summed per sequence, so each sequence's gradient
 is bitwise that of the sequence run alone, however it was grouped. A group of
 one view runs with a zero second view, so that its per-step products take
@@ -85,8 +90,15 @@ from .errors import ConfigError, NumericError, ShapeError
 from .multi_dpp import ViewStreams
 
 # views (M summed over a group's sequences) one stacked LSTM loop may hold:
-# 3-view sequences of equal length run in pairs
-_STACK_VIEWS = 6
+# _STACK_VIEWS up to _SHORT_STEPS steps, so four 3-view sequences of equal
+# length share a loop there, and half as many past it, where 3-view
+# sequences run in pairs. Part of a step's cost is fixed whatever the views
+# (a forward step took about 9, 13-14 and 21-23 us at M = 3, 6 and 12, at
+# N = 300 and 1000, one BLAS thread, on a 2-core Xeon VM), so fewer loops pay
+# on short sequences; 12 x 1000 view-steps are those of a 6-view pair at
+# N = 2000, so no group's LSTM cache outgrows that pair's
+_STACK_VIEWS = 12
+_SHORT_STEPS = 1000
 
 # the LSTM loops' gate order (o, i, f, g), as indices of the weights' (i, f,
 # g, o) blocks: the sigmoid gates form the slab [0:3] and the gates scaled
@@ -103,6 +115,10 @@ _GATE_SCALE = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 # numpy calls per group and saved nothing at N = 300, so sequences shorter
 # than 320 steps are not split
 _TIME_CHUNK = 160
+# the backward's fewest steps per chunk of gate factors: its factors are
+# elementwise, so any chunking gives the same bits, and ``_gate_factors``'
+# copy of f and its scratch gate block span one such chunk at every N
+_FACTOR_CHUNK = 75
 
 PARAM_FIELDS = (
     "lstm_wx", "lstm_wh", "lstm_b",
@@ -239,15 +255,15 @@ def _gate_blocks(w, h_size):
     return blocks.transpose(1, 0, 3, 2)
 
 
-def _time_chunks(n):
-    """The loop steps 0..N-1 as N // _TIME_CHUNK (at least one) consecutive
-    (lo, hi) chunks of near-equal length, so each holds _TIME_CHUNK to
-    2 _TIME_CHUNK - 1 steps (all N when N < _TIME_CHUNK). No chunk is one
+def _time_chunks(n, fewest):
+    """The loop steps 0..N-1 as N // ``fewest`` (at least one) consecutive
+    (lo, hi) chunks of near-equal length, so each holds ``fewest`` to
+    2 ``fewest`` - 1 steps (all N when N < ``fewest``). No chunk is one
     step long unless N is: a one-row input product takes numpy's
     vector-matrix path, which rounds differently from the matrix-matrix
     one, so every chunk's gate rows are bitwise those of one chunk of N
     steps."""
-    k = max(n // _TIME_CHUNK, 1)
+    k = max(n // fewest, 1)
     bounds = [n * j // k for j in range(k + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -273,12 +289,13 @@ def _lstm_forward(x, wx, wh, b, backward=True):
     gate-major, (N + 1, 4, 2, M, H) in the gate order (o, i, f, g), so each
     step's sigmoid gates are one contiguous (3, 2, M, H) slab; row t holds
     step t and row N is spare room for the backward. The loop runs in the
-    chunks of ``_time_chunks``: each chunk's two-direction input is copied
-    into one chunk-sized buffer and projected, X Wx^T, into that chunk's
-    gate rows by one batched (chunk x D)(D x H) product per gate, direction
-    and view, just before the chunk's steps read them; b is then added as
-    one contiguous (4, 2, M, H) block per row. The sigmoid gates' rows of
-    Wx, Wh and b are pre-scaled by 1/2 (exact in floating point), so a step
+    chunks of ``_time_chunks(N, _TIME_CHUNK)``: each chunk's two-direction
+    input is copied into one chunk-sized buffer and projected, X Wx^T, into
+    that chunk's gate rows by one batched (chunk x D)(D x H) product per
+    gate, direction and view, just before the chunk's steps read them; b is
+    then added as one contiguous (4, 2, M, H) block per row. The sigmoid
+    gates' rows of Wx, Wh and b are pre-scaled by 1/2 (exact in floating
+    point), so a step
     is one batched product of h_{t-1} with the (4, 2, H, H) Wh blocks, one
     add, one tanh and an affine map of the slab to the sigmoids
     0.5 (1 + tanh(z / 2)), a multiply and an add by one read-only 0-d array
@@ -305,7 +322,7 @@ def _lstm_forward(x, wx, wh, b, backward=True):
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
     half = np.array(0.5)
     half.flags.writeable = False
-    chunks = _time_chunks(n)
+    chunks = _time_chunks(n, _TIME_CHUNK)
     longest = max(hi - lo for lo, hi in chunks)
     gates = np.empty((n + 1 if backward else longest, 4, 2, m, h_size))
     wx_blocks = _gate_blocks(wx, h_size)[:, :, None]
@@ -396,11 +413,13 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
 
     for (i, f, g, o), with c_{-1} the cell cache's zero row and
     dc = dh o (1 - tanh(c)^2) + dc_{t+1} f_{t+1}, whose first factor
-    overwrites the cell cache. The loop walks the chunks of ``_time_chunks``
-    in reverse and ``_gate_factors`` builds each chunk's factors, over whole
-    slabs of its rows, just before its steps, so a chunk-sized copy of f and
-    one chunk-sized gate block of scratch are all the factors need. The time
-    loop multiplies the (i, f, g) slab by dc and the o block by dh and
+    overwrites the cell cache. The loop walks the chunks of
+    ``_time_chunks(N, _FACTOR_CHUNK)`` in reverse and ``_gate_factors``
+    builds each chunk's factors, over whole slabs of its rows, just before
+    its steps, so a copy of f and one gate block of scratch, each at most
+    2 _FACTOR_CHUNK - 1 steps long at every N, are all the factors need.
+    The factors are elementwise, so the chunks do not change their bits.
+    The time loop multiplies the (i, f, g) slab by dc and the o block by dh and
     writes step t's dz, for both directions, into row t + 1 of the gate
     cache, in the weights' gate order: that row's factors were read one step
     earlier, and row N is the forward's spare row. So the cache's rows 1..N
@@ -418,7 +437,7 @@ def _lstm_backward(cache, wh, grad_hidden, cols):
     dz_blocks = dz.reshape(n, 2, m, 4, h_size).transpose(0, 3, 1, 2, 4)
     dh, dh_next, dc, product = (np.zeros((2, m, h_size)) for _ in range(4))
     matmul, add, multiply = np.matmul, np.add, np.multiply  # as in _lstm_forward
-    for lo, hi in reversed(_time_chunks(n)):
+    for lo, hi in reversed(_time_chunks(n, _FACTOR_CHUNK)):
         steps, blocks = gates[lo:hi][::-1], dz_blocks[lo:hi][::-1]
         forget = _gate_factors(gates[lo:hi], cells[lo : hi + 1])
         for grad, cell, fac_o, fac_ifg, dz_t, out_ifg, out_o, f_t in zip(
@@ -589,17 +608,19 @@ def batch_loss(
 
 def _groups(examples):
     """Split ``examples`` in order into runs of consecutive sequences of
-    equal length N holding at most _STACK_VIEWS views (M summed) each; a
-    group always holds at least one sequence. The cap bounds the stacked
-    LSTM cache, which lives until the group's backward pass."""
+    equal length N holding at most _STACK_VIEWS views (M summed) each when
+    N <= _SHORT_STEPS, and at most half as many past it; a group always
+    holds at least one sequence. The cap depends on N alone and bounds the
+    stacked LSTM cache, which lives until the group's backward pass: up to
+    N = 1000 a group holds no more view-steps than a pair of 3-view
+    sequences at N = 2000, and past it a group holds at most such a pair's
+    6 views."""
     groups, views = [], 0
     for ex in examples:
         sequence = ex.sequence
-        if (
-            groups
-            and sequence.num_steps == groups[-1][0].sequence.num_steps
-            and views + sequence.num_views <= _STACK_VIEWS
-        ):
+        n = sequence.num_steps
+        cap = _STACK_VIEWS if n <= _SHORT_STEPS else _STACK_VIEWS // 2
+        if groups and n == groups[-1][0].sequence.num_steps and views + sequence.num_views <= cap:
             groups[-1].append(ex)
             views += sequence.num_views
         else:

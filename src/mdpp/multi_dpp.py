@@ -17,6 +17,13 @@ from . import dpp
 from .dpp import DppKernel
 from .errors import DataError, NumericError, ValidationError
 
+# why a target of more steps than D' has probability 0: the suffix of the
+# messages that report one, formatted with its size and D'
+RANK_HINT = (
+    " ({size} target steps exceed output_dim={dprime}; the joint kernel has rank at "
+    "most output_dim, so such subsets have probability 0 - use a larger output_dim)"
+)
+
 
 @dataclass(frozen=True, eq=False)
 class ViewStreams:
@@ -86,10 +93,7 @@ def multi_dpp_log_prob_and_view_grads(streams: ViewStreams, subset):
         log_p, grad_pooled, grad_q = dpp.log_prob_and_grad(kernel, subset)
     except NumericError as exc:
         size = len(set(subset))
-        hint = (
-            f" ({size} target steps exceed output_dim={dprime}; the joint kernel has rank at "
-            f"most output_dim, so such subsets have probability 0 - use a larger output_dim)"
-        ) if size > dprime else ""
+        hint = RANK_HINT.format(size=size, dprime=dprime) if size > dprime else ""
         raise NumericError(
             f"target subset of size {size} has zero probability under the joint kernel{hint}"
         ) from exc

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import io, runtime
+from . import io, multi_dpp, runtime
 from .data_model import (
     MultiViewSequence, Summary, TrainingExample, check_int, check_real, check_seed,
 )
@@ -158,7 +158,10 @@ def train(
     """Run the full loop for one split plan and return the best checkpoint.
 
     Validation runs after every epoch; ties keep the earliest epoch so a
-    rerun with the same seed reproduces the same selected weights.
+    rerun with the same seed reproduces the same selected weights. When no
+    epoch's validation loss is finite there is nothing to select, and
+    NumericError names the validation collection (and the rank bound, when
+    a validation target has more steps than D').
 
     On glibc, training first applies the process-wide allocator policy of
     ``runtime.keep_freed_memory_mapped``, as the summarizers do: up to
@@ -211,6 +214,15 @@ def train(
             best_vec = vec.copy()
             best_epoch = epoch
 
+    if not best_epoch:
+        # no epoch to select: returning the initial weights would pass them
+        # off as trained
+        size, dprime = max(len(ex.steps) for ex in val_examples), initial.output_dim
+        hint = multi_dpp.RANK_HINT.format(size=size, dprime=dprime) if size > dprime else ""
+        raise NumericError(
+            f"validation loss on collection {plan.val_collection!r} is not finite at any of "
+            f"the {config.iterations} epochs, so no weights can be selected{hint}"
+        )
     return TrainResult(
         params=from_vector(initial, best_vec),
         best_epoch=best_epoch,

@@ -415,15 +415,19 @@ def test_groups_split_where_length_changes():
 
 
 def test_groups_hold_at_most_the_view_cap():
-    assert encoder._STACK_VIEWS == 6
-    # 3-view sequences of equal length run in pairs at every N
-    assert _shapes(encoder._groups(_items([(3, 300)] * 3))) == [[(3, 300)] * 2, [(3, 300)]]
-    assert _shapes(encoder._groups(_items([(3, 2000)] * 2))) == [[(3, 2000)] * 2]
+    # up to N = 1000 a group holds 12 views, so 3-view sequences of equal
+    # length run in fours; past it they run in pairs, so no group holds more
+    # view-steps than a pair at N = 2000
+    for n in (300, 1000):
+        assert _shapes(encoder._groups(_items([(3, n)] * 4))) == [[(3, n)] * 4]
+    assert _shapes(encoder._groups(_items([(3, 300)] * 5))) == [[(3, 300)] * 4, [(3, 300)]]
+    for n in (1001, 2000):
+        assert _shapes(encoder._groups(_items([(3, n)] * 4))) == [[(3, n)] * 2] * 2
     # a sequence over the cap runs alone, and no sequence joins it
-    shapes = [(1, 50), (7, 50), (1, 50)]
-    assert _shapes(encoder._groups(_items(shapes))) == [[shape] for shape in shapes]
-    shapes = [(3, 700), (1, 700), (1, 700), (3, 2000)]
-    assert _shapes(encoder._groups(_items(shapes))) == [shapes[:3], [shapes[3]]]
+    for shapes in ([(1, 50), (13, 50), (1, 50)], [(1, 1500), (7, 1500), (1, 1500)]):
+        assert _shapes(encoder._groups(_items(shapes))) == [[shape] for shape in shapes]
+    shapes = [(3, 700), (1, 700), (1, 700), (8, 700), (3, 2000)]
+    assert _shapes(encoder._groups(_items(shapes))) == [shapes[:3], [shapes[3]], [shapes[4]]]
     assert encoder._groups([]) == []
 
 
@@ -456,23 +460,27 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_lstm_backward_holds_at_most_two_blocks():
-    # dz is written into the gate cache; each time chunk's factors take a
-    # copy of its f and one chunk-sized gate block of scratch, and dWx one
+@pytest.mark.parametrize("m, n", [(6, 1000), (12, 300)])
+def test_lstm_backward_holds_at_most_two_blocks(m, n):
+    # dz is written into the gate cache; each of the backward's time chunks,
+    # at most 2 _FACTOR_CHUNK - 1 steps at every N, takes a copy of its f
+    # and one gate block of scratch for its factors, and dWx one
     # two-direction copy of the input after the loop
     rng = np.random.default_rng(3)
-    m, n, d, h = 6, 1000, 4, 16
+    d, h = 4, 16
     x = rng.normal(size=(m, n, d))
     wx, wh, b = _stacked_weights(rng, d, h, 0.4)
     cache = encoder._lstm_forward(x, wx, wh, b)
     grad_hidden = rng.normal(size=(n, 2, m, h))
     block = grad_hidden.nbytes
-    chunk_block = max(hi - lo for lo, hi in encoder._time_chunks(n)) * 2 * m * h * 8
+    longest = max(hi - lo for lo, hi in encoder._time_chunks(n, encoder._FACTOR_CHUNK))
+    assert longest < 2 * encoder._FACTOR_CHUNK
+    chunk_block = longest * 2 * m * h * 8
     # per-step buffers, numpy's iterator buffers for three strided operands,
     # and the per-view dWx and dWh products before their sums
     allowance = 4 * 2 * m * h * 8 + 3 * np.getbufsize() * 8 + 2 * m * 4 * h * (d + h) * 8
     peak = _traced_peak(
-        encoder._lstm_backward, cache, wh, grad_hidden, [slice(0, 3), slice(3, 6)]
+        encoder._lstm_backward, cache, wh, grad_hidden, [slice(0, m // 2), slice(m // 2, m)]
     )
     assert peak <= 2 * chunk_block + 2 * x.nbytes + allowance, peak / block
 
@@ -487,7 +495,7 @@ def test_lstm_forward_holds_its_cache_and_one_chunk_of_input(backward):
     x = rng.normal(size=(m, n, d))
     wx, wh, b = _stacked_weights(rng, d, h, 0.4)
     peak = _traced_peak(encoder._lstm_forward, x, wx, wh, b, backward)
-    longest = max(hi - lo for lo, hi in encoder._time_chunks(n))
+    longest = max(hi - lo for lo, hi in encoder._time_chunks(n, encoder._TIME_CHUNK))
     gate_rows = n + 1 if backward else longest
     cache = (4 * gate_rows + 2 * (n + 1)) * 2 * m * h * 8  # gates, cells and hidden states
     buffer = 2 * m * longest * d * 8
@@ -550,9 +558,11 @@ def test_time_chunks_are_bitwise_one_chunk(monkeypatch, chunk, n, m):
     # made, not their bits; chunk 2 is the smallest, as a one-step input
     # product would round differently (``_time_chunks``)
     case = _lstm_case(np.random.default_rng(1000 * n + m), m, n)
-    monkeypatch.setattr(encoder, "_TIME_CHUNK", n + 1)
+    for name in ("_TIME_CHUNK", "_FACTOR_CHUNK"):
+        monkeypatch.setattr(encoder, name, n + 1)
     states, grads = _run_lstm(*case)
-    monkeypatch.setattr(encoder, "_TIME_CHUNK", chunk)
+    for name in ("_TIME_CHUNK", "_FACTOR_CHUNK"):
+        monkeypatch.setattr(encoder, name, chunk)
     chunked_states, chunked_grads = _run_lstm(*case)
     for whole, chunked in zip(states, chunked_states):
         np.testing.assert_array_equal(chunked, whole)
@@ -562,11 +572,10 @@ def test_time_chunks_are_bitwise_one_chunk(monkeypatch, chunk, n, m):
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 7, 128])
-def test_time_chunks_split_the_steps_evenly(monkeypatch, chunk):
+def test_time_chunks_split_the_steps_evenly(chunk):
     # no chunk is one step long unless N is (``_time_chunks``)
-    monkeypatch.setattr(encoder, "_TIME_CHUNK", chunk)
     for n in range(1, 3 * chunk + 3):
-        chunks = encoder._time_chunks(n)
+        chunks = encoder._time_chunks(n, chunk)
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
         assert chunks[-1][1] == n
         lengths = {hi - lo for lo, hi in chunks}
@@ -707,13 +716,19 @@ def test_feature_output_gradient_per_view_is_bitwise_the_dense_route(n, lam):
     assert per_view.shape == graw.shape and per_view.tobytes() == graw.tobytes()
 
 
-def test_long_batch_holds_no_dense_routed_gradient():
+@pytest.mark.parametrize("n, count, groups, mib", [
+    (2000, 2, 1, 32), (2000, 4, 2, 32), (1000, 4, 1, 32), (300, 4, 1, 9),
+])
+def test_long_batch_holds_no_dense_routed_gradient(n, count, groups, mib):
     # two 3-view N = 2000 sequences, one stacked group: 33.1 MiB at the
     # peak with the dense (M, N, D') routed gradient (2.9 MiB) and a
-    # float64 copy of the input; 31.3 MiB without
-    batch = [_planted_example(2000, seed) for seed in (1000, 1001)]
+    # float64 copy of the input; 31.3 MiB without. Four 3-view sequences
+    # are one 12-view group up to N = 1000 (26.4 MiB at N = 1000, 8.1 MiB at
+    # N = 300, against 4.9 MiB for two pairs) and two pairs past it, so no
+    # group passes that pair's 32 MiB
+    batch = [_planted_example(n, seed) for seed in range(1000, 1000 + count)]
     params = init_params(16, 16, 64, seed=3)
-    assert len(encoder._groups(batch)) == 1
+    assert len(encoder._groups(batch)) == groups
     encoder.batch_loss(params, batch)  # warm: numpy's first-call caches
     peak = _traced_peak(encoder.batch_loss, params, batch)
-    assert peak < 32 * 2**20, peak / 2**20
+    assert peak < mib * 2**20, peak / 2**20

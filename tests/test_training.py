@@ -225,6 +225,63 @@ def test_nan_gradient_stops_train_at_adam_with_its_flat_index(monkeypatch):
         train(initial, collections, plan, TrainConfig(iterations=1, seed=5))
 
 
+def _rank_bound_collections(val_steps):
+    """2-view N=40 collections for an output_dim=8 model: training targets
+    of 5-6 steps, and one validation target of ``val_steps`` steps."""
+    rng = np.random.default_rng(8)
+
+    def example(size):
+        return _example(rng, n=40, steps=rng.choice(40, size=size, replace=False))
+
+    return {
+        "c0": [example(5), example(6)], "c1": [example(val_steps)], "c2": [example(5)],
+    }
+
+
+def test_train_raises_when_no_validation_loss_is_finite():
+    # 20 target steps outgrow the joint kernel's rank bound D' = 8, so every
+    # epoch's validation loss is inf; the untrained weights must not come
+    # back as the selected ones
+    plan = SplitPlan(train_collections=("c0",), val_collection="c1", test_collection="c2")
+    initial = init_params(4, hidden_size=4, output_dim=8, seed=2)
+    with pytest.raises(NumericError, match=(
+        r"validation loss on collection 'c1' is not finite at any of the 3 epochs.*"
+        r"\(20 target steps exceed output_dim=8"
+    )):
+        train(initial, _rank_bound_collections(20), plan, TrainConfig(iterations=3, seed=5))
+
+
+def test_train_raises_without_a_rank_hint_when_targets_fit(monkeypatch):
+    inf = encoder.LossParts(total=math.inf, bce=1.0, dpp_nll=math.inf)
+    monkeypatch.setattr(training, "_val_loss", lambda *args: inf)
+    plan = SplitPlan(train_collections=("c0",), val_collection="c1", test_collection="c2")
+    initial = init_params(4, hidden_size=4, output_dim=8, seed=2)
+    with pytest.raises(NumericError, match="is not finite at any of the 2 epochs") as info:
+        train(initial, _rank_bound_collections(6), plan, TrainConfig(iterations=2, seed=5))
+    assert "output_dim" not in str(info.value)
+
+
+def test_train_selects_the_one_epoch_with_a_finite_validation_loss(monkeypatch):
+    # epochs 1 and 3 validate to inf, epoch 2 to a finite loss: epoch 2's
+    # weights are the result
+    original, calls, seen = training._val_loss, [], []
+
+    def val_loss(params, examples, config):
+        calls.append(None)
+        seen.append(to_vector(params))
+        if len(calls) == 2:
+            return original(params, examples, config)
+        return encoder.LossParts(total=math.inf, bce=1.0, dpp_nll=math.inf)
+
+    monkeypatch.setattr(training, "_val_loss", val_loss)
+    plan = SplitPlan(train_collections=("c0",), val_collection="c1", test_collection="c2")
+    initial = init_params(4, hidden_size=4, output_dim=8, seed=2)
+    result = train(initial, _rank_bound_collections(6), plan, TrainConfig(iterations=3, seed=5))
+    assert result.best_epoch == 2 and math.isfinite(result.best_val_loss)
+    assert [math.isfinite(e.val_loss) for e in result.history] == [False, True, False]
+    np.testing.assert_array_equal(to_vector(result.params), seen[1])
+
+
 def _synth_training_args(num_steps=600):
     """A 2-sequence training collection and a 1-sequence validation one at
     M=3, D=16, with an H=16, D'=64 model and one epoch."""
